@@ -1,0 +1,10 @@
+"""Put the benchmark's modules and the checkout's ctax sources on sys.path.
+
+Run with: python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
