@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -24,7 +24,7 @@ from .backend import (
     check_health,
     generate_all,
 )
-from .checkers import CheckResult, score_completion
+from .checkers import score_completion
 from .errors import ConfigError
 from .metrics import (
     ACC_METRICS,
@@ -36,6 +36,7 @@ from .metrics import (
     structural_overhead,
 )
 from .modes import (
+    CONSTRAINT_NONE,
     DELAYED_VARIANTS,
     MODE_NAMES,
     TEMPLATE_VERSION,
@@ -45,15 +46,11 @@ from .modes import (
     get_mode,
     parse_for_mode,
     scoring_constraint,
+    transported_constraint,
 )
-from .records import (
-    RunRecord,
-    append_record,
-    existing_keys,
-    read_records,
-)
+from .records import RunRecord, append_record, drop_torn_tail, read_records
 from .taskgen import FAMILIES, TaskInstance, generate_suite, write_suite
-from .validation import ParseOutcome, canonical_digest, canonical_serialize, extract_json
+from .validation import PARSE_NO_JSON, canonical_digest, canonical_serialize, extract_json
 
 DELAYED_MODE = "delayed_constraint"
 DELAYED_SOURCE_MODES = frozenset({"prompt_json", "freeform", "freeform_direct",
@@ -201,57 +198,86 @@ def _now() -> str:
     return dt.datetime.now(dt.timezone.utc).isoformat(timespec="milliseconds")
 
 
-def _base_record_fields(config: RunConfig, backend: BackendConfig,
-                        bundle: PromptBundle) -> dict[str, Any]:
-    scoring = scoring_constraint(bundle.mode, bundle.family)
-    return {
-        "instance_id": bundle.instance_id,
-        "model_id": backend.model_id,
-        "backend_label": backend.label,
-        "family": bundle.family,
-        "mode": bundle.mode,
-        "stage": bundle.stage,
-        "prompt": bundle.user_text,
-        "constraint_kind": scoring.kind,
-        "constraint_pattern": scoring.pattern,
-        "constraint_schema": scoring.schema,
-        "constraint_digest": scoring.digest(),
-        "constraint_enforced": bundle.constraint.kind != "none",
-        "extraction_rule": ("strict/v1" if config.strict_extraction else "lenient/v1"),
-        "run_id": config.run_id,
-        "config_digest": config.digest(),
-    }
+@dataclass(frozen=True)
+class _RecordContext:
+    """What a record takes from its run."""
+
+    backend_label: str
+    model_id: str
+    run_id: str | None
+    config_digest: str | None
+    strict_extraction: bool = False
+    strict_trace: bool = False
+    delayed_variant: str = "deterministic"
+
+    def key(self, mode: str, stage: str, instance_id: str) -> tuple[str, str, str, str, str]:
+        return (self.backend_label, self.model_id, mode, stage, instance_id)
 
 
-def _failure_record(config: RunConfig, backend: BackendConfig, bundle: PromptBundle,
-                    result: GenerationResult, started_at: str) -> RunRecord:
-    return RunRecord(
-        **_base_record_fields(config, backend, bundle),
-        raw_text="",
-        parse_status="no_json_found",
-        error_class="generation_failed",
-        failure_reason=result.failure_reason,
+def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
+            result: GenerationResult, started_at: str | None,
+            derived_from: str | None = None) -> RunRecord:
+    """Score one completion under (mode, stage) and build its record.
+
+    Every record is built here: generation failures, plain modes, the
+    delayed mode's stage 1 (packaged deterministically, or scored under the
+    freeform contract in the model variant), its stage 2, and records
+    derived from existing ones. Deterministic packaging leaves raw_text the
+    untouched stage-1 completion, so structural overhead measures the
+    payload against the characters the model actually generated.
+    """
+    family = instance.family
+    contract = scoring_constraint(mode, family)
+    common = dict(
+        instance_id=instance.id,
+        model_id=ctx.model_id,
+        backend_label=ctx.backend_label,
+        family=family,
+        mode=mode,
+        stage=stage,
+        constraint_kind=contract.kind,
+        constraint_digest=contract.digest(),
+        constraint_enforced=transported_constraint(mode, family, stage).kind != CONSTRAINT_NONE,
+        extraction_rule="strict/v1" if ctx.strict_extraction else "lenient/v1",
+        run_id=ctx.run_id,
+        config_digest=ctx.config_digest,
+        derived_from=derived_from,
         latency_ms=result.latency_ms,
         started_at=started_at,
-        finished_at=_now(),
     )
+    if result.failed:
+        return RunRecord(**common, raw_text="", parse_status=PARSE_NO_JSON,
+                         error_class="generation_failed", failure_reason=result.failure_reason,
+                         latency_annotation="+ pkg." if derived_from else None,
+                         finished_at=_now())
 
-
-def _checked_record(config: RunConfig, backend: BackendConfig, bundle: PromptBundle,
-                    result: GenerationResult, instance: TaskInstance,
-                    parse: ParseOutcome, checks: CheckResult,
-                    packaged_text: str | None = None, packaging_failed: bool = False,
-                    packaging_ms: float | None = None,
-                    latency_annotation: str | None = None,
-                    derived_from: str | None = None,
-                    started_at: str | None = None) -> RunRecord:
-    overhead = structural_overhead(result.raw_text, checks.answer_payload)
+    text, scored_as = result.raw_text, mode
+    packaged_text = packaging_ms = latency_annotation = None
+    packaging_failed = False
+    if mode == DELAYED_MODE and stage == "stage1":
+        if ctx.delayed_variant == "model":
+            scored_as = "freeform"  # provenance row; stage 2 carries the verdict
+        else:
+            pkg_started = time.perf_counter()
+            outcome = build_delayed_stage2(result.raw_text, instance, "deterministic")
+            packaging_ms = (time.perf_counter() - pkg_started) * 1000.0
+            latency_annotation = "+ pkg."
+            packaged_text, packaging_failed = outcome.packaged_text, outcome.failed
+            if not packaging_failed:
+                text = outcome.packaged_text
+    if packaging_failed:
+        parse = extract_json(text, strict=ctx.strict_extraction)
+    else:
+        parse = parse_for_mode(text, scored_as, family, strict=ctx.strict_extraction)
+    checks = score_completion(instance, scored_as, parse, text,
+                              packaging_failed=packaging_failed,
+                              strict_trace=ctx.strict_trace)
     return RunRecord(
-        **_base_record_fields(config, backend, bundle),
+        **common,
         raw_text=result.raw_text,
         parse_status=parse.status,
         violations=tuple({"path": v.path, "keyword": v.keyword, "message": v.message}
-                        for v in parse.violations),
+                         for v in parse.violations),
         schema_valid=checks.schema_valid,
         answer_correct=checks.answer_correct,
         exec_correct=checks.exec_correct,
@@ -262,58 +288,12 @@ def _checked_record(config: RunConfig, backend: BackendConfig, bundle: PromptBun
         packaged_text=packaged_text,
         packaging_failed=packaging_failed,
         packaging_ms=packaging_ms,
-        latency_ms=result.latency_ms,
         latency_annotation=latency_annotation,
         prompt_tokens=result.prompt_tokens,
         completion_tokens=result.completion_tokens,
-        structural_overhead=overhead,
-        started_at=started_at,
+        structural_overhead=structural_overhead(result.raw_text, checks.answer_payload),
         finished_at=_now(),
-        derived_from=derived_from,
     )
-
-
-def _score_simple(config: RunConfig, backend: BackendConfig, bundle: PromptBundle,
-                  result: GenerationResult, instance: TaskInstance,
-                  started_at: str, mode_for_scoring: str | None = None) -> RunRecord:
-    mode = mode_for_scoring or bundle.mode
-    parse = parse_for_mode(result.raw_text, mode, instance.family,
-                           strict=config.strict_extraction)
-    checks = score_completion(instance, mode, parse, result.raw_text,
-                              strict_trace=config.strict_trace)
-    return _checked_record(config, backend, bundle, result, instance, parse, checks,
-                           started_at=started_at)
-
-
-def _score_packaged(config: RunConfig, backend: BackendConfig, bundle: PromptBundle,
-                    result: GenerationResult, instance: TaskInstance,
-                    started_at: str, derived_from: str | None = None,
-                    latency_annotation: str | None = "+ pkg.") -> RunRecord:
-    """Deterministic delayed packaging: extract, validate, re-serialize,
-    then score the packaged object under the delayed-mode contract."""
-    pkg_started = time.perf_counter()
-    outcome = build_delayed_stage2(result.raw_text, instance, "deterministic")
-    packaging_ms = (time.perf_counter() - pkg_started) * 1000.0
-    if outcome.failed or outcome.packaged_text is None:
-        parse = extract_json(result.raw_text, strict=config.strict_extraction)
-        checks = score_completion(instance, DELAYED_MODE, parse, result.raw_text,
-                                  packaging_failed=True, strict_trace=config.strict_trace)
-        return _checked_record(config, backend, bundle, result, instance, parse, checks,
-                               packaging_failed=True, packaging_ms=packaging_ms,
-                               latency_annotation=latency_annotation,
-                               derived_from=derived_from, started_at=started_at)
-    parse = parse_for_mode(outcome.packaged_text, DELAYED_MODE, instance.family,
-                           strict=config.strict_extraction)
-    checks = score_completion(instance, DELAYED_MODE, parse, outcome.packaged_text,
-                              strict_trace=config.strict_trace)
-    # raw_text stays the untouched stage-1 completion; overhead measures the
-    # semantic payload against the characters the model actually generated.
-    record = _checked_record(config, backend, bundle, result, instance, parse, checks,
-                             packaged_text=outcome.packaged_text,
-                             packaging_ms=packaging_ms,
-                             latency_annotation=latency_annotation,
-                             derived_from=derived_from, started_at=started_at)
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +309,10 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
     """Execute a run config; returns the records path.
 
     Reruns with --resume skip every (backend, model, mode, stage, instance)
-    already on disk, so a killed run completes without duplicates.
+    already on disk, so a killed run completes without duplicates. A final
+    line left unterminated by a killed write is cut and its record made
+    again, and a delayed stage 1 on disk whose model-variant stage 2 is
+    missing gets its stage 2.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -338,12 +321,16 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
         raise ConfigError(
             f"{records_path} already has records; pass resume=True (--resume) "
             "or use a fresh output directory")
-    done = existing_keys(records_path) if resume else set()
+    done: dict[tuple[str, str, str, str, str], RunRecord] = {}
+    if resume and records_path.exists():
+        drop_torn_tail(records_path)
+        done = {record.key(): record for record in read_records(records_path)}
 
     suites = _suites(config)
     instances_by_id = {i.id: i for suite in suites.values() for i in suite}
     write_suite((i for suite in suites.values() for i in suite), out / "tasks.jsonl")
-    _write_manifest(config, out)
+    digest = config.digest()
+    _write_manifest(config, digest, out)
 
     for backend in config.backends:
         if backend.kind == "endpoint":
@@ -351,75 +338,73 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
 
     with records_path.open("a", encoding="utf-8") as fh:
         for backend in config.backends:
+            ctx = _RecordContext(backend.label, backend.model_id, config.run_id, digest,
+                                 config.strict_extraction, config.strict_trace,
+                                 config.delayed_variant)
             for mode in config.modes:
-                _run_mode(config, backend, mode, suites, instances_by_id, done, fh)
+                _run_mode(ctx, backend, mode, config.suite.families, suites,
+                          instances_by_id, done, fh)
     print(f"[INFO] run complete: {records_path}")
     return records_path
 
 
-def _run_mode(config: RunConfig, backend: BackendConfig, mode: str,
-              suites: Mapping[str, list[TaskInstance]],
+def _run_mode(ctx: _RecordContext, backend: BackendConfig, mode: str,
+              families: Sequence[str], suites: Mapping[str, list[TaskInstance]],
               instances_by_id: Mapping[str, TaskInstance],
-              done: set, fh) -> None:
-    bundles = []
-    for family in config.suite.families:
+              done: Mapping[tuple, RunRecord], fh) -> None:
+    """Generate, record and append every missing record of one mode: the
+    first stage, then the model-variant stage-2 bundles its records (and
+    stage-1 records already on disk) call for."""
+    bundles: list[PromptBundle] = []
+    for family in families:
         for instance in suites[family]:
             bundle = build_prompt(instance, mode)
-            if (backend.label, backend.model_id, mode, bundle.stage, instance.id) in done:
-                continue
-            bundles.append(bundle)
-    if not bundles:
-        return
-    started_at = _now()
-    results = generate_all(backend, bundles, instances_by_id)
-    results_map = {(r.instance_id, r.stage): r for r in results}
-
-    stage2_bundles: list[PromptBundle] = []
-    for bundle in sorted(bundles, key=lambda b: b.instance_id):
-        result = results_map[(bundle.instance_id, bundle.stage)]
-        instance = instances_by_id[bundle.instance_id]
-        if result.failed:
-            append_record(fh, _failure_record(config, backend, bundle, result, started_at))
-            continue
-        if mode == DELAYED_MODE:
-            if config.delayed_variant == "deterministic":
-                record = _score_packaged(config, backend, bundle, result, instance,
-                                         started_at)
-                append_record(fh, record)
+            stored = done.get(ctx.key(mode, bundle.stage, instance.id))
+            if stored is None:
+                bundles.append(bundle)
             else:
-                # stage-1 record is provenance, scored under the freeform contract
-                record = _score_simple(config, backend, bundle, result, instance,
-                                       started_at, mode_for_scoring="freeform")
-                append_record(fh, record)
-                outcome = build_delayed_stage2(result.raw_text, instance, "model")
-                if outcome.stage2_bundle is not None:
-                    key = (backend.label, backend.model_id, mode, "stage2", instance.id)
-                    if key not in done:
-                        stage2_bundles.append(outcome.stage2_bundle)
-            continue
-        append_record(fh, _score_simple(config, backend, bundle, result, instance,
-                                        started_at))
-
-    if stage2_bundles:
+                bundles.extend(_stage2_bundles(ctx, stored, instance, done))
+    while bundles:
         started_at = _now()
-        results2 = generate_all(backend, stage2_bundles, instances_by_id)
-        results2_map = {(r.instance_id, r.stage): r for r in results2}
-        for bundle in sorted(stage2_bundles, key=lambda b: b.instance_id):
-            result = results2_map[(bundle.instance_id, bundle.stage)]
+        results = generate_all(backend, bundles, instances_by_id)
+        results_map = {(r.instance_id, r.stage): r for r in results}
+        stage2: list[PromptBundle] = []
+        for bundle in sorted(bundles, key=lambda b: (b.instance_id, b.stage)):
             instance = instances_by_id[bundle.instance_id]
-            if result.failed:
-                append_record(fh, _failure_record(config, backend, bundle, result,
-                                                  started_at))
-                continue
-            append_record(fh, _score_simple(config, backend, bundle, result, instance,
-                                            started_at))
+            record = _record(ctx, instance, bundle.mode, bundle.stage,
+                             results_map[(bundle.instance_id, bundle.stage)], started_at)
+            append_record(fh, record)
+            stage2.extend(_stage2_bundles(ctx, record, instance, done))
+        bundles = stage2
 
 
-def _write_manifest(config: RunConfig, out: Path) -> None:
+def _stage2_bundles(ctx: _RecordContext, record: RunRecord, instance: TaskInstance,
+                    done: Mapping[tuple, RunRecord]) -> list[PromptBundle]:
+    """The model-variant stage-2 bundle a delayed stage-1 record still
+    lacks, if any."""
+    if (ctx.delayed_variant != "model" or record.mode != DELAYED_MODE
+            or record.stage != "stage1" or record.error_class == "generation_failed"
+            or ctx.key(DELAYED_MODE, "stage2", instance.id) in done):
+        return []
+    return [build_delayed_stage2(record.raw_text, instance, "model").stage2_bundle]
+
+
+def _write_manifest(config: RunConfig, digest: str, out: Path) -> None:
+    """The manifest holds each scoring constraint document once, keyed by
+    the constraint_digest its records carry."""
+    constraints = {}
+    for mode in config.modes:
+        for family in config.suite.families:
+            contract = scoring_constraint(mode, family)
+            if contract.kind != CONSTRAINT_NONE:
+                constraints[contract.digest()] = {"kind": contract.kind,
+                                                  "pattern": contract.pattern,
+                                                  "schema": contract.schema}
     manifest = {
         "run_id": config.run_id,
         "config": config.to_dict(),
-        "config_digest": config.digest(),
+        "config_digest": digest,
+        "constraints": constraints,
         "package_version": __version__,
         "template_version": TEMPLATE_VERSION,
         "created_at": _now(),
@@ -441,8 +426,10 @@ def derive_delayed(source_records: Sequence[RunRecord],
     Source records must come from prompt_json or a freeform mode. Latency
     is copied from the source and annotated "+ pkg."; packaging time is
     tracked separately and never added to generation latency. Instance ids
-    and ordering are preserved.
+    and ordering are preserved. Without a config, derived records keep the
+    source run's id, digest and extraction rule.
     """
+    digest = config.digest() if config is not None else None
     derived: list[RunRecord] = []
     for source in source_records:
         if source.mode not in DELAYED_SOURCE_MODES:
@@ -452,21 +439,13 @@ def derive_delayed(source_records: Sequence[RunRecord],
         instance = instances_by_id.get(source.instance_id)
         if instance is None:
             raise ConfigError(f"no task instance for record {source.instance_id!r}")
-        if source.error_class == "generation_failed":
-            derived.append(replace(source, mode=DELAYED_MODE,
-                                   derived_from=source.mode,
-                                   latency_annotation="+ pkg."))
-            continue
-        run_config = config or _single_record_config(source)
-        backend = _record_backend(source)
-        bundle = PromptBundle(
-            instance_id=source.instance_id,
-            family=source.family,
-            mode=DELAYED_MODE,
-            stage="stage1",
-            user_text=source.prompt,
-            constraint=scoring_constraint(DELAYED_MODE, source.family),
-        )
+        if config is None:
+            ctx = _RecordContext(source.backend_label, source.model_id,
+                                 source.run_id or "derived", source.config_digest,
+                                 strict_extraction=source.extraction_rule.startswith("strict"))
+        else:
+            ctx = _RecordContext(source.backend_label, source.model_id, config.run_id,
+                                 digest, config.strict_extraction, config.strict_trace)
         result = GenerationResult(
             instance_id=source.instance_id,
             stage="stage1",
@@ -475,31 +454,12 @@ def derive_delayed(source_records: Sequence[RunRecord],
             backend_label=source.backend_label,
             prompt_tokens=source.prompt_tokens,
             completion_tokens=source.completion_tokens,
+            failed=source.error_class == "generation_failed",
+            failure_reason=source.failure_reason,
         )
-        scored = _score_packaged(run_config, backend, bundle, result, instance,
-                                 started_at=source.started_at or _now(),
-                                 derived_from=source.mode)
-        if config is None:
-            # packaging adds no config of its own; keep the source run's digest
-            # so derived records stay comparable with their sources
-            scored = replace(scored, config_digest=source.config_digest)
-        derived.append(scored)
+        derived.append(_record(ctx, instance, DELAYED_MODE, "stage1", result,
+                               source.started_at or _now(), derived_from=source.mode))
     return derived
-
-
-def _single_record_config(record: RunRecord) -> RunConfig:
-    return RunConfig(
-        run_id=record.run_id or "derived",
-        suite=SuiteConfig(families=(record.family,), count=1, seed=0),
-        modes=(DELAYED_MODE,),
-        backends=(_record_backend(record),),
-        strict_extraction=record.extraction_rule.startswith("strict"),
-    )
-
-
-def _record_backend(record: RunRecord) -> BackendConfig:
-    return BackendConfig(kind="oracle", label=record.backend_label,
-                         model_id=record.model_id)
 
 
 # ---------------------------------------------------------------------------

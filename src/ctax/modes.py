@@ -88,6 +88,8 @@ class Constraint:
     def digest(self) -> str | None:
         if self.kind == CONSTRAINT_SCHEMA and self.schema is not None:
             return canonical_digest(self.schema)
+        if self.kind == CONSTRAINT_REGEX and self.pattern is not None:
+            return canonical_digest(self.pattern)
         return None
 
 

@@ -2,8 +2,11 @@
 
 One record per (backend, model, mode, stage, instance). Records carry the
 full scoring verdicts so downstream aggregation never needs to re-run a
-checker, plus enough provenance (constraint document, extraction rule,
-config digest) to audit any number in a report. Canonical record lines
+checker, plus enough provenance (constraint digest, extraction rule,
+config digest) to audit any number in a report. Records store nothing that
+can be derived: the run's manifest.json holds each constraint document
+keyed by its digest, and a prompt is rebuilt from tasks.jsonl and the
+manifest's template_version. Canonical record lines
 mask wall-clock fields (latency, timestamps, packaging time) so two runs
 of the same config can be diffed for semantic identity.
 """
@@ -14,6 +17,8 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Iterator
+
+from .errors import ConfigError
 
 # Wall-clock fields masked by the canonical diff.
 MASKED_FIELDS = ("latency_ms", "packaging_ms", "started_at", "finished_at")
@@ -27,10 +32,7 @@ class RunRecord:
     family: str
     mode: str
     stage: str  # single | stage1 | stage2
-    prompt: str
     constraint_kind: str
-    constraint_pattern: str | None
-    constraint_schema: dict | None
     constraint_digest: str | None
     constraint_enforced: bool
     raw_text: str
@@ -95,22 +97,35 @@ def append_record(fh, record: RunRecord) -> None:
 
 
 def iter_records(path: str | Path) -> Iterator[RunRecord]:
+    """Records in file order; a line that is not a record raises
+    ConfigError naming the file and line."""
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                yield record_from_dict(json.loads(line))
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+                if not isinstance(doc, dict):
+                    raise ValueError("not a JSON object")
+                record = record_from_dict(doc)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{path}:{lineno}: malformed record line ({exc})") from exc
+            yield record
 
 
 def read_records(path: str | Path) -> list[RunRecord]:
     return list(iter_records(path))
 
 
-def existing_keys(path: str | Path) -> set[tuple[str, str, str, str, str]]:
-    path = Path(path)
-    if not path.exists():
-        return set()
-    return {record.key() for record in iter_records(path)}
+def drop_torn_tail(path: str | Path) -> None:
+    """Cut a final line that lacks its newline: the trace of a write the
+    process did not live to finish. Appending after it would glue the next
+    record onto it."""
+    with Path(path).open("rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def canonical_record_lines(path: str | Path) -> list[str]:

@@ -146,7 +146,7 @@ def extract_json(text: str, strict: bool = False) -> ParseOutcome:
             continue
         try:
             value = strict_loads(candidate)
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nesting too deep
             continue
         return ParseOutcome(status=PARSE_OK, value=value, matched_text=candidate)
     status = PARSE_MALFORMED if "{" in text else PARSE_NO_JSON

@@ -16,8 +16,8 @@ from ctax.checkers import (
     expected_calendar_arguments,
     score_completion,
 )
-from ctax.modes import build_prompt, parse_for_mode
-from ctax.taskgen import generate_suite
+from ctax.modes import MODE_NAMES, build_prompt, parse_for_mode
+from ctax.taskgen import FAMILIES, generate_suite
 from ctax.validation import canonical_serialize
 
 from calendar_cases import CASES, EXPECTED_ARGS
@@ -205,6 +205,24 @@ def test_tool_schema_mode_correct():
     assert res.exec_correct and res.schema_valid
     assert res.calendar_failure_class == "correct"
     assert res.calendar_wrong_fields == ()
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 2000,
+    '{"answer": ' + "[" * 2000,
+    "```json\n" + "[" * 2000 + "\n```",
+    "Final answer: " + "[" * 2000,
+], ids=["array", "object_member", "fenced", "final_line"])
+def test_deep_nesting_does_not_parse_and_never_raises(text):
+    # nested past the recursion limit; brackets rather than braces keep the
+    # extractor's brace scan short
+    for family in FAMILIES:
+        inst = _inst(family)
+        for mode in MODE_NAMES:
+            parse = parse_for_mode(text, mode, family)
+            assert not parse.ok
+            res = score_completion(inst, mode, parse, text)
+            assert res.error_class in ERROR_CLASSES and not res.exec_correct
 
 
 # ---------------------------------------------------------------------------

@@ -132,3 +132,16 @@ def test_validate_from_file_and_strict(tmp_path, capsys):
     assert main(["validate", "--mode", "answer_only_schema",
                  "--family", "boolean_logic", "--file", str(path),
                  "--strict-extraction"]) == 1
+
+
+def test_score_on_torn_records_file_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_run_config_doc()))
+    out_dir = tmp_path / "run"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    records_path = out_dir / "records.jsonl"
+    records_path.write_bytes(records_path.read_bytes()[:-40])
+    capsys.readouterr()
+    assert main(["score", "--records", str(records_path),
+                 "--out", str(tmp_path / "scores")]) == 2
+    assert "records.jsonl:8" in capsys.readouterr().err

@@ -71,9 +71,10 @@ def test_run_writes_expected_files_and_counts(tmp_path):
 def test_run_records_carry_scoring_fields(tmp_path):
     config = _config(("answer_only_schema",), families=("boolean_logic",))
     records = load_records(run(config, tmp_path / "out"))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     rec = records[0]
     assert rec.constraint_kind == "schema"
-    assert rec.constraint_schema is not None
+    assert manifest["constraints"][rec.constraint_digest]["schema"] is not None
     assert rec.constraint_enforced
     assert rec.extraction_rule == "lenient/v1"
     assert rec.error_class == "correct_valid"
@@ -109,6 +110,55 @@ def test_resume_skips_done_work(tmp_path):
     assert len({r.key() for r in records}) == len(records)
     # the original rows were not rewritten
     assert path.read_text().startswith(before)
+
+
+def test_resume_after_torn_final_line(tmp_path):
+    # a kill inside append_record leaves a final line without its newline
+    config = _config(("prompt_json", "delayed_constraint"))
+    path = run(config, tmp_path / "out")
+    full = canonical_record_lines(path)
+    path.write_bytes(path.read_bytes()[:-40])
+    run(config, tmp_path / "out", resume=True)
+    records = load_records(path)
+    assert len(records) == 2 * 3 * 2
+    assert len({r.key() for r in records}) == len(records)
+    assert canonical_record_lines(path) == full
+
+
+def test_resume_regenerates_missing_model_stage2(tmp_path):
+    config = _config(("delayed_constraint",), families=("boolean_logic",), count=4,
+                     delayed_variant="model")
+    path = run(config, tmp_path / "out")
+    full = canonical_record_lines(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines
+                            if json.loads(line)["stage"] == "stage1"))
+    run(config, tmp_path / "out", resume=True)
+    assert canonical_record_lines(path) == full
+
+
+def test_malformed_record_line_names_file_and_line(tmp_path):
+    path = run(_config(("prompt_json",)), tmp_path / "out")
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:30] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=r"records\.jsonl:3"):
+        load_records(path)
+
+
+def test_old_format_records_load_and_score_the_same(tmp_path):
+    # records once also stored the prompt and the constraint documents
+    config = _config(("prompt_json", "final_only_regex"))
+    records = load_records(run(config, tmp_path / "out"))
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(
+        json.dumps({**r.to_dict(), "prompt": "Reply with only the final answer.",
+                    "constraint_schema": {"type": "object"},
+                    "constraint_pattern": "^(true|false)$"}) + "\n"
+        for r in records))
+    assert load_records(old) == records
+    cfg = BootstrapConfig(resamples=50, seed=0)
+    assert score(load_records(old), bootstrap=cfg) == score(records, bootstrap=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +232,8 @@ def test_derive_delayed_matches_in_run_packaging(tmp_path):
         # same packaging + verdicts as the natively-run delayed mode
         assert d.packaged_text == twin.packaged_text
         for field in ("schema_valid", "answer_correct", "exec_correct",
-                      "error_class", "parse_status"):
+                      "error_class", "parse_status", "constraint_enforced",
+                      "constraint_digest"):
             assert getattr(d, field) == getattr(twin, field), field
 
 

@@ -232,6 +232,11 @@ def test_constraint_digest_stable():
     e = scoring_constraint("typed_trace_schema", "boolean_logic").digest()
     f = scoring_constraint("typed_trace_schema", "arithmetic_two_step").digest()
     assert e != f
+    g = scoring_constraint("final_only_regex", "boolean_logic").digest()
+    h = scoring_constraint("final_only_regex", "arithmetic_two_step").digest()
+    assert g is not None and g == scoring_constraint("final_only_regex", "boolean_logic").digest()
+    assert g != h and g not in (a, d, e, f)
+    assert scoring_constraint("freeform", "boolean_logic").digest() is None
 
 
 # ---------------------------------------------------------------------------
