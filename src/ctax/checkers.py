@@ -1,11 +1,25 @@
 """Semantic checkers and the error taxonomy.
 
-Three independent verdicts per completion: answer correctness (normalized
-string equality with the ground truth), executable correctness (for tool
-calls, field-level equivalence of the produced call; elsewhere,
-answer-correct through a consumable interface), and trace correctness for
-typed reasoning traces. A single taxonomy label per record makes failure
-modes countable.
+Every completion is read once through its mode's answer channel, which
+yields three things:
+
+- freeform modes: the answer is the final-answer line; no such line is a
+  parse_failure_freeform;
+- the regex mode: the answer is the full-matched final line; a mismatch
+  is a schema_validation_error;
+- object modes: the answer is the object's "answer" (for tool calls, the
+  whole object minus "rationale"; a typed trace's string answer also
+  yields the tool object); no object, or a failed delayed packaging, is
+  invalid_json, and schema violations are a schema_validation_error.
+
+From that (answer text, calendar tool object, format error) triple come
+schema validity (no format error), answer correctness (normalized string
+equality with the ground truth), executable correctness (for tool calls,
+field-level equivalence of the produced call; elsewhere, a correct answer
+through a valid channel), trace correctness for typed reasoning traces,
+and one error class per record, applied in precedence order: the format
+error, then trace_answer_contradiction, then wrong_answer_valid_schema,
+else correct_valid.
 """
 
 from __future__ import annotations
@@ -126,105 +140,59 @@ def classify_calendar_failure(obj: Any, expected: dict[str, Any]) -> tuple[str, 
 
 
 # ---------------------------------------------------------------------------
-# Per-mode extraction
+# Answer channels and verdicts
 # ---------------------------------------------------------------------------
 
-def extract_answer_text(instance: TaskInstance, mode: str, parse: ParseOutcome,
-                        raw_text: str) -> str | None:
-    """The answer string a record asserts, before normalization."""
-    family = instance.family
-    if mode in FREEFORM_MODES:
-        return extract_final_answer(raw_text)
-    if mode == REGEX_MODE:
-        return parse.matched_text
-    value = parse.value
-    if not isinstance(value, dict):
-        return None
-    if mode == "typed_trace_schema":
-        answer = value.get("answer")
-        return None if answer is None else str(answer)
-    if family == "tool_call_argument":
-        obj = {k: v for k, v in value.items() if k != "rationale"}
-        return canonical_serialize(obj)
-    answer = value.get("answer")
-    return None if answer is None else str(answer)
-
-
-def _candidate_tool_object(instance: TaskInstance, mode: str, parse: ParseOutcome,
-                           raw_text: str) -> dict | None:
-    """Best available calendar object for executable checking."""
-    if mode in OBJECT_MODES:
-        value = parse.value
-        if not isinstance(value, dict):
-            return None
-        if mode == "typed_trace_schema":
-            answer = value.get("answer")
-            if isinstance(answer, str):
-                sub = extract_json(answer)
-                if sub.ok and isinstance(sub.value, dict):
-                    return sub.value
-            return None
-        if "rationale" in value:
-            return {k: v for k, v in value.items() if k != "rationale"}
-        return value
-    if mode == REGEX_MODE:
-        if parse.matched_text:
-            sub = extract_json(parse.matched_text)
-            if sub.ok and isinstance(sub.value, dict):
-                return sub.value
-        return None
-    answer = extract_final_answer(raw_text)
-    for source in (answer, raw_text):
-        if source:
-            sub = extract_json(source)
-            if sub.ok and isinstance(sub.value, dict):
-                return sub.value
+def _json_object(text: str | None) -> dict | None:
+    if text:
+        sub = extract_json(text)
+        if sub.ok and isinstance(sub.value, dict):
+            return sub.value
     return None
 
 
-def schema_validity(mode: str, parse: ParseOutcome, raw_text: str,
-                    packaging_failed: bool = False) -> bool:
-    """Mode-contract validity.
+def _channel(instance: TaskInstance, mode: str, parse: ParseOutcome, raw_text: str,
+             packaging_failed: bool) -> tuple[str | None, dict | None, str | None]:
+    """(answer text, calendar tool object, format error) for one completion.
 
-    Object modes: parses and satisfies the scoring schema. Regex mode: the
-    final line full-matches. Freeform modes: an answer line is extractable
-    at all.
+    The answer text is what the completion asserts, before normalization.
+    The tool object is resolved for the calendar family only. The format
+    error is the error class of a broken mode contract, None when the
+    contract is met.
     """
+    calendar = instance.family == "tool_call_argument"
     if mode in FREEFORM_MODES:
-        return extract_final_answer(raw_text) is not None
+        answer = extract_final_answer(raw_text)
+        tool = None
+        if calendar:  # the answer line first, then the whole text ({} counts)
+            tool = _json_object(answer)
+            if tool is None:
+                tool = _json_object(raw_text)
+        return answer, tool, None if answer is not None else "parse_failure_freeform"
     if mode == REGEX_MODE:
-        return parse.status == "ok"
+        answer = parse.matched_text
+        tool = _json_object(answer) if calendar else None
+        return answer, tool, None if parse.ok else "schema_validation_error"
+    value = parse.value
+    if not isinstance(value, dict):
+        return None, None, "invalid_json"
+    tool = None
+    if mode == "typed_trace_schema":
+        answer = value.get("answer")
+        if calendar and isinstance(answer, str):
+            tool = _json_object(answer)
+    elif calendar:
+        tool = {k: v for k, v in value.items() if k != "rationale"}
+        answer = canonical_serialize(tool)
+    else:
+        answer = value.get("answer")
     if packaging_failed:
-        return False
-    return parse.valid
-
-
-def check_answer(instance: TaskInstance, mode: str, parse: ParseOutcome,
-                 raw_text: str) -> bool:
-    answer = extract_answer_text(instance, mode, parse, raw_text)
-    if answer is None:
-        return False
-    return normalize_answer(answer, instance.family) == instance.ground_truth.final_answer
-
-
-def check_executable(instance: TaskInstance, mode: str, parse: ParseOutcome,
-                     raw_text: str, schema_valid: bool, answer_correct: bool) -> bool:
-    """Executable correctness.
-
-    Tool-call family: the calendar checker over the produced object (object
-    modes additionally require schema validity, so exec_correct implies
-    schema_valid there). Other families: the answer is correct AND arrived
-    through the mode's consumable channel.
-    """
-    if instance.family == "tool_call_argument":
-        obj = _candidate_tool_object(instance, mode, parse, raw_text)
-        if obj is None:
-            return False
-        ok = calendar_exec_ok(obj, expected_calendar_arguments(instance))
-        if mode in OBJECT_MODES:
-            return ok and schema_valid
-        return ok
-    return schema_valid and answer_correct
+        error = "invalid_json"
+    elif parse.violations:
+        error = "schema_validation_error"
+    else:
+        error = None
+    return None if answer is None else str(answer), tool, error
 
 
 def check_trace(instance: TaskInstance, steps: list[tuple[Any, Any]],
@@ -275,61 +243,42 @@ def _trace_fields(instance: TaskInstance, mode: str, parse: ParseOutcome,
     return correct, contradicts
 
 
-def classify(mode: str, parse: ParseOutcome, schema_valid: bool, answer_correct: bool,
-             exec_correct: bool, trace_correct: bool | None, trace_contradicts: bool,
-             packaging_failed: bool = False) -> str:
-    """Single taxonomy label, applied in precedence order."""
-    if mode in OBJECT_MODES:
-        if packaging_failed or not parse.ok or not isinstance(parse.value, dict):
-            return "invalid_json"
-    if mode in FREEFORM_MODES and not schema_valid:
-        return "parse_failure_freeform"
-    if mode == REGEX_MODE and parse.status == "regex_mismatch":
-        return "schema_validation_error"
-    if mode in OBJECT_MODES and parse.violations:
-        return "schema_validation_error"
-    if trace_contradicts:
-        return "trace_answer_contradiction"
-    if (not answer_correct or not exec_correct
-            or (trace_correct is not None and not trace_correct)):
-        return "wrong_answer_valid_schema"
-    return "correct_valid"
-
-
-def answer_payload(instance: TaskInstance, mode: str, parse: ParseOutcome,
-                   raw_text: str) -> str | None:
-    """Semantic payload for structural-overhead accounting: the extracted
-    answer string, or for calendar objects the concatenated semantic
-    argument values."""
-    if instance.family == "tool_call_argument":
-        obj = _candidate_tool_object(instance, mode, parse, raw_text)
-        if isinstance(obj, dict) and isinstance(obj.get("arguments"), dict):
-            args = obj["arguments"]
-            parts = [str(args[f]) for f in CALENDAR_SEMANTIC_FIELDS if f in args]
-            if parts:
-                return "".join(parts)
-        return extract_answer_text(instance, mode, parse, raw_text)
-    return extract_answer_text(instance, mode, parse, raw_text)
-
-
 def score_completion(instance: TaskInstance, mode: str, parse: ParseOutcome,
                      raw_text: str, packaging_failed: bool = False,
                      strict_trace: bool = False) -> CheckResult:
-    """All verdicts for one completion under one mode."""
-    valid = schema_validity(mode, parse, raw_text, packaging_failed)
-    answer_ok = check_answer(instance, mode, parse, raw_text)
-    exec_ok = check_executable(instance, mode, parse, raw_text, valid, answer_ok)
+    """All verdicts for one completion under one mode, derived from its
+    resolved channel."""
+    family = instance.family
+    answer, tool, format_error = _channel(instance, mode, parse, raw_text, packaging_failed)
+    valid = format_error is None
+    answer_ok = (answer is not None
+                 and normalize_answer(answer, family) == instance.ground_truth.final_answer)
     trace_ok, contradicts = _trace_fields(instance, mode, parse, strict_trace)
-    label = classify(mode, parse, valid, answer_ok, exec_ok, trace_ok,
-                     contradicts, packaging_failed)
 
     failure_class: str | None = None
     wrong_fields: tuple[str, ...] = ()
-    if instance.family == "tool_call_argument" and mode in OBJECT_MODES and valid:
-        obj = _candidate_tool_object(instance, mode, parse, raw_text)
-        if isinstance(obj, dict):
-            failure_class, wrong_fields = classify_calendar_failure(
-                obj, expected_calendar_arguments(instance))
+    payload = answer
+    if family == "tool_call_argument":
+        expected = expected_calendar_arguments(instance)
+        # freeform and regex channels only yield a tool object when valid,
+        # so exec_correct implies schema_valid in every mode
+        exec_ok = valid and calendar_exec_ok(tool, expected)
+        if valid and tool is not None and mode in OBJECT_MODES:
+            failure_class, wrong_fields = classify_calendar_failure(tool, expected)
+        args = tool.get("arguments") if tool is not None else None
+        if isinstance(args, dict) and any(f in args for f in CALENDAR_SEMANTIC_FIELDS):
+            payload = "".join(str(args[f]) for f in CALENDAR_SEMANTIC_FIELDS if f in args)
+    else:
+        exec_ok = valid and answer_ok
+
+    if format_error is not None:
+        label = format_error
+    elif contradicts:
+        label = "trace_answer_contradiction"
+    elif not answer_ok or not exec_ok or trace_ok is False:
+        label = "wrong_answer_valid_schema"
+    else:
+        label = "correct_valid"
 
     return CheckResult(
         schema_valid=valid,
@@ -339,5 +288,5 @@ def score_completion(instance: TaskInstance, mode: str, parse: ParseOutcome,
         error_class=label,
         calendar_failure_class=failure_class,
         calendar_wrong_fields=wrong_fields,
-        answer_payload=answer_payload(instance, mode, parse, raw_text),
+        answer_payload=payload,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -24,7 +24,7 @@ from .backend import (
     check_health,
     generate_all,
 )
-from .checkers import score_completion
+from .checkers import GENERATION_FAILED, score_completion
 from .errors import ConfigError
 from .metrics import (
     ACC_METRICS,
@@ -32,6 +32,7 @@ from .metrics import (
     ModeAggregate,
     PairedComparison,
     aggregate,
+    is_scored,
     paired_comparison,
     structural_overhead,
 )
@@ -122,8 +123,20 @@ def _backend_to_dict(config: BackendConfig) -> dict[str, Any]:
     return doc
 
 
+def _known_keys(doc: Mapping[str, Any], config_type: type, where: str) -> Mapping[str, Any]:
+    """doc itself, once every key in it names a field of config_type; a
+    misspelt key would otherwise fall back to its default unnoticed."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{where} config must be an object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(config_type)})
+    if unknown:
+        raise ConfigError(f"unknown {where} config key(s): {', '.join(map(repr, unknown))}")
+    return doc
+
+
 def _backend_from_dict(doc: Mapping[str, Any]) -> BackendConfig:
-    sampling_doc = doc.get("sampling") or {}
+    doc = _known_keys(doc, BackendConfig, "backend")
+    sampling_doc = _known_keys(doc.get("sampling") or {}, SamplingConfig, "sampling")
     sampling = SamplingConfig(
         temperature=float(sampling_doc.get("temperature", 0.0)),
         max_tokens=sampling_doc.get("max_tokens"),
@@ -131,7 +144,7 @@ def _backend_from_dict(doc: Mapping[str, Any]) -> BackendConfig:
     )
     fault = None
     if doc.get("fault") is not None:
-        fault_doc = doc["fault"]
+        fault_doc = _known_keys(doc["fault"], FaultProfile, "fault")
         fault = FaultProfile(
             p_invalid_json=float(fault_doc.get("p_invalid_json", 0.0)),
             p_wrong_field=float(fault_doc.get("p_wrong_field", 0.0)),
@@ -156,7 +169,8 @@ def _backend_from_dict(doc: Mapping[str, Any]) -> BackendConfig:
 
 
 def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
-    suite_doc = doc.get("suite") or {}
+    doc = _known_keys(doc, RunConfig, "run")
+    suite_doc = _known_keys(doc.get("suite") or {}, SuiteConfig, "suite")
     families = tuple(suite_doc.get("families") or FAMILIES)
     for family in families:
         if family not in FAMILIES:
@@ -167,7 +181,7 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     backends_doc = doc.get("backends")
     if not backends_doc:
         raise ConfigError("config needs at least one backend")
-    bootstrap_doc = doc.get("bootstrap") or {}
+    bootstrap_doc = _known_keys(doc.get("bootstrap") or {}, BootstrapConfig, "bootstrap")
     variant = doc.get("delayed_variant", "deterministic")
     if variant not in DELAYED_VARIANTS:
         raise ConfigError(f"unknown delayed variant: {variant!r}")
@@ -247,7 +261,7 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
     )
     if result.failed:
         return RunRecord(**common, raw_text="", parse_status=PARSE_NO_JSON,
-                         error_class="generation_failed", failure_reason=result.failure_reason,
+                         error_class=GENERATION_FAILED, failure_reason=result.failure_reason,
                          latency_annotation="+ pkg." if derived_from else None,
                          finished_at=_now())
 
@@ -383,7 +397,7 @@ def _stage2_bundles(ctx: _RecordContext, record: RunRecord, instance: TaskInstan
     """The model-variant stage-2 bundle a delayed stage-1 record still
     lacks, if any."""
     if (ctx.delayed_variant != "model" or record.mode != DELAYED_MODE
-            or record.stage != "stage1" or record.error_class == "generation_failed"
+            or record.stage != "stage1" or record.error_class == GENERATION_FAILED
             or ctx.key(DELAYED_MODE, "stage2", instance.id) in done):
         return []
     return [build_delayed_stage2(record.raw_text, instance, "model").stage2_bundle]
@@ -454,7 +468,7 @@ def derive_delayed(source_records: Sequence[RunRecord],
             backend_label=source.backend_label,
             prompt_tokens=source.prompt_tokens,
             completion_tokens=source.completion_tokens,
-            failed=source.error_class == "generation_failed",
+            failed=source.error_class == GENERATION_FAILED,
             failure_reason=source.failure_reason,
         )
         derived.append(_record(ctx, instance, DELAYED_MODE, "stage1", result,
@@ -526,7 +540,7 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
     by_group: dict[tuple[str, str], dict[str, dict[str, list[RunRecord]]]] = {}
     for (backend_label, model_id, mode), cell_records in sorted(
             cells.items(), key=lambda kv: (kv[0][0], kv[0][1], mode_order.get(kv[0][2], 99))):
-        scored = [r for r in cell_records if r.error_class != "generation_failed"]
+        scored = [r for r in cell_records if is_scored(r)]
         if not scored:
             print(f"[WARN] mode {mode!r} for {backend_label}/{model_id} has no scored "
                   "records; row omitted")

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .checkers import GENERATION_FAILED
 from .errors import PairingError
 from .rng import derive_seed
 
@@ -96,7 +97,7 @@ def pts(rate: Fraction | float) -> float:
 
 
 def is_scored(record) -> bool:
-    return record.error_class != "generation_failed"
+    return record.error_class != GENERATION_FAILED
 
 
 def aggregate(records: Sequence, task: str | None = None) -> ModeAggregate:

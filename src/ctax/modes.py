@@ -14,6 +14,8 @@ from typing import Any
 from .errors import ConfigError
 from .taskgen import FAMILIES, TOOL_NAME, TRACE_OPS, TaskInstance
 from .validation import (
+    PARSE_OK,
+    PARSE_REGEX_MISMATCH,
     ParseOutcome,
     canonical_digest,
     canonical_serialize,
@@ -66,10 +68,6 @@ FREEFORM_MODES = frozenset({"freeform", "freeform_direct", "freeform_brief_reaso
 OBJECT_MODES = frozenset({"prompt_json", "answer_only_schema", "rationale_answer_schema",
                           "typed_trace_schema", "delayed_constraint"})
 REGEX_MODE = "final_only_regex"
-
-
-def mode_catalog() -> tuple[ModeDescriptor, ...]:
-    return MODE_CATALOG
 
 
 def get_mode(name: str) -> ModeDescriptor:
@@ -418,8 +416,8 @@ def parse_for_mode(raw_text: str, mode: str, family: str,
         lines = [line for line in raw_text.splitlines() if line.strip()]
         candidate = lines[-1].rstrip() if lines else raw_text.rstrip()
         if constraint.pattern and validate_regex(candidate, constraint.pattern):
-            return ParseOutcome(status="ok", matched_text=candidate.rstrip())
-        return ParseOutcome(status="regex_mismatch")
+            return ParseOutcome(status=PARSE_OK, matched_text=candidate.rstrip())
+        return ParseOutcome(status=PARSE_REGEX_MISMATCH)
     parsed = extract_json(raw_text, strict=strict)
     if constraint.kind == CONSTRAINT_SCHEMA and parsed.ok:
         violations = tuple(validate_schema(parsed.value, constraint.schema or {}))

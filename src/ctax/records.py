@@ -81,12 +81,10 @@ def record_from_dict(doc: dict[str, Any]) -> RunRecord:
     return RunRecord(**known)
 
 
-def write_records(path: str | Path, records: Iterable[RunRecord],
-                  append: bool = False) -> None:
+def write_records(path: str | Path, records: Iterable[RunRecord]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "a" if append else "w"
-    with path.open(mode, encoding="utf-8") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
 

@@ -10,6 +10,7 @@ schema validity is itself a reported metric rather than mere plumbing.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -62,6 +63,13 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"non-finite JSON number: {name}")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # 1e400 overflows to inf
+        raise ValueError(f"non-finite JSON number: {text}")
+    return value
+
+
 def _pairs_hook(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for key, value in pairs:
@@ -72,8 +80,10 @@ def _pairs_hook(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def strict_loads(text: str) -> Any:
-    """json.loads with duplicate keys and NaN/Infinity rejected."""
-    return json.loads(text, object_pairs_hook=_pairs_hook, parse_constant=_reject_constant)
+    """json.loads with duplicate keys, NaN/Infinity and overflowing numbers
+    rejected."""
+    return json.loads(text, object_pairs_hook=_pairs_hook, parse_constant=_reject_constant,
+                      parse_float=_finite_float)
 
 
 _FENCE_RE = re.compile(r"```json\s*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
@@ -339,8 +349,6 @@ def canonical_digest(value: Any, length: int = 12) -> str:
 
 def _reject_non_finite(value: Any) -> None:
     if isinstance(value, float):
-        import math
-
         if not math.isfinite(value):
             raise ValueError(f"non-finite number not serializable: {value!r}")
     elif isinstance(value, dict):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ctax.backend import BackendConfig, FaultProfile, SamplingConfig
+from ctax.cli import main
 from ctax.errors import ConfigError
 from ctax.harness import (
     RunConfig,
@@ -332,6 +333,44 @@ def test_config_from_dict_validation():
     no_backends["backends"] = []
     with pytest.raises(ConfigError, match="backend"):
         config_from_dict(no_backends)
+
+
+_KEYED_CONFIG = {
+    "run_id": "keys",
+    "suite": {"families": ["boolean_logic"], "count": 2, "seed": 0},
+    "modes": ["prompt_json"],
+    "backends": [{"kind": "corruptor", "label": "c", "sampling": {"temperature": 0.0},
+                  "fault": {"p_invalid_json": 0.1, "seed": 1}}],
+    "bootstrap": {"resamples": 10},
+}
+
+
+@pytest.mark.parametrize("where, typo", [
+    ("run", "delayed_varaint"), ("suite", "cuont"), ("backend", "max_inflight"),
+    ("sampling", "temprature"), ("fault", "p_wrong_feild"), ("bootstrap", "resampels"),
+])
+def test_config_rejects_unknown_keys(tmp_path, capsys, where, typo):
+    doc = json.loads(json.dumps(_KEYED_CONFIG))
+    backend = doc["backends"][0]
+    levels = {"run": doc, "suite": doc["suite"], "backend": backend,
+              "sampling": backend["sampling"], "fault": backend["fault"],
+              "bootstrap": doc["bootstrap"]}
+    config_from_dict(doc)
+    levels[where][typo] = 1
+    with pytest.raises(ConfigError, match=typo):
+        config_from_dict(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert typo in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_level_must_be_an_object():
+    doc = json.loads(json.dumps(_KEYED_CONFIG))
+    doc["backends"] = ["oracle"]
+    with pytest.raises(ConfigError, match="backend config must be an object"):
+        config_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
