@@ -30,6 +30,7 @@ from .modes import (
 )
 from .rng import SplitMix64, derive_seed
 from .taskgen import (
+    CALENDAR_SEMANTIC_FIELDS,
     NAMES,
     TOPICS,
     TaskInstance,
@@ -74,11 +75,18 @@ class FaultProfile:
     wrong_field_targets: tuple[str, ...] = ("duration_minutes",)
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.wrong_field_targets or set(self.wrong_field_targets) - set(
+                CALENDAR_SEMANTIC_FIELDS):
+            raise ConfigError(f"wrong_field_targets must name one or more of "
+                              f"{', '.join(CALENDAR_SEMANTIC_FIELDS)}, "
+                              f"got {list(self.wrong_field_targets)}")
+
 
 @dataclass(frozen=True)
 class BackendConfig:
-    kind: str
-    label: str
+    kind: str = "oracle"
+    label: str = ""  # empty: the kind
     model_id: str = "scripted"
     base_url: str | None = None
     sampling: SamplingConfig = dc_field(default_factory=SamplingConfig)
@@ -90,6 +98,8 @@ class BackendConfig:
     fault: FaultProfile | None = None
 
     def __post_init__(self):
+        if not self.label:
+            object.__setattr__(self, "label", self.kind)
         if self.kind not in BACKEND_KINDS:
             raise ConfigError(f"unknown backend kind: {self.kind!r}")
         if self.kind == "endpoint" and not self.base_url:
@@ -178,7 +188,7 @@ def _tampered_truth(instance: TaskInstance, rng: SplitMix64,
     gt = instance.ground_truth
     family = instance.family
     if family == "tool_call_argument":
-        target_field = targets[rng.randrange(len(targets))] if targets else "duration_minutes"
+        target_field = targets[rng.randrange(len(targets))]
         exec_target = {k: (dict(v) if isinstance(v, dict) else v)
                        for k, v in (gt.exec_target or {}).items()}
         args = exec_target["arguments"]
@@ -193,12 +203,10 @@ def _tampered_truth(instance: TaskInstance, rng: SplitMix64,
         elif target_field == "date":
             day = dt.date.fromisoformat(args["date"]) + dt.timedelta(days=1)
             args["date"] = day.isoformat()
-        elif target_field == "start_time":
+        else:  # start_time; FaultProfile admits no other target
             hours, minutes = map(int, args["start_time"].split(":"))
             total = (hours * 60 + minutes + 15 - 8 * 60) % (10 * 60) + 8 * 60
             args["start_time"] = f"{total // 60:02d}:{total % 60:02d}"
-        else:
-            raise ConfigError(f"unknown wrong-field target: {target_field!r}")
         return canonical_serialize(exec_target), exec_target
     if family == "arithmetic_two_step":
         return str(int(gt.final_answer) + 1), None
@@ -363,8 +371,6 @@ def generate(config: BackendConfig, bundle: PromptBundle,
     """One completion. Scripted kinds require the instance (they render
     from ground truth); the endpoint kind ignores it."""
     if config.kind == "endpoint":
-        # constraint-mapping problems should surface even before transport
-        build_request_body(config, bundle)
         return _endpoint_generate(config, bundle)
     if instance is None:
         raise ConfigError(f"{config.kind} backend needs the task instance")

@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import ConfigError, PairingError
 from .harness import (
     DELAYED_SOURCE_MODES,
+    SuiteConfig,
     config_from_dict,
     derive_delayed,
     load_records,
@@ -22,7 +23,7 @@ from .harness import (
     score,
     score_to_files,
 )
-from .metrics import BootstrapConfig
+from .metrics import DEFAULT_BASELINE_MODE, DEFAULT_EPSILON, BootstrapConfig
 from .modes import MODE_NAMES, parse_for_mode
 from .records import write_records
 from .report import render_report
@@ -30,15 +31,16 @@ from .taskgen import FAMILIES, generate_suite, read_suite, write_suite
 
 
 def _add_bootstrap_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--baseline", default="prompt_json", choices=MODE_NAMES,
+    defaults = BootstrapConfig()
+    parser.add_argument("--baseline", default=DEFAULT_BASELINE_MODE, choices=MODE_NAMES,
                         help="baseline mode for paired comparisons")
-    parser.add_argument("--resamples", type=int, default=2000,
+    parser.add_argument("--resamples", type=int, default=defaults.resamples,
                         help="bootstrap resample count")
-    parser.add_argument("--level", type=float, default=0.95,
+    parser.add_argument("--level", type=float, default=defaults.level,
                         help="bootstrap confidence level")
-    parser.add_argument("--bootstrap-seed", type=int, default=0,
+    parser.add_argument("--bootstrap-seed", type=int, default=defaults.seed,
                         help="bootstrap seed")
-    parser.add_argument("--epsilon", type=float, default=1e-6,
+    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                         help="denominator floor for the normalized tax")
 
 
@@ -64,7 +66,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     config = config_from_dict(doc)
     run(config, args.out, resume=args.resume)
     return 0
@@ -135,12 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "constraints on verifiable tasks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    suite = SuiteConfig()
     p_gen = sub.add_parser("gen", help="generate a task suite as JSONL")
     p_gen.add_argument("--family", action="append", choices=FAMILIES,
                        help="task family (repeatable; default: all)")
-    p_gen.add_argument("--count", type=int, default=100,
+    p_gen.add_argument("--count", type=int, default=suite.count,
                        help="instances per family")
-    p_gen.add_argument("--seed", type=int, default=0, help="suite seed")
+    p_gen.add_argument("--seed", type=int, default=suite.seed, help="suite seed")
     p_gen.add_argument("--out", required=True, help="output JSONL path")
     p_gen.set_defaults(func=_cmd_gen)
 

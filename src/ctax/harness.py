@@ -9,18 +9,19 @@ produced, so an interrupted run resumes by skipping keys already on disk.
 from __future__ import annotations
 
 import datetime as dt
+import math
 import time
-from dataclasses import dataclass, field as dc_field, fields
+from collections import abc
+from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from types import UnionType
+from typing import Any, Iterable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .backend import (
     BackendConfig,
-    FaultProfile,
     GenerationResult,
-    SamplingConfig,
     check_health,
     generate_all,
 )
@@ -28,6 +29,8 @@ from .checkers import GENERATION_FAILED, score_completion
 from .errors import ConfigError
 from .metrics import (
     ACC_METRICS,
+    DEFAULT_BASELINE_MODE,
+    DEFAULT_EPSILON,
     BootstrapConfig,
     ModeAggregate,
     PairedComparison,
@@ -60,148 +63,125 @@ DELAYED_SOURCE_MODES = frozenset({"prompt_json", "freeform", "freeform_direct",
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    families: tuple[str, ...]
-    count: int
-    seed: int
+    families: tuple[str, ...] = FAMILIES
+    count: int = 100
+    seed: int = 0
+
+    def __post_init__(self):
+        if not self.families:
+            raise ConfigError("config needs at least one task family")
+        for family in self.families:
+            if family not in FAMILIES:
+                raise ConfigError(f"unknown task family: {family!r}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    run_id: str
-    suite: SuiteConfig
-    modes: tuple[str, ...]
-    backends: tuple[BackendConfig, ...]
+    run_id: str = "run"
+    suite: SuiteConfig = dc_field(default_factory=SuiteConfig)
+    modes: tuple[str, ...] = MODE_NAMES
+    backends: tuple[BackendConfig, ...] = ()
     bootstrap: BootstrapConfig = dc_field(default_factory=BootstrapConfig)
     delayed_variant: str = "deterministic"
     strict_extraction: bool = False
     strict_trace: bool = False
-    baseline_mode: str = "prompt_json"
+    baseline_mode: str = DEFAULT_BASELINE_MODE
+
+    def __post_init__(self):
+        if not self.modes:
+            raise ConfigError("config needs at least one mode")
+        for mode in self.modes:
+            get_mode(mode)  # raises on unknown
+        if not self.backends:
+            raise ConfigError("config needs at least one backend")
+        if self.delayed_variant not in DELAYED_VARIANTS:
+            raise ConfigError(f"unknown delayed variant: {self.delayed_variant!r}")
 
     def digest(self) -> str:
         return canonical_digest(self.to_dict())
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id,
-            "suite": {"families": list(self.suite.families), "count": self.suite.count,
-                      "seed": self.suite.seed},
-            "modes": list(self.modes),
-            "backends": [_backend_to_dict(b) for b in self.backends],
-            "bootstrap": {"resamples": self.bootstrap.resamples,
-                          "level": self.bootstrap.level, "seed": self.bootstrap.seed},
-            "delayed_variant": self.delayed_variant,
-            "strict_extraction": self.strict_extraction,
-            "strict_trace": self.strict_trace,
-            "baseline_mode": self.baseline_mode,
-        }
+        return _encode(self)
 
 
-def _backend_to_dict(config: BackendConfig) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "kind": config.kind,
-        "label": config.label,
-        "model_id": config.model_id,
-        "sampling": {
-            "temperature": config.sampling.temperature,
-            "max_tokens": config.sampling.max_tokens,
-            "request_seed": config.sampling.request_seed,
-        },
-        "timeout_ms": config.timeout_ms,
-        "max_in_flight": config.max_in_flight,
-        "max_retries": config.max_retries,
-    }
-    if config.base_url:
-        doc["base_url"] = config.base_url
-        doc["constraint_transport"] = dict(config.constraint_transport)
-    if config.fault is not None:
-        doc["fault"] = {
-            "p_invalid_json": config.fault.p_invalid_json,
-            "p_wrong_field": config.fault.p_wrong_field,
-            "wrong_field_targets": list(config.fault.wrong_field_targets),
-            "seed": config.fault.seed,
-        }
-    return doc
+def _encode(value: Any) -> Any:
+    """The JSON document of a config value, the one config_from_dict reads
+    and the config digest hashes. A backend without base_url leaves out
+    base_url and constraint_transport, and one without a fault profile
+    leaves out fault."""
+    if is_dataclass(value):
+        doc = {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+        if isinstance(value, BackendConfig):
+            if not value.base_url:
+                del doc["base_url"], doc["constraint_transport"]
+            if value.fault is None:
+                del doc["fault"]
+        return doc
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    if isinstance(value, Mapping):
+        return dict(value)
+    return value
 
 
-def _known_keys(doc: Mapping[str, Any], config_type: type, where: str) -> Mapping[str, Any]:
-    """doc itself, once every key in it names a field of config_type; a
-    misspelt key would otherwise fall back to its default unnoticed."""
+def _type_name(value: Any) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _decode_value(hint: Any, value: Any, where: str) -> Any:
+    """value checked against a field's type hint and converted to it; an
+    int is taken for a float, never a bool for an int."""
+    origin = get_origin(hint)
+    if origin in (Union, UnionType):  # X | None
+        return None if value is None else _decode_value(get_args(hint)[0], value, where)
+    if is_dataclass(hint):
+        return _decode(hint, value, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {_type_name(value)}")
+        items: Any = tuple(_decode_value(get_args(hint)[0], item, f"{where}[{i}]")
+                           for i, item in enumerate(value))
+    elif origin is abc.Mapping:
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{where} must be an object, got {_type_name(value)}")
+        items = {key: _decode_value(get_args(hint)[1], item, f"{where}.{key}")
+                 for key, item in value.items()}
+    else:
+        if hint is float and type(value) is int:
+            value = float(value)
+        if type(value) is not hint:
+            raise ConfigError(f"{where} must be {hint.__name__}, got {_type_name(value)}")
+        if hint is float and not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value}")
+        return value
+    if not items:  # refused rather than read as "all" or as the default
+        raise ConfigError(f"{where} must not be empty")
+    return items
+
+
+def _decode(config_type: type, doc: Any, where: str) -> Any:
+    """A config_type built from its JSON object: every value checked against
+    its field's type, absent keys left to the dataclass defaults, and every
+    failure a ConfigError naming where in the config it is."""
+    level = config_type.__name__.replace("Config", "").replace("Profile", "").lower()
+    at = where or "config"
     if not isinstance(doc, Mapping):
-        raise ConfigError(f"{where} config must be an object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - {f.name for f in fields(config_type)})
+        raise ConfigError(f"{at}: {level} config must be an object, got {_type_name(doc)}")
+    hints = get_type_hints(config_type)  # the dataclass fields, names resolved
+    unknown = sorted(set(doc) - set(hints))
     if unknown:
-        raise ConfigError(f"unknown {where} config key(s): {', '.join(map(repr, unknown))}")
-    return doc
-
-
-def _backend_from_dict(doc: Mapping[str, Any]) -> BackendConfig:
-    doc = _known_keys(doc, BackendConfig, "backend")
-    sampling_doc = _known_keys(doc.get("sampling") or {}, SamplingConfig, "sampling")
-    sampling = SamplingConfig(
-        temperature=float(sampling_doc.get("temperature", 0.0)),
-        max_tokens=sampling_doc.get("max_tokens"),
-        request_seed=sampling_doc.get("request_seed"),
-    )
-    fault = None
-    if doc.get("fault") is not None:
-        fault_doc = _known_keys(doc["fault"], FaultProfile, "fault")
-        fault = FaultProfile(
-            p_invalid_json=float(fault_doc.get("p_invalid_json", 0.0)),
-            p_wrong_field=float(fault_doc.get("p_wrong_field", 0.0)),
-            wrong_field_targets=tuple(fault_doc.get("wrong_field_targets",
-                                                    ("duration_minutes",))),
-            seed=int(fault_doc.get("seed", 0)),
-        )
-    kwargs: dict[str, Any] = {
-        "kind": doc.get("kind", "oracle"),
-        "label": doc.get("label") or doc.get("kind", "backend"),
-        "model_id": doc.get("model_id", "scripted"),
-        "base_url": doc.get("base_url"),
-        "sampling": sampling,
-        "timeout_ms": int(doc.get("timeout_ms", 60000)),
-        "max_in_flight": int(doc.get("max_in_flight", 4)),
-        "max_retries": int(doc.get("max_retries", 2)),
-        "fault": fault,
-    }
-    if doc.get("constraint_transport"):
-        kwargs["constraint_transport"] = dict(doc["constraint_transport"])
-    return BackendConfig(**kwargs)
+        raise ConfigError(
+            f"unknown {level} config key(s) in {at}: {', '.join(map(repr, unknown))}")
+    kwargs = {name: _decode_value(hint, doc[name], f"{where}.{name}" if where else name)
+              for name, hint in hints.items() if name in doc}
+    try:
+        return config_type(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{at}: {exc}") from None
 
 
 def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
-    doc = _known_keys(doc, RunConfig, "run")
-    suite_doc = _known_keys(doc.get("suite") or {}, SuiteConfig, "suite")
-    families = tuple(suite_doc.get("families") or FAMILIES)
-    for family in families:
-        if family not in FAMILIES:
-            raise ConfigError(f"unknown task family in config: {family!r}")
-    modes = tuple(doc.get("modes") or MODE_NAMES)
-    for mode in modes:
-        get_mode(mode)  # raises on unknown
-    backends_doc = doc.get("backends")
-    if not backends_doc:
-        raise ConfigError("config needs at least one backend")
-    bootstrap_doc = _known_keys(doc.get("bootstrap") or {}, BootstrapConfig, "bootstrap")
-    variant = doc.get("delayed_variant", "deterministic")
-    if variant not in DELAYED_VARIANTS:
-        raise ConfigError(f"unknown delayed variant: {variant!r}")
-    return RunConfig(
-        run_id=str(doc.get("run_id", "run")),
-        suite=SuiteConfig(families=families,
-                          count=int(suite_doc.get("count", 100)),
-                          seed=int(suite_doc.get("seed", 0))),
-        modes=modes,
-        backends=tuple(_backend_from_dict(b) for b in backends_doc),
-        bootstrap=BootstrapConfig(
-            resamples=int(bootstrap_doc.get("resamples", 2000)),
-            level=float(bootstrap_doc.get("level", 0.95)),
-            seed=int(bootstrap_doc.get("seed", 0)),
-        ),
-        delayed_variant=variant,
-        strict_extraction=bool(doc.get("strict_extraction", False)),
-        strict_trace=bool(doc.get("strict_trace", False)),
-        baseline_mode=str(doc.get("baseline_mode", "prompt_json")),
-    )
+    return _decode(RunConfig, doc, "")
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +494,8 @@ def _final_records(records: Iterable[RunRecord]) -> list[RunRecord]:
 
 
 def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None,
-          baseline_mode: str = "prompt_json", epsilon: float = 1e-6) -> ScoreResult:
+          baseline_mode: str = DEFAULT_BASELINE_MODE,
+          epsilon: float = DEFAULT_EPSILON) -> ScoreResult:
     """Aggregate records and compute paired comparisons against the
     baseline mode.
 

@@ -19,14 +19,14 @@ from .errors import PairingError
 from .rng import derive_seed
 
 DEFAULT_EPSILON = 1e-6
-DEFAULT_RESAMPLES = 2000
+DEFAULT_BASELINE_MODE = "prompt_json"
 
 ACC_METRICS = ("answer", "exec")
 
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    resamples: int = DEFAULT_RESAMPLES
+    resamples: int = 2000
     level: float = 0.95
     seed: int = 0
 

@@ -14,7 +14,7 @@ of the same config can be diffed for semantic identity.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -65,7 +65,7 @@ class RunRecord:
         return (self.backend_label, self.model_id, self.mode, self.stage, self.instance_id)
 
     def to_dict(self) -> dict[str, Any]:
-        doc = asdict(self)
+        doc = dict(vars(self))  # shallow; asdict would deep-copy every value
         doc["violations"] = [dict(v) for v in self.violations]
         doc["calendar_wrong_fields"] = list(self.calendar_wrong_fields)
         return doc
@@ -81,16 +81,19 @@ def record_from_dict(doc: dict[str, Any]) -> RunRecord:
     return RunRecord(**known)
 
 
+def _line(record: RunRecord) -> str:
+    return json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def write_records(path: str | Path, records: Iterable[RunRecord]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
+        fh.writelines(map(_line, records))
 
 
 def append_record(fh, record: RunRecord) -> None:
-    fh.write(json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
+    fh.write(_line(record))
     fh.flush()
 
 

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .checkers import CALENDAR_FAILURE_CLASSES
 from .harness import CalendarRow, ScoreResult
-from .metrics import ModeAggregate, PairedComparison, pts
+from .metrics import DEFAULT_BASELINE_MODE, ModeAggregate, PairedComparison, pts
 from .taskgen import CALENDAR_SEMANTIC_FIELDS
 
 
@@ -99,7 +99,7 @@ def calendar_field_table(rows: Sequence[CalendarRow]) -> str:
     return "\n".join(lines)
 
 
-def render_report(result: ScoreResult, baseline_mode: str = "prompt_json") -> str:
+def render_report(result: ScoreResult, baseline_mode: str = DEFAULT_BASELINE_MODE) -> str:
     failed = sum(a.n_failed for a in result.aggregates if a.task != "all")
     parts = [
         "# Constraint-tax report",

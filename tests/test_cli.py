@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
-from ctax.cli import main
+from ctax.cli import build_parser, main
+from ctax.harness import SuiteConfig
+from ctax.metrics import DEFAULT_BASELINE_MODE, DEFAULT_EPSILON, BootstrapConfig
 from ctax.records import read_records
 from ctax.taskgen import read_suite
 
@@ -145,3 +147,24 @@ def test_score_on_torn_records_file_exits_2(tmp_path, capsys):
     assert main(["score", "--records", str(records_path),
                  "--out", str(tmp_path / "scores")]) == 2
     assert "records.jsonl:8" in capsys.readouterr().err
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    parser = build_parser()
+    gen = parser.parse_args(["gen", "--out", "t.jsonl"])
+    suite = SuiteConfig()
+    assert (gen.count, gen.seed) == (suite.count, suite.seed)
+    bootstrap = BootstrapConfig()
+    for command in ("score", "report"):
+        args = parser.parse_args([command, "--records", "r.jsonl", "--out", "o"])
+        assert BootstrapConfig(args.resamples, args.level, args.bootstrap_seed) == bootstrap
+        assert (args.baseline, args.epsilon) == (DEFAULT_BASELINE_MODE, DEFAULT_EPSILON)
+
+
+def test_run_with_unreadable_config_exits_2(tmp_path, capsys):
+    config_path, out = tmp_path / "config.json", tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2  # missing
+    config_path.write_text('{"backends": [', encoding="utf-8")  # not JSON
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("cannot read config") == 2
+    assert not out.exists()

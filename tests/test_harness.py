@@ -6,6 +6,7 @@ import json
 import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,9 +24,10 @@ from ctax.harness import (
     score_to_files,
 )
 from ctax.metrics import BootstrapConfig
+from ctax.modes import MODE_NAMES
 from ctax.records import canonical_diff, canonical_record_lines
 from ctax.report import render_report
-from ctax.taskgen import generate_suite
+from ctax.taskgen import CALENDAR_SEMANTIC_FIELDS, FAMILIES, generate_suite
 from ctax.validation import canonical_serialize
 
 
@@ -371,6 +373,141 @@ def test_config_level_must_be_an_object():
     doc["backends"] = ["oracle"]
     with pytest.raises(ConfigError, match="backend config must be an object"):
         config_from_dict(doc)
+
+
+_ENDPOINT_BLOCK = {"kind": "endpoint", "label": "local-vllm",
+                   "model_id": "Qwen/Qwen2.5-1.5B-Instruct", "base_url": "http://localhost:8000",
+                   "sampling": {"temperature": 0.0, "request_seed": 1234},
+                   "max_in_flight": 4, "max_retries": 2}
+
+# Digests computed with the field-by-field codec this one replaced: a
+# config accepted before and after keeps the digest its records carry.
+_PINNED_DIGESTS = [
+    ("readme_demo", {
+        "run_id": "demo",
+        "suite": {"families": ["arithmetic_two_step", "tool_call_argument"],
+                  "count": 25, "seed": 7},
+        "modes": ["freeform", "prompt_json", "answer_only_schema", "delayed_constraint"],
+        "backends": [{"kind": "oracle", "label": "oracle", "model_id": "oracle-v1"}],
+        "bootstrap": {"resamples": 2000, "level": 0.95, "seed": 0}}, "3b183cf0f594"),
+    ("readme_corruptor", {"backends": [
+        {"kind": "corruptor", "label": "noisy", "model_id": "corruptor-v1",
+         "fault": {"p_invalid_json": 0.2, "p_wrong_field": 0.3, "seed": 13}}]}, "aaaa61a4b5e1"),
+    ("readme_endpoint", {"backends": [_ENDPOINT_BLOCK]}, "ee6c8d6bd660"),
+    ("bench_offline", {
+        "run_id": "perfbench-offline-101",
+        "suite": {"families": list(FAMILIES), "count": 200, "seed": 101},
+        "modes": list(MODE_NAMES),
+        "backends": [{"kind": "corruptor", "label": "corruptor", "model_id": "corruptor-v1",
+                      "fault": {"p_invalid_json": 0.1, "p_wrong_field": 0.2, "seed": 101,
+                                "wrong_field_targets": list(CALENDAR_SEMANTIC_FIELDS)}}],
+        "delayed_variant": "deterministic"}, "151fbbc9ac0b"),
+    ("bench_endpoint", {
+        "run_id": "perfbench-endpoint-101",
+        "suite": {"families": list(FAMILIES), "count": 200, "seed": 101},
+        "modes": list(MODE_NAMES),
+        "backends": [{"kind": "endpoint", "label": "mock", "model_id": "mock-model",
+                      "base_url": "http://127.0.0.1:8765", "max_in_flight": 2,
+                      "max_retries": 2, "timeout_ms": 30000}],
+        "delayed_variant": "model"}, "92da1a1d31c1"),
+    ("keyed", _KEYED_CONFIG, "62e411e77ffa"),
+    ("endpoint_full", {
+        "run_id": "ep-full",
+        "suite": {"families": ["tool_call_argument", "boolean_logic"], "count": 10, "seed": 5},
+        "modes": ["prompt_json", "final_only_regex", "delayed_constraint"],
+        "backends": [{"kind": "endpoint", "label": "sglang", "model_id": "m-3b",
+                      "base_url": "http://127.0.0.1:30000",
+                      "sampling": {"temperature": 0.7, "max_tokens": 256, "request_seed": 42},
+                      "constraint_transport": {"schema": "response_format.json_schema",
+                                               "regex": "regex"},
+                      "timeout_ms": 5000, "max_in_flight": 8, "max_retries": 0}],
+        "delayed_variant": "model", "strict_extraction": True, "strict_trace": True,
+        "baseline_mode": "freeform"}, "fdb4c3d5ffc7"),
+]
+
+
+@pytest.mark.parametrize("doc, digest", [case[1:] for case in _PINNED_DIGESTS],
+                         ids=[case[0] for case in _PINNED_DIGESTS])
+def test_config_digest_is_pinned(doc, digest):
+    config = config_from_dict(doc)
+    assert config.digest() == digest
+    assert config_from_dict(config.to_dict()) == config
+
+
+def test_readme_configs_decode():
+    """README's run config, and each backend block wrapped as a run config."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [json.loads(text if text.startswith("{") else "{" + text + "}")
+              for text in re.findall(r"```json\n(.*?)\n```", readme, re.S)]
+    assert len(blocks) == 4
+    for block in blocks:
+        if "backends" in block:
+            doc = block
+        elif "kind" in block:
+            doc = {"backends": [block]}
+        else:  # a fragment of the endpoint block
+            doc = {"backends": [{**_ENDPOINT_BLOCK, **block}]}
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("strict_extraction", "false"), ("run_id", 5), ("modes", {"prompt_json": 1}), ("modes", []),
+    ("backends", {"kind": "oracle"}),
+    ("suite.count", "ten"), ("suite.count", None), ("suite.count", 100.0), ("suite.seed", True),
+    ("suite.families", {"boolean_logic": 1}), ("suite.families", []),
+    ("backends[0].timeout_ms", 1.9), ("backends[0].max_in_flight", True),
+    ("backends[0].label", None), ("backends[0].constraint_transport", {}),
+    ("backends[0].sampling.max_tokens", "ten"), ("backends[0].sampling.temperature", None),
+    ("backends[0].sampling.temperature", float("nan")),
+    ("backends[0].fault.p_invalid_json", None), ("backends[0].fault.seed", "ten"),
+    ("backends[0].fault.wrong_field_targets", {"topic": 1}),
+    ("bootstrap.resamples", "ten"), ("bootstrap.level", None),
+])
+def test_config_rejects_wrong_types(tmp_path, capsys, path, value):
+    doc = json.loads(json.dumps(_KEYED_CONFIG))
+    *parents, name = [int(key) if key.isdigit() else key for key in re.findall(r"\w+", path)]
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[name] = value
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        config_from_dict(doc)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_wrong_field_target_fails_before_any_output(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="durration"):
+        FaultProfile(wrong_field_targets=("durration",))
+    doc = json.loads(json.dumps(_KEYED_CONFIG))
+    doc["backends"][0]["fault"]["wrong_field_targets"] = ["date", "durration"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "backends[0].fault: wrong_field_targets" in err and "durration" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_defaults_and_checks_live_on_the_dataclasses():
+    oracle = BackendConfig()
+    assert (oracle.kind, oracle.label) == ("oracle", "oracle")
+    assert config_from_dict({"backends": [{}]}) == RunConfig(backends=(oracle,))
+    assert RunConfig(backends=(oracle,)).suite == SuiteConfig()
+    for build, match in [
+        (lambda: SuiteConfig(families=("algebra",)), "family"),
+        (lambda: SuiteConfig(families=()), "family"),
+        (lambda: RunConfig(modes=("yaml_mode",), backends=(oracle,)), "mode"),
+        (lambda: RunConfig(modes=(), backends=(oracle,)), "mode"),
+        (lambda: RunConfig(delayed_variant="oracle", backends=(oracle,)), "variant"),
+        (lambda: RunConfig(), "backend"),
+        (lambda: FaultProfile(wrong_field_targets=()), "wrong_field_targets"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            build()
 
 
 # ---------------------------------------------------------------------------
