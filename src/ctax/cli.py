@@ -47,7 +47,13 @@ def _add_bootstrap_args(parser: argparse.ArgumentParser) -> None:
 def _scored(args: argparse.Namespace):
     records = []
     for path in args.records:
-        records.extend(load_records(path))
+        try:
+            loaded = load_records(path)
+        except OSError as exc:  # missing or unreadable
+            raise ConfigError(f"cannot read records {path}: {exc}") from None
+        if not loaded:
+            raise ConfigError(f"no records in {path}")
+        records.extend(loaded)
     cfg = BootstrapConfig(resamples=args.resamples, level=args.level,
                           seed=args.bootstrap_seed)
     return score(records, bootstrap=cfg, baseline_mode=args.baseline,

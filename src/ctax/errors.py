@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 
 class ConfigError(ValueError):
     """Raised for invalid configuration: unknown family or mode, a schema
@@ -10,19 +12,19 @@ class ConfigError(ValueError):
 
 
 class PairingError(ValueError):
-    """Raised when a paired comparison receives mismatched instance-id sets."""
+    """Raised when two arms cannot be paired instance by instance: their
+    instance-id sets differ (the missing ids are kept), an arm holds an
+    instance twice, or no instance is left once generation failures are
+    dropped (both given as detail)."""
 
-    def __init__(self, missing_in_baseline: list[str], missing_in_constrained: list[str]):
+    def __init__(self, missing_in_baseline: Sequence[str] = (),
+                 missing_in_constrained: Sequence[str] = (), detail: str | None = None):
         self.missing_in_baseline = list(missing_in_baseline)
         self.missing_in_constrained = list(missing_in_constrained)
-        parts = []
-        if missing_in_baseline:
-            parts.append(f"missing in baseline: {', '.join(missing_in_baseline[:5])}"
-                         + (" ..." if len(missing_in_baseline) > 5 else ""))
-        if missing_in_constrained:
-            parts.append(f"missing in constrained: {', '.join(missing_in_constrained[:5])}"
-                         + (" ..." if len(missing_in_constrained) > 5 else ""))
-        super().__init__("instance sets differ; " + "; ".join(parts))
+        super().__init__(detail or "instance sets differ; " + "; ".join(
+            f"missing in {arm}: {', '.join(ids[:5])}" + (" ..." if len(ids) > 5 else "")
+            for arm, ids in (("baseline", self.missing_in_baseline),
+                             ("constrained", self.missing_in_constrained)) if ids))
 
 
 class GenerationFailed(RuntimeError):

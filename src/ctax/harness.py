@@ -26,9 +26,10 @@ from .backend import (
     generate_all,
 )
 from .checkers import GENERATION_FAILED, score_completion
-from .errors import ConfigError
+from .errors import ConfigError, PairingError
 from .metrics import (
     ACC_METRICS,
+    BOOTSTRAP_VERSION,
     DEFAULT_BASELINE_MODE,
     DEFAULT_EPSILON,
     BootstrapConfig,
@@ -73,6 +74,8 @@ class SuiteConfig:
         for family in self.families:
             if family not in FAMILIES:
                 raise ConfigError(f"unknown task family: {family!r}")
+        if self.count < 1:
+            raise ConfigError(f"count must be >= 1, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,8 @@ class RunConfig:
             raise ConfigError("config needs at least one backend")
         if self.delayed_variant not in DELAYED_VARIANTS:
             raise ConfigError(f"unknown delayed variant: {self.delayed_variant!r}")
+        if self.baseline_mode not in MODE_NAMES:
+            raise ConfigError(f"baseline_mode must name a mode, got {self.baseline_mode!r}")
 
     def digest(self) -> str:
         return canonical_digest(self.to_dict())
@@ -401,6 +406,7 @@ def _write_manifest(config: RunConfig, digest: str, out: Path) -> None:
         "constraints": constraints,
         "package_version": __version__,
         "template_version": TEMPLATE_VERSION,
+        "bootstrap_version": BOOTSTRAP_VERSION,
         "created_at": _now(),
     }
     (out / "manifest.json").write_text(
@@ -558,7 +564,7 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
                     mode_comparisons = [paired_comparison(
                         base_records, mode_map[mode], acc_metric=metric,
                         cfg=bootstrap, epsilon=epsilon) for metric in ACC_METRICS]
-                except ValueError as exc:  # duplicates, pairing mismatch, all-failed
+                except PairingError as exc:  # pairing mismatch, duplicates, all-failed
                     print(f"[WARN] comparisons skipped for {backend_label}/"
                           f"{model_id}/{task}/{mode}: {exc}")
                     continue
@@ -647,7 +653,7 @@ def write_comparisons_csv(path: str | Path,
             "tax_normalized", "epsilon", "delta_ci_low_pts", "delta_ci_high_pts",
             "validity_delta_pts", "validity_ci_low_pts", "validity_ci_high_pts",
             "wrong_valid_delta_pts", "wrong_valid_ci_low_pts", "wrong_valid_ci_high_pts",
-            "bootstrap_resamples", "bootstrap_level",
+            "bootstrap_resamples", "bootstrap_level", "bootstrap_version",
         ])
         for cmp in comparisons:
             writer.writerow([
@@ -661,7 +667,7 @@ def write_comparisons_csv(path: str | Path,
                 f"{pts(cmp.validity_ci.low):+.1f}", f"{pts(cmp.validity_ci.high):+.1f}",
                 f"{pts(cmp.wrong_valid_delta):+.1f}",
                 f"{pts(cmp.wrong_valid_ci.low):+.1f}", f"{pts(cmp.wrong_valid_ci.high):+.1f}",
-                cmp.acc_ci.resamples, f"{cmp.acc_ci.level:g}",
+                cmp.acc_ci.resamples, f"{cmp.acc_ci.level:g}", BOOTSTRAP_VERSION,
             ])
 
 

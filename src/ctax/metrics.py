@@ -2,24 +2,29 @@
 
 Rates are kept as exact rational counts (fractions.Fraction) and only
 rounded at display time, to 0.1 percentage point. Uncertainty comes from
-a seeded percentile bootstrap over paired per-instance indicator draws,
-so confidence intervals are reproducible bit-for-bit for a given seed.
+a seeded percentile bootstrap, so confidence intervals are reproducible
+bit-for-bit for a given seed. A paired comparison's binary indicators give
+each instance a delta in {-1, 0, +1}, so a resample is one multinomial draw
+of those counts rather than n index draws (BOOTSTRAP_VERSION). A mode pair's
+answer and exec comparisons share one validity and one wrong-valid CI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .checkers import GENERATION_FAILED
-from .errors import PairingError
+from .errors import ConfigError, PairingError
 from .rng import derive_seed
 
 DEFAULT_EPSILON = 1e-6
 DEFAULT_BASELINE_MODE = "prompt_json"
+BOOTSTRAP_VERSION = "bootstrap/v2"  # v1 drew instance indices, so CI digits differ
 
 ACC_METRICS = ("answer", "exec")
 
@@ -29,6 +34,12 @@ class BootstrapConfig:
     resamples: int = 2000
     level: float = 0.95
     seed: int = 0
+
+    def __post_init__(self):
+        if self.resamples < 1:
+            raise ConfigError(f"bootstrap resamples must be >= 1, got {self.resamples}")
+        if not 0.0 < self.level < 1.0:
+            raise ConfigError(f"bootstrap level must be in (0, 1), got {self.level}")
 
 
 @dataclass(frozen=True)
@@ -174,10 +185,11 @@ def normalized_tax(acc_baseline: float, acc_constrained: float,
 # Paired bootstrap
 # ---------------------------------------------------------------------------
 
-def _quantile_bounds(samples: np.ndarray, level: float) -> tuple[float, float]:
-    alpha = (1.0 - level) / 2.0
+def _percentile_ci(samples: np.ndarray, cfg: BootstrapConfig, seed: int) -> BootstrapCI:
+    alpha = (1.0 - cfg.level) / 2.0
     low, high = np.quantile(samples, [alpha, 1.0 - alpha])
-    return float(low), float(high)
+    return BootstrapCI(low=float(low), high=float(high), level=cfg.level,
+                       resamples=cfg.resamples, seed=seed)
 
 
 def bootstrap_rate_ci(indicators: Sequence[int] | np.ndarray, cfg: BootstrapConfig,
@@ -189,31 +201,27 @@ def bootstrap_rate_ci(indicators: Sequence[int] | np.ndarray, cfg: BootstrapConf
     seed = derive_seed(cfg.seed, "rate", *seed_parts)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, data.size, size=(cfg.resamples, data.size))
-    means = data[idx].mean(axis=1)
-    low, high = _quantile_bounds(means, cfg.level)
-    return BootstrapCI(low=low, high=high, level=cfg.level,
-                       resamples=cfg.resamples, seed=seed)
+    return _percentile_ci(data[idx].mean(axis=1), cfg, seed)
+
+
+@lru_cache(maxsize=64)
+def _count_ci(outcomes: tuple, cfg: BootstrapConfig, seed: int) -> BootstrapCI:
+    """Percentile CI for the mean of a sample holding value v c times for each
+    (v, c) in outcomes: a resample's counts are Multinomial(n, c/n). Cached, so
+    a mode pair's per-metric comparisons share its validity and wrong-valid CIs."""
+    values, counts = map(np.array, zip(*outcomes))
+    n = int(counts.sum())
+    draws = np.random.default_rng(seed).multinomial(n, counts / n, size=cfg.resamples)
+    return _percentile_ci(draws @ values / n, cfg, seed)
 
 
 def _paired_delta_ci(baseline: np.ndarray, constrained: np.ndarray,
                      cfg: BootstrapConfig, *seed_parts: object) -> BootstrapCI:
     """Percentile CI for mean(constrained) - mean(baseline) with paired
-    instance draws (both arms resampled on the same indices)."""
-    seed = derive_seed(cfg.seed, "delta", *seed_parts)
-    rng = np.random.default_rng(seed)
-    n = baseline.size
-    deltas = np.empty(cfg.resamples, dtype=np.float64)
-    # chunk so resamples * n never allocates more than ~16M cells
-    chunk = max(1, min(cfg.resamples, (1 << 24) // max(1, n)))
-    start = 0
-    while start < cfg.resamples:
-        stop = min(cfg.resamples, start + chunk)
-        idx = rng.integers(0, n, size=(stop - start, n))
-        deltas[start:stop] = constrained[idx].mean(axis=1) - baseline[idx].mean(axis=1)
-        start = stop
-    low, high = _quantile_bounds(deltas, cfg.level)
-    return BootstrapCI(low=low, high=high, level=cfg.level,
-                       resamples=cfg.resamples, seed=seed)
+    instance draws: the mean of the per-instance deltas in {-1, 0, +1}."""
+    distinct, counts = np.unique(constrained - baseline, return_counts=True)
+    return _count_ci(tuple(zip(distinct.tolist(), counts.tolist())), cfg,
+                     derive_seed(cfg.seed, "delta", *seed_parts))
 
 
 @dataclass(frozen=True)
@@ -238,12 +246,12 @@ class PairedComparison:
     wrong_valid_ci: BootstrapCI
 
 
-def _indicator(record, metric: str) -> int:
-    if metric == "answer":
-        return 1 if record.answer_correct else 0
-    if metric == "exec":
-        return 1 if record.exec_correct else 0
-    raise ValueError(f"unknown accuracy metric: {metric!r}")
+_INDICATORS = {
+    "answer": lambda r: r.answer_correct,
+    "exec": lambda r: r.exec_correct,
+    "validity": lambda r: r.schema_valid,
+    "wrong_valid": lambda r: r.schema_valid and not r.exec_correct,
+}
 
 
 def paired_comparison(baseline_records: Iterable, constrained_records: Iterable,
@@ -253,9 +261,12 @@ def paired_comparison(baseline_records: Iterable, constrained_records: Iterable,
     """Compare two modes over the identical instance set.
 
     Joins on instance id (a mismatch is a PairingError naming the missing
-    ids), computes exact point deltas, and attaches percentile-bootstrap
-    CIs for the accuracy, validity, and wrong-valid deltas.
+    ids, as are a duplicated instance and an arm with no scored record),
+    computes exact point deltas, and attaches percentile-bootstrap CIs for
+    the accuracy, validity, and wrong-valid deltas.
     """
+    if acc_metric not in ACC_METRICS:
+        raise ValueError(f"unknown accuracy metric: {acc_metric!r}")
     cfg = cfg or BootstrapConfig()
 
     def by_id(records: Iterable, arm: str) -> dict:
@@ -264,10 +275,10 @@ def paired_comparison(baseline_records: Iterable, constrained_records: Iterable,
             if not is_scored(r):
                 continue
             if r.instance_id in out:
-                raise ValueError(
+                raise PairingError(detail=(
                     f"duplicate {arm} record for instance {r.instance_id!r}; "
                     "a cell must hold one record per instance — deduplicate "
-                    "the inputs before pairing")
+                    "the inputs before pairing"))
             out[r.instance_id] = r
         return out
 
@@ -278,25 +289,21 @@ def paired_comparison(baseline_records: Iterable, constrained_records: Iterable,
         missing_c = sorted(base.keys() - cons.keys())
         raise PairingError(missing_b, missing_c)
     if not base:
-        raise ValueError("cannot compare empty record sets")
+        raise PairingError(detail="cannot compare empty record sets")
     ids = sorted(base.keys())
     n = len(ids)
 
-    def arrays(metric: str) -> tuple[np.ndarray, np.ndarray, Fraction, Fraction]:
-        b = np.array([_indicator(base[i], metric) for i in ids], dtype=np.float64)
-        c = np.array([_indicator(cons[i], metric) for i in ids], dtype=np.float64)
-        return b, c, Fraction(int(b.sum()), n), Fraction(int(c.sum()), n)
+    def arrays(metric: str) -> tuple[np.ndarray, np.ndarray]:
+        indicator = _INDICATORS[metric]
+        return (np.array([indicator(base[i]) for i in ids], dtype=np.float64),
+                np.array([indicator(cons[i]) for i in ids], dtype=np.float64))
 
-    b_acc, c_acc, acc_b, acc_c = arrays(acc_metric)
-    b_val = np.array([1.0 if base[i].schema_valid else 0.0 for i in ids])
-    c_val = np.array([1.0 if cons[i].schema_valid else 0.0 for i in ids])
-    b_wv = np.array([1.0 if base[i].schema_valid and not base[i].exec_correct else 0.0
-                     for i in ids])
-    c_wv = np.array([1.0 if cons[i].schema_valid and not cons[i].exec_correct else 0.0
-                     for i in ids])
+    (b_acc, c_acc), (b_val, c_val), (b_wv, c_wv) = map(
+        arrays, (acc_metric, "validity", "wrong_valid"))
+    acc_b, acc_c = Fraction(int(b_acc.sum()), n), Fraction(int(c_acc.sum()), n)
 
     sample = base[ids[0]]
-    key = (sample.backend_label, sample.model_id, sample.mode, cons[ids[0]].mode, acc_metric)
+    pair = (sample.backend_label, sample.model_id, sample.mode, cons[ids[0]].mode)
     tax = constraint_tax(acc_b, acc_c)
     return PairedComparison(
         backend_label=sample.backend_label,
@@ -314,9 +321,9 @@ def paired_comparison(baseline_records: Iterable, constrained_records: Iterable,
         epsilon=epsilon,
         validity_delta=Fraction(int(c_val.sum()) - int(b_val.sum()), n),
         wrong_valid_delta=Fraction(int(c_wv.sum()) - int(b_wv.sum()), n),
-        acc_ci=_paired_delta_ci(b_acc, c_acc, cfg, *key, "acc"),
-        validity_ci=_paired_delta_ci(b_val, c_val, cfg, *key, "validity"),
-        wrong_valid_ci=_paired_delta_ci(b_wv, c_wv, cfg, *key, "wrong_valid"),
+        acc_ci=_paired_delta_ci(b_acc, c_acc, cfg, *pair, acc_metric, "acc"),
+        validity_ci=_paired_delta_ci(b_val, c_val, cfg, *pair, "validity"),
+        wrong_valid_ci=_paired_delta_ci(b_wv, c_wv, cfg, *pair, "wrong_valid"),
     )
 
 

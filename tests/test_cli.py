@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from ctax.cli import build_parser, main
 from ctax.harness import SuiteConfig
 from ctax.metrics import DEFAULT_BASELINE_MODE, DEFAULT_EPSILON, BootstrapConfig
@@ -167,4 +169,40 @@ def test_run_with_unreadable_config_exits_2(tmp_path, capsys):
     config_path.write_text('{"backends": [', encoding="utf-8")  # not JSON
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("cannot read config") == 2
+    assert not out.exists()
+
+
+def _scored_run(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_run_config_doc()))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    return tmp_path / "run" / "records.jsonl"
+
+
+@pytest.mark.parametrize("command", ["score", "report"])
+@pytest.mark.parametrize("flags, named", [
+    (["--level", "1.5"], "level"), (["--level", "0"], "level"),
+    (["--resamples", "0"], "resamples"), (["--resamples", "-1"], "resamples"),
+])
+def test_bad_bootstrap_flags_exit_2(tmp_path, capsys, command, flags, named):
+    records = _scored_run(tmp_path)
+    out = tmp_path / "scored"
+    capsys.readouterr()
+    assert main([command, "--records", str(records), "--out", str(out), *flags]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "report"])
+def test_empty_or_missing_records_file_exits_2(tmp_path, capsys, command):
+    records = _scored_run(tmp_path)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    missing = tmp_path / "missing.jsonl"
+    out = tmp_path / "scored"
+    capsys.readouterr()
+    for path in (empty, missing):
+        assert main([command, "--records", str(records), "--records", str(path),
+                     "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
     assert not out.exists()

@@ -23,7 +23,8 @@ from ctax.harness import (
     score,
     score_to_files,
 )
-from ctax.metrics import BootstrapConfig
+from ctax import metrics
+from ctax.metrics import BOOTSTRAP_VERSION, BootstrapConfig
 from ctax.modes import MODE_NAMES
 from ctax.records import canonical_diff, canonical_record_lines
 from ctax.report import render_report
@@ -510,6 +511,28 @@ def test_config_defaults_and_checks_live_on_the_dataclasses():
             build()
 
 
+@pytest.mark.parametrize("path, value, level", [
+    ("suite.count", 0, "suite"), ("suite.count", -4, "suite"),
+    ("baseline_mode", "yaml", "config"),
+    ("bootstrap.resamples", 0, "bootstrap"), ("bootstrap.level", 1.5, "bootstrap"),
+    ("bootstrap.level", 0, "bootstrap"),
+])
+def test_config_rejects_out_of_range_values(tmp_path, capsys, path, value, level):
+    doc = json.loads(json.dumps(_KEYED_CONFIG))
+    *parents, name = path.split(".")
+    node = doc
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[name] = value
+    with pytest.raises(ConfigError, match=f"{level}: .*{name}"):
+        config_from_dict(doc)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # scoring
 # ---------------------------------------------------------------------------
@@ -595,6 +618,48 @@ def test_score_skips_duplicated_cell_with_warning(tmp_path, capsys):
     freeform_all = [a for a in result.aggregates
                     if a.mode == "freeform" and a.task == "all"]
     assert freeform_all[0].n == 12
+
+
+def test_answer_and_exec_rows_share_validity_and_wrong_valid_cis(tmp_path):
+    fault = FaultProfile(p_invalid_json=0.3, p_wrong_field=0.3, seed=4,
+                         wrong_field_targets=tuple(CALENDAR_SEMANTIC_FIELDS))
+    config = _config(MODE_NAMES, families=FAMILIES, count=12,
+                     backend_kind="corruptor", fault=fault)
+    result = score(load_records(run(config, tmp_path / "out")),
+                   bootstrap=BootstrapConfig(resamples=200, seed=0))
+    by_pair: dict = {}
+    for cmp in result.comparisons:
+        by_pair.setdefault((cmp.task, cmp.mode), {})[cmp.acc_metric] = cmp
+    assert len(by_pair) == 6 * (len(MODE_NAMES) - 1)
+    shared = [(c["answer"].validity_ci, c["answer"].wrong_valid_ci,
+               c["exec"].validity_ci, c["exec"].wrong_valid_ci) for c in by_pair.values()]
+    assert any(v.low != v.high for v, *_ in shared)  # not only degenerate CIs
+    for answer_validity, answer_wrong_valid, exec_validity, exec_wrong_valid in shared:
+        assert answer_validity == exec_validity
+        assert answer_wrong_valid == exec_wrong_valid
+
+
+def test_score_lets_errors_outside_pairing_surface(tmp_path, monkeypatch):
+    records = load_records(run(_config(("prompt_json", "freeform")), tmp_path / "out"))
+
+    def broken_ci(*args, **kwargs):
+        raise ValueError("bootstrap defect")
+
+    monkeypatch.setattr(metrics, "_paired_delta_ci", broken_ci)
+    with pytest.raises(ValueError, match="bootstrap defect"):
+        score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
+
+
+def test_bootstrap_version_is_stamped(tmp_path):
+    out = tmp_path / "out"
+    records = load_records(run(_config(("prompt_json", "freeform")), out))
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["bootstrap_version"] == BOOTSTRAP_VERSION == "bootstrap/v2"
+    paths = score_to_files(score(records, bootstrap=BootstrapConfig(resamples=50, seed=0)),
+                           tmp_path / "scores")
+    lines = paths["comparisons"].read_text(encoding="utf-8").splitlines()
+    assert lines[0].endswith(",bootstrap_level,bootstrap_version")
+    assert len(lines) > 1 and all(line.endswith(",bootstrap/v2") for line in lines[1:])
 
 
 def test_score_rejects_empty():

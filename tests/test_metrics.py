@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_bootstrap
 
-from ctax.errors import PairingError
+from ctax.errors import ConfigError, PairingError
 from ctax.metrics import (
     ACC_METRICS,
     BootstrapConfig,
+    _paired_delta_ci,
     aggregate,
     bootstrap_rate_ci,
     constraint_tax,
@@ -338,6 +341,68 @@ def test_clipped_tax_keeps_signed_delta():
     assert pts(cmp.signed_delta) == 10.0
     assert cmp.tax == 0
     assert cmp.tax_norm == 0.0
+
+
+def test_pairing_failures_are_pairing_errors():
+    base, cons = _nested_pair(6, 6, 6)
+    with pytest.raises(PairingError, match="duplicate constrained record"):
+        paired_comparison(base, cons + [cons[0]])
+    failed = [replace(r, error_class="generation_failed") for r in base]
+    with pytest.raises(PairingError, match="empty"):
+        paired_comparison(failed, failed)
+
+
+@pytest.mark.parametrize("setting", [
+    {"resamples": 0}, {"resamples": -3}, {"level": 0.0}, {"level": 1.0}, {"level": 1.5},
+    {"level": -0.95},
+], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
+def test_bootstrap_config_rejects_bad_settings(setting):
+    with pytest.raises(ConfigError, match=next(iter(setting))):
+        BootstrapConfig(**setting)
+
+
+# Both samplers draw 20000 resamples, which keeps the Monte Carlo error of
+# each percentile near 0.1 pt at these n; a distribution that differed would
+# move the bounds by well over the 1 pt allowed.
+@pytest.mark.parametrize("n, k_up, k_down, level", [
+    (100, 0, 0, 0.95),      # every delta 0
+    (100, 100, 0, 0.95),    # every delta +1
+    (100, 0, 100, 0.95),    # every delta -1
+    (200, 30, 10, 0.95),
+    (200, 10, 60, 0.95),
+    (200, 1, 0, 0.95),
+    (400, 100, 100, 0.95),
+    (400, 0, 37, 0.9),
+    (1000, 150, 50, 0.95),
+])
+def test_paired_delta_ci_matches_index_resampling(n, k_up, k_down, level):
+    baseline, constrained = reference_bootstrap.arms(n, k_up, k_down)
+    ci = _paired_delta_ci(baseline, constrained,
+                          BootstrapConfig(resamples=20000, level=level, seed=5),
+                          "grid", n, k_up, k_down)
+    low, high = reference_bootstrap.paired_delta_ci(baseline, constrained, 20000, level,
+                                                    seed=n + k_up + k_down)
+    assert abs(pts(ci.low) - pts(low)) <= 1.0, (ci.low, low)
+    assert abs(pts(ci.high) - pts(high)) <= 1.0, (ci.high, high)
+    if k_up + k_down == 0:
+        assert (ci.low, ci.high) == (0.0, 0.0)
+    if k_up == n:
+        assert (ci.low, ci.high) == (1.0, 1.0)
+
+
+def test_paired_delta_ci_memory_does_not_scale_with_resamples_times_n():
+    n = 100_000
+    baseline, constrained = reference_bootstrap.arms(n, 30_000, 20_000)
+    cfg = BootstrapConfig(resamples=2000, seed=0)
+    tracemalloc.start()
+    try:
+        ci = _paired_delta_ci(baseline, constrained, cfg, "memory")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a resamples x n index array alone would take 1.6 GB
+    assert peak < 50 * 2**20, peak
+    assert ci.low < 0.1 < ci.high
 
 
 # ---------------------------------------------------------------------------
