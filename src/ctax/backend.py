@@ -12,13 +12,17 @@ against the dial settings.
 from __future__ import annotations
 
 import datetime as dt
+import http.client
+import json
 import os
+import queue
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Mapping, Sequence
-
-import requests
+from itertools import islice
+from typing import Any, Callable, Iterable, Mapping, Sequence
+from urllib.parse import urlsplit
 
 from .errors import ConfigError, GenerationFailed
 from .modes import (
@@ -28,6 +32,7 @@ from .modes import (
     FREEFORM_MODES,
     PromptBundle,
 )
+from .records import timestamp
 from .rng import SplitMix64, derive_seed
 from .taskgen import (
     CALENDAR_SEMANTIC_FIELDS,
@@ -104,8 +109,13 @@ class BackendConfig:
             raise ConfigError(f"unknown backend kind: {self.kind!r}")
         if self.kind == "endpoint" and not self.base_url:
             raise ConfigError("endpoint backend requires base_url")
+        if self.base_url and urlsplit(self.base_url).scheme not in ("http", "https"):
+            raise ConfigError(f"base_url must start with http:// or https://, "
+                              f"got {self.base_url!r}")
         if self.max_in_flight < 1:
             raise ConfigError("max_in_flight must be >= 1")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -313,53 +323,77 @@ def _headers() -> dict[str, str]:
     return headers
 
 
+# Client errors a retry cannot fix; 408 and 429 ask the client to try again.
+_RETRIED_CLIENT_ERRORS = frozenset({408, 429})
+
+
+def _exchange(config: BackendConfig, method: str, path: str,
+              body: bytes | None = None) -> tuple[int, bytes]:
+    """(status, body) of one request on its own connection, closed once the
+    body is read. Proxy variables are not read. Raises OSError (timeouts
+    included) or http.client.HTTPException on transport failure."""
+    url = urlsplit(config.base_url.rstrip("/") + path)
+    connection_type = (http.client.HTTPSConnection if url.scheme == "https"
+                       else http.client.HTTPConnection)
+    connection = connection_type(url.hostname, url.port,
+                                 timeout=config.timeout_ms / 1000.0)
+    try:
+        connection.request(method, url.path, body=body, headers=_headers())
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
 def check_health(config: BackendConfig) -> None:
     """Probe the models listing; unreachable or erroring servers are a
     configuration error before the run starts."""
-    url = config.base_url.rstrip("/") + "/v1/models"
     try:
-        response = requests.get(url, headers=_headers(), timeout=config.timeout_ms / 1000.0)
-    except requests.RequestException as exc:
+        status, _ = _exchange(config, "GET", "/v1/models")
+    except (OSError, http.client.HTTPException) as exc:
         raise ConfigError(f"endpoint health check failed: {exc}") from exc
-    if response.status_code >= 400:
-        raise ConfigError(
-            f"endpoint health check failed: HTTP {response.status_code} from {url}")
+    if status >= 400:
+        raise ConfigError(f"endpoint health check failed: HTTP {status} from "
+                          f"{config.base_url.rstrip('/')}/v1/models")
 
 
 def _endpoint_generate(config: BackendConfig, bundle: PromptBundle) -> GenerationResult:
-    body = build_request_body(config, bundle)
-    url = config.base_url.rstrip("/") + "/v1/chat/completions"
-    timeout = config.timeout_ms / 1000.0
+    """One completion, retried up to max_retries times on transport errors,
+    5xx, 408, 429 and malformed payloads; any other 4xx fails at once."""
+    body = json.dumps(build_request_body(config, bundle)).encode()
     attempts = config.max_retries + 1
-    last_error = "unknown transport error"
-    for attempt in range(attempts):
+    for attempt in range(1, attempts + 1):
         started = time.perf_counter()
         try:
-            response = requests.post(url, json=body, headers=_headers(), timeout=timeout)
-        except requests.RequestException as exc:
+            status, data = _exchange(config, "POST", "/v1/chat/completions", body)
+        except (OSError, http.client.HTTPException) as exc:
             last_error = f"transport error: {exc}"
             continue
         latency_ms = (time.perf_counter() - started) * 1000.0
-        if response.status_code < 200 or response.status_code >= 300:
-            last_error = f"HTTP {response.status_code}: {response.text[:200]}"
+        if not 200 <= status < 300:
+            last_error = f"HTTP {status}: {data.decode('utf-8', 'replace')[:200]}"
+            if 400 <= status < 500 and status not in _RETRIED_CLIENT_ERRORS:
+                break
             continue
         try:
-            data = response.json()
-            content = data["choices"][0]["message"]["content"]
+            payload = json.loads(data)
+            content = payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             last_error = f"malformed completion payload: {exc}"
             continue
-        usage = data.get("usage") or {}
+        usage = payload.get("usage")  # optional: a count that is not an int is dropped
+        counts = ({name: count for name, count in usage.items() if type(count) is int}
+                  if isinstance(usage, dict) else {})
         return GenerationResult(
             instance_id=bundle.instance_id,
             stage=bundle.stage,
             raw_text=content if isinstance(content, str) else "",
             latency_ms=latency_ms,
             backend_label=config.label,
-            prompt_tokens=usage.get("prompt_tokens"),
-            completion_tokens=usage.get("completion_tokens"),
+            prompt_tokens=counts.get("prompt_tokens"),
+            completion_tokens=counts.get("completion_tokens"),
         )
-    raise GenerationFailed(f"{attempts} attempt(s) exhausted; last error: {last_error}")
+    raise GenerationFailed(f"{attempt} of {attempts} attempt(s) made; last error: {last_error}")
 
 
 # ---------------------------------------------------------------------------
@@ -391,32 +425,113 @@ def generate(config: BackendConfig, bundle: PromptBundle,
     )
 
 
-def generate_all(config: BackendConfig, bundles: Sequence[PromptBundle],
-                 instances_by_id: Mapping[str, TaskInstance] | None = None
-                 ) -> list[GenerationResult]:
-    """Batch generation, bounded to max_in_flight concurrent requests for
-    the endpoint kind. Results come back in ascending (instance id, stage)
-    order regardless of completion order; per-bundle transport failures
-    become failed results rather than exceptions."""
+# Scripted kinds generate this many bundles, then land them. Alternating
+# generation and scoring bundle by bundle made the 9000-record corruptor run
+# about 7% slower than runs of 64 or more (each stage's code and data leave
+# the CPU caches in between).
+_INLINE_RUN = 256
 
-    def one(bundle: PromptBundle) -> GenerationResult:
-        instance = instances_by_id.get(bundle.instance_id) if instances_by_id else None
-        try:
-            return generate(config, bundle, instance)
-        except GenerationFailed as exc:
-            return GenerationResult(
-                instance_id=bundle.instance_id,
-                stage=bundle.stage,
-                raw_text="",
-                latency_ms=0.0,
-                backend_label=config.label,
-                failed=True,
-                failure_reason=str(exc),
-            )
+OnResult = Callable[[PromptBundle, GenerationResult, str], Iterable[PromptBundle]]
 
-    if config.kind == "endpoint" and len(bundles) > 1:
-        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            results = list(pool.map(one, bundles))
+
+def _attempt(config: BackendConfig, bundle: PromptBundle,
+             instances_by_id: Mapping[str, TaskInstance] | None
+             ) -> tuple[PromptBundle, GenerationResult, str]:
+    """(bundle, result, start time of its generation); a failed generation
+    becomes a failed result rather than an exception."""
+    instance = instances_by_id.get(bundle.instance_id) if instances_by_id else None
+    started_at = timestamp()
+    try:
+        result = generate(config, bundle, instance)
+    except GenerationFailed as exc:
+        result = GenerationResult(
+            instance_id=bundle.instance_id,
+            stage=bundle.stage,
+            raw_text="",
+            latency_ms=0.0,
+            backend_label=config.label,
+            failed=True,
+            failure_reason=str(exc),
+        )
+    return bundle, result, started_at
+
+
+def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
+                 instances_by_id: Mapping[str, TaskInstance] | None = None,
+                 on_result: OnResult | None = None) -> list[GenerationResult]:
+    """Generate every bundle through one work queue.
+
+    Without on_result, returns the results in ascending (instance id, stage)
+    order. With it, hands each (bundle, result, started_at) to on_result on
+    the calling thread as it lands, in completion order, and queues the
+    bundles on_result returns ahead of the rest; the list returned is
+    empty. Bundles are drawn from the iterable only as work is handed out.
+    The endpoint kind generates on max_in_flight worker threads, so at most
+    that many calls are in flight; scripted kinds generate inline, in runs
+    of up to _INLINE_RUN bundles.
+    """
+    source, follow_ups = iter(bundles), deque()
+    results: list[GenerationResult] = []
+
+    def next_bundle() -> PromptBundle | None:
+        return follow_ups.popleft() if follow_ups else next(source, None)
+
+    def land(bundle: PromptBundle, result: GenerationResult, started_at: str) -> None:
+        if on_result is None:
+            results.append(result)
+        else:
+            follow_ups.extend(on_result(bundle, result, started_at))
+
+    if config.kind == "endpoint":
+        _stream(config, instances_by_id, next_bundle, land)
     else:
-        results = [one(b) for b in bundles]
+        while batch := [_attempt(config, bundle, instances_by_id)
+                        for bundle in islice(iter(next_bundle, None), _INLINE_RUN)]:
+            for item in batch:
+                land(*item)
     return sorted(results, key=lambda r: (r.instance_id, r.stage))
+
+
+def _stream(config: BackendConfig, instances_by_id: Mapping[str, TaskInstance] | None,
+            next_bundle: Callable[[], PromptBundle | None],
+            land: Callable[[PromptBundle, GenerationResult, str], None]) -> None:
+    """Run next_bundle's work on max_in_flight worker threads and land each
+    result on the calling thread. Up to max_in_flight more bundles wait
+    handed out, so a worker never idles while the caller scores. On an
+    error the workers stop after the call they are in."""
+    work: queue.SimpleQueue = queue.SimpleQueue()
+    landed: queue.SimpleQueue = queue.SimpleQueue()
+    stop = threading.Event()
+
+    def worker() -> None:
+        while not stop.is_set() and (bundle := work.get()) is not None:
+            try:
+                landed.put(_attempt(config, bundle, instances_by_id))
+            except BaseException as exc:  # re-raised on the calling thread
+                landed.put(exc)
+                return
+
+    workers = [threading.Thread(target=worker, name=f"ctax-{config.label}-{i}", daemon=True)
+               for i in range(config.max_in_flight)]
+    for thread in workers:
+        thread.start()
+    handed_out = 0
+    try:
+        while True:
+            while handed_out < 2 * config.max_in_flight and (
+                    bundle := next_bundle()) is not None:
+                work.put(bundle)
+                handed_out += 1
+            if not handed_out:
+                return
+            item = landed.get()
+            handed_out -= 1
+            if isinstance(item, BaseException):
+                raise item
+            land(*item)
+    finally:
+        stop.set()
+        for _ in workers:
+            work.put(None)
+        for thread in workers:
+            thread.join()

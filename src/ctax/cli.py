@@ -44,13 +44,17 @@ def _add_bootstrap_args(parser: argparse.ArgumentParser) -> None:
                         help="denominator floor for the normalized tax")
 
 
+def _read(what: str, path: str, loader):
+    try:
+        return loader(path)
+    except OSError as exc:  # missing or unreadable
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
 def _scored(args: argparse.Namespace):
     records = []
     for path in args.records:
-        try:
-            loaded = load_records(path)
-        except OSError as exc:  # missing or unreadable
-            raise ConfigError(f"cannot read records {path}: {exc}") from None
+        loaded = _read("records", path, load_records)
         if not loaded:
             raise ConfigError(f"no records in {path}")
         records.extend(loaded)
@@ -82,7 +86,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive_delayed(args: argparse.Namespace) -> int:
-    records = load_records(args.records)
+    records = _read("records", args.records, load_records)
     if args.source_mode:
         records = [r for r in records if r.mode == args.source_mode]
         if not records:
@@ -94,7 +98,7 @@ def _cmd_derive_delayed(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"records contain several modes ({', '.join(modes)}); "
                 "pick one with --source-mode")
-    instances = {i.id: i for i in read_suite(args.tasks)}
+    instances = {i.id: i for i in _read("tasks", args.tasks, read_suite)}
     derived = derive_delayed(records, instances)
     write_records(args.out, derived)
     print(f"[INFO] derived {len(derived)} delayed-constraint records "

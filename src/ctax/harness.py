@@ -8,7 +8,7 @@ produced, so an interrupted run resumes by skipping keys already on disk.
 
 from __future__ import annotations
 
-import datetime as dt
+import json
 import math
 import time
 from collections import abc
@@ -16,7 +16,8 @@ from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import UnionType
-from typing import Any, Iterable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import (Any, Iterable, Iterator, Mapping, Sequence, Union, get_args, get_origin,
+                    get_type_hints)
 
 from . import __version__
 from .backend import (
@@ -53,7 +54,7 @@ from .modes import (
     scoring_constraint,
     transported_constraint,
 )
-from .records import RunRecord, append_record, drop_torn_tail, read_records
+from .records import RunRecord, append_record, drop_torn_tail, read_records, timestamp
 from .taskgen import FAMILIES, TaskInstance, generate_suite, write_suite
 from .validation import PARSE_NO_JSON, canonical_digest, canonical_serialize, extract_json
 
@@ -193,10 +194,6 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
 # Record construction
 # ---------------------------------------------------------------------------
 
-def _now() -> str:
-    return dt.datetime.now(dt.timezone.utc).isoformat(timespec="milliseconds")
-
-
 @dataclass(frozen=True)
 class _RecordContext:
     """What a record takes from its run."""
@@ -248,7 +245,7 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
         return RunRecord(**common, raw_text="", parse_status=PARSE_NO_JSON,
                          error_class=GENERATION_FAILED, failure_reason=result.failure_reason,
                          latency_annotation="+ pkg." if derived_from else None,
-                         finished_at=_now())
+                         finished_at=timestamp())
 
     text, scored_as = result.raw_text, mode
     packaged_text = packaging_ms = latency_annotation = None
@@ -291,7 +288,7 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
         prompt_tokens=result.prompt_tokens,
         completion_tokens=result.completion_tokens,
         structural_overhead=structural_overhead(result.raw_text, checks.answer_payload),
-        finished_at=_now(),
+        finished_at=timestamp(),
     )
 
 
@@ -307,11 +304,16 @@ def _suites(config: RunConfig) -> dict[str, list[TaskInstance]]:
 def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
     """Execute a run config; returns the records path.
 
-    Reruns with --resume skip every (backend, model, mode, stage, instance)
-    already on disk, so a killed run completes without duplicates. A final
-    line left unterminated by a killed write is cut and its record made
-    again, and a delayed stage 1 on disk whose model-variant stage 2 is
-    missing gets its stage 2.
+    Each backend's work goes through one generate_all call: every record is
+    scored and appended as its completion lands, so records.jsonl is in
+    completion order (canonical_diff sorts it) and a killed run loses only
+    the generations in flight and completions not yet scored. Reruns with
+    --resume skip every (backend, model, mode, stage, instance) already on
+    disk, so a killed run completes without duplicates. A final line left
+    unterminated by a killed write is cut and its record made again, and a
+    delayed stage 1 on disk whose model-variant stage 2 is missing gets its
+    stage 2. A resume must run the config the directory was started with;
+    it may only add modes.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -320,15 +322,17 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
         raise ConfigError(
             f"{records_path} already has records; pass resume=True (--resume) "
             "or use a fresh output directory")
+    digest = config.digest()
     done: dict[tuple[str, str, str, str, str], RunRecord] = {}
-    if resume and records_path.exists():
-        drop_torn_tail(records_path)
-        done = {record.key(): record for record in read_records(records_path)}
+    if resume:
+        _check_resumable(config, digest, out / "manifest.json")
+        if records_path.exists():
+            drop_torn_tail(records_path)
+            done = {record.key(): record for record in read_records(records_path)}
 
     suites = _suites(config)
     instances_by_id = {i.id: i for suite in suites.values() for i in suite}
     write_suite((i for suite in suites.values() for i in suite), out / "tasks.jsonl")
-    digest = config.digest()
     _write_manifest(config, digest, out)
 
     for backend in config.backends:
@@ -340,41 +344,56 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
             ctx = _RecordContext(backend.label, backend.model_id, config.run_id, digest,
                                  config.strict_extraction, config.strict_trace,
                                  config.delayed_variant)
-            for mode in config.modes:
-                _run_mode(ctx, backend, mode, config.suite.families, suites,
-                          instances_by_id, done, fh)
+
+            def land(bundle: PromptBundle, result: GenerationResult,
+                     started_at: str) -> list[PromptBundle]:
+                instance = instances_by_id[bundle.instance_id]
+                record = _record(ctx, instance, bundle.mode, bundle.stage, result, started_at)
+                append_record(fh, record)
+                return _stage2_bundles(ctx, record, instance, done)
+
+            generate_all(backend, _missing_bundles(ctx, config.modes, suites, done),
+                         instances_by_id, land)
     print(f"[INFO] run complete: {records_path}")
     return records_path
 
 
-def _run_mode(ctx: _RecordContext, backend: BackendConfig, mode: str,
-              families: Sequence[str], suites: Mapping[str, list[TaskInstance]],
-              instances_by_id: Mapping[str, TaskInstance],
-              done: Mapping[tuple, RunRecord], fh) -> None:
-    """Generate, record and append every missing record of one mode: the
-    first stage, then the model-variant stage-2 bundles its records (and
-    stage-1 records already on disk) call for."""
-    bundles: list[PromptBundle] = []
-    for family in families:
-        for instance in suites[family]:
-            bundle = build_prompt(instance, mode)
-            stored = done.get(ctx.key(mode, bundle.stage, instance.id))
-            if stored is None:
-                bundles.append(bundle)
-            else:
-                bundles.extend(_stage2_bundles(ctx, stored, instance, done))
-    while bundles:
-        started_at = _now()
-        results = generate_all(backend, bundles, instances_by_id)
-        results_map = {(r.instance_id, r.stage): r for r in results}
-        stage2: list[PromptBundle] = []
-        for bundle in sorted(bundles, key=lambda b: (b.instance_id, b.stage)):
-            instance = instances_by_id[bundle.instance_id]
-            record = _record(ctx, instance, bundle.mode, bundle.stage,
-                             results_map[(bundle.instance_id, bundle.stage)], started_at)
-            append_record(fh, record)
-            stage2.extend(_stage2_bundles(ctx, record, instance, done))
-        bundles = stage2
+def _check_resumable(config: RunConfig, digest: str, manifest_path: Path) -> None:
+    """Refuse to resume a directory started under another config, unless
+    the only change adds modes (every record on disk is then one the new
+    config would make)."""
+    if not manifest_path.exists():
+        return
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        stored_digest, stored = manifest["config_digest"], manifest["config"]
+        stored_modes = set(stored["modes"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read {manifest_path}: {exc!r}") from None
+    current = config.to_dict()
+    if stored_modes <= set(config.modes) and {**stored, "modes": current["modes"]} == current:
+        return
+    raise ConfigError(
+        f"cannot resume: {manifest_path} has config digest {stored_digest}, this config "
+        f"has {digest}; resume with the original config or use a fresh output directory")
+
+
+def _missing_bundles(ctx: _RecordContext, modes: Sequence[str],
+                     suites: Mapping[str, list[TaskInstance]],
+                     done: Mapping[tuple, RunRecord]) -> Iterator[PromptBundle]:
+    """Every bundle not yet on disk, mode by mode in instance-id order, with
+    the model-variant stage-2 bundles that stage-1 records on disk lack."""
+    for mode in modes:
+        bundles: list[PromptBundle] = []
+        for suite in suites.values():
+            for instance in suite:
+                bundle = build_prompt(instance, mode)
+                stored = done.get(ctx.key(mode, bundle.stage, instance.id))
+                if stored is None:
+                    bundles.append(bundle)
+                else:
+                    bundles.extend(_stage2_bundles(ctx, stored, instance, done))
+        yield from sorted(bundles, key=lambda b: (b.instance_id, b.stage))
 
 
 def _stage2_bundles(ctx: _RecordContext, record: RunRecord, instance: TaskInstance,
@@ -407,7 +426,7 @@ def _write_manifest(config: RunConfig, digest: str, out: Path) -> None:
         "package_version": __version__,
         "template_version": TEMPLATE_VERSION,
         "bootstrap_version": BOOTSTRAP_VERSION,
-        "created_at": _now(),
+        "created_at": timestamp(),
     }
     (out / "manifest.json").write_text(
         canonical_serialize(manifest) + "\n", encoding="utf-8")
@@ -458,7 +477,7 @@ def derive_delayed(source_records: Sequence[RunRecord],
             failure_reason=source.failure_reason,
         )
         derived.append(_record(ctx, instance, DELAYED_MODE, "stage1", result,
-                               source.started_at or _now(), derived_from=source.mode))
+                               source.started_at or timestamp(), derived_from=source.mode))
     return derived
 
 

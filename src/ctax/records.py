@@ -13,6 +13,7 @@ of the same config can be diffed for semantic identity.
 
 from __future__ import annotations
 
+import datetime as dt
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -72,6 +73,11 @@ class RunRecord:
 
 
 _FIELD_NAMES = {f.name for f in fields(RunRecord)}
+
+
+def timestamp() -> str:
+    """The current UTC time as records store it (started_at, finished_at)."""
+    return dt.datetime.now(dt.timezone.utc).isoformat(timespec="milliseconds")
 
 
 def record_from_dict(doc: dict[str, Any]) -> RunRecord:

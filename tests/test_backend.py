@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -266,15 +267,36 @@ def test_backend_config_validation():
                               "freeform"))  # scripted kinds need the instance
 
 
+@pytest.mark.parametrize("kw, named", [
+    ({"base_url": "localhost:8000"}, "base_url"),
+    ({"base_url": "ftp://models.example"}, "base_url"),
+    ({"base_url": "http://127.0.0.1:9", "max_retries": -1}, "max_retries"),
+])
+def test_backend_config_rejects_unusable_endpoint_settings(kw, named):
+    with pytest.raises(ConfigError, match=named):
+        BackendConfig(kind="endpoint", label="x", **kw)
+
+
 # ---------------------------------------------------------------------------
 # stub endpoint server
 # ---------------------------------------------------------------------------
 
+_USAGE = {"prompt_tokens": 7, "completion_tokens": 3}
+
+
 class _StubState:
     def __init__(self, fail_first=0, models_status=200, malformed_payload=False,
-                 delay=0.0, content=None):
+                 delay=0.0, content=None, fail_status=500, hang_after=None,
+                 usage=_USAGE):
         self.lock = threading.Lock()
+        self.usage = usage
         self.fail_first = fail_first
+        self.fail_status = fail_status
+        # posts after the first hang_after hang until release is set, then
+        # get no answer
+        self.hang_after = hang_after
+        self.release = threading.Event()
+        self.hung = 0
         self.models_status = models_status
         self.malformed_payload = malformed_payload
         self.delay = delay
@@ -316,10 +338,15 @@ class _StubHandler(BaseHTTPRequestHandler):
             state.peak = max(state.peak, state.active)
         if state.delay:
             time.sleep(state.delay)
+        hang = state.hang_after is not None and count > state.hang_after
         with state.lock:
             state.active -= 1
+            state.hung += hang
+        if hang:
+            state.release.wait(timeout=60)
+            return
         if count <= state.fail_first:
-            self._respond(500, {"error": "transient"})
+            self._respond(state.fail_status, {"error": "transient"})
             return
         if state.malformed_payload:
             self._respond(200, {"unexpected": True})
@@ -329,7 +356,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             content = f"echo {body['messages'][0]['content'][:20]}"
         self._respond(200, {
             "choices": [{"message": {"role": "assistant", "content": content}}],
-            "usage": {"prompt_tokens": 7, "completion_tokens": 3},
+            "usage": state.usage,
         })
 
 
@@ -338,11 +365,13 @@ def stub_server(**kw):
     state = _StubState(**kw)
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.state = state
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     try:
         yield state, f"http://127.0.0.1:{server.server_port}"
     finally:
+        state.release.set()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
@@ -414,6 +443,17 @@ def test_endpoint_malformed_payload_raises():
             generate(_endpoint_config(base_url=url, max_retries=0), bundle)
 
 
+@pytest.mark.parametrize("usage", ["n/a", ["7"], {"prompt_tokens": "7", "completion_tokens": 3.0},
+                                   None])
+def test_endpoint_drops_token_counts_that_are_not_integers(usage):
+    inst = generate_suite("boolean_logic", 1, seed=4)[0]
+    with stub_server(content="ok", usage=usage) as (_state, url):
+        result = generate(_endpoint_config(base_url=url, max_retries=0),
+                          build_prompt(inst, "freeform"))
+    assert result.raw_text == "ok"
+    assert (result.prompt_tokens, result.completion_tokens) == (None, None)
+
+
 def test_endpoint_connection_refused_raises():
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")
@@ -451,6 +491,96 @@ def test_generate_all_scripted_is_ordered_and_complete():
     results = generate_all(config, bundles, {i.id: i for i in suite})
     assert [r.instance_id for r in results] == sorted(i.id for i in suite)
     assert all(r.latency_ms == 0.0 for r in results)  # pinned for determinism
+
+
+def test_endpoint_timeout_is_a_transport_error():
+    inst = generate_suite("boolean_logic", 1, seed=4)[0]
+    bundle = build_prompt(inst, "freeform")
+    with stub_server(delay=0.5, content="ok") as (state, url):
+        with pytest.raises(GenerationFailed, match="transport error"):
+            generate(_endpoint_config(base_url=url, timeout_ms=100, max_retries=0), bundle)
+    assert state.post_count == 1
+
+
+@pytest.mark.parametrize("status, posts", [
+    (400, 1), (404, 1), (422, 1), (408, 3), (429, 3), (500, 3), (503, 3),
+])
+def test_endpoint_retries_only_retryable_statuses(status, posts):
+    inst = generate_suite("boolean_logic", 1, seed=4)[0]
+    bundle = build_prompt(inst, "freeform")
+    with stub_server(fail_first=10**6, fail_status=status) as (state, url):
+        with pytest.raises(GenerationFailed, match=f"HTTP {status}"):
+            generate(_endpoint_config(base_url=url, max_retries=2), bundle)
+    assert state.post_count == posts
+
+
+@pytest.mark.parametrize("kind", ["oracle", "endpoint"])
+def test_generate_all_lands_each_result_on_the_calling_thread(kind):
+    suite = generate_suite("boolean_logic", 4, seed=4)
+    instances = {i.id: i for i in suite}
+    landed = []
+
+    def on_result(bundle, result, started_at):
+        landed.append((bundle.mode, result.instance_id, threading.current_thread(),
+                       started_at))
+        if bundle.mode == "freeform":  # a follow-up, as a model-variant stage 2 is
+            return [build_prompt(instances[bundle.instance_id], "prompt_json")]
+        return []
+
+    with stub_server(content="ok") as (_state, url):
+        config = (_endpoint_config(base_url=url, max_in_flight=2) if kind == "endpoint"
+                  else BackendConfig(kind="oracle"))
+        bundles = (build_prompt(i, "freeform") for i in suite)
+        assert generate_all(config, bundles, instances, on_result) == []
+    assert sorted((mode, iid) for mode, iid, _, _ in landed) == sorted(
+        (mode, i.id) for mode in ("freeform", "prompt_json") for i in suite)
+    assert all(thread is threading.current_thread() for _, _, thread, _ in landed)
+    assert all(started_at.endswith("+00:00") for _, _, _, started_at in landed)
+
+
+def test_generate_all_lands_every_bundle_once_under_thread_churn():
+    suite = generate_suite("symbolic_string", 40, seed=4)
+    instances = {i.id: i for i in suite}
+    landed = []
+
+    def on_result(bundle, result, started_at):
+        landed.append((bundle.mode, result.instance_id))
+        return [build_prompt(instances[bundle.instance_id], "prompt_json")] * (
+            bundle.mode == "freeform")
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force thread switches inside the queue hand-offs
+    try:
+        with stub_server(content="ok") as (state, url):
+            generate_all(_endpoint_config(base_url=url, max_in_flight=4),
+                         [build_prompt(i, "freeform") for i in suite], instances, on_result)
+    finally:
+        sys.setswitchinterval(switch)
+    assert sorted(landed) == sorted((mode, i.id) for mode in ("freeform", "prompt_json")
+                                    for i in suite)
+    assert state.post_count == 80 and state.peak <= 4
+
+
+@pytest.mark.parametrize("failing", ["landing", "generating"])
+def test_generate_all_stops_its_workers_on_an_error(failing):
+    suite = generate_suite("boolean_logic", 20, seed=4)
+    bundles = [build_prompt(i, "answer_only_schema") for i in suite]
+
+    def on_result(bundle, result, started_at):
+        raise RuntimeError("scoring crashed")
+
+    with stub_server(delay=0.01, content="ok") as (state, url):
+        if failing == "landing":
+            config = _endpoint_config(base_url=url, max_in_flight=2)
+            with pytest.raises(RuntimeError, match="scoring crashed"):
+                generate_all(config, bundles, None, on_result)
+        else:  # no transport for the schema: raised by generate on a worker
+            config = _endpoint_config(base_url=url, max_in_flight=2,
+                                      constraint_transport={"regex": "guided_regex"})
+            with pytest.raises(ConfigError, match="no constraint transport"):
+                generate_all(config, bundles)
+    assert state.post_count <= 4  # at most 2 x max_in_flight were handed out
+    assert not [t for t in threading.enumerate() if t.name.startswith("ctax-")]
 
 
 def test_check_health_ok_and_failure():

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ctax
 from ctax.cli import build_parser, main
 from ctax.harness import SuiteConfig
 from ctax.metrics import DEFAULT_BASELINE_MODE, DEFAULT_EPSILON, BootstrapConfig
@@ -206,3 +211,41 @@ def test_empty_or_missing_records_file_exits_2(tmp_path, capsys, command):
                      "--out", str(out)]) == 2
         assert str(path) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["records", "tasks"])
+def test_derive_delayed_with_missing_input_exits_2(tmp_path, capsys, missing):
+    records = _scored_run(tmp_path)
+    paths = {"records": records, "tasks": records.parent / "tasks.jsonl"}
+    paths[missing] = tmp_path / f"no-{missing}.jsonl"
+    capsys.readouterr()
+    assert main(["derive-delayed", "--records", str(paths["records"]),
+                 "--tasks", str(paths["tasks"]), "--source-mode", "prompt_json",
+                 "--out", str(tmp_path / "derived.jsonl")]) == 2
+    assert f"cannot read {missing} {paths[missing]}" in capsys.readouterr().err
+    assert not (tmp_path / "derived.jsonl").exists()
+
+
+def test_resume_with_changed_config_exits_2(tmp_path, capsys):
+    records = _scored_run(tmp_path)
+    manifest = records.parent / "manifest.json"
+    before = records.read_bytes(), manifest.read_bytes()
+    changed = _run_config_doc()
+    changed["suite"]["seed"] = 4
+    config_path = tmp_path / "changed.json"
+    config_path.write_text(json.dumps(changed))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--out", str(records.parent),
+                 "--resume"]) == 2
+    assert "config digest" in capsys.readouterr().err
+    assert (records.read_bytes(), manifest.read_bytes()) == before
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # a fresh interpreter: this one may have imported requests for other reasons
+    code = "import sys, ctax.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(ctax.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

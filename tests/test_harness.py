@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import datetime as dt
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import ctax
 from ctax.backend import BackendConfig, FaultProfile, SamplingConfig
 from ctax.cli import main
 from ctax.errors import ConfigError
@@ -30,6 +36,7 @@ from ctax.records import canonical_diff, canonical_record_lines
 from ctax.report import render_report
 from ctax.taskgen import CALENDAR_SEMANTIC_FIELDS, FAMILIES, generate_suite
 from ctax.validation import canonical_serialize
+from test_backend import stub_server
 
 
 def _config(modes, families=("arithmetic_two_step", "boolean_logic"), count=3,
@@ -163,6 +170,87 @@ def test_old_format_records_load_and_score_the_same(tmp_path):
     assert load_records(old) == records
     cfg = BootstrapConfig(resamples=50, seed=0)
     assert score(load_records(old), bootstrap=cfg) == score(records, bootstrap=cfg)
+
+
+@pytest.mark.parametrize("change", ["suite seed", "strict extraction and a new mode",
+                                    "a dropped mode"])
+def test_resume_refuses_a_changed_config(tmp_path, change):
+    config = _config(("prompt_json", "freeform"))
+    path = run(config, tmp_path / "out")
+    manifest = tmp_path / "out" / "manifest.json"
+    before = path.read_bytes(), manifest.read_bytes()
+    changed = {
+        "suite seed": replace(config, suite=replace(config.suite, seed=18)),
+        "strict extraction and a new mode": replace(
+            config, strict_extraction=True,
+            modes=("prompt_json", "freeform", "final_only_regex")),
+        "a dropped mode": replace(config, modes=("prompt_json",)),
+    }[change]
+    with pytest.raises(ConfigError, match="config digest"):
+        run(changed, tmp_path / "out", resume=True)
+    assert (path.read_bytes(), manifest.read_bytes()) == before
+
+
+def _endpoint_run_config(url, modes=("freeform",), count=5, **backend):
+    return RunConfig(
+        run_id="endpoint-run",
+        suite=SuiteConfig(families=("boolean_logic",), count=count, seed=17),
+        modes=tuple(modes),
+        backends=(BackendConfig(kind="endpoint", label="stub", model_id="m-1b",
+                                base_url=url, max_retries=0, **backend),),
+    )
+
+
+def test_endpoint_records_start_at_their_own_request(tmp_path):
+    with stub_server(delay=0.03, content="Final answer: true") as (_state, url):
+        config = _endpoint_run_config(url, max_in_flight=1)
+        records = load_records(run(config, tmp_path / "out"))
+    starts = sorted(dt.datetime.fromisoformat(r.started_at) for r in records)
+    assert len(starts) == 5
+    # one request at a time, each at least 30 ms long
+    assert all((b - a).total_seconds() >= 0.025 for a, b in zip(starts, starts[1:]))
+    for record in records:
+        took = dt.datetime.fromisoformat(record.finished_at) - dt.datetime.fromisoformat(
+            record.started_at)
+        assert took.total_seconds() >= 0.025
+
+
+def _complete_lines(path: Path) -> int:
+    return path.read_bytes().count(b"\n") if path.exists() else 0
+
+
+def test_killed_endpoint_run_keeps_landed_records_and_resumes(tmp_path):
+    k, in_flight = 14, 2
+    out = tmp_path / "out"
+    with stub_server(hang_after=k, content="Final answer: true") as (state, url):
+        config = _endpoint_run_config(url, modes=("freeform", "prompt_json"), count=20,
+                                      max_in_flight=in_flight)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        env = {**os.environ, "PYTHONPATH": str(Path(ctax.__file__).resolve().parents[1])}
+        with subprocess.Popen([sys.executable, "-m", "ctax.cli", "run", "--config",
+                               str(config_path), "--out", str(out)], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
+            try:
+                deadline = time.monotonic() + 30
+                while state.hung < in_flight and time.monotonic() < deadline:
+                    time.sleep(0.01)  # k answered, every worker now waits on the stub
+                assert state.hung == in_flight and state.post_count == k + in_flight
+                deadline = time.monotonic() + 5
+                while (_complete_lines(out / "records.jsonl") < k - in_flight
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+            finally:
+                proc.kill()
+                proc.wait(timeout=30)
+        assert _complete_lines(out / "records.jsonl") >= k - in_flight
+
+        state.hang_after = None  # the server recovers; the same config resumes
+        run(config, out, resume=True)
+    records = load_records(out / "records.jsonl")
+    assert len(records) == 2 * 20
+    assert len({r.key() for r in records}) == len(records)
+    assert not [r for r in records if r.error_class == "generation_failed"]
 
 
 # ---------------------------------------------------------------------------
