@@ -457,30 +457,25 @@ def _attempt(config: BackendConfig, bundle: PromptBundle,
 
 
 def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
-                 instances_by_id: Mapping[str, TaskInstance] | None = None,
-                 on_result: OnResult | None = None) -> list[GenerationResult]:
+                 instances_by_id: Mapping[str, TaskInstance] | None,
+                 on_result: OnResult) -> None:
     """Generate every bundle through one work queue.
 
-    Without on_result, returns the results in ascending (instance id, stage)
-    order. With it, hands each (bundle, result, started_at) to on_result on
-    the calling thread as it lands, in completion order, and queues the
-    bundles on_result returns ahead of the rest; the list returned is
-    empty. Bundles are drawn from the iterable only as work is handed out.
-    The endpoint kind generates on max_in_flight worker threads, so at most
-    that many calls are in flight; scripted kinds generate inline, in runs
-    of up to _INLINE_RUN bundles.
+    Hands each (bundle, result, started_at) to on_result on the calling
+    thread as it lands, in completion order, and queues the bundles
+    on_result returns ahead of the rest. Bundles are drawn from the iterable
+    only as work is handed out. The endpoint kind generates on max_in_flight
+    worker threads, so at most that many calls are in flight; scripted kinds
+    generate inline, in runs of up to _INLINE_RUN bundles, and land in the
+    order they are drawn.
     """
     source, follow_ups = iter(bundles), deque()
-    results: list[GenerationResult] = []
 
     def next_bundle() -> PromptBundle | None:
         return follow_ups.popleft() if follow_ups else next(source, None)
 
     def land(bundle: PromptBundle, result: GenerationResult, started_at: str) -> None:
-        if on_result is None:
-            results.append(result)
-        else:
-            follow_ups.extend(on_result(bundle, result, started_at))
+        follow_ups.extend(on_result(bundle, result, started_at))
 
     if config.kind == "endpoint":
         _stream(config, instances_by_id, next_bundle, land)
@@ -489,7 +484,6 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
                         for bundle in islice(iter(next_bundle, None), _INLINE_RUN)]:
             for item in batch:
                 land(*item)
-    return sorted(results, key=lambda r: (r.instance_id, r.stage))
 
 
 def _stream(config: BackendConfig, instances_by_id: Mapping[str, TaskInstance] | None,

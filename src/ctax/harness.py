@@ -8,6 +8,7 @@ produced, so an interrupted run resumes by skipping keys already on disk.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import UnionType
-from typing import (Any, Iterable, Iterator, Mapping, Sequence, Union, get_args, get_origin,
+from typing import (Any, Iterator, Mapping, Sequence, Union, get_args, get_origin,
                     get_type_hints)
 
 from . import __version__
@@ -26,7 +27,7 @@ from .backend import (
     check_health,
     generate_all,
 )
-from .checkers import GENERATION_FAILED, score_completion
+from .checkers import CALENDAR_FAILURE_CLASSES, GENERATION_FAILED, score_completion
 from .errors import ConfigError, PairingError
 from .metrics import (
     ACC_METRICS,
@@ -39,6 +40,7 @@ from .metrics import (
     aggregate,
     is_scored,
     paired_comparison,
+    pts,
     structural_overhead,
 )
 from .modes import (
@@ -55,7 +57,8 @@ from .modes import (
     transported_constraint,
 )
 from .records import RunRecord, append_record, drop_torn_tail, read_records, timestamp
-from .taskgen import FAMILIES, TaskInstance, generate_suite, write_suite
+from .taskgen import (CALENDAR_SEMANTIC_FIELDS, FAMILIES, TaskInstance, generate_suite,
+                      write_suite)
 from .validation import PARSE_NO_JSON, canonical_digest, canonical_serialize, extract_json
 
 DELAYED_MODE = "delayed_constraint"
@@ -502,124 +505,81 @@ class ScoreResult:
     calendar: list[CalendarRow]
 
 
-def _final_records(records: Iterable[RunRecord]) -> list[RunRecord]:
-    """Drop provenance stage-1 rows of the delayed mode when a stage-2 row
-    exists for the same cell."""
-    records = list(records)
-    stage2 = {(r.backend_label, r.model_id, r.mode, r.instance_id, r.derived_from)
-              for r in records if r.stage == "stage2"}
-    out = []
-    for record in records:
-        if (record.mode == DELAYED_MODE and record.stage == "stage1"
-                and (record.backend_label, record.model_id, record.mode,
-                     record.instance_id, record.derived_from) in stage2):
-            continue
-        out.append(record)
-    return out
-
-
 def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None,
           baseline_mode: str = DEFAULT_BASELINE_MODE,
           epsilon: float = DEFAULT_EPSILON) -> ScoreResult:
     """Aggregate records and compute paired comparisons against the
     baseline mode.
 
-    Modes with no records are skipped with a warning; a missing baseline
-    degrades to aggregates-only; mixed config digests get a warning (the
-    records may not be comparable)."""
-    records = _final_records(records)
-    if not records:
+    One pass groups the records, in file order, into (backend, model) ->
+    task -> mode cells; the task is a family, or "all" for a mode whose
+    records span several families. A delayed stage 1 whose stage 2 exists is
+    left out. One walk over the cells in output order then emits the
+    aggregates, the calendar rows and the comparisons. A cell with no scored
+    record is left out with a warning; a task without the baseline mode
+    gets aggregates only; mixed config digests get a warning (the records
+    may not be comparable)."""
+    def stage_key(r: RunRecord) -> tuple:
+        return (r.backend_label, r.model_id, r.mode, r.instance_id, r.derived_from)
+
+    stage2 = {stage_key(r) for r in records if r.stage == "stage2"}
+    groups: dict[tuple[str, str], dict[str, dict[str, list[RunRecord]]]] = {}
+    digests = set()
+    for r in records:
+        if r.mode == DELAYED_MODE and r.stage == "stage1" and stage_key(r) in stage2:
+            continue  # provenance row; its stage 2 carries the verdict
+        digests.add(r.config_digest)
+        tasks = groups.setdefault((r.backend_label, r.model_id), {})
+        for task in (r.family, "all"):
+            tasks.setdefault(task, {}).setdefault(r.mode, []).append(r)
+    if not groups:
         raise ValueError("no records to score")
-    digests = {r.config_digest for r in records if r.config_digest}
+    digests -= {None, ""}
     if len(digests) > 1:
         print(f"[WARN] records mix {len(digests)} config digests; "
               "cross-run comparability is not guaranteed")
 
     bootstrap = bootstrap or BootstrapConfig()
-    cells: dict[tuple[str, str, str], list[RunRecord]] = {}
-    for record in records:
-        cells.setdefault((record.backend_label, record.model_id, record.mode),
-                         []).append(record)
-
-    mode_order = {name: i for i, name in enumerate(MODE_NAMES)}
-    aggregates: list[ModeAggregate] = []
-    by_group: dict[tuple[str, str], dict[str, dict[str, list[RunRecord]]]] = {}
-    for (backend_label, model_id, mode), cell_records in sorted(
-            cells.items(), key=lambda kv: (kv[0][0], kv[0][1], mode_order.get(kv[0][2], 99))):
-        scored = [r for r in cell_records if is_scored(r)]
-        if not scored:
-            print(f"[WARN] mode {mode!r} for {backend_label}/{model_id} has no scored "
-                  "records; row omitted")
-            continue
-        families = sorted({r.family for r in cell_records})
-        tasks: dict[str, list[RunRecord]] = {}
-        for family in families:
-            tasks[family] = [r for r in cell_records if r.family == family]
-        if len(families) > 1:
-            tasks["all"] = cell_records
-        for task, task_records in tasks.items():
-            aggregates.append(aggregate(task_records, task=task))
-            by_group.setdefault((backend_label, model_id), {}).setdefault(
-                task, {})[mode] = task_records
-
+    mode_rank = {name: i for i, name in enumerate(MODE_NAMES)}
     task_rank = {family: i for i, family in enumerate(FAMILIES)}
-    aggregates.sort(key=lambda a: (a.backend_label, a.model_id,
-                                   task_rank.get(a.task, 99), a.task,
-                                   mode_order.get(a.mode, 99)))
-
-    comparisons: list[PairedComparison] = []
-    for (backend_label, model_id), task_map in sorted(by_group.items()):
-        for task in sorted(task_map, key=lambda t: (task_rank.get(t, 99), t)):
-            mode_map = task_map[task]
-            if baseline_mode not in mode_map:
-                print(f"[WARN] baseline mode {baseline_mode!r} absent for "
-                      f"{backend_label}/{model_id}/{task}; comparisons skipped")
+    result = ScoreResult(aggregates=[], comparisons=[], calendar=[])
+    for (backend_label, model_id), tasks in sorted(groups.items()):
+        for task in sorted(tasks, key=lambda t: (task_rank.get(t, 99), t)):
+            where = f"{backend_label}/{model_id}/{task}"
+            kept: dict[str, list[RunRecord]] = {}
+            for mode in sorted(tasks[task], key=lambda m: mode_rank.get(m, 99)):
+                cell = tasks[task][mode]
+                if task == "all" and len({r.family for r in cell}) == 1:
+                    continue  # the rollup would repeat its one family's row
+                if not any(map(is_scored, cell)):
+                    print(f"[WARN] {where}/{mode} has no scored records; row omitted")
+                    continue
+                kept[mode] = cell
+                result.aggregates.append(aggregate(cell, task=task))
+                if task != "tool_call_argument":
+                    continue
+                classified = [r for r in cell if r.calendar_failure_class is not None]
+                if classified:
+                    result.calendar.append(CalendarRow(
+                        backend_label, model_id, mode, len(classified),
+                        tuple((name, sum(r.calendar_failure_class == name for r in classified))
+                              for name in CALENDAR_FAILURE_CLASSES),
+                        tuple((name, sum(name in r.calendar_wrong_fields for r in classified))
+                              for name in CALENDAR_SEMANTIC_FIELDS)))
+            if kept and baseline_mode not in kept:
+                print(f"[WARN] baseline mode {baseline_mode!r} absent for {where}; "
+                      "comparisons skipped")
                 continue
-            base_records = mode_map[baseline_mode]
-            for mode in sorted(mode_map, key=lambda m: mode_order.get(m, 99)):
+            for mode, cell in kept.items():
                 if mode == baseline_mode:
                     continue
                 try:
-                    mode_comparisons = [paired_comparison(
-                        base_records, mode_map[mode], acc_metric=metric,
-                        cfg=bootstrap, epsilon=epsilon) for metric in ACC_METRICS]
-                except PairingError as exc:  # pairing mismatch, duplicates, all-failed
-                    print(f"[WARN] comparisons skipped for {backend_label}/"
-                          f"{model_id}/{task}/{mode}: {exc}")
-                    continue
-                comparisons.extend(mode_comparisons)
-
-    return ScoreResult(aggregates=aggregates, comparisons=comparisons,
-                       calendar=_calendar_rows(records))
-
-
-def _calendar_rows(records: Sequence[RunRecord]) -> list[CalendarRow]:
-    from .checkers import CALENDAR_FAILURE_CLASSES
-    from .taskgen import CALENDAR_SEMANTIC_FIELDS
-
-    groups: dict[tuple[str, str, str], list[RunRecord]] = {}
-    for record in records:
-        if record.family != "tool_call_argument":
-            continue
-        if record.calendar_failure_class is None:
-            continue
-        groups.setdefault((record.backend_label, record.model_id, record.mode),
-                          []).append(record)
-    mode_order = {name: i for i, name in enumerate(MODE_NAMES)}
-    rows = []
-    for (backend_label, model_id, mode) in sorted(
-            groups, key=lambda k: (k[0], k[1], mode_order.get(k[2], 99))):
-        cell = groups[(backend_label, model_id, mode)]
-        class_counts = tuple(
-            (name, sum(1 for r in cell if r.calendar_failure_class == name))
-            for name in CALENDAR_FAILURE_CLASSES)
-        field_counts = tuple(
-            (name, sum(1 for r in cell if name in r.calendar_wrong_fields))
-            for name in CALENDAR_SEMANTIC_FIELDS)
-        rows.append(CalendarRow(backend_label=backend_label, model_id=model_id,
-                                mode=mode, n=len(cell), class_counts=class_counts,
-                                field_counts=field_counts))
-    return rows
+                    result.comparisons.extend([paired_comparison(
+                        kept[baseline_mode], cell, acc_metric=metric, cfg=bootstrap,
+                        epsilon=epsilon) for metric in ACC_METRICS])
+                except PairingError as exc:  # missing instances, duplicates, none scored
+                    print(f"[WARN] comparisons skipped for {where}/{mode}: {exc}")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +587,6 @@ def _calendar_rows(records: Sequence[RunRecord]) -> list[CalendarRow]:
 # ---------------------------------------------------------------------------
 
 def _fmt_rate(rate: Fraction | None) -> str:
-    from .metrics import pts
-
     return "" if rate is None else f"{pts(rate):.1f}"
 
 
@@ -637,8 +595,6 @@ def _fmt_opt(value: float | None, fmt: str = ".1f") -> str:
 
 
 def write_aggregates_csv(path: str | Path, aggregates: Sequence[ModeAggregate]) -> None:
-    import csv
-
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
@@ -660,10 +616,6 @@ def write_aggregates_csv(path: str | Path, aggregates: Sequence[ModeAggregate]) 
 
 def write_comparisons_csv(path: str | Path,
                           comparisons: Sequence[PairedComparison]) -> None:
-    import csv
-
-    from .metrics import pts
-
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
@@ -691,11 +643,6 @@ def write_comparisons_csv(path: str | Path,
 
 
 def write_calendar_csv(path: str | Path, rows: Sequence[CalendarRow]) -> None:
-    import csv
-
-    from .checkers import CALENDAR_FAILURE_CLASSES
-    from .taskgen import CALENDAR_SEMANTIC_FIELDS
-
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["backend", "model", "mode", "n",

@@ -260,37 +260,42 @@ def paired_comparison(baseline_records: Iterable, constrained_records: Iterable,
                       epsilon: float = DEFAULT_EPSILON) -> PairedComparison:
     """Compare two modes over the identical instance set.
 
-    Joins on instance id (a mismatch is a PairingError naming the missing
-    ids, as are a duplicated instance and an arm with no scored record),
-    computes exact point deltas, and attaches percentile-bootstrap CIs for
-    the accuracy, validity, and wrong-valid deltas.
+    Joins on instance id: both arms must hold the same instances (a
+    mismatch is a PairingError naming the missing ids, as are a duplicated
+    instance and no pair left). The pairs are the instances scored in both
+    arms; one that is only generation_failed in either arm is dropped from
+    both, and n counts the pairs. Computes exact point deltas and attaches
+    percentile-bootstrap CIs for the accuracy, validity, and wrong-valid
+    deltas. The task label comes from every baseline record.
     """
     if acc_metric not in ACC_METRICS:
         raise ValueError(f"unknown accuracy metric: {acc_metric!r}")
     cfg = cfg or BootstrapConfig()
+    baseline_records = list(baseline_records)
 
-    def by_id(records: Iterable, arm: str) -> dict:
-        out: dict = {}
+    def by_id(records: Iterable, arm: str) -> tuple[dict, set]:
+        """The arm's scored records by instance id, and all its instance ids."""
+        scored: dict = {}
+        failed: set = set()
         for r in records:
             if not is_scored(r):
-                continue
-            if r.instance_id in out:
+                failed.add(r.instance_id)
+            elif r.instance_id in scored:
                 raise PairingError(detail=(
                     f"duplicate {arm} record for instance {r.instance_id!r}; "
                     "a cell must hold one record per instance — deduplicate "
                     "the inputs before pairing"))
-            out[r.instance_id] = r
-        return out
+            else:
+                scored[r.instance_id] = r
+        return scored, failed.union(scored)
 
-    base = by_id(baseline_records, "baseline")
-    cons = by_id(constrained_records, "constrained")
-    if base.keys() != cons.keys():
-        missing_b = sorted(cons.keys() - base.keys())
-        missing_c = sorted(base.keys() - cons.keys())
-        raise PairingError(missing_b, missing_c)
-    if not base:
+    base, base_ids = by_id(baseline_records, "baseline")
+    cons, cons_ids = by_id(constrained_records, "constrained")
+    if base_ids != cons_ids:
+        raise PairingError(sorted(cons_ids - base_ids), sorted(base_ids - cons_ids))
+    ids = sorted(base.keys() & cons.keys())
+    if not ids:
         raise PairingError(detail="cannot compare empty record sets")
-    ids = sorted(base.keys())
     n = len(ids)
 
     def arrays(metric: str) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +313,7 @@ def paired_comparison(baseline_records: Iterable, constrained_records: Iterable,
     return PairedComparison(
         backend_label=sample.backend_label,
         model_id=sample.model_id,
-        task=_task_label(base.values()),
+        task=_task_label(baseline_records),
         baseline_mode=sample.mode,
         mode=cons[ids[0]].mode,
         acc_metric=acc_metric,

@@ -353,10 +353,17 @@ def write_suite(instances: Iterable[TaskInstance], path: str | Path) -> None:
 
 
 def read_suite(path: str | Path) -> list[TaskInstance]:
+    """Instances in file order; a line that is not an instance raises
+    ConfigError naming the file and line."""
     out = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(instance_from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"{path}:{lineno}: malformed task line "
+                                  f"({type(exc).__name__}: {exc})") from exc
     return out

@@ -462,15 +462,23 @@ def test_endpoint_connection_refused_raises():
         generate(_endpoint_config(base_url=url, max_retries=0), bundle)
 
 
+def _collect(config, bundles, instances_by_id=None):
+    """Every result generate_all lands, in landing order."""
+    results = []
+    generate_all(config, bundles, instances_by_id,
+                 lambda bundle, result, started_at: results.append(result) or [])
+    return results
+
+
 def test_generate_all_bounds_concurrency():
     suite = generate_suite("boolean_logic", 6, seed=4)
     bundles = [build_prompt(i, "freeform") for i in suite]
     with stub_server(delay=0.05, content="ok") as (state, url):
         config = _endpoint_config(base_url=url, max_in_flight=2)
-        results = generate_all(config, bundles)
+        results = _collect(config, bundles)
     assert len(results) == 6
     assert state.peak <= 2
-    assert [r.instance_id for r in results] == sorted(i.id for i in suite)
+    assert sorted(r.instance_id for r in results) == sorted(i.id for i in suite)
 
 
 def test_generate_all_turns_failures_into_failed_results():
@@ -478,7 +486,7 @@ def test_generate_all_turns_failures_into_failed_results():
     bundles = [build_prompt(i, "freeform") for i in suite]
     with stub_server(fail_first=10**6) as (_state, url):
         config = _endpoint_config(base_url=url, max_retries=0)
-        results = generate_all(config, bundles)
+        results = _collect(config, bundles)
     assert all(r.failed for r in results)
     assert all(r.failure_reason and "HTTP 500" in r.failure_reason for r in results)
     assert all(r.raw_text == "" for r in results)
@@ -488,8 +496,8 @@ def test_generate_all_scripted_is_ordered_and_complete():
     suite = generate_suite("arithmetic_two_step", 5, seed=4)
     config = BackendConfig(kind="oracle", label="oracle")
     bundles = [build_prompt(i, "prompt_json") for i in reversed(suite)]
-    results = generate_all(config, bundles, {i.id: i for i in suite})
-    assert [r.instance_id for r in results] == sorted(i.id for i in suite)
+    results = _collect(config, bundles, {i.id: i for i in suite})
+    assert [r.instance_id for r in results] == [b.instance_id for b in bundles]  # inline
     assert all(r.latency_ms == 0.0 for r in results)  # pinned for determinism
 
 
@@ -531,7 +539,7 @@ def test_generate_all_lands_each_result_on_the_calling_thread(kind):
         config = (_endpoint_config(base_url=url, max_in_flight=2) if kind == "endpoint"
                   else BackendConfig(kind="oracle"))
         bundles = (build_prompt(i, "freeform") for i in suite)
-        assert generate_all(config, bundles, instances, on_result) == []
+        generate_all(config, bundles, instances, on_result)
     assert sorted((mode, iid) for mode, iid, _, _ in landed) == sorted(
         (mode, i.id) for mode in ("freeform", "prompt_json") for i in suite)
     assert all(thread is threading.current_thread() for _, _, thread, _ in landed)
@@ -578,7 +586,7 @@ def test_generate_all_stops_its_workers_on_an_error(failing):
             config = _endpoint_config(base_url=url, max_in_flight=2,
                                       constraint_transport={"regex": "guided_regex"})
             with pytest.raises(ConfigError, match="no constraint transport"):
-                generate_all(config, bundles)
+                _collect(config, bundles)
     assert state.post_count <= 4  # at most 2 x max_in_flight were handed out
     assert not [t for t in threading.enumerate() if t.name.startswith("ctax-")]
 

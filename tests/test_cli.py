@@ -226,6 +226,26 @@ def test_derive_delayed_with_missing_input_exits_2(tmp_path, capsys, missing):
     assert not (tmp_path / "derived.jsonl").exists()
 
 
+@pytest.mark.parametrize("tasks_text, error", [
+    (None, "JSONDecodeError"),  # torn: the first 50 bytes of a real tasks file
+    ('{"id": "x"}\n', "KeyError: 'ground_truth'"),
+], ids=["torn", "missing-key"])
+def test_derive_delayed_with_malformed_tasks_exits_2(tmp_path, capsys, tasks_text, error):
+    records = _scored_run(tmp_path)
+    tasks = tmp_path / "tasks.jsonl"
+    if tasks_text is None:
+        tasks.write_bytes((records.parent / "tasks.jsonl").read_bytes()[:50])
+    else:
+        tasks.write_text(tasks_text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["derive-delayed", "--records", str(records), "--tasks", str(tasks),
+                 "--source-mode", "prompt_json",
+                 "--out", str(tmp_path / "derived.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"{tasks}:1: malformed task line" in err and error in err
+    assert not (tmp_path / "derived.jsonl").exists()
+
+
 def test_resume_with_changed_config_exits_2(tmp_path, capsys):
     records = _scored_run(tmp_path)
     manifest = records.parent / "manifest.json"

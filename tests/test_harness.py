@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
 import json
 import os
 import re
@@ -706,6 +707,75 @@ def test_score_skips_duplicated_cell_with_warning(tmp_path, capsys):
     freeform_all = [a for a in result.aggregates
                     if a.mode == "freeform" and a.task == "all"]
     assert freeform_all[0].n == 12
+
+
+def test_score_leaves_out_a_family_cell_with_no_scored_record(tmp_path, capsys):
+    records = load_records(run(_config(("prompt_json", "freeform")), tmp_path / "out"))
+    records = [replace(r, error_class="generation_failed")
+               if (r.family, r.mode) == ("boolean_logic", "freeform") else r
+               for r in records]
+    capsys.readouterr()
+    result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
+    assert "oracle/scripted-v1/boolean_logic/freeform has no scored records" in \
+        capsys.readouterr().out
+    assert [(a.task, a.mode, a.n, a.n_failed) for a in result.aggregates] == [
+        ("arithmetic_two_step", "freeform", 3, 0),
+        ("arithmetic_two_step", "prompt_json", 3, 0),
+        ("boolean_logic", "prompt_json", 3, 0),
+        ("all", "freeform", 3, 3),
+        ("all", "prompt_json", 6, 0),
+    ]
+    # the rollup pairs over the instances scored in both arms, and keeps its label
+    assert [(c.task, c.n) for c in result.comparisons] == [
+        ("arithmetic_two_step", 3), ("arithmetic_two_step", 3), ("all", 3), ("all", 3)]
+
+
+# sha256 of the score outputs of _golden_records, made before scoring became
+# one pass over the records; a change to them is a change to reported numbers
+_GOLDEN_SCORE_SHA256 = {
+    "aggregates": "f583db674b52dfd16a141f6b1729d10200014078c53ec902f477960013e70828",
+    "comparisons": "0cc37c6da8bcff55cbd4bcaee089119b30ab2426d21bf19f99245331c923a8f0",
+    "calendar": "335eeab81387a46cc8cf2bbbe41018fc1437a5adfac4511549da624264c8d01c",
+    "report": "1d10a64ffbd08a8da99619b61d1034c1cbea38561fe9458ccd105a501f690e0f",
+}
+
+
+def _golden_records(tmp_path):
+    """Two runs of two scripted backends, scored together: the first with
+    the model delayed variant and one stage-2 row dropped, the second over
+    other families, plus a duplicated cell. No instance fails generation."""
+    fault = FaultProfile(p_invalid_json=0.2, p_wrong_field=0.3, seed=8,
+                         wrong_field_targets=tuple(CALENDAR_SEMANTIC_FIELDS))
+    backends = (BackendConfig(kind="corruptor", label="corruptor", model_id="c-v1",
+                              fault=fault),
+                BackendConfig(kind="oracle", label="oracle", model_id="o-v1"))
+    first = RunConfig(
+        run_id="golden-a",
+        suite=SuiteConfig(families=("arithmetic_two_step", "tool_call_argument",
+                                    "boolean_logic"), count=5, seed=23),
+        modes=("prompt_json", "freeform", "answer_only_schema", "final_only_regex",
+               "delayed_constraint"),
+        backends=backends, delayed_variant="model")
+    second = RunConfig(
+        run_id="golden-b",
+        suite=SuiteConfig(families=("symbolic_string", "object_tracking"), count=5, seed=23),
+        modes=("prompt_json", "freeform", "answer_only_schema"), backends=backends)
+    records = load_records(run(first, tmp_path / "a"))
+    dropped = next(r for r in records if r.stage == "stage2")
+    records.remove(dropped)
+    records += load_records(run(second, tmp_path / "b"))
+    return records + [r for r in records if (r.backend_label, r.mode, r.family) ==
+                      ("oracle", "answer_only_schema", "arithmetic_two_step")]
+
+
+def test_score_outputs_match_golden_hashes(tmp_path):
+    result = score(_golden_records(tmp_path), bootstrap=BootstrapConfig(resamples=200, seed=3))
+    paths = score_to_files(result, tmp_path / "scores")
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    digests["report"] = hashlib.sha256(
+        render_report(result, "prompt_json").encode("utf-8")).hexdigest()
+    assert digests == _GOLDEN_SCORE_SHA256
 
 
 def test_answer_and_exec_rows_share_validity_and_wrong_valid_cis(tmp_path):

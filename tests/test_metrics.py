@@ -325,6 +325,22 @@ def test_pairing_ignores_generation_failures():
     assert cmp.n == 5
 
 
+def test_pairing_drops_an_instance_failed_in_one_arm():
+    base, cons = _nested_pair(6, 6, 3)
+    base[0] = replace(base[0], error_class="generation_failed")
+    cons[-1] = replace(cons[-1], error_class="generation_failed")
+    cmp = paired_comparison(base, cons, "exec", BootstrapConfig(resamples=50, seed=0))
+    assert cmp.n == 4  # t-00000 and t-00005 leave both arms
+    assert cmp.acc_baseline == 1 and cmp.acc_constrained == Fraction(2, 4)
+    # a failed record and a scored one for the same instance are not duplicates
+    assert paired_comparison(base + [replace(base[0], error_class="correct_valid")], cons,
+                             "exec", BootstrapConfig(resamples=50, seed=0)).n == 5
+    # an instance absent from an arm is still a mismatch, failed or not
+    with pytest.raises(PairingError) as err:
+        paired_comparison(base, cons[:-1], "exec")
+    assert err.value.missing_in_constrained == ["t-00005"]
+
+
 def test_paired_empty_after_filter():
     base, cons = _nested_pair(2, 2, 2)
     base = [replace(r, error_class="generation_failed") for r in base]
