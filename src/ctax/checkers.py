@@ -76,44 +76,25 @@ class CheckResult:
     answer_payload: str | None = None  # semantic payload for overhead accounting
 
 
-def _norm(value: Any) -> str:
-    return str(value).strip().lower()
-
-
 def expected_calendar_arguments(instance: TaskInstance) -> dict[str, Any]:
     target = instance.ground_truth.exec_target or {}
     return dict(target.get("arguments", {}))
 
 
 def calendar_exec_ok(obj: Any, expected: dict[str, Any]) -> bool:
-    """Executable equivalence for a calendar tool call.
-
-    Tool name must match exactly; date/start_time/attendee/topic compare
-    after trim+lowercase; duration compares as int(). Missing keys or
-    uncoercible values are simply not equivalent. The title field is never
-    scored.
-    """
-    try:
-        if obj["tool"] != TOOL_NAME:
-            return False
-        args = obj["arguments"]
-        return (
-            _norm(args["date"]) == _norm(expected["date"])
-            and _norm(args["start_time"]) == _norm(expected["start_time"])
-            and int(args["duration_minutes"]) == int(expected["duration_minutes"])
-            and _norm(args["attendee"]) == _norm(expected["attendee"])
-            and _norm(args["topic"]) == _norm(expected["topic"])
-        )
-    except (KeyError, TypeError, ValueError):
-        return False
+    """Executable equivalence for a calendar tool call: the right tool and
+    no wrong semantic field (see classify_calendar_failure). The title
+    field is never scored."""
+    return classify_calendar_failure(obj, expected)[0] == "correct"
 
 
 def classify_calendar_failure(obj: Any, expected: dict[str, Any]) -> tuple[str, tuple[str, ...]]:
     """(primary class, wrong semantic fields) for a calendar object.
 
     Zero wrong fields -> "correct"; exactly one -> that field's class;
-    two or more -> "multi_field". Fields that are missing or uncomparable
-    count as wrong.
+    two or more -> "multi_field". Date, start time, attendee and topic
+    compare after trim+lowercase; duration compares as int(). Fields that
+    are missing or uncomparable count as wrong.
     """
     args = obj.get("arguments", {}) if isinstance(obj, dict) else {}
     if not isinstance(args, dict):
@@ -124,7 +105,7 @@ def classify_calendar_failure(obj: Any, expected: dict[str, Any]) -> tuple[str, 
             if name == "duration_minutes":
                 ok = int(args[name]) == int(expected[name])
             else:
-                ok = _norm(args[name]) == _norm(expected[name])
+                ok = normalize_answer(args[name]) == normalize_answer(expected[name])
         except (KeyError, TypeError, ValueError):
             ok = False
         if not ok:
@@ -259,12 +240,13 @@ def score_completion(instance: TaskInstance, mode: str, parse: ParseOutcome,
     wrong_fields: tuple[str, ...] = ()
     payload = answer
     if family == "tool_call_argument":
-        expected = expected_calendar_arguments(instance)
         # freeform and regex channels only yield a tool object when valid,
         # so exec_correct implies schema_valid in every mode
-        exec_ok = valid and calendar_exec_ok(tool, expected)
-        if valid and tool is not None and mode in OBJECT_MODES:
-            failure_class, wrong_fields = classify_calendar_failure(tool, expected)
+        verdict = (classify_calendar_failure(tool, expected_calendar_arguments(instance))
+                   if valid and tool is not None else None)
+        exec_ok = verdict is not None and verdict[0] == "correct"
+        if verdict is not None and mode in OBJECT_MODES:
+            failure_class, wrong_fields = verdict
         args = tool.get("arguments") if tool is not None else None
         if isinstance(args, dict) and any(f in args for f in CALENDAR_SEMANTIC_FIELDS):
             payload = "".join(str(args[f]) for f in CALENDAR_SEMANTIC_FIELDS if f in args)

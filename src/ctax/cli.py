@@ -47,7 +47,7 @@ def _add_bootstrap_args(parser: argparse.ArgumentParser) -> None:
 def _read(what: str, path: str, loader):
     try:
         return loader(path)
-    except OSError as exc:  # missing or unreadable
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
@@ -127,7 +127,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.text is not None:
         text = args.text
     elif args.file is not None:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = _read("output", args.file, lambda path: Path(path).read_text(encoding="utf-8"))
     else:
         text = sys.stdin.read()
     parse = parse_for_mode(text, args.mode, args.family, strict=args.strict_extraction)

@@ -59,7 +59,8 @@ from .modes import (
 from .records import RunRecord, append_record, drop_torn_tail, read_records, timestamp
 from .taskgen import (CALENDAR_SEMANTIC_FIELDS, FAMILIES, TaskInstance, generate_suite,
                       write_suite)
-from .validation import PARSE_NO_JSON, canonical_digest, canonical_serialize, extract_json
+from .validation import (LENIENT_EXTRACTION, PARSE_NO_JSON, STRICT_EXTRACTION, canonical_digest,
+                         canonical_serialize, extract_json)
 
 DELAYED_MODE = "delayed_constraint"
 DELAYED_SOURCE_MODES = frozenset({"prompt_json", "freeform", "freeform_direct",
@@ -237,7 +238,7 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
         constraint_kind=contract.kind,
         constraint_digest=contract.digest(),
         constraint_enforced=transported_constraint(mode, family, stage).kind != CONSTRAINT_NONE,
-        extraction_rule="strict/v1" if ctx.strict_extraction else "lenient/v1",
+        extraction_rule=STRICT_EXTRACTION if ctx.strict_extraction else LENIENT_EXTRACTION,
         run_id=ctx.run_id,
         config_digest=ctx.config_digest,
         derived_from=derived_from,

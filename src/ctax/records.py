@@ -57,7 +57,7 @@ class RunRecord:
     structural_overhead: float | None = None
     started_at: str | None = None
     finished_at: str | None = None
-    extraction_rule: str = "lenient/v1"
+    extraction_rule: str = "lenient/v1"  # lines without the field predate lenient/v2
     run_id: str | None = None
     config_digest: str | None = None
     failure_reason: str | None = None
@@ -104,15 +104,15 @@ def append_record(fh, record: RunRecord) -> None:
 
 
 def iter_records(path: str | Path) -> Iterator[RunRecord]:
-    """Records in file order; a line that is not a record raises
-    ConfigError naming the file and line."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    """Records in file order; a line that is not a record, or not UTF-8,
+    raises ConfigError naming the file and line."""
+    with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                doc = json.loads(line)
+                doc = json.loads(line.decode("utf-8"))
                 if not isinstance(doc, dict):
                     raise ValueError("not a JSON object")
                 record = record_from_dict(doc)

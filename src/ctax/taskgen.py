@@ -353,16 +353,16 @@ def write_suite(instances: Iterable[TaskInstance], path: str | Path) -> None:
 
 
 def read_suite(path: str | Path) -> list[TaskInstance]:
-    """Instances in file order; a line that is not an instance raises
-    ConfigError naming the file and line."""
+    """Instances in file order; a line that is not an instance, or not
+    UTF-8, raises ConfigError naming the file and line."""
     out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(instance_from_dict(json.loads(line)))
+                out.append(instance_from_dict(json.loads(line.decode("utf-8"))))
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise ConfigError(f"{path}:{lineno}: malformed task line "
                                   f"({type(exc).__name__}: {exc})") from exc

@@ -5,6 +5,10 @@ completion becomes a parsed value, how that value is judged against a
 schema or regex constraint, and how answers are normalized before
 comparison. All of it is deliberately small and exactly specified, because
 schema validity is itself a reported metric rather than mere plumbing.
+
+Each job is done once: extraction finds its candidates in one linear pass,
+and validate_schema trusts its schema, because every schema ctax validates
+against is a module constant that the tests check once (check_schema_doc).
 """
 
 from __future__ import annotations
@@ -89,45 +93,37 @@ def strict_loads(text: str) -> Any:
 _FENCE_RE = re.compile(r"```json\s*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
 
 
-def _match_object(text: str, start: int) -> int | None:
-    """Index of the brace closing the object opened at `start`, or None.
-
-    String-aware: braces inside JSON string literals do not count.
-    """
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
+# A brace, or a whole string literal (to the end of the text if it never closes).
+_BRACE_OR_STRING_RE = re.compile(r'[{}]|"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
 
 
 def _balanced_objects(text: str) -> Iterator[str]:
-    i = 0
-    while i < len(text):
-        if text[i] == "{":
-            end = _match_object(text, i)
-            if end is not None:
-                yield text[i:end + 1]
-                i = end + 1
-                continue
-        i += 1
+    """Maximal balanced {...} spans, left to right, from one string-aware pass.
+
+    Quotes count from the first open brace on, so a brace inside a string
+    literal never opens a span. Spans that close inside a brace that never
+    closes are yielded, in order, when the text runs out.
+    """
+    start = text.find("{")
+    while start != -1:
+        opens: list[int] = []
+        inner: list[tuple[int, int]] = []  # closed spans not inside another closed span
+        for m in _BRACE_OR_STRING_RE.finditer(text, start):
+            i = m.start()
+            if text[i] == "{":
+                opens.append(i)
+            elif text[i] == "}":
+                first = opens.pop()
+                if not opens:  # a top-level object: yield it, jump to the next brace
+                    yield text[first:i + 1]
+                    start = text.find("{", i + 1)
+                    break
+                while inner and inner[-1][0] > first:
+                    inner.pop()
+                inner.append((first, i + 1))
+        else:
+            yield from (text[first:end] for first, end in inner)
+            return
 
 
 def _candidates(text: str, strict: bool) -> Iterator[str]:
@@ -140,13 +136,19 @@ def _candidates(text: str, strict: bool) -> Iterator[str]:
     yield text.strip()
 
 
+# Stamped on each record; bump when the candidates change. lenient/v1 restarted
+# its scan at every brace after an unclosed one, even inside a string literal.
+LENIENT_EXTRACTION = "lenient/v2"
+STRICT_EXTRACTION = "strict/v1"
+
+
 def extract_json(text: str, strict: bool = False) -> ParseOutcome:
     """Pull a JSON value out of a completion.
 
-    Candidate order: (1) fenced ```json blocks, (2) balanced top-level
-    {...} spans scanned left to right with string-aware brace matching,
-    (3) the whole text. The first candidate that parses wins. With
-    strict=True only the whole text is tried.
+    Candidate order: (1) fenced ```json blocks, (2) the maximal balanced
+    {...} spans of one string-aware pass, left to right, (3) the whole
+    text. The first candidate that parses wins. With strict=True only the
+    whole text is tried.
 
     No candidate parses -> malformed_json when braces were present,
     no_json_found otherwise.
@@ -245,8 +247,10 @@ def validate_schema(value: Any, schema: dict) -> list[Violation]:
     string only when it is anchored in the pattern text itself. Integer
     means no fractional part and not a boolean. Returns all violations,
     each with a path like "/arguments/date" ("" for the root).
+
+    The schema is trusted: ctax validates only against module constants,
+    which the tests run through check_schema_doc.
     """
-    check_schema_doc(schema)
     out: list[Violation] = []
     _validate(value, schema, "", out)
     return out
@@ -336,9 +340,9 @@ def normalize_answer(text: object, family: str | None = None) -> str:
 
 def canonical_serialize(value: Any) -> str:
     """Canonical JSON text: keys sorted at every depth, no insignificant
-    whitespace, UTF-8 verbatim, non-finite numbers rejected."""
-    _reject_non_finite(value)
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    whitespace, UTF-8 verbatim, non-finite numbers rejected (ValueError)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                      allow_nan=False)
 
 
 def canonical_digest(value: Any, length: int = 12) -> str:
@@ -346,16 +350,3 @@ def canonical_digest(value: Any, length: int = 12) -> str:
 
     return hashlib.sha256(canonical_serialize(value).encode("utf-8")).hexdigest()[:length]
 
-
-def _reject_non_finite(value: Any) -> None:
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite number not serializable: {value!r}")
-    elif isinstance(value, dict):
-        for key, sub in value.items():
-            if not isinstance(key, str):
-                raise ValueError("object keys must be strings")
-            _reject_non_finite(sub)
-    elif isinstance(value, (list, tuple)):
-        for sub in value:
-            _reject_non_finite(sub)

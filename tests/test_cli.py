@@ -246,6 +246,46 @@ def test_derive_delayed_with_malformed_tasks_exits_2(tmp_path, capsys, tasks_tex
     assert not (tmp_path / "derived.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["score", "resume"])
+def test_undecodable_records_line_exits_2(tmp_path, capsys, command):
+    records = _scored_run(tmp_path)
+    lineno = len(records.read_bytes().splitlines()) + 1
+    with records.open("ab") as fh:
+        fh.write(b'{"instance_id": "\xff"}\n')
+    capsys.readouterr()
+    if command == "score":
+        argv = ["score", "--records", str(records), "--out", str(tmp_path / "scored")]
+    else:
+        argv = ["run", "--config", str(tmp_path / "config.json"), "--out", str(records.parent),
+                "--resume"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{records}:{lineno}: malformed record line" in err and "utf-8" in err
+
+
+def test_derive_delayed_with_undecodable_tasks_exits_2(tmp_path, capsys):
+    records = _scored_run(tmp_path)
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_bytes((records.parent / "tasks.jsonl").read_bytes().replace(b'"', b"\xff", 1))
+    capsys.readouterr()
+    assert main(["derive-delayed", "--records", str(records), "--tasks", str(tasks),
+                 "--source-mode", "prompt_json",
+                 "--out", str(tmp_path / "derived.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"{tasks}:1: malformed task line (UnicodeDecodeError" in err
+    assert not (tmp_path / "derived.jsonl").exists()
+
+
+@pytest.mark.parametrize("content", [None, b'{"answer": "\xff"}'], ids=["missing", "not-utf8"])
+def test_validate_with_unreadable_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "out.txt"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["validate", "--mode", "answer_only_schema",
+                 "--family", "boolean_logic", "--file", str(path)]) == 2
+    assert f"cannot read output {path}" in capsys.readouterr().err
+
+
 def test_resume_with_changed_config_exits_2(tmp_path, capsys):
     records = _scored_run(tmp_path)
     manifest = records.parent / "manifest.json"

@@ -88,7 +88,7 @@ def test_run_records_carry_scoring_fields(tmp_path):
     assert rec.constraint_kind == "schema"
     assert manifest["constraints"][rec.constraint_digest]["schema"] is not None
     assert rec.constraint_enforced
-    assert rec.extraction_rule == "lenient/v1"
+    assert rec.extraction_rule == "lenient/v2"
     assert rec.error_class == "correct_valid"
     assert rec.run_id == "t-run" and rec.config_digest == config.digest()
     assert rec.started_at and rec.finished_at

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
@@ -126,6 +127,75 @@ def test_extract_non_object_top_level():
     # arrays and scalars parse but are not objects; extraction still reports them
     out = extract_json("[1, 2]")
     assert out.ok and out.value == [1, 2]
+
+
+def test_extract_brace_inside_string_never_starts_a_candidate():
+    # quotes count from the first open brace, which never closes here, so
+    # the second brace sits inside a string literal
+    assert extract_json('{"a": "{"b": 1}').status == "malformed_json"
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": {"answer": "42"}',
+    'Sure: {"answer": "42"} and {',
+])
+def test_extract_spans_inside_an_unclosed_brace_still_parse(text):
+    out = extract_json(text)
+    assert out.ok and out.value == {"answer": "42"}
+
+
+@pytest.mark.parametrize("text", [
+    '{"' * 20000,
+    "{" * 100000,
+    '{"a":' * 30000,
+    "```json\n{" * 10000,
+], ids=["brace-quote", "braces", "nested-keys", "fences"])
+def test_extract_is_linear_on_unclosed_braces(text):
+    started = time.perf_counter()
+    assert extract_json(text).status == "malformed_json"
+    assert time.perf_counter() - started < 1.0
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover - hypothesis is optional
+    st = None
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_extract_json_properties_over_brace_heavy_text():
+    texts = st.lists(st.sampled_from(['{', '}', '"', '\\', '[', ']', ':', ',', ' ', 'a',
+                                      '1', '\n', '"a"', '```json\n', '```']),
+                     max_size=40).map("".join)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(texts)
+    def check(text):
+        out = extract_json(text)
+        assert out.status in ("ok", "malformed_json", "no_json_found")
+        if out.ok:
+            assert out.matched_text in text
+            assert strict_loads(out.matched_text) == out.value
+
+    check()
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_canonical_serialize_is_a_fixpoint_through_strict_loads():
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                    max_size=3),
+        max_leaves=10)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(values)
+    def check(value):
+        text = canonical_serialize(value)
+        assert canonical_serialize(strict_loads(text)) == text
+
+    check()
 
 
 # ---------------------------------------------------------------------------
