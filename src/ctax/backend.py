@@ -120,11 +120,11 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class GenerationResult:
-    instance_id: str
-    stage: str
+    """One completion; the bundle it answers and the backend config own
+    its instance, stage and backend label."""
+
     raw_text: str
     latency_ms: float
-    backend_label: str
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
     failed: bool = False
@@ -385,11 +385,8 @@ def _endpoint_generate(config: BackendConfig, bundle: PromptBundle) -> Generatio
         counts = ({name: count for name, count in usage.items() if type(count) is int}
                   if isinstance(usage, dict) else {})
         return GenerationResult(
-            instance_id=bundle.instance_id,
-            stage=bundle.stage,
             raw_text=content if isinstance(content, str) else "",
             latency_ms=latency_ms,
-            backend_label=config.label,
             prompt_tokens=counts.get("prompt_tokens"),
             completion_tokens=counts.get("completion_tokens"),
         )
@@ -416,13 +413,7 @@ def generate(config: BackendConfig, bundle: PromptBundle,
     else:  # pragma: no cover - guarded by BackendConfig
         raise ConfigError(f"unknown backend kind: {config.kind!r}")
     # scripted latency is pinned to zero so scripted runs stay byte-deterministic
-    return GenerationResult(
-        instance_id=bundle.instance_id,
-        stage=bundle.stage,
-        raw_text=text,
-        latency_ms=0.0,
-        backend_label=config.label,
-    )
+    return GenerationResult(raw_text=text, latency_ms=0.0)
 
 
 # Scripted kinds generate this many bundles, then land them. Alternating
@@ -444,15 +435,8 @@ def _attempt(config: BackendConfig, bundle: PromptBundle,
     try:
         result = generate(config, bundle, instance)
     except GenerationFailed as exc:
-        result = GenerationResult(
-            instance_id=bundle.instance_id,
-            stage=bundle.stage,
-            raw_text="",
-            latency_ms=0.0,
-            backend_label=config.label,
-            failed=True,
-            failure_reason=str(exc),
-        )
+        result = GenerationResult(raw_text="", latency_ms=0.0, failed=True,
+                                  failure_reason=str(exc))
     return bundle, result, started_at
 
 

@@ -28,6 +28,7 @@ from .modes import MODE_NAMES, parse_for_mode
 from .records import write_records
 from .report import render_report
 from .taskgen import FAMILIES, generate_suite, read_suite, write_suite
+from .validation import unique_keys
 
 
 def _add_bootstrap_args(parser: argparse.ArgumentParser) -> None:
@@ -77,8 +78,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        doc = json.loads(Path(args.config).read_text(encoding="utf-8"),
+                         object_pairs_hook=unique_keys)
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or a key given twice
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     config = config_from_dict(doc)
     run(config, args.out, resume=args.resume)

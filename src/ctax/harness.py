@@ -470,11 +470,8 @@ def derive_delayed(source_records: Sequence[RunRecord],
             ctx = _RecordContext(source.backend_label, source.model_id, config.run_id,
                                  digest, config.strict_extraction, config.strict_trace)
         result = GenerationResult(
-            instance_id=source.instance_id,
-            stage="stage1",
             raw_text=source.raw_text,
             latency_ms=source.latency_ms,
-            backend_label=source.backend_label,
             prompt_tokens=source.prompt_tokens,
             completion_tokens=source.completion_tokens,
             failed=source.error_class == GENERATION_FAILED,
@@ -514,21 +511,21 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
 
     One pass groups the records, in file order, into (backend, model) ->
     task -> mode cells; the task is a family, or "all" for a mode whose
-    records span several families. A delayed stage 1 whose stage 2 exists is
-    left out. One walk over the cells in output order then emits the
-    aggregates, the calendar rows and the comparisons. A cell with no scored
-    record is left out with a warning; a task without the baseline mode
-    gets aggregates only; mixed config digests get a warning (the records
-    may not be comparable)."""
-    def stage_key(r: RunRecord) -> tuple:
-        return (r.backend_label, r.model_id, r.mode, r.instance_id, r.derived_from)
-
-    stage2 = {stage_key(r) for r in records if r.stage == "stage2"}
+    records span several families. A scored delayed stage 1 that was not
+    packaged locally is a model-variant provenance row and is left out: the
+    delayed cell takes its verdict from stage 2 only, so an instance whose
+    stage 2 is missing leaves the cell. One walk over the cells in output
+    order then emits the aggregates, the calendar rows and the comparisons.
+    A cell with no scored record is left out with a warning; a task without
+    the baseline mode gets aggregates only; mixed config digests, and a cell
+    that mixes extraction rules, get a warning (the records may not be
+    comparable)."""
     groups: dict[tuple[str, str], dict[str, dict[str, list[RunRecord]]]] = {}
     digests = set()
     for r in records:
-        if r.mode == DELAYED_MODE and r.stage == "stage1" and stage_key(r) in stage2:
-            continue  # provenance row; its stage 2 carries the verdict
+        if (r.mode == DELAYED_MODE and r.stage == "stage1" and is_scored(r)
+                and r.packaged_text is None and not r.packaging_failed):
+            continue  # model-variant provenance row, scored as freeform
         digests.add(r.config_digest)
         tasks = groups.setdefault((r.backend_label, r.model_id), {})
         for task in (r.family, "all"):
@@ -555,6 +552,9 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
                 if not any(map(is_scored, cell)):
                     print(f"[WARN] {where}/{mode} has no scored records; row omitted")
                     continue
+                rules = sorted({r.extraction_rule for r in cell})
+                if len(rules) > 1:
+                    print(f"[WARN] {where}/{mode} mixes extraction rules {', '.join(rules)}")
                 kept[mode] = cell
                 result.aggregates.append(aggregate(cell, task=task))
                 if task != "tool_call_argument":

@@ -3,9 +3,10 @@
 Rates are kept as exact rational counts (fractions.Fraction) and only
 rounded at display time, to 0.1 percentage point. Uncertainty comes from
 a seeded percentile bootstrap, so confidence intervals are reproducible
-bit-for-bit for a given seed. A paired comparison's binary indicators give
-each instance a delta in {-1, 0, +1}, so a resample is one multinomial draw
-of those counts rather than n index draws (BOOTSTRAP_VERSION). A mode pair's
+bit-for-bit for a given seed. A single rate's 0/1 indicators, and a paired
+comparison's per-instance deltas in {-1, 0, +1}, take few distinct values, so
+a resample is one multinomial draw of their counts rather than n index draws
+(BOOTSTRAP_VERSION; no CSV carries a single-rate CI). A mode pair's
 answer and exec comparisons share one validity and one wrong-valid CI.
 """
 
@@ -111,6 +112,11 @@ def is_scored(record) -> bool:
     return record.error_class != GENERATION_FAILED
 
 
+def _task_label(records: Iterable) -> str:
+    families = {r.family for r in records}
+    return families.pop() if len(families) == 1 else "all"
+
+
 def aggregate(records: Sequence, task: str | None = None) -> ModeAggregate:
     """Aggregate records that share (backend, model, mode).
 
@@ -125,8 +131,7 @@ def aggregate(records: Sequence, task: str | None = None) -> ModeAggregate:
         raise ValueError(f"records mix backend/model/mode cells: {sorted(keys)!r}")
     backend_label, model_id, mode = keys.pop()
     if task is None:
-        families = {r.family for r in records}
-        task = families.pop() if len(families) == 1 else "all"
+        task = _task_label(records)
 
     scored = [r for r in records if is_scored(r)]
     n_failed = len(records) - len(scored)
@@ -192,18 +197,6 @@ def _percentile_ci(samples: np.ndarray, cfg: BootstrapConfig, seed: int) -> Boot
                        resamples=cfg.resamples, seed=seed)
 
 
-def bootstrap_rate_ci(indicators: Sequence[int] | np.ndarray, cfg: BootstrapConfig,
-                      *seed_parts: object) -> BootstrapCI:
-    """Percentile CI for a single success rate (resampled means)."""
-    data = np.asarray(indicators, dtype=np.float64)
-    if data.size == 0:
-        raise ValueError("cannot bootstrap an empty indicator set")
-    seed = derive_seed(cfg.seed, "rate", *seed_parts)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, data.size, size=(cfg.resamples, data.size))
-    return _percentile_ci(data[idx].mean(axis=1), cfg, seed)
-
-
 @lru_cache(maxsize=64)
 def _count_ci(outcomes: tuple, cfg: BootstrapConfig, seed: int) -> BootstrapCI:
     """Percentile CI for the mean of a sample holding value v c times for each
@@ -215,13 +208,26 @@ def _count_ci(outcomes: tuple, cfg: BootstrapConfig, seed: int) -> BootstrapCI:
     return _percentile_ci(draws @ values / n, cfg, seed)
 
 
+def _mean_ci(values: np.ndarray, cfg: BootstrapConfig, seed: int) -> BootstrapCI:
+    """Percentile CI for mean(values), drawn as counts of its distinct values."""
+    distinct, counts = np.unique(values, return_counts=True)
+    return _count_ci(tuple(zip(distinct.tolist(), counts.tolist())), cfg, seed)
+
+
+def bootstrap_rate_ci(indicators: Sequence[int] | np.ndarray, cfg: BootstrapConfig,
+                      *seed_parts: object) -> BootstrapCI:
+    """Percentile CI for a single success rate: the mean of 0/1 indicators."""
+    data = np.asarray(indicators, dtype=np.float64)
+    if data.size == 0:
+        raise ValueError("cannot bootstrap an empty indicator set")
+    return _mean_ci(data, cfg, derive_seed(cfg.seed, "rate", *seed_parts))
+
+
 def _paired_delta_ci(baseline: np.ndarray, constrained: np.ndarray,
                      cfg: BootstrapConfig, *seed_parts: object) -> BootstrapCI:
     """Percentile CI for mean(constrained) - mean(baseline) with paired
     instance draws: the mean of the per-instance deltas in {-1, 0, +1}."""
-    distinct, counts = np.unique(constrained - baseline, return_counts=True)
-    return _count_ci(tuple(zip(distinct.tolist(), counts.tolist())), cfg,
-                     derive_seed(cfg.seed, "delta", *seed_parts))
+    return _mean_ci(constrained - baseline, cfg, derive_seed(cfg.seed, "delta", *seed_parts))
 
 
 @dataclass(frozen=True)
@@ -330,11 +336,6 @@ def paired_comparison(baseline_records: Iterable, constrained_records: Iterable,
         validity_ci=_paired_delta_ci(b_val, c_val, cfg, *pair, "validity"),
         wrong_valid_ci=_paired_delta_ci(b_wv, c_wv, cfg, *pair, "wrong_valid"),
     )
-
-
-def _task_label(records: Iterable) -> str:
-    families = {r.family for r in records}
-    return families.pop() if len(families) == 1 else "all"
 
 
 def structural_overhead(completion: str, payload: str | None) -> float | None:

@@ -96,13 +96,14 @@ NO_CONSTRAINT = Constraint(kind=CONSTRAINT_NONE)
 
 @dataclass(frozen=True)
 class PromptBundle:
+    """One prompt; its instance owns the family, and the run's manifest
+    stamps TEMPLATE_VERSION."""
+
     instance_id: str
-    family: str
     mode: str
     stage: str  # single | stage1 | stage2
     user_text: str
     constraint: Constraint  # transported constraint (kind none if unenforced)
-    template_version: str = TEMPLATE_VERSION
 
 
 # ---------------------------------------------------------------------------
@@ -168,28 +169,11 @@ def answer_schema(family: str) -> dict:
 
 
 def rationale_answer_schema(family: str) -> dict:
-    """answer_schema plus a required free-text rationale field."""
-    if family == "tool_call_argument":
-        base = calendar_schema()
-        return {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["rationale", "tool", "arguments"],
-            "properties": {
-                "rationale": {"type": "string"},
-                "tool": base["properties"]["tool"],
-                "arguments": base["properties"]["arguments"],
-            },
-        }
-    return {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["rationale", "answer"],
-        "properties": {
-            "rationale": {"type": "string"},
-            "answer": {"type": "string"},
-        },
-    }
+    """answer_schema plus a required free-text rationale field, listed first."""
+    schema = answer_schema(family)
+    schema["required"] = ["rationale", *schema["required"]]
+    schema["properties"] = {"rationale": {"type": "string"}, **schema["properties"]}
+    return schema
 
 
 def typed_trace_schema(family: str) -> dict:
@@ -315,7 +299,6 @@ def build_prompt(instance: TaskInstance, mode: str) -> PromptBundle:
     stage = "stage1" if descriptor.stages[0] == "stage1" else "single"
     return PromptBundle(
         instance_id=instance.id,
-        family=instance.family,
         mode=mode,
         stage=stage,
         user_text=user_text,
@@ -380,7 +363,6 @@ def build_delayed_stage2(stage1_text: str, instance: TaskInstance,
         parts = [p for p in (prefix, instance.problem_text, instruction) if p]
         bundle = PromptBundle(
             instance_id=instance.id,
-            family=family,
             mode="delayed_constraint",
             stage="stage2",
             user_text="\n\n".join(parts),

@@ -17,7 +17,7 @@ import datetime as dt
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ConfigError
 
@@ -87,25 +87,22 @@ def record_from_dict(doc: dict[str, Any]) -> RunRecord:
     return RunRecord(**known)
 
 
-def _line(record: RunRecord) -> str:
-    return json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n"
+def _json_line(doc: dict[str, Any]) -> str:
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def write_records(path: str | Path, records: Iterable[RunRecord]) -> None:
+def write_jsonl(path: str | Path, docs: Iterable[dict[str, Any]]) -> None:
+    """One sorted-key JSON object per line: records.jsonl and tasks.jsonl."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        fh.writelines(map(_line, records))
+        fh.writelines(map(_json_line, docs))
 
 
-def append_record(fh, record: RunRecord) -> None:
-    fh.write(_line(record))
-    fh.flush()
-
-
-def iter_records(path: str | Path) -> Iterator[RunRecord]:
-    """Records in file order; a line that is not a record, or not UTF-8,
-    raises ConfigError naming the file and line."""
+def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any]) -> Iterator[Any]:
+    """build(object) for each non-blank line, in file order; a line that is
+    not a UTF-8 JSON object, or that build refuses, raises ConfigError
+    naming the file and line."""
     with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -115,10 +112,24 @@ def iter_records(path: str | Path) -> Iterator[RunRecord]:
                 doc = json.loads(line.decode("utf-8"))
                 if not isinstance(doc, dict):
                     raise ValueError("not a JSON object")
-                record = record_from_dict(doc)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed record line ({exc})") from exc
-            yield record
+                item = build(doc)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"{path}:{lineno}: malformed {what} line "
+                                  f"({type(exc).__name__}: {exc})") from exc
+            yield item
+
+
+def write_records(path: str | Path, records: Iterable[RunRecord]) -> None:
+    write_jsonl(path, (record.to_dict() for record in records))
+
+
+def append_record(fh, record: RunRecord) -> None:
+    fh.write(_json_line(record.to_dict()))
+    fh.flush()
+
+
+def iter_records(path: str | Path) -> Iterator[RunRecord]:
+    return iter_jsonl(path, "record", record_from_dict)
 
 
 def read_records(path: str | Path) -> list[RunRecord]:

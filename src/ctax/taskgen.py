@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
 from .errors import ConfigError
+from .records import iter_jsonl, write_jsonl
 from .rng import SplitMix64, derive_seed
 from .validation import canonical_serialize, normalize_answer
 
@@ -344,26 +344,8 @@ def instance_from_dict(doc: dict[str, Any]) -> TaskInstance:
 
 
 def write_suite(instances: Iterable[TaskInstance], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for instance in instances:
-            fh.write(json.dumps(instance_to_dict(instance), sort_keys=True,
-                                ensure_ascii=False) + "\n")
+    write_jsonl(path, map(instance_to_dict, instances))
 
 
 def read_suite(path: str | Path) -> list[TaskInstance]:
-    """Instances in file order; a line that is not an instance, or not
-    UTF-8, raises ConfigError naming the file and line."""
-    out = []
-    with Path(path).open("rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(instance_from_dict(json.loads(line.decode("utf-8"))))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed task line "
-                                  f"({type(exc).__name__}: {exc})") from exc
-    return out
+    return list(iter_jsonl(path, "task", instance_from_dict))

@@ -74,7 +74,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _pairs_hook(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """json.loads object_pairs_hook: a key given twice is a ValueError."""
     out: dict[str, Any] = {}
     for key, value in pairs:
         if key in out:
@@ -86,7 +87,7 @@ def _pairs_hook(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 def strict_loads(text: str) -> Any:
     """json.loads with duplicate keys, NaN/Infinity and overflowing numbers
     rejected."""
-    return json.loads(text, object_pairs_hook=_pairs_hook, parse_constant=_reject_constant,
+    return json.loads(text, object_pairs_hook=unique_keys, parse_constant=_reject_constant,
                       parse_float=_finite_float)
 
 

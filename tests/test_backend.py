@@ -463,11 +463,11 @@ def test_endpoint_connection_refused_raises():
 
 
 def _collect(config, bundles, instances_by_id=None):
-    """Every result generate_all lands, in landing order."""
-    results = []
+    """Every (bundle, result) generate_all lands, in landing order."""
+    landed = []
     generate_all(config, bundles, instances_by_id,
-                 lambda bundle, result, started_at: results.append(result) or [])
-    return results
+                 lambda bundle, result, started_at: landed.append((bundle, result)) or [])
+    return landed
 
 
 def test_generate_all_bounds_concurrency():
@@ -475,10 +475,10 @@ def test_generate_all_bounds_concurrency():
     bundles = [build_prompt(i, "freeform") for i in suite]
     with stub_server(delay=0.05, content="ok") as (state, url):
         config = _endpoint_config(base_url=url, max_in_flight=2)
-        results = _collect(config, bundles)
-    assert len(results) == 6
+        landed = _collect(config, bundles)
+    assert len(landed) == 6
     assert state.peak <= 2
-    assert sorted(r.instance_id for r in results) == sorted(i.id for i in suite)
+    assert sorted(b.instance_id for b, _ in landed) == sorted(i.id for i in suite)
 
 
 def test_generate_all_turns_failures_into_failed_results():
@@ -486,7 +486,7 @@ def test_generate_all_turns_failures_into_failed_results():
     bundles = [build_prompt(i, "freeform") for i in suite]
     with stub_server(fail_first=10**6) as (_state, url):
         config = _endpoint_config(base_url=url, max_retries=0)
-        results = _collect(config, bundles)
+        results = [r for _, r in _collect(config, bundles)]
     assert all(r.failed for r in results)
     assert all(r.failure_reason and "HTTP 500" in r.failure_reason for r in results)
     assert all(r.raw_text == "" for r in results)
@@ -496,9 +496,9 @@ def test_generate_all_scripted_is_ordered_and_complete():
     suite = generate_suite("arithmetic_two_step", 5, seed=4)
     config = BackendConfig(kind="oracle", label="oracle")
     bundles = [build_prompt(i, "prompt_json") for i in reversed(suite)]
-    results = _collect(config, bundles, {i.id: i for i in suite})
-    assert [r.instance_id for r in results] == [b.instance_id for b in bundles]  # inline
-    assert all(r.latency_ms == 0.0 for r in results)  # pinned for determinism
+    landed = _collect(config, bundles, {i.id: i for i in suite})
+    assert [b.instance_id for b, _ in landed] == [b.instance_id for b in bundles]  # inline
+    assert all(r.latency_ms == 0.0 for _, r in landed)  # pinned for determinism
 
 
 def test_endpoint_timeout_is_a_transport_error():
@@ -529,7 +529,7 @@ def test_generate_all_lands_each_result_on_the_calling_thread(kind):
     landed = []
 
     def on_result(bundle, result, started_at):
-        landed.append((bundle.mode, result.instance_id, threading.current_thread(),
+        landed.append((bundle.mode, bundle.instance_id, threading.current_thread(),
                        started_at))
         if bundle.mode == "freeform":  # a follow-up, as a model-variant stage 2 is
             return [build_prompt(instances[bundle.instance_id], "prompt_json")]
@@ -552,7 +552,7 @@ def test_generate_all_lands_every_bundle_once_under_thread_churn():
     landed = []
 
     def on_result(bundle, result, started_at):
-        landed.append((bundle.mode, result.instance_id))
+        landed.append((bundle.mode, bundle.instance_id))
         return [build_prompt(instances[bundle.instance_id], "prompt_json")] * (
             bundle.mode == "freeform")
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import ctax
 from ctax.cli import build_parser, main
 from ctax.harness import SuiteConfig
 from ctax.metrics import DEFAULT_BASELINE_MODE, DEFAULT_EPSILON, BootstrapConfig
-from ctax.records import read_records
+from ctax.records import read_records, write_records
 from ctax.taskgen import read_suite
 
 
@@ -177,6 +178,15 @@ def test_run_with_unreadable_config_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_config_with_a_duplicated_key_exits_2(tmp_path, capsys):
+    config_path, out = tmp_path / "config.json", tmp_path / "out"
+    config_path.write_text(json.dumps(_run_config_doc()).replace(
+        '"modes": ', '"modes": ["freeform"], "modes": ', 1), encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "duplicate object key: 'modes'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _scored_run(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(_run_config_doc()))
@@ -309,3 +319,18 @@ def test_cli_import_leaves_requests_unloaded():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_score_warns_when_a_cell_mixes_extraction_rules(tmp_path, capsys):
+    # half the instances as a run made under lenient/v1 left them, half resumed
+    records = read_records(_scored_run(tmp_path))
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    write_records(old, [replace(r, extraction_rule="lenient/v1") for r in records[::2]])
+    write_records(new, records[1::2])
+    capsys.readouterr()
+    assert main(["score", "--records", str(old), "--records", str(new),
+                 "--out", str(tmp_path / "scored")]) == 0
+    out = capsys.readouterr().out
+    for mode in ("prompt_json", "answer_only_schema"):
+        assert (f"[WARN] oracle/oracle-v1/boolean_logic/{mode} mixes extraction rules "
+                "lenient/v1, lenient/v2") in out

@@ -291,6 +291,21 @@ def test_delayed_model_variant_two_stage_records(tmp_path):
     assert agg.mode == "delayed_constraint" and agg.n == 3
 
 
+def test_delayed_cell_leaves_out_an_instance_whose_stage2_is_missing(tmp_path, capsys):
+    config = _config(("prompt_json", "delayed_constraint"), families=("boolean_logic",),
+                     delayed_variant="model")
+    records = load_records(run(config, tmp_path / "out"))
+    dropped = next(r for r in records if r.stage == "stage2")
+    records.remove(dropped)
+    capsys.readouterr()
+    result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
+    # its stage 1 was scored under the freeform contract: no delayed verdict
+    assert [(a.mode, a.n) for a in result.aggregates] == [
+        ("prompt_json", 3), ("delayed_constraint", 2)]
+    assert result.comparisons == []
+    assert f"missing in constrained: {dropped.instance_id}" in capsys.readouterr().out
+
+
 def test_delayed_packaging_failure_is_scored_invalid(tmp_path):
     # a corruptor that always malformes stage-1 text leaves nothing to package
     fault = FaultProfile(p_invalid_json=1.0)
@@ -731,12 +746,15 @@ def test_score_leaves_out_a_family_cell_with_no_scored_record(tmp_path, capsys):
 
 
 # sha256 of the score outputs of _golden_records, made before scoring became
-# one pass over the records; a change to them is a change to reported numbers
+# one pass over the records; a change to them is a change to reported numbers.
+# The aggregates, comparisons and report hashes were made again when the
+# delayed cell began to take its verdict from stage 2 only: the instance
+# whose stage 2 is dropped now leaves the corruptor's delayed cells.
 _GOLDEN_SCORE_SHA256 = {
-    "aggregates": "f583db674b52dfd16a141f6b1729d10200014078c53ec902f477960013e70828",
-    "comparisons": "0cc37c6da8bcff55cbd4bcaee089119b30ab2426d21bf19f99245331c923a8f0",
+    "aggregates": "2f8055f7961c4697114537be67c55f3ddae2eb42e7fa865024ce4bc530044d16",
+    "comparisons": "e85beada3c46d76e1af0aed3e5206d449764acffdc906632212fb5cb07b4224d",
     "calendar": "335eeab81387a46cc8cf2bbbe41018fc1437a5adfac4511549da624264c8d01c",
-    "report": "1d10a64ffbd08a8da99619b61d1034c1cbea38561fe9458ccd105a501f690e0f",
+    "report": "fe99caccf947393e980ec982fb5338eabfae0cd2b87b68a506dae0315938e2bb",
 }
 
 

@@ -14,6 +14,7 @@ from ctax.errors import ConfigError, PairingError
 from ctax.metrics import (
     ACC_METRICS,
     BootstrapConfig,
+    _count_ci,
     _paired_delta_ci,
     aggregate,
     bootstrap_rate_ci,
@@ -192,10 +193,11 @@ def test_rate_ci_deterministic():
     ind = [1] * 183 + [0] * 17
     cfg = BootstrapConfig(resamples=500, seed=42)
     a = bootstrap_rate_ci(ind, cfg, "cell")
-    b = bootstrap_rate_ci(ind, cfg, "cell")
-    assert (a.low, a.high) == (b.low, b.high)
-    c = bootstrap_rate_ci(ind, cfg, "other-cell")
-    assert (a.low, a.high) != (c.low, c.high)
+    _count_ci.cache_clear()  # the rerun draws again
+    assert bootstrap_rate_ci(ind, cfg, "cell") == a
+    # another seed part draws another stream; on the 1/200 lattice of resampled
+    # means its percentiles may still coincide with these
+    assert bootstrap_rate_ci(ind, cfg, "other-cell").seed != a.seed
 
 
 def test_rate_ci_degenerate_sets():
@@ -419,6 +421,20 @@ def test_paired_delta_ci_memory_does_not_scale_with_resamples_times_n():
     # a resamples x n index array alone would take 1.6 GB
     assert peak < 50 * 2**20, peak
     assert ci.low < 0.1 < ci.high
+
+
+def test_rate_ci_memory_does_not_scale_with_resamples_times_n():
+    indicators = [1] * 1500 + [0] * 500
+    cfg = BootstrapConfig(resamples=2000, seed=0)
+    tracemalloc.start()
+    try:
+        ci = bootstrap_rate_ci(indicators, cfg, "memory")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a resamples x n index array and its gather would take about 64 MB
+    assert peak < 8 * 2**20, peak
+    assert ci.low < 0.75 < ci.high
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from ctax.modes import (
     MODE_NAMES,
     OBJECT_MODES,
     REGEX_MODE,
-    TEMPLATE_VERSION,
     answer_regex,
     answer_schema,
     build_delayed_stage2,
@@ -250,8 +249,6 @@ def test_prompt_preserves_problem_text():
             bundle = build_prompt(inst, mode)
             assert inst.problem_text in bundle.user_text
             assert bundle.instance_id == inst.id
-            assert bundle.family == family
-            assert bundle.template_version == TEMPLATE_VERSION
 
 
 def test_calendar_object_modes_use_fixed_header_footer():
