@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .backend import BackendConfig, FaultProfile, GenerationResult, SamplingConfig
 from .checkers import CheckResult, calendar_exec_ok, score_completion
-from .errors import ConfigError, GenerationFailed, PairingError
+from .errors import ConfigError, PairingError
 from .harness import (
     RunConfig,
     ScoreResult,
@@ -57,7 +57,7 @@ __all__ = [
     "__version__",
     "BackendConfig", "FaultProfile", "GenerationResult", "SamplingConfig",
     "CheckResult", "calendar_exec_ok", "score_completion",
-    "ConfigError", "GenerationFailed", "PairingError",
+    "ConfigError", "PairingError",
     "RunConfig", "ScoreResult", "SuiteConfig", "config_from_dict",
     "derive_delayed", "run", "score",
     "BootstrapConfig", "ModeAggregate", "PairedComparison", "aggregate",

@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Any, Callable, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
 
-from .errors import ConfigError, GenerationFailed
+from .errors import ConfigError
 from .modes import (
     CONSTRAINT_NONE,
     CONSTRAINT_REGEX,
@@ -109,9 +109,17 @@ class BackendConfig:
             raise ConfigError(f"unknown backend kind: {self.kind!r}")
         if self.kind == "endpoint" and not self.base_url:
             raise ConfigError("endpoint backend requires base_url")
-        if self.base_url and urlsplit(self.base_url).scheme not in ("http", "https"):
-            raise ConfigError(f"base_url must start with http:// or https://, "
-                              f"got {self.base_url!r}")
+        if self.base_url:
+            url = urlsplit(self.base_url)
+            if url.scheme not in ("http", "https"):
+                raise ConfigError(f"base_url must start with http:// or https://, "
+                                  f"got {self.base_url!r}")
+            try:
+                url.port  # raises ValueError when out of range or not a number
+            except ValueError as exc:
+                raise ConfigError(f"base_url {self.base_url!r}: {exc}") from None
+            if not url.hostname:
+                raise ConfigError(f"base_url has no host, got {self.base_url!r}")
         if self.max_in_flight < 1:
             raise ConfigError("max_in_flight must be >= 1")
         if self.max_retries < 0:
@@ -120,8 +128,9 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class GenerationResult:
-    """One completion; the bundle it answers and the backend config own
-    its instance, stage and backend label."""
+    """One completion, or the failure of a call that ran out of attempts;
+    the bundle it answers and the backend config own its instance, stage
+    and backend label."""
 
     raw_text: str
     latency_ms: float
@@ -129,6 +138,7 @@ class GenerationResult:
     completion_tokens: int | None = None
     failed: bool = False
     failure_reason: str | None = None
+    started_at: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +369,10 @@ def check_health(config: BackendConfig) -> None:
 
 def _endpoint_generate(config: BackendConfig, bundle: PromptBundle) -> GenerationResult:
     """One completion, retried up to max_retries times on transport errors,
-    5xx, 408, 429 and malformed payloads; any other 4xx fails at once."""
+    5xx, 408, 429 and malformed payloads; any other 4xx fails at once. A
+    call out of attempts is a failed result naming its last error."""
     body = json.dumps(build_request_body(config, bundle)).encode()
+    started_at = timestamp()
     attempts = config.max_retries + 1
     for attempt in range(1, attempts + 1):
         started = time.perf_counter()
@@ -389,31 +401,30 @@ def _endpoint_generate(config: BackendConfig, bundle: PromptBundle) -> Generatio
             latency_ms=latency_ms,
             prompt_tokens=counts.get("prompt_tokens"),
             completion_tokens=counts.get("completion_tokens"),
+            started_at=started_at,
         )
-    raise GenerationFailed(f"{attempt} of {attempts} attempt(s) made; last error: {last_error}")
+    return GenerationResult(
+        raw_text="", latency_ms=0.0, failed=True, started_at=started_at,
+        failure_reason=f"{attempt} of {attempts} attempt(s) made; last error: {last_error}")
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def generate(config: BackendConfig, bundle: PromptBundle,
-             instance: TaskInstance | None = None) -> GenerationResult:
-    """One completion. Scripted kinds require the instance (they render
-    from ground truth); the endpoint kind ignores it."""
+def generate(config: BackendConfig, bundle: PromptBundle) -> GenerationResult:
+    """One completion of the bundle. Scripted kinds render it from the
+    bundle's instance's ground truth."""
     if config.kind == "endpoint":
         return _endpoint_generate(config, bundle)
-    if instance is None:
-        raise ConfigError(f"{config.kind} backend needs the task instance")
+    started_at = timestamp()
     if config.kind == "oracle":
-        text = oracle_generate(instance, bundle.mode, bundle.stage)
-    elif config.kind == "corruptor":
-        text = corrupt_generate(instance, bundle.mode, config.fault or FaultProfile(),
+        text = oracle_generate(bundle.instance, bundle.mode, bundle.stage)
+    else:  # corruptor, the last kind BackendConfig admits
+        text = corrupt_generate(bundle.instance, bundle.mode, config.fault or FaultProfile(),
                                 bundle.stage)
-    else:  # pragma: no cover - guarded by BackendConfig
-        raise ConfigError(f"unknown backend kind: {config.kind!r}")
     # scripted latency is pinned to zero so scripted runs stay byte-deterministic
-    return GenerationResult(raw_text=text, latency_ms=0.0)
+    return GenerationResult(raw_text=text, latency_ms=0.0, started_at=started_at)
 
 
 # Scripted kinds generate this many bundles, then land them. Alternating
@@ -422,32 +433,16 @@ def generate(config: BackendConfig, bundle: PromptBundle,
 # the CPU caches in between).
 _INLINE_RUN = 256
 
-OnResult = Callable[[PromptBundle, GenerationResult, str], Iterable[PromptBundle]]
-
-
-def _attempt(config: BackendConfig, bundle: PromptBundle,
-             instances_by_id: Mapping[str, TaskInstance] | None
-             ) -> tuple[PromptBundle, GenerationResult, str]:
-    """(bundle, result, start time of its generation); a failed generation
-    becomes a failed result rather than an exception."""
-    instance = instances_by_id.get(bundle.instance_id) if instances_by_id else None
-    started_at = timestamp()
-    try:
-        result = generate(config, bundle, instance)
-    except GenerationFailed as exc:
-        result = GenerationResult(raw_text="", latency_ms=0.0, failed=True,
-                                  failure_reason=str(exc))
-    return bundle, result, started_at
+OnResult = Callable[[PromptBundle, GenerationResult], Iterable[PromptBundle]]
 
 
 def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
-                 instances_by_id: Mapping[str, TaskInstance] | None,
                  on_result: OnResult) -> None:
     """Generate every bundle through one work queue.
 
-    Hands each (bundle, result, started_at) to on_result on the calling
-    thread as it lands, in completion order, and queues the bundles
-    on_result returns ahead of the rest. Bundles are drawn from the iterable
+    Hands each (bundle, result) to on_result on the calling thread as it
+    lands, in completion order, and queues the bundles on_result returns
+    ahead of the rest. Bundles are drawn from the iterable
     only as work is handed out. The endpoint kind generates on max_in_flight
     worker threads, so at most that many calls are in flight; scripted kinds
     generate inline, in runs of up to _INLINE_RUN bundles, and land in the
@@ -458,21 +453,20 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
     def next_bundle() -> PromptBundle | None:
         return follow_ups.popleft() if follow_ups else next(source, None)
 
-    def land(bundle: PromptBundle, result: GenerationResult, started_at: str) -> None:
-        follow_ups.extend(on_result(bundle, result, started_at))
+    def land(bundle: PromptBundle, result: GenerationResult) -> None:
+        follow_ups.extend(on_result(bundle, result))
 
     if config.kind == "endpoint":
-        _stream(config, instances_by_id, next_bundle, land)
+        _stream(config, next_bundle, land)
     else:
-        while batch := [_attempt(config, bundle, instances_by_id)
+        while batch := [(bundle, generate(config, bundle))
                         for bundle in islice(iter(next_bundle, None), _INLINE_RUN)]:
             for item in batch:
                 land(*item)
 
 
-def _stream(config: BackendConfig, instances_by_id: Mapping[str, TaskInstance] | None,
-            next_bundle: Callable[[], PromptBundle | None],
-            land: Callable[[PromptBundle, GenerationResult, str], None]) -> None:
+def _stream(config: BackendConfig, next_bundle: Callable[[], PromptBundle | None],
+            land: Callable[[PromptBundle, GenerationResult], None]) -> None:
     """Run next_bundle's work on max_in_flight worker threads and land each
     result on the calling thread. Up to max_in_flight more bundles wait
     handed out, so a worker never idles while the caller scores. On an
@@ -484,7 +478,7 @@ def _stream(config: BackendConfig, instances_by_id: Mapping[str, TaskInstance] |
     def worker() -> None:
         while not stop.is_set() and (bundle := work.get()) is not None:
             try:
-                landed.put(_attempt(config, bundle, instances_by_id))
+                landed.put((bundle, generate(config, bundle)))
             except BaseException as exc:  # re-raised on the calling thread
                 landed.put(exc)
                 return

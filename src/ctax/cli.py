@@ -23,7 +23,7 @@ from .harness import (
     score,
     score_to_files,
 )
-from .metrics import DEFAULT_BASELINE_MODE, DEFAULT_EPSILON, BootstrapConfig
+from .metrics import DEFAULT_BASELINE_MODE, BootstrapConfig
 from .modes import MODE_NAMES, parse_for_mode
 from .records import write_records
 from .report import render_report
@@ -41,8 +41,6 @@ def _add_bootstrap_args(parser: argparse.ArgumentParser) -> None:
                         help="bootstrap confidence level")
     parser.add_argument("--bootstrap-seed", type=int, default=defaults.seed,
                         help="bootstrap seed")
-    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                        help="denominator floor for the normalized tax")
 
 
 def _read(what: str, path: str, loader):
@@ -61,8 +59,7 @@ def _scored(args: argparse.Namespace):
         records.extend(loaded)
     cfg = BootstrapConfig(resamples=args.resamples, level=args.level,
                           seed=args.bootstrap_seed)
-    return score(records, bootstrap=cfg, baseline_mode=args.baseline,
-                 epsilon=args.epsilon)
+    return score(records, bootstrap=cfg, baseline_mode=args.baseline)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -26,10 +26,3 @@ class PairingError(ValueError):
             for arm, ids in (("baseline", self.missing_in_baseline),
                              ("constrained", self.missing_in_constrained)) if ids))
 
-
-class GenerationFailed(RuntimeError):
-    """Raised by the endpoint backend after bounded retries are exhausted.
-
-    The harness converts this into a generation_failed record rather than
-    aborting the run.
-    """

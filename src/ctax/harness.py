@@ -215,8 +215,7 @@ class _RecordContext:
 
 
 def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
-            result: GenerationResult, started_at: str | None,
-            derived_from: str | None = None) -> RunRecord:
+            result: GenerationResult, derived_from: str | None = None) -> RunRecord:
     """Score one completion under (mode, stage) and build its record.
 
     Every record is built here: generation failures, plain modes, the
@@ -243,7 +242,7 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
         config_digest=ctx.config_digest,
         derived_from=derived_from,
         latency_ms=result.latency_ms,
-        started_at=started_at,
+        started_at=result.started_at,
     )
     if result.failed:
         return RunRecord(**common, raw_text="", parse_status=PARSE_NO_JSON,
@@ -320,28 +319,26 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
     it may only add modes.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     records_path = out / "records.jsonl"
     if records_path.exists() and records_path.stat().st_size > 0 and not resume:
         raise ConfigError(
             f"{records_path} already has records; pass resume=True (--resume) "
             "or use a fresh output directory")
     digest = config.digest()
-    done: dict[tuple[str, str, str, str, str], RunRecord] = {}
     if resume:
         _check_resumable(config, digest, out / "manifest.json")
-        if records_path.exists():
-            drop_torn_tail(records_path)
-            done = {record.key(): record for record in read_records(records_path)}
-
-    suites = _suites(config)
-    instances_by_id = {i.id: i for suite in suites.values() for i in suite}
-    write_suite((i for suite in suites.values() for i in suite), out / "tasks.jsonl")
-    _write_manifest(config, digest, out)
-
-    for backend in config.backends:
+    for backend in config.backends:  # before anything is written
         if backend.kind == "endpoint":
             check_health(backend)
+
+    done: dict[tuple[str, str, str, str, str], RunRecord] = {}
+    if resume and records_path.exists():
+        drop_torn_tail(records_path)
+        done = {record.key(): record for record in read_records(records_path)}
+    out.mkdir(parents=True, exist_ok=True)
+    suites = _suites(config)
+    write_suite((i for suite in suites.values() for i in suite), out / "tasks.jsonl")
+    _write_manifest(config, digest, out)
 
     with records_path.open("a", encoding="utf-8") as fh:
         for backend in config.backends:
@@ -349,15 +346,12 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
                                  config.strict_extraction, config.strict_trace,
                                  config.delayed_variant)
 
-            def land(bundle: PromptBundle, result: GenerationResult,
-                     started_at: str) -> list[PromptBundle]:
-                instance = instances_by_id[bundle.instance_id]
-                record = _record(ctx, instance, bundle.mode, bundle.stage, result, started_at)
+            def land(bundle: PromptBundle, result: GenerationResult) -> list[PromptBundle]:
+                record = _record(ctx, bundle.instance, bundle.mode, bundle.stage, result)
                 append_record(fh, record)
-                return _stage2_bundles(ctx, record, instance, done)
+                return _stage2_bundles(ctx, record, bundle.instance, done)
 
-            generate_all(backend, _missing_bundles(ctx, config.modes, suites, done),
-                         instances_by_id, land)
+            generate_all(backend, _missing_bundles(ctx, config.modes, suites, done), land)
     print(f"[INFO] run complete: {records_path}")
     return records_path
 
@@ -476,9 +470,10 @@ def derive_delayed(source_records: Sequence[RunRecord],
             completion_tokens=source.completion_tokens,
             failed=source.error_class == GENERATION_FAILED,
             failure_reason=source.failure_reason,
+            started_at=source.started_at or timestamp(),
         )
         derived.append(_record(ctx, instance, DELAYED_MODE, "stage1", result,
-                               source.started_at or timestamp(), derived_from=source.mode))
+                               derived_from=source.mode))
     return derived
 
 
@@ -504,8 +499,7 @@ class ScoreResult:
 
 
 def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None,
-          baseline_mode: str = DEFAULT_BASELINE_MODE,
-          epsilon: float = DEFAULT_EPSILON) -> ScoreResult:
+          baseline_mode: str = DEFAULT_BASELINE_MODE) -> ScoreResult:
     """Aggregate records and compute paired comparisons against the
     baseline mode.
 
@@ -576,8 +570,8 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
                     continue
                 try:
                     result.comparisons.extend([paired_comparison(
-                        kept[baseline_mode], cell, acc_metric=metric, cfg=bootstrap,
-                        epsilon=epsilon) for metric in ACC_METRICS])
+                        kept[baseline_mode], cell, acc_metric=metric, cfg=bootstrap)
+                        for metric in ACC_METRICS])
                 except PairingError as exc:  # missing instances, duplicates, none scored
                     print(f"[WARN] comparisons skipped for {where}/{mode}: {exc}")
     return result
@@ -633,7 +627,7 @@ def write_comparisons_csv(path: str | Path,
                 cmp.acc_metric, cmp.n,
                 f"{pts(cmp.acc_baseline):.1f}", f"{pts(cmp.acc_constrained):.1f}",
                 f"{pts(cmp.signed_delta):+.1f}", f"{pts(cmp.tax):.1f}",
-                f"{cmp.tax_norm:.4f}", f"{cmp.epsilon:g}",
+                f"{cmp.tax_norm:.4f}", f"{DEFAULT_EPSILON:g}",
                 f"{pts(cmp.acc_ci.low):+.1f}", f"{pts(cmp.acc_ci.high):+.1f}",
                 f"{pts(cmp.validity_delta):+.1f}",
                 f"{pts(cmp.validity_ci.low):+.1f}", f"{pts(cmp.validity_ci.high):+.1f}",

@@ -112,6 +112,14 @@ def is_scored(record) -> bool:
     return record.error_class != GENERATION_FAILED
 
 
+_INDICATORS = {
+    "answer": lambda r: r.answer_correct,
+    "exec": lambda r: r.exec_correct,
+    "validity": lambda r: r.schema_valid,
+    "wrong_valid": lambda r: r.schema_valid and not r.exec_correct,
+}
+
+
 def _task_label(records: Iterable) -> str:
     families = {r.family for r in records}
     return families.pop() if len(families) == 1 else "all"
@@ -138,10 +146,9 @@ def aggregate(records: Sequence, task: str | None = None) -> ModeAggregate:
     if not scored:
         raise ValueError("no scored records to aggregate (all generation_failed)")
 
-    valid = sum(1 for r in scored if r.schema_valid)
-    answer = sum(1 for r in scored if r.answer_correct)
-    exec_ok = sum(1 for r in scored if r.exec_correct)
-    wrong_valid = sum(1 for r in scored if r.schema_valid and not r.exec_correct)
+    valid, answer, exec_ok, wrong_valid = (
+        len(list(filter(_INDICATORS[name], scored)))
+        for name in ("validity", "answer", "exec", "wrong_valid"))
     traced = [r for r in scored if r.trace_correct is not None]
     tokens = [r.completion_tokens for r in scored if r.completion_tokens is not None]
     overheads = [r.structural_overhead for r in scored if r.structural_overhead is not None]
@@ -243,8 +250,7 @@ class PairedComparison:
     acc_constrained: Fraction
     signed_delta: Fraction  # constrained - baseline, unclipped
     tax: Fraction
-    tax_norm: float
-    epsilon: float
+    tax_norm: float  # against DEFAULT_EPSILON
     validity_delta: Fraction
     wrong_valid_delta: Fraction
     acc_ci: BootstrapCI
@@ -252,18 +258,9 @@ class PairedComparison:
     wrong_valid_ci: BootstrapCI
 
 
-_INDICATORS = {
-    "answer": lambda r: r.answer_correct,
-    "exec": lambda r: r.exec_correct,
-    "validity": lambda r: r.schema_valid,
-    "wrong_valid": lambda r: r.schema_valid and not r.exec_correct,
-}
-
-
 def paired_comparison(baseline_records: Iterable, constrained_records: Iterable,
                       acc_metric: str = "answer",
-                      cfg: BootstrapConfig | None = None,
-                      epsilon: float = DEFAULT_EPSILON) -> PairedComparison:
+                      cfg: BootstrapConfig | None = None) -> PairedComparison:
     """Compare two modes over the identical instance set.
 
     Joins on instance id: both arms must hold the same instances (a
@@ -328,8 +325,7 @@ def paired_comparison(baseline_records: Iterable, constrained_records: Iterable,
         acc_constrained=acc_c,
         signed_delta=acc_c - acc_b,
         tax=tax,
-        tax_norm=normalized_tax(float(acc_b), float(acc_c), epsilon),
-        epsilon=epsilon,
+        tax_norm=normalized_tax(float(acc_b), float(acc_c)),
         validity_delta=Fraction(int(c_val.sum()) - int(b_val.sum()), n),
         wrong_valid_delta=Fraction(int(c_wv.sum()) - int(b_wv.sum()), n),
         acc_ci=_paired_delta_ci(b_acc, c_acc, cfg, *pair, acc_metric, "acc"),

@@ -96,14 +96,18 @@ NO_CONSTRAINT = Constraint(kind=CONSTRAINT_NONE)
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """One prompt; its instance owns the family, and the run's manifest
-    stamps TEMPLATE_VERSION."""
+    """One prompt and the instance it asks about; the instance owns the
+    family, and the run's manifest stamps TEMPLATE_VERSION."""
 
-    instance_id: str
+    instance: TaskInstance
     mode: str
     stage: str  # single | stage1 | stage2
     user_text: str
     constraint: Constraint  # transported constraint (kind none if unenforced)
+
+    @property
+    def instance_id(self) -> str:
+        return self.instance.id
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +302,7 @@ def build_prompt(instance: TaskInstance, mode: str) -> PromptBundle:
     user_text = "\n\n".join(parts)
     stage = "stage1" if descriptor.stages[0] == "stage1" else "single"
     return PromptBundle(
-        instance_id=instance.id,
+        instance=instance,
         mode=mode,
         stage=stage,
         user_text=user_text,
@@ -362,7 +366,7 @@ def build_delayed_stage2(stage1_text: str, instance: TaskInstance,
         instruction = _STAGE2_INSTRUCTION.format(stage1=stage1_text)
         parts = [p for p in (prefix, instance.problem_text, instruction) if p]
         bundle = PromptBundle(
-            instance_id=instance.id,
+            instance=instance,
             mode="delayed_constraint",
             stage="stage2",
             user_text="\n\n".join(parts),

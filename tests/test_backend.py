@@ -27,7 +27,7 @@ from ctax.backend import (
     generate_all,
     oracle_generate,
 )
-from ctax.errors import ConfigError, GenerationFailed
+from ctax.errors import ConfigError
 from ctax.modes import MODE_NAMES, build_prompt, parse_for_mode
 from ctax.checkers import score_completion
 from ctax.taskgen import FAMILIES, generate_suite
@@ -261,10 +261,10 @@ def test_backend_config_validation():
         BackendConfig(kind="endpoint", label="x")  # no base_url
     with pytest.raises(ConfigError):
         BackendConfig(kind="oracle", label="x", max_in_flight=0)
-    with pytest.raises(ConfigError):
-        generate(BackendConfig(kind="oracle", label="x"),
-                 build_prompt(generate_suite("boolean_logic", 1, seed=2)[0],
-                              "freeform"))  # scripted kinds need the instance
+    # no host, or a port urlsplit cannot read
+    for url in ("http://127.0.0.1:99999", "http://", "http://h:abc"):
+        with pytest.raises(ConfigError, match="base_url"):
+            BackendConfig(kind="endpoint", label="x", base_url=url)
 
 
 @pytest.mark.parametrize("kw, named", [
@@ -430,8 +430,8 @@ def test_endpoint_persistent_failure_raises():
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")
     with stub_server(fail_first=10**6) as (state, url):
-        with pytest.raises(GenerationFailed, match="HTTP 500"):
-            generate(_endpoint_config(base_url=url, max_retries=1), bundle)
+        result = generate(_endpoint_config(base_url=url, max_retries=1), bundle)
+    assert result.failed and "HTTP 500" in result.failure_reason
     assert state.post_count == 2  # retries + 1 attempts, then gave up
 
 
@@ -439,8 +439,8 @@ def test_endpoint_malformed_payload_raises():
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")
     with stub_server(malformed_payload=True) as (_state, url):
-        with pytest.raises(GenerationFailed, match="malformed completion payload"):
-            generate(_endpoint_config(base_url=url, max_retries=0), bundle)
+        result = generate(_endpoint_config(base_url=url, max_retries=0), bundle)
+    assert result.failed and "malformed completion payload" in result.failure_reason
 
 
 @pytest.mark.parametrize("usage", ["n/a", ["7"], {"prompt_tokens": "7", "completion_tokens": 3.0},
@@ -458,15 +458,14 @@ def test_endpoint_connection_refused_raises():
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")
     url = f"http://127.0.0.1:{_free_port()}"
-    with pytest.raises(GenerationFailed, match="transport error"):
-        generate(_endpoint_config(base_url=url, max_retries=0), bundle)
+    result = generate(_endpoint_config(base_url=url, max_retries=0), bundle)
+    assert result.failed and "transport error" in result.failure_reason
 
 
-def _collect(config, bundles, instances_by_id=None):
+def _collect(config, bundles):
     """Every (bundle, result) generate_all lands, in landing order."""
     landed = []
-    generate_all(config, bundles, instances_by_id,
-                 lambda bundle, result, started_at: landed.append((bundle, result)) or [])
+    generate_all(config, bundles, lambda bundle, result: landed.append((bundle, result)) or [])
     return landed
 
 
@@ -496,7 +495,7 @@ def test_generate_all_scripted_is_ordered_and_complete():
     suite = generate_suite("arithmetic_two_step", 5, seed=4)
     config = BackendConfig(kind="oracle", label="oracle")
     bundles = [build_prompt(i, "prompt_json") for i in reversed(suite)]
-    landed = _collect(config, bundles, {i.id: i for i in suite})
+    landed = _collect(config, bundles)
     assert [b.instance_id for b, _ in landed] == [b.instance_id for b in bundles]  # inline
     assert all(r.latency_ms == 0.0 for _, r in landed)  # pinned for determinism
 
@@ -505,8 +504,8 @@ def test_endpoint_timeout_is_a_transport_error():
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")
     with stub_server(delay=0.5, content="ok") as (state, url):
-        with pytest.raises(GenerationFailed, match="transport error"):
-            generate(_endpoint_config(base_url=url, timeout_ms=100, max_retries=0), bundle)
+        result = generate(_endpoint_config(base_url=url, timeout_ms=100, max_retries=0), bundle)
+    assert result.failed and "transport error" in result.failure_reason
     assert state.post_count == 1
 
 
@@ -517,8 +516,8 @@ def test_endpoint_retries_only_retryable_statuses(status, posts):
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")
     with stub_server(fail_first=10**6, fail_status=status) as (state, url):
-        with pytest.raises(GenerationFailed, match=f"HTTP {status}"):
-            generate(_endpoint_config(base_url=url, max_retries=2), bundle)
+        result = generate(_endpoint_config(base_url=url, max_retries=2), bundle)
+    assert result.failed and f"HTTP {status}" in result.failure_reason
     assert state.post_count == posts
 
 
@@ -528,9 +527,9 @@ def test_generate_all_lands_each_result_on_the_calling_thread(kind):
     instances = {i.id: i for i in suite}
     landed = []
 
-    def on_result(bundle, result, started_at):
+    def on_result(bundle, result):
         landed.append((bundle.mode, bundle.instance_id, threading.current_thread(),
-                       started_at))
+                       result.started_at))
         if bundle.mode == "freeform":  # a follow-up, as a model-variant stage 2 is
             return [build_prompt(instances[bundle.instance_id], "prompt_json")]
         return []
@@ -539,7 +538,7 @@ def test_generate_all_lands_each_result_on_the_calling_thread(kind):
         config = (_endpoint_config(base_url=url, max_in_flight=2) if kind == "endpoint"
                   else BackendConfig(kind="oracle"))
         bundles = (build_prompt(i, "freeform") for i in suite)
-        generate_all(config, bundles, instances, on_result)
+        generate_all(config, bundles, on_result)
     assert sorted((mode, iid) for mode, iid, _, _ in landed) == sorted(
         (mode, i.id) for mode in ("freeform", "prompt_json") for i in suite)
     assert all(thread is threading.current_thread() for _, _, thread, _ in landed)
@@ -551,7 +550,7 @@ def test_generate_all_lands_every_bundle_once_under_thread_churn():
     instances = {i.id: i for i in suite}
     landed = []
 
-    def on_result(bundle, result, started_at):
+    def on_result(bundle, result):
         landed.append((bundle.mode, bundle.instance_id))
         return [build_prompt(instances[bundle.instance_id], "prompt_json")] * (
             bundle.mode == "freeform")
@@ -561,7 +560,7 @@ def test_generate_all_lands_every_bundle_once_under_thread_churn():
     try:
         with stub_server(content="ok") as (state, url):
             generate_all(_endpoint_config(base_url=url, max_in_flight=4),
-                         [build_prompt(i, "freeform") for i in suite], instances, on_result)
+                         [build_prompt(i, "freeform") for i in suite], on_result)
     finally:
         sys.setswitchinterval(switch)
     assert sorted(landed) == sorted((mode, i.id) for mode in ("freeform", "prompt_json")
@@ -574,14 +573,14 @@ def test_generate_all_stops_its_workers_on_an_error(failing):
     suite = generate_suite("boolean_logic", 20, seed=4)
     bundles = [build_prompt(i, "answer_only_schema") for i in suite]
 
-    def on_result(bundle, result, started_at):
+    def on_result(bundle, result):
         raise RuntimeError("scoring crashed")
 
     with stub_server(delay=0.01, content="ok") as (state, url):
         if failing == "landing":
             config = _endpoint_config(base_url=url, max_in_flight=2)
             with pytest.raises(RuntimeError, match="scoring crashed"):
-                generate_all(config, bundles, None, on_result)
+                generate_all(config, bundles, on_result)
         else:  # no transport for the schema: raised by generate on a worker
             config = _endpoint_config(base_url=url, max_in_flight=2,
                                       constraint_transport={"regex": "guided_regex"})

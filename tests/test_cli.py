@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,7 +15,7 @@ import pytest
 import ctax
 from ctax.cli import build_parser, main
 from ctax.harness import SuiteConfig
-from ctax.metrics import DEFAULT_BASELINE_MODE, DEFAULT_EPSILON, BootstrapConfig
+from ctax.metrics import DEFAULT_BASELINE_MODE, BootstrapConfig
 from ctax.records import read_records, write_records
 from ctax.taskgen import read_suite
 
@@ -166,7 +167,7 @@ def test_parser_defaults_are_the_dataclass_defaults():
     for command in ("score", "report"):
         args = parser.parse_args([command, "--records", "r.jsonl", "--out", "o"])
         assert BootstrapConfig(args.resamples, args.level, args.bootstrap_seed) == bootstrap
-        assert (args.baseline, args.epsilon) == (DEFAULT_BASELINE_MODE, DEFAULT_EPSILON)
+        assert args.baseline == DEFAULT_BASELINE_MODE
 
 
 def test_run_with_unreadable_config_exits_2(tmp_path, capsys):
@@ -175,6 +176,20 @@ def test_run_with_unreadable_config_exits_2(tmp_path, capsys):
     config_path.write_text('{"backends": [', encoding="utf-8")  # not JSON
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("cannot read config") == 2
+    assert not out.exists()
+
+
+def test_run_with_an_unreachable_endpoint_exits_2_before_writing(tmp_path, capsys):
+    with socket.socket() as s:  # a port nothing listens on once the socket closes
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    doc = _run_config_doc()
+    doc["backends"].append({"kind": "endpoint", "label": "ep", "model_id": "m",
+                            "base_url": f"http://127.0.0.1:{port}"})
+    config_path, out = tmp_path / "config.json", tmp_path / "out"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "health check failed" in capsys.readouterr().err
     assert not out.exists()
 
 
