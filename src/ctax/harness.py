@@ -35,10 +35,11 @@ from .metrics import (
     DEFAULT_BASELINE_MODE,
     DEFAULT_EPSILON,
     BootstrapConfig,
+    Cell,
     ModeAggregate,
     PairedComparison,
+    _pair,
     aggregate,
-    is_scored,
     paired_comparison,
     pts,
     structural_overhead,
@@ -509,7 +510,8 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
     packaged locally is a model-variant provenance row and is left out: the
     delayed cell takes its verdict from stage 2 only, so an instance whose
     stage 2 is missing leaves the cell. One walk over the cells in output
-    order then emits the aggregates, the calendar rows and the comparisons.
+    order then emits the aggregates, the calendar rows and the comparisons,
+    building each cell's columns (Cell) once for its aggregate and pairings.
     A cell with no scored record is left out with a warning; a task without
     the baseline mode gets aggregates only; mixed config digests, and a cell
     that mixes extraction rules, get a warning (the records may not be
@@ -517,7 +519,7 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
     groups: dict[tuple[str, str], dict[str, dict[str, list[RunRecord]]]] = {}
     digests = set()
     for r in records:
-        if (r.mode == DELAYED_MODE and r.stage == "stage1" and is_scored(r)
+        if (r.mode == DELAYED_MODE and r.stage == "stage1" and r.error_class != GENERATION_FAILED
                 and r.packaged_text is None and not r.packaging_failed):
             continue  # model-variant provenance row, scored as freeform
         digests.add(r.config_digest)
@@ -538,22 +540,23 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
     for (backend_label, model_id), tasks in sorted(groups.items()):
         for task in sorted(tasks, key=lambda t: (task_rank.get(t, 99), t)):
             where = f"{backend_label}/{model_id}/{task}"
-            kept: dict[str, list[RunRecord]] = {}
+            kept: dict[str, Cell] = {}
             for mode in sorted(tasks[task], key=lambda m: mode_rank.get(m, 99)):
-                cell = tasks[task][mode]
-                if task == "all" and len({r.family for r in cell}) == 1:
+                cell_records = tasks[task][mode]
+                if task == "all" and len({r.family for r in cell_records}) == 1:
                     continue  # the rollup would repeat its one family's row
-                if not any(map(is_scored, cell)):
+                cell = Cell.of(cell_records)
+                if not cell.ids:
                     print(f"[WARN] {where}/{mode} has no scored records; row omitted")
                     continue
-                rules = sorted({r.extraction_rule for r in cell})
+                rules = sorted({r.extraction_rule for r in cell_records})
                 if len(rules) > 1:
                     print(f"[WARN] {where}/{mode} mixes extraction rules {', '.join(rules)}")
                 kept[mode] = cell
                 result.aggregates.append(aggregate(cell, task=task))
                 if task != "tool_call_argument":
                     continue
-                classified = [r for r in cell if r.calendar_failure_class is not None]
+                classified = [r for r in cell_records if r.calendar_failure_class is not None]
                 if classified:
                     result.calendar.append(CalendarRow(
                         backend_label, model_id, mode, len(classified),
@@ -574,6 +577,7 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
                         for metric in ACC_METRICS])
                 except PairingError as exc:  # missing instances, duplicates, none scored
                     print(f"[WARN] comparisons skipped for {where}/{mode}: {exc}")
+    _pair.cache_clear()  # the cached pairing holds the last two cells' records
     return result
 
 

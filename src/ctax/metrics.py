@@ -7,7 +7,8 @@ bit-for-bit for a given seed. A single rate's 0/1 indicators, and a paired
 comparison's per-instance deltas in {-1, 0, +1}, take few distinct values, so
 a resample is one multinomial draw of their counts rather than n index draws
 (BOOTSTRAP_VERSION; no CSV carries a single-rate CI). A mode pair's
-answer and exec comparisons share one validity and one wrong-valid CI.
+answer and exec comparisons share one pairing, and one validity and one
+wrong-valid CI.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -108,65 +110,78 @@ def pts(rate: Fraction | float) -> float:
     return round(rate * 100.0, 1)
 
 
-def is_scored(record) -> bool:
-    return record.error_class != GENERATION_FAILED
+FLAG_COLUMNS = ("answer", "exec", "validity", "wrong_valid")  # the columns of Cell.flags
 
 
-_INDICATORS = {
-    "answer": lambda r: r.answer_correct,
-    "exec": lambda r: r.exec_correct,
-    "validity": lambda r: r.schema_valid,
-    "wrong_valid": lambda r: r.schema_valid and not r.exec_correct,
-}
+@dataclass(frozen=True, eq=False)  # eq=False: hashed by identity, as _pair's cache key
+class Cell:
+    """The records of one (backend, model, mode) cell as columns. ids, flags
+    and scored follow the scored records in record order; flags holds one
+    boolean row per scored record. A cell of no records has no labels."""
+
+    backend_label: str | None
+    model_id: str | None
+    mode: str | None
+    task: str  # the records' one family, or "all" when they span several
+    ids: tuple[str, ...]
+    failed: tuple[str, ...]  # the generation_failed records' instance ids
+    flags: np.ndarray
+    scored: list  # the scored records, for aggregate's trace verdicts and means
+
+    @classmethod
+    def of(cls, records: Iterable) -> Cell:
+        """The cell of records that share (backend, model, mode)."""
+        records = list(records)
+        keys = set(map(attrgetter("backend_label", "model_id", "mode"), records))
+        if len(keys) > 1:
+            raise ValueError(f"records mix backend/model/mode cells: {sorted(keys)!r}")
+        scored = [r for r in records if r.error_class != GENERATION_FAILED]
+        answer, exec_ok, valid = (np.array(list(map(attrgetter(name), scored)), dtype=bool)
+                                  for name in ("answer_correct", "exec_correct", "schema_valid"))
+        families = set(map(attrgetter("family"), records))
+        return cls(*(keys.pop() if keys else (None, None, None)),
+                   task=families.pop() if len(families) == 1 else "all",
+                   ids=tuple(r.instance_id for r in scored),
+                   failed=tuple(r.instance_id for r in records
+                                if r.error_class == GENERATION_FAILED),
+                   flags=np.column_stack([answer, exec_ok, valid, valid & ~exec_ok]),
+                   scored=scored)
 
 
-def _task_label(records: Iterable) -> str:
-    families = {r.family for r in records}
-    return families.pop() if len(families) == 1 else "all"
+def _cell(records: Iterable | Cell) -> Cell:
+    return records if isinstance(records, Cell) else Cell.of(records)
 
 
-def aggregate(records: Sequence, task: str | None = None) -> ModeAggregate:
-    """Aggregate records that share (backend, model, mode).
+def aggregate(records: Iterable | Cell, task: str | None = None) -> ModeAggregate:
+    """Aggregate a cell, or the records of one (backend, model, mode).
 
     Records may span several families; the task label then becomes "all"
     unless given explicitly.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("cannot aggregate an empty record list")
-    keys = {(r.backend_label, r.model_id, r.mode) for r in records}
-    if len(keys) != 1:
-        raise ValueError(f"records mix backend/model/mode cells: {sorted(keys)!r}")
-    backend_label, model_id, mode = keys.pop()
-    if task is None:
-        task = _task_label(records)
-
-    scored = [r for r in records if is_scored(r)]
-    n_failed = len(records) - len(scored)
-    if not scored:
-        raise ValueError("no scored records to aggregate (all generation_failed)")
-
-    valid, answer, exec_ok, wrong_valid = (
-        len(list(filter(_INDICATORS[name], scored)))
-        for name in ("validity", "answer", "exec", "wrong_valid"))
-    traced = [r for r in scored if r.trace_correct is not None]
+    cell = _cell(records)
+    if not cell.ids:
+        raise ValueError("no scored records to aggregate (all generation_failed)"
+                         if cell.failed else "cannot aggregate an empty record list")
+    answer, exec_ok, valid, wrong_valid = map(int, cell.flags.sum(axis=0))
+    scored = cell.scored
+    traced = [r.trace_correct for r in scored if r.trace_correct is not None]
     tokens = [r.completion_tokens for r in scored if r.completion_tokens is not None]
     overheads = [r.structural_overhead for r in scored if r.structural_overhead is not None]
     notes = sorted({r.latency_annotation for r in scored if r.latency_annotation})
     latency_note = " ".join(notes) if notes else None
 
     return ModeAggregate(
-        backend_label=backend_label,
-        model_id=model_id,
-        task=task,
-        mode=mode,
+        backend_label=cell.backend_label,
+        model_id=cell.model_id,
+        task=cell.task if task is None else task,
+        mode=cell.mode,
         n=len(scored),
-        n_failed=n_failed,
+        n_failed=len(cell.failed),
         valid_count=valid,
         answer_count=answer,
         exec_count=exec_ok,
         trace_n=len(traced),
-        trace_count=sum(1 for r in traced if r.trace_correct),
+        trace_count=sum(traced),
         wrong_valid_count=wrong_valid,
         mean_latency_ms=float(np.mean([r.latency_ms for r in scored])),
         mean_completion_tokens=float(np.mean(tokens)) if tokens else None,
@@ -258,67 +273,66 @@ class PairedComparison:
     wrong_valid_ci: BootstrapCI
 
 
-def paired_comparison(baseline_records: Iterable, constrained_records: Iterable,
+@lru_cache(maxsize=1)
+def _pair(baseline: Cell, constrained: Cell) -> tuple[np.ndarray, np.ndarray]:
+    """Both arms' flags as 0/1 floats, row for row over the instances scored
+    in both. Cached for a mode pair's exec row, which follows its answer row;
+    score clears it when done, so it keeps no records alive."""
+    rows = []
+    for arm, cell in (("baseline", baseline), ("constrained", constrained)):
+        row = dict(zip(cell.ids, range(len(cell.ids))))
+        if len(row) < len(cell.ids):
+            seen: set = set()
+            duplicate = next(i for i in cell.ids if i in seen or seen.add(i))
+            raise PairingError(detail=(
+                f"duplicate {arm} record for instance {duplicate!r}; "
+                "a cell must hold one record per instance — deduplicate "
+                "the inputs before pairing"))
+        rows.append(row)
+    base_row, cons_row = rows
+    base_ids, cons_ids = base_row.keys() | baseline.failed, cons_row.keys() | constrained.failed
+    if base_ids != cons_ids:
+        raise PairingError(sorted(cons_ids - base_ids), sorted(base_ids - cons_ids))
+    paired = list(filter(cons_row.__contains__, baseline.ids))
+    if not paired:
+        raise PairingError(detail="cannot compare empty record sets")
+    return tuple(cell.flags[np.fromiter(map(row.__getitem__, paired), np.intp, len(paired))]
+                 .astype(np.float64) for cell, row in ((baseline, base_row),
+                                                       (constrained, cons_row)))
+
+
+def paired_comparison(baseline: Iterable | Cell, constrained: Iterable | Cell,
                       acc_metric: str = "answer",
                       cfg: BootstrapConfig | None = None) -> PairedComparison:
     """Compare two modes over the identical instance set.
 
-    Joins on instance id: both arms must hold the same instances (a
-    mismatch is a PairingError naming the missing ids, as are a duplicated
-    instance and no pair left). The pairs are the instances scored in both
-    arms; one that is only generation_failed in either arm is dropped from
-    both, and n counts the pairs. Computes exact point deltas and attaches
-    percentile-bootstrap CIs for the accuracy, validity, and wrong-valid
-    deltas. The task label comes from every baseline record.
+    Takes two cells, or the two arms' records. Joins on instance id: both
+    arms must hold the same instances (a mismatch is a PairingError naming
+    the missing ids, as are a duplicated instance and no pair left). The
+    pairs are the instances scored in both arms; one that is only
+    generation_failed in either arm is dropped from both, and n counts the
+    pairs. Computes exact point deltas and attaches percentile-bootstrap CIs
+    for the accuracy, validity, and wrong-valid deltas. The task label comes
+    from every baseline record.
     """
     if acc_metric not in ACC_METRICS:
         raise ValueError(f"unknown accuracy metric: {acc_metric!r}")
     cfg = cfg or BootstrapConfig()
-    baseline_records = list(baseline_records)
+    base_cell, cons_cell = _cell(baseline), _cell(constrained)
+    base, cons = _pair(base_cell, cons_cell)
+    n = len(base)
+    acc, valid, wrong_valid = map(FLAG_COLUMNS.index, (acc_metric, "validity", "wrong_valid"))
+    base_counts, cons_counts = (list(map(int, arm.sum(axis=0))) for arm in (base, cons))
+    acc_b, acc_c = Fraction(base_counts[acc], n), Fraction(cons_counts[acc], n)
 
-    def by_id(records: Iterable, arm: str) -> tuple[dict, set]:
-        """The arm's scored records by instance id, and all its instance ids."""
-        scored: dict = {}
-        failed: set = set()
-        for r in records:
-            if not is_scored(r):
-                failed.add(r.instance_id)
-            elif r.instance_id in scored:
-                raise PairingError(detail=(
-                    f"duplicate {arm} record for instance {r.instance_id!r}; "
-                    "a cell must hold one record per instance — deduplicate "
-                    "the inputs before pairing"))
-            else:
-                scored[r.instance_id] = r
-        return scored, failed.union(scored)
-
-    base, base_ids = by_id(baseline_records, "baseline")
-    cons, cons_ids = by_id(constrained_records, "constrained")
-    if base_ids != cons_ids:
-        raise PairingError(sorted(cons_ids - base_ids), sorted(base_ids - cons_ids))
-    ids = sorted(base.keys() & cons.keys())
-    if not ids:
-        raise PairingError(detail="cannot compare empty record sets")
-    n = len(ids)
-
-    def arrays(metric: str) -> tuple[np.ndarray, np.ndarray]:
-        indicator = _INDICATORS[metric]
-        return (np.array([indicator(base[i]) for i in ids], dtype=np.float64),
-                np.array([indicator(cons[i]) for i in ids], dtype=np.float64))
-
-    (b_acc, c_acc), (b_val, c_val), (b_wv, c_wv) = map(
-        arrays, (acc_metric, "validity", "wrong_valid"))
-    acc_b, acc_c = Fraction(int(b_acc.sum()), n), Fraction(int(c_acc.sum()), n)
-
-    sample = base[ids[0]]
-    pair = (sample.backend_label, sample.model_id, sample.mode, cons[ids[0]].mode)
+    pair = (base_cell.backend_label, base_cell.model_id, base_cell.mode, cons_cell.mode)
     tax = constraint_tax(acc_b, acc_c)
     return PairedComparison(
-        backend_label=sample.backend_label,
-        model_id=sample.model_id,
-        task=_task_label(baseline_records),
-        baseline_mode=sample.mode,
-        mode=cons[ids[0]].mode,
+        backend_label=base_cell.backend_label,
+        model_id=base_cell.model_id,
+        task=base_cell.task,
+        baseline_mode=base_cell.mode,
+        mode=cons_cell.mode,
         acc_metric=acc_metric,
         n=n,
         acc_baseline=acc_b,
@@ -326,11 +340,12 @@ def paired_comparison(baseline_records: Iterable, constrained_records: Iterable,
         signed_delta=acc_c - acc_b,
         tax=tax,
         tax_norm=normalized_tax(float(acc_b), float(acc_c)),
-        validity_delta=Fraction(int(c_val.sum()) - int(b_val.sum()), n),
-        wrong_valid_delta=Fraction(int(c_wv.sum()) - int(b_wv.sum()), n),
-        acc_ci=_paired_delta_ci(b_acc, c_acc, cfg, *pair, acc_metric, "acc"),
-        validity_ci=_paired_delta_ci(b_val, c_val, cfg, *pair, "validity"),
-        wrong_valid_ci=_paired_delta_ci(b_wv, c_wv, cfg, *pair, "wrong_valid"),
+        validity_delta=Fraction(cons_counts[valid] - base_counts[valid], n),
+        wrong_valid_delta=Fraction(cons_counts[wrong_valid] - base_counts[wrong_valid], n),
+        acc_ci=_paired_delta_ci(base[:, acc], cons[:, acc], cfg, *pair, acc_metric, "acc"),
+        validity_ci=_paired_delta_ci(base[:, valid], cons[:, valid], cfg, *pair, "validity"),
+        wrong_valid_ci=_paired_delta_ci(base[:, wrong_valid], cons[:, wrong_valid], cfg,
+                                        *pair, "wrong_valid"),
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -72,7 +72,8 @@ class RunRecord:
         return doc
 
 
-_FIELD_NAMES = {f.name for f in fields(RunRecord)}
+_FIELD_NAMES = frozenset(f.name for f in fields(RunRecord))
+_DEFAULTS = {f.name: f.default for f in fields(RunRecord) if f.default is not MISSING}
 
 
 def timestamp() -> str:
@@ -81,10 +82,19 @@ def timestamp() -> str:
 
 
 def record_from_dict(doc: dict[str, Any]) -> RunRecord:
-    known = {k: v for k, v in doc.items() if k in _FIELD_NAMES}
-    known["violations"] = tuple(known.get("violations") or ())
-    known["calendar_wrong_fields"] = tuple(known.get("calendar_wrong_fields") or ())
-    return RunRecord(**known)
+    """Unknown keys are dropped, absent optional fields take their defaults and
+    a missing required field is a TypeError. Fills __dict__ directly: the frozen
+    dataclass __init__ (a setattr call per field) costs several times as much."""
+    if not _FIELD_NAMES.issuperset(doc):
+        doc = {k: v for k, v in doc.items() if k in _FIELD_NAMES}
+    record = object.__new__(RunRecord)
+    state = record.__dict__
+    state.update(_DEFAULTS, **doc)
+    if len(state) < len(_FIELD_NAMES):
+        raise TypeError(f"missing field(s): {', '.join(sorted(_FIELD_NAMES - state.keys()))}")
+    state["violations"] = tuple(state["violations"] or ())
+    state["calendar_wrong_fields"] = tuple(state["calendar_wrong_fields"] or ())
+    return record
 
 
 def _json_line(doc: dict[str, Any]) -> str:

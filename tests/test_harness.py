@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import hashlib
+import io
 import json
 import os
 import re
@@ -33,7 +35,7 @@ from ctax.harness import (
 from ctax import metrics
 from ctax.metrics import BOOTSTRAP_VERSION, BootstrapConfig
 from ctax.modes import MODE_NAMES
-from ctax.records import canonical_diff, canonical_record_lines
+from ctax.records import RunRecord, canonical_diff, canonical_record_lines, write_records
 from ctax.report import render_report
 from ctax.taskgen import CALENDAR_SEMANTIC_FIELDS, FAMILIES, generate_suite
 from ctax.validation import canonical_serialize
@@ -841,6 +843,144 @@ def test_bootstrap_version_is_stamped(tmp_path):
 def test_score_rejects_empty():
     with pytest.raises(ValueError):
         score([])
+
+
+def _row(backend, mode, i, family="arithmetic_two_step", **kw):
+    fields = dict(schema_valid=True, answer_correct=True, exec_correct=True,
+                  extraction_rule="lenient/v2", config_digest="d1")
+    fields.update(kw)
+    return RunRecord(instance_id=f"{family}-{i:05d}", model_id="m", backend_label=backend,
+                     family=family, mode=mode, stage="single", constraint_kind="none",
+                     constraint_digest=None, constraint_enforced=False, raw_text="",
+                     parse_status="ok", **fields)
+
+
+def test_score_warning_lines(tmp_path, capsys):
+    records = [_row("dup", mode, i) for mode in ("prompt_json", "freeform", "answer_only_schema")
+               for i in range(3)]
+    records.append(_row("dup", "prompt_json", 0))  # a duplicated baseline instance
+    records += [_row("miss", "prompt_json", i) for i in range(3)]
+    records += [_row("miss", "freeform", i) for i in range(2)]  # missing from one arm
+    records += [_row("fail", "prompt_json", i) for i in range(3)]
+    records += [_row("fail", "freeform", i, error_class="generation_failed") for i in range(3)]
+    records += [_row("nobase", "freeform", i) for i in range(3)]
+    records += [_row("mixed", mode, i, extraction_rule=f"lenient/v{1 + i % 2}")
+                for mode in ("prompt_json", "freeform") for i in range(3)]
+    records.append(_row("digest", "prompt_json", 0, config_digest="d2"))
+    path = tmp_path / "records.jsonl"
+    write_records(path, records)
+    capsys.readouterr()
+    assert main(["score", "--records", str(path), "--out", str(tmp_path / "scores"),
+                 "--resamples", "20"]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("[WARN]")]
+    duplicate = ("duplicate baseline record for instance 'arithmetic_two_step-00000'; a cell "
+                 "must hold one record per instance — deduplicate the inputs before pairing")
+    assert warnings == [
+        "[WARN] records mix 2 config digests; cross-run comparability is not guaranteed",
+        f"[WARN] comparisons skipped for dup/m/arithmetic_two_step/freeform: {duplicate}",
+        f"[WARN] comparisons skipped for dup/m/arithmetic_two_step/answer_only_schema: "
+        f"{duplicate}",
+        "[WARN] fail/m/arithmetic_two_step/freeform has no scored records; row omitted",
+        "[WARN] comparisons skipped for miss/m/arithmetic_two_step/freeform: instance sets "
+        "differ; missing in constrained: arithmetic_two_step-00002",
+        "[WARN] mixed/m/arithmetic_two_step/freeform mixes extraction rules "
+        "lenient/v1, lenient/v2",
+        "[WARN] mixed/m/arithmetic_two_step/prompt_json mixes extraction rules "
+        "lenient/v1, lenient/v2",
+        "[WARN] baseline mode 'prompt_json' absent for nobase/m/arithmetic_two_step; "
+        "comparisons skipped",
+    ]
+
+
+def _recount(records, baseline="prompt_json"):
+    """Aggregate counts and comparison point deltas by a plain walk over the
+    records: the indicator rules of perfbench's expected_comparisons, with
+    pairs over the instances scored in both arms."""
+    cells: dict = {}
+    for r in records:
+        for task in (r.family, "all"):
+            cells.setdefault((task, r.mode), []).append(r)
+
+    def indicators(r):
+        return {"valid": r.schema_valid, "answer": r.answer_correct, "exec": r.exec_correct,
+                "wrong_valid": r.schema_valid and not r.exec_correct}
+
+    aggregates, scored = {}, {}
+    for (task, mode), cell in cells.items():
+        if task == "all" and len({r.family for r in cell}) == 1:
+            continue
+        kept = {r.instance_id: indicators(r) for r in cell if r.error_class != "generation_failed"}
+        if not kept:
+            continue
+        scored[(task, mode)] = kept
+        traced = [r.trace_correct for r in cell
+                  if r.error_class != "generation_failed" and r.trace_correct is not None]
+        aggregates[(task, mode)] = (
+            len(kept), len(cell) - len(kept),
+            *(sum(ind[name] for ind in kept.values())
+              for name in ("valid", "answer", "exec", "wrong_valid")),
+            len(traced), sum(traced))
+    comparisons = {}
+    for (task, mode), cons in scored.items():
+        base = scored.get((task, baseline))
+        if mode == baseline or base is None:
+            continue
+        ids = base.keys() & cons.keys()
+        if not ids:
+            continue
+
+        def delta(name):
+            return Fraction(sum(cons[i][name] for i in ids) - sum(base[i][name] for i in ids),
+                            len(ids))
+
+        for metric in ("answer", "exec"):
+            comparisons[(task, mode, metric)] = (
+                len(ids), Fraction(sum(base[i][metric] for i in ids), len(ids)),
+                delta(metric), delta("valid"), delta("wrong_valid"))
+    return aggregates, comparisons
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover - hypothesis is optional
+    st = None
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_score_counts_match_a_record_walk():
+    modes = ("prompt_json", "answer_only_schema", "freeform")
+    verdicts = st.fixed_dictionaries({
+        "failed": st.sampled_from([False, False, False, True]),
+        "schema_valid": st.booleans(), "answer_correct": st.booleans(),
+        "exec_correct": st.booleans(), "trace_correct": st.sampled_from([None, True, False]),
+    })
+    instances = st.lists(st.sampled_from(["arithmetic_two_step", "boolean_logic",
+                                          "symbolic_string"]), min_size=1, max_size=8)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(instances, st.data())
+    def check(families, data):
+        records = []
+        for i, family in enumerate(families):
+            for mode in modes:
+                v = data.draw(verdicts)
+                failed = v.pop("failed")
+                records.append(_row("b", mode, i, family,
+                                    error_class="generation_failed" if failed else "x", **v))
+        records = data.draw(st.permutations(records))
+        with contextlib.redirect_stdout(io.StringIO()):
+            result = score(records, bootstrap=BootstrapConfig(resamples=20, seed=0))
+        aggregates, comparisons = _recount(records)
+        assert {(a.task, a.mode): (a.n, a.n_failed, a.valid_count, a.answer_count,
+                                   a.exec_count, a.wrong_valid_count, a.trace_n, a.trace_count)
+                for a in result.aggregates} == aggregates
+        assert {(c.task, c.mode, c.acc_metric): (c.n, c.acc_baseline, c.signed_delta,
+                                                 c.validity_delta, c.wrong_valid_delta)
+                for c in result.comparisons} == comparisons
+        assert len(result.comparisons) == len(comparisons)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,8 @@ def test_pairing_failures_are_pairing_errors():
     base, cons = _nested_pair(6, 6, 6)
     with pytest.raises(PairingError, match="duplicate constrained record"):
         paired_comparison(base, cons + [cons[0]])
+    with pytest.raises(PairingError, match="missing in constrained: " + base[0].instance_id):
+        paired_comparison(base, [])
     failed = [replace(r, error_class="generation_failed") for r in base]
     with pytest.raises(PairingError, match="empty"):
         paired_comparison(failed, failed)

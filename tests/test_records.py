@@ -1,0 +1,114 @@
+"""The records.jsonl line contract: what a read record is, and what a bad line is."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+
+import pytest
+
+from ctax.cli import main
+from ctax.errors import ConfigError
+from ctax.records import RunRecord, read_records, record_from_dict, write_records
+
+REQUIRED = {
+    "instance_id": "arithmetic_two_step-00000",
+    "model_id": "m-v1",
+    "backend_label": "b",
+    "family": "arithmetic_two_step",
+    "mode": "prompt_json",
+    "stage": "single",
+    "constraint_kind": "none",
+    "constraint_digest": None,
+    "constraint_enforced": False,
+    "raw_text": '{"answer": "4"}',
+    "parse_status": "ok",
+}
+
+
+def _records(n=3):
+    return [RunRecord(**{**REQUIRED, "instance_id": f"arithmetic_two_step-{i:05d}"},
+                      schema_valid=True, answer_correct=i % 2 == 0,
+                      violations=({"path": "/answer", "rule": "type"},),
+                      calendar_wrong_fields=("date",))
+            for i in range(n)]
+
+
+def test_a_line_without_a_required_field_names_its_file_and_line(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    write_records(path, _records())
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    doc = json.loads(lines[1])
+    del doc["instance_id"]
+    lines[1] = json.dumps(doc) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"records\.jsonl:2: malformed record line"):
+        read_records(path)
+    capsys.readouterr()
+    assert main(["score", "--records", str(path), "--out", str(tmp_path / "scores")]) == 2
+    err = capsys.readouterr().err
+    assert "records.jsonl:2" in err and "instance_id" in err
+
+
+def test_unknown_keys_are_dropped():
+    record = _records(1)[0]
+    doc = {**record.to_dict(), "prompt": "retired field", "constraint_schema": {}}
+    assert record_from_dict(doc) == record
+    assert not hasattr(record_from_dict(doc), "prompt")
+
+
+def test_a_read_record_is_frozen(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records(path, _records(1))
+    record = read_records(path)[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.answer_correct = True
+
+
+def test_absent_optional_fields_take_their_defaults():
+    record = record_from_dict(dict(REQUIRED))
+    assert record == RunRecord(**REQUIRED)
+    assert record.extraction_rule == "lenient/v1"
+    assert record.violations == () and record.calendar_wrong_fields == ()
+    assert record.trace_correct is None and record.error_class == "correct_valid"
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover - hypothesis is optional
+    st = None
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_records_round_trip_through_the_jsonl_file(tmp_path):
+    text = st.text(max_size=12)
+    optional_text = st.none() | text
+    records = st.builds(
+        RunRecord,
+        instance_id=text, model_id=text, backend_label=text, family=text, mode=text,
+        stage=st.sampled_from(["single", "stage1", "stage2"]), constraint_kind=text,
+        constraint_digest=optional_text, constraint_enforced=st.booleans(), raw_text=text,
+        parse_status=text,
+        violations=st.lists(st.dictionaries(text, text | st.integers(), max_size=2),
+                            max_size=2).map(tuple),
+        schema_valid=st.booleans(), answer_correct=st.booleans(), exec_correct=st.booleans(),
+        trace_correct=st.none() | st.booleans(), error_class=text,
+        calendar_failure_class=optional_text,
+        calendar_wrong_fields=st.lists(text, max_size=3).map(tuple),
+        packaged_text=optional_text, packaging_failed=st.booleans(),
+        latency_ms=st.floats(0, 1e6), prompt_tokens=st.none() | st.integers(0, 10**6),
+        structural_overhead=st.none() | st.floats(0, 1), extraction_rule=text,
+        failure_reason=optional_text)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.lists(records, max_size=4))
+    def check(written):
+        path = tmp_path / "records.jsonl"
+        write_records(path, written)
+        read = read_records(path)
+        assert read == written
+        for record in read:
+            assert isinstance(record.violations, tuple)
+            assert isinstance(record.calendar_wrong_fields, tuple)
+
+    check()
