@@ -32,15 +32,10 @@ from .validation import unique_keys
 
 
 def _add_bootstrap_args(parser: argparse.ArgumentParser) -> None:
-    defaults = BootstrapConfig()
     parser.add_argument("--baseline", default=DEFAULT_BASELINE_MODE, choices=MODE_NAMES,
                         help="baseline mode for paired comparisons")
-    parser.add_argument("--resamples", type=int, default=defaults.resamples,
-                        help="bootstrap resample count")
-    parser.add_argument("--level", type=float, default=defaults.level,
+    parser.add_argument("--level", type=float, default=BootstrapConfig().level,
                         help="bootstrap confidence level")
-    parser.add_argument("--bootstrap-seed", type=int, default=defaults.seed,
-                        help="bootstrap seed")
 
 
 def _read(what: str, path: str, loader):
@@ -57,9 +52,8 @@ def _scored(args: argparse.Namespace):
         if not loaded:
             raise ConfigError(f"no records in {path}")
         records.extend(loaded)
-    cfg = BootstrapConfig(resamples=args.resamples, level=args.level,
-                          seed=args.bootstrap_seed)
-    return score(records, bootstrap=cfg, baseline_mode=args.baseline)
+    return score(records, bootstrap=BootstrapConfig(level=args.level),
+                 baseline_mode=args.baseline)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -637,7 +637,7 @@ def write_comparisons_csv(path: str | Path,
                 f"{pts(cmp.validity_ci.low):+.1f}", f"{pts(cmp.validity_ci.high):+.1f}",
                 f"{pts(cmp.wrong_valid_delta):+.1f}",
                 f"{pts(cmp.wrong_valid_ci.low):+.1f}", f"{pts(cmp.wrong_valid_ci.high):+.1f}",
-                cmp.acc_ci.resamples, f"{cmp.acc_ci.level:g}", BOOTSTRAP_VERSION,
+                "exact", f"{cmp.acc_ci.level:g}", BOOTSTRAP_VERSION,
             ])
 
 

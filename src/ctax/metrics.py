@@ -2,13 +2,11 @@
 
 Rates are kept as exact rational counts (fractions.Fraction) and only
 rounded at display time, to 0.1 percentage point. Uncertainty comes from
-a seeded percentile bootstrap, so confidence intervals are reproducible
-bit-for-bit for a given seed. A single rate's 0/1 indicators, and a paired
-comparison's per-instance deltas in {-1, 0, +1}, take few distinct values, so
-a resample is one multinomial draw of their counts rather than n index draws
-(BOOTSTRAP_VERSION; no CSV carries a single-rate CI). A mode pair's
-answer and exec comparisons share one pairing, and one validity and one
-wrong-valid CI.
+the percentile bootstrap with infinitely many resamples, computed exactly
+from the counts of a paired comparison's deltas in {-1, 0, +1}, or a single
+rate's 0/1 indicators (BOOTSTRAP_VERSION; no CSV carries a single-rate CI).
+A mode pair's answer and exec comparisons share one pairing, and one
+validity and one wrong-valid CI.
 """
 
 from __future__ import annotations
@@ -23,17 +21,18 @@ import numpy as np
 
 from .checkers import GENERATION_FAILED
 from .errors import ConfigError, PairingError
-from .rng import derive_seed
 
 DEFAULT_EPSILON = 1e-6
 DEFAULT_BASELINE_MODE = "prompt_json"
-BOOTSTRAP_VERSION = "bootstrap/v2"  # v1 drew instance indices, so CI digits differ
+BOOTSTRAP_VERSION = "bootstrap/v3"  # v1 and v2 sampled resamples, so CI digits differ
 
 ACC_METRICS = ("answer", "exec")
 
 
 @dataclass(frozen=True)
 class BootstrapConfig:
+    # resamples and seed are inert, as the CI is exact; they still decode and
+    # validate, so a run config keeps its digest
     resamples: int = 2000
     level: float = 0.95
     seed: int = 0
@@ -50,8 +49,6 @@ class BootstrapCI:
     low: float
     high: float
     level: float
-    resamples: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -212,44 +209,46 @@ def normalized_tax(acc_baseline: float, acc_constrained: float,
 # Paired bootstrap
 # ---------------------------------------------------------------------------
 
-def _percentile_ci(samples: np.ndarray, cfg: BootstrapConfig, seed: int) -> BootstrapCI:
-    alpha = (1.0 - cfg.level) / 2.0
-    low, high = np.quantile(samples, [alpha, 1.0 - alpha])
-    return BootstrapCI(low=float(low), high=float(high), level=cfg.level,
-                       resamples=cfg.resamples, seed=seed)
+_TIE_TOLERANCE = 1e-9  # a CDF this close to a quantile reaches it, on any FFT backend
 
 
-@lru_cache(maxsize=64)
-def _count_ci(outcomes: tuple, cfg: BootstrapConfig, seed: int) -> BootstrapCI:
-    """Percentile CI for the mean of a sample holding value v c times for each
-    (v, c) in outcomes: a resample's counts are Multinomial(n, c/n). Cached, so
-    a mode pair's per-metric comparisons share its validity and wrong-valid CIs."""
-    values, counts = map(np.array, zip(*outcomes))
-    n = int(counts.sum())
-    draws = np.random.default_rng(seed).multinomial(n, counts / n, size=cfg.resamples)
-    return _percentile_ci(draws @ values / n, cfg, seed)
-
-
-def _mean_ci(values: np.ndarray, cfg: BootstrapConfig, seed: int) -> BootstrapCI:
-    """Percentile CI for mean(values), drawn as counts of its distinct values."""
-    distinct, counts = np.unique(values, return_counts=True)
-    return _count_ci(tuple(zip(distinct.tolist(), counts.tolist())), cfg, seed)
+@lru_cache(maxsize=4096)
+def _exact_ci(k_down: int, k_zero: int, k_up: int, level: float) -> BootstrapCI:
+    """Percentile CI, over infinitely many resamples, for the mean of n values:
+    k_down -1s, k_zero 0s and k_up +1s. A resample's mean is (K+ - K-)/n with
+    (K-, K0, K+) ~ Multinomial(n, k/n), so P(K+ - K- = s) is the coefficient
+    of x^(n+s) in (p- + p0 x + p+ x^2)^n, raised by one FFT. A bound is the
+    first s/n whose CDF reaches alpha/2, or 1 - alpha/2."""
+    n = k_down + k_zero + k_up
+    size = 1 << (2 * n).bit_length()  # the next power of two >= 2n + 1, so no wrap
+    coeffs = np.zeros(size)
+    coeffs[:3] = k_down / n, k_zero / n, k_up / n
+    pmf = np.fft.irfft(np.fft.rfft(coeffs) ** n, size)[:2 * n + 1]
+    cdf = np.cumsum(np.clip(pmf, 0.0, None))
+    cdf /= cdf[-1]
+    alpha = (1.0 - level) / 2.0
+    low, high = np.searchsorted(cdf, [alpha - _TIE_TOLERANCE, 1.0 - alpha - _TIE_TOLERANCE])
+    return BootstrapCI(low=(int(low) - n) / n, high=(int(high) - n) / n, level=level)
 
 
 def bootstrap_rate_ci(indicators: Sequence[int] | np.ndarray, cfg: BootstrapConfig,
-                      *seed_parts: object) -> BootstrapCI:
-    """Percentile CI for a single success rate: the mean of 0/1 indicators."""
-    data = np.asarray(indicators, dtype=np.float64)
+                      *labels: object) -> BootstrapCI:
+    """Exact percentile CI for a single success rate: the mean of 0/1
+    indicators. Trailing labels are ignored; they once seeded a sampler."""
+    data = np.asarray(indicators)
     if data.size == 0:
         raise ValueError("cannot bootstrap an empty indicator set")
-    return _mean_ci(data, cfg, derive_seed(cfg.seed, "rate", *seed_parts))
+    k = int(np.count_nonzero(data))
+    return _exact_ci(0, data.size - k, k, cfg.level)
 
 
 def _paired_delta_ci(baseline: np.ndarray, constrained: np.ndarray,
-                     cfg: BootstrapConfig, *seed_parts: object) -> BootstrapCI:
-    """Percentile CI for mean(constrained) - mean(baseline) with paired
-    instance draws: the mean of the per-instance deltas in {-1, 0, +1}."""
-    return _mean_ci(constrained - baseline, cfg, derive_seed(cfg.seed, "delta", *seed_parts))
+                     cfg: BootstrapConfig, *labels: object) -> BootstrapCI:
+    """Exact percentile CI for mean(constrained) - mean(baseline) over paired
+    0/1 columns. Trailing labels are ignored, as in bootstrap_rate_ci."""
+    up = int(np.count_nonzero(constrained > baseline))
+    down = int(np.count_nonzero(constrained < baseline))
+    return _exact_ci(down, len(baseline) - up - down, up, cfg.level)
 
 
 @dataclass(frozen=True)
@@ -275,9 +274,9 @@ class PairedComparison:
 
 @lru_cache(maxsize=1)
 def _pair(baseline: Cell, constrained: Cell) -> tuple[np.ndarray, np.ndarray]:
-    """Both arms' flags as 0/1 floats, row for row over the instances scored
-    in both. Cached for a mode pair's exec row, which follows its answer row;
-    score clears it when done, so it keeps no records alive."""
+    """Both arms' flags, row for row over the instances scored in both. Cached
+    for a mode pair's exec row, which follows its answer row; score clears it
+    when done, so it keeps no records alive."""
     rows = []
     for arm, cell in (("baseline", baseline), ("constrained", constrained)):
         row = dict(zip(cell.ids, range(len(cell.ids))))
@@ -297,8 +296,7 @@ def _pair(baseline: Cell, constrained: Cell) -> tuple[np.ndarray, np.ndarray]:
     if not paired:
         raise PairingError(detail="cannot compare empty record sets")
     return tuple(cell.flags[np.fromiter(map(row.__getitem__, paired), np.intp, len(paired))]
-                 .astype(np.float64) for cell, row in ((baseline, base_row),
-                                                       (constrained, cons_row)))
+                 for cell, row in ((baseline, base_row), (constrained, cons_row)))
 
 
 def paired_comparison(baseline: Iterable | Cell, constrained: Iterable | Cell,
@@ -325,7 +323,6 @@ def paired_comparison(baseline: Iterable | Cell, constrained: Iterable | Cell,
     base_counts, cons_counts = (list(map(int, arm.sum(axis=0))) for arm in (base, cons))
     acc_b, acc_c = Fraction(base_counts[acc], n), Fraction(cons_counts[acc], n)
 
-    pair = (base_cell.backend_label, base_cell.model_id, base_cell.mode, cons_cell.mode)
     tax = constraint_tax(acc_b, acc_c)
     return PairedComparison(
         backend_label=base_cell.backend_label,
@@ -342,10 +339,9 @@ def paired_comparison(baseline: Iterable | Cell, constrained: Iterable | Cell,
         tax_norm=normalized_tax(float(acc_b), float(acc_c)),
         validity_delta=Fraction(cons_counts[valid] - base_counts[valid], n),
         wrong_valid_delta=Fraction(cons_counts[wrong_valid] - base_counts[wrong_valid], n),
-        acc_ci=_paired_delta_ci(base[:, acc], cons[:, acc], cfg, *pair, acc_metric, "acc"),
-        validity_ci=_paired_delta_ci(base[:, valid], cons[:, valid], cfg, *pair, "validity"),
-        wrong_valid_ci=_paired_delta_ci(base[:, wrong_valid], cons[:, wrong_valid], cfg,
-                                        *pair, "wrong_valid"),
+        acc_ci=_paired_delta_ci(base[:, acc], cons[:, acc], cfg),
+        validity_ci=_paired_delta_ci(base[:, valid], cons[:, valid], cfg),
+        wrong_valid_ci=_paired_delta_ci(base[:, wrong_valid], cons[:, wrong_valid], cfg),
     )
 
 

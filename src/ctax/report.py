@@ -11,7 +11,8 @@ from typing import Sequence
 
 from .checkers import CALENDAR_FAILURE_CLASSES
 from .harness import CalendarRow, ScoreResult
-from .metrics import DEFAULT_BASELINE_MODE, ModeAggregate, PairedComparison, pts
+from .metrics import (BOOTSTRAP_VERSION, DEFAULT_BASELINE_MODE, ModeAggregate,
+                      PairedComparison, pts)
 from .taskgen import CALENDAR_SEMANTIC_FIELDS
 
 
@@ -56,9 +57,10 @@ def dashboard_table(aggregates: Sequence[ModeAggregate]) -> str:
 
 
 def tax_table(comparisons: Sequence[PairedComparison]) -> str:
+    levels = "/".join(sorted({f"{cmp.acc_ci.level * 100:g}%" for cmp in comparisons}))
     lines = [
         "| backend | model | task | metric | mode | baseline % | constrained % "
-        "| signed Δ | tax | Δ 95% CI | validity Δ | wrong-valid Δ | reading |",
+        f"| signed Δ | tax | Δ {levels} CI | validity Δ | wrong-valid Δ | reading |",
         "|---|---|---|---|---|---:|---:|---:|---:|---|---:|---:|---|",
     ]
     for cmp in comparisons:
@@ -145,6 +147,9 @@ def render_report(result: ScoreResult, baseline_mode: str = DEFAULT_BASELINE_MOD
         "from generation latency.",
         "- `wrong-valid %` counts outputs that satisfied the format but failed "
         "execution: the failure mode format checks cannot see.",
+        f"- Δ CIs are exact paired percentile-bootstrap intervals (`{BOOTSTRAP_VERSION}`): "
+        "the limit of infinitely many resamples, computed from the paired counts "
+        "with no resampling, so no seed or resample count enters.",
     ]
     if failed:
         notes.append(f"- {failed} generation(s) failed and are excluded from "

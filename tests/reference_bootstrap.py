@@ -1,14 +1,17 @@
-"""Reference paired bootstrap that resamples instance indices.
+"""Reference paired bootstraps, written from the definition alone.
 
-Written from the definition of the paired percentile bootstrap alone: each
-resample draws n instance indices with replacement, applies the same
-indices to both arms, and takes the difference of the arm means. It
-shares no code with the package's count-based sampler, so agreement
-between the two is evidence that drawing outcome counts gives the same
-distribution as drawing indices.
+paired_delta_ci resamples instance indices: each resample draws n instance
+indices with replacement, applies the same indices to both arms, and takes
+the difference of the arm means. exact_delta_ci enumerates the law of a
+resample's mean in exact rationals. Neither shares code with the package's
+FFT, so agreement is evidence that its counts-only law is the right one and
+that it reads its quantiles off that law correctly.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -44,3 +47,36 @@ def arms(n: int, k_up: int, k_down: int) -> tuple[np.ndarray, np.ndarray]:
     tied = np.arange(k_up + k_down, n)
     baseline[tied[::2]] = constrained[tied[::2]] = 1.0
     return baseline, constrained
+
+
+def delta_law(k_down: int, k_zero: int, k_up: int) -> dict[int, Fraction]:
+    """P(K+ - K- = s) for (K-, K0, K+) ~ Multinomial(n, (k_down, k_zero,
+    k_up) / n): the law of n times a resample's mean delta, by trinomial
+    enumeration."""
+    n = k_down + k_zero + k_up
+    shares = [Fraction(k, n) for k in (k_down, k_zero, k_up)]
+    law: dict[int, Fraction] = {}
+    for minus in range(n + 1):
+        for plus in range(n - minus + 1):
+            p = (comb(n, minus) * comb(n - minus, plus) * shares[0] ** minus
+                 * shares[1] ** (n - minus - plus) * shares[2] ** plus)
+            law[plus - minus] = law.get(plus - minus, 0) + p
+    return law
+
+
+def exact_delta_ci(k_down: int, k_zero: int, k_up: int,
+                   level: float) -> tuple[Fraction, Fraction]:
+    """The B -> infinity percentile CI: the first s/n whose CDF reaches
+    alpha/2, and the first whose CDF reaches 1 - alpha/2, compared exactly
+    (level is read as the decimal it prints as)."""
+    n = k_down + k_zero + k_up
+    targets = ((1 - Fraction(str(level))) / 2, (1 + Fraction(str(level))) / 2)
+    law = delta_law(k_down, k_zero, k_up)
+    cdf = Fraction(0)
+    bounds: list[Fraction] = []
+    for s in range(-n, n + 1):
+        cdf += law.get(s, 0)
+        while len(bounds) < 2 and cdf >= targets[len(bounds)]:
+            bounds.append(Fraction(s, n))
+    low, high = bounds
+    return low, high

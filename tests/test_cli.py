@@ -67,14 +67,14 @@ def test_run_score_report_pipeline(tmp_path, capsys):
 
     score_dir = tmp_path / "scores"
     assert main(["score", "--records", str(out_dir / "records.jsonl"),
-                 "--out", str(score_dir), "--resamples", "60"]) == 0
+                 "--out", str(score_dir)]) == 0
     assert (score_dir / "aggregates.csv").exists()
     assert (score_dir / "comparisons.csv").exists()
     assert (score_dir / "calendar_failures.csv").exists()
 
     report_path = tmp_path / "report.md"
     assert main(["report", "--records", str(out_dir / "records.jsonl"),
-                 "--out", str(report_path), "--resamples", "60"]) == 0
+                 "--out", str(report_path)]) == 0
     assert "# Constraint-tax report" in report_path.read_text()
 
 
@@ -90,7 +90,7 @@ def test_score_accepts_multiple_record_files(tmp_path):
     assert main(["score",
                  "--records", str(tmp_path / "a" / "records.jsonl"),
                  "--records", str(tmp_path / "b" / "records.jsonl"),
-                 "--out", str(score_dir), "--resamples", "50"]) == 0
+                 "--out", str(score_dir)]) == 0
     agg = (score_dir / "aggregates.csv").read_text().splitlines()
     assert len(agg) == 3  # header + one row per mode
 
@@ -166,7 +166,7 @@ def test_parser_defaults_are_the_dataclass_defaults():
     bootstrap = BootstrapConfig()
     for command in ("score", "report"):
         args = parser.parse_args([command, "--records", "r.jsonl", "--out", "o"])
-        assert BootstrapConfig(args.resamples, args.level, args.bootstrap_seed) == bootstrap
+        assert args.level == bootstrap.level
         assert args.baseline == DEFAULT_BASELINE_MODE
 
 
@@ -212,7 +212,6 @@ def _scored_run(tmp_path):
 @pytest.mark.parametrize("command", ["score", "report"])
 @pytest.mark.parametrize("flags, named", [
     (["--level", "1.5"], "level"), (["--level", "0"], "level"),
-    (["--resamples", "0"], "resamples"), (["--resamples", "-1"], "resamples"),
 ])
 def test_bad_bootstrap_flags_exit_2(tmp_path, capsys, command, flags, named):
     records = _scored_run(tmp_path)
@@ -221,6 +220,18 @@ def test_bad_bootstrap_flags_exit_2(tmp_path, capsys, command, flags, named):
     assert main([command, "--records", str(records), "--out", str(out), *flags]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_report_labels_the_ci_with_its_level(tmp_path):
+    records = _scored_run(tmp_path)
+    for level, label in (("0.9", "Δ 90% CI"), ("0.95", "Δ 95% CI")):
+        out = tmp_path / f"report-{level}.md"
+        assert main(["report", "--records", str(records), "--out", str(out),
+                     "--level", level]) == 0
+        text = out.read_text(encoding="utf-8")
+        header = next(line for line in text.splitlines() if "| signed Δ |" in line)
+        assert f"| {label} |" in header
+        assert "`bootstrap/v3`" in text.split("## Notes", 1)[1]
 
 
 @pytest.mark.parametrize("command", ["score", "report"])

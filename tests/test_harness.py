@@ -754,9 +754,9 @@ def test_score_leaves_out_a_family_cell_with_no_scored_record(tmp_path, capsys):
 # whose stage 2 is dropped now leaves the corruptor's delayed cells.
 _GOLDEN_SCORE_SHA256 = {
     "aggregates": "2f8055f7961c4697114537be67c55f3ddae2eb42e7fa865024ce4bc530044d16",
-    "comparisons": "e85beada3c46d76e1af0aed3e5206d449764acffdc906632212fb5cb07b4224d",
+    "comparisons": "ea3d902242acd208938d35364756844447a8e010de74ef6e3fe37caef02b112b",
     "calendar": "335eeab81387a46cc8cf2bbbe41018fc1437a5adfac4511549da624264c8d01c",
-    "report": "fe99caccf947393e980ec982fb5338eabfae0cd2b87b68a506dae0315938e2bb",
+    "report": "71fad1055a093bfd205f3d1f54662209f0f8301d0e27cb52d8241431117b272d",
 }
 
 
@@ -832,12 +832,12 @@ def test_bootstrap_version_is_stamped(tmp_path):
     out = tmp_path / "out"
     records = load_records(run(_config(("prompt_json", "freeform")), out))
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["bootstrap_version"] == BOOTSTRAP_VERSION == "bootstrap/v2"
+    assert manifest["bootstrap_version"] == BOOTSTRAP_VERSION == "bootstrap/v3"
     paths = score_to_files(score(records, bootstrap=BootstrapConfig(resamples=50, seed=0)),
                            tmp_path / "scores")
     lines = paths["comparisons"].read_text(encoding="utf-8").splitlines()
     assert lines[0].endswith(",bootstrap_level,bootstrap_version")
-    assert len(lines) > 1 and all(line.endswith(",bootstrap/v2") for line in lines[1:])
+    assert len(lines) > 1 and all(line.endswith(",bootstrap/v3") for line in lines[1:])
 
 
 def test_score_rejects_empty():
@@ -870,8 +870,7 @@ def test_score_warning_lines(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
     write_records(path, records)
     capsys.readouterr()
-    assert main(["score", "--records", str(path), "--out", str(tmp_path / "scores"),
-                 "--resamples", "20"]) == 0
+    assert main(["score", "--records", str(path), "--out", str(tmp_path / "scores")]) == 0
     warnings = [line for line in capsys.readouterr().out.splitlines()
                 if line.startswith("[WARN]")]
     duplicate = ("duplicate baseline record for instance 'arithmetic_two_step-00000'; a cell "

@@ -14,7 +14,7 @@ from ctax.errors import ConfigError, PairingError
 from ctax.metrics import (
     ACC_METRICS,
     BootstrapConfig,
-    _count_ci,
+    _exact_ci,
     _paired_delta_ci,
     aggregate,
     bootstrap_rate_ci,
@@ -191,13 +191,11 @@ def test_aggregate_means_and_notes():
 
 def test_rate_ci_deterministic():
     ind = [1] * 183 + [0] * 17
-    cfg = BootstrapConfig(resamples=500, seed=42)
+    cfg = BootstrapConfig()
     a = bootstrap_rate_ci(ind, cfg, "cell")
-    _count_ci.cache_clear()  # the rerun draws again
     assert bootstrap_rate_ci(ind, cfg, "cell") == a
-    # another seed part draws another stream; on the 1/200 lattice of resampled
-    # means its percentiles may still coincide with these
-    assert bootstrap_rate_ci(ind, cfg, "other-cell").seed != a.seed
+    # labels are inert: they once seeded a sampler, and the exact CI has none
+    assert bootstrap_rate_ci(ind, cfg, "other-cell") == bootstrap_rate_ci(ind, cfg) == a
 
 
 def test_rate_ci_degenerate_sets():
@@ -381,7 +379,7 @@ def test_bootstrap_config_rejects_bad_settings(setting):
         BootstrapConfig(**setting)
 
 
-# Both samplers draw 20000 resamples, which keeps the Monte Carlo error of
+# The reference draws 20000 resamples, which keeps the Monte Carlo error of
 # each percentile near 0.1 pt at these n; a distribution that differed would
 # move the bounds by well over the 1 pt allowed.
 @pytest.mark.parametrize("n, k_up, k_down, level", [
@@ -397,9 +395,7 @@ def test_bootstrap_config_rejects_bad_settings(setting):
 ])
 def test_paired_delta_ci_matches_index_resampling(n, k_up, k_down, level):
     baseline, constrained = reference_bootstrap.arms(n, k_up, k_down)
-    ci = _paired_delta_ci(baseline, constrained,
-                          BootstrapConfig(resamples=20000, level=level, seed=5),
-                          "grid", n, k_up, k_down)
+    ci = _paired_delta_ci(baseline, constrained, BootstrapConfig(level=level))
     low, high = reference_bootstrap.paired_delta_ci(baseline, constrained, 20000, level,
                                                     seed=n + k_up + k_down)
     assert abs(pts(ci.low) - pts(low)) <= 1.0, (ci.low, low)
@@ -408,6 +404,80 @@ def test_paired_delta_ci_matches_index_resampling(n, k_up, k_down, level):
         assert (ci.low, ci.high) == (0.0, 0.0)
     if k_up == n:
         assert (ci.low, ci.high) == (1.0, 1.0)
+
+
+def test_exact_ci_equals_enumerated_quantiles():
+    """Every count vector with n <= 12: the FFT's bounds, for a paired delta
+    and a single rate, are the enumerated law's quantiles. Level 0.5 puts CDF values exactly on a quantile (n = 2
+    with shares 1/2 gives P = 1/4), which the FFT only reaches up to its
+    rounding; 0.9 and 0.95 have no such tie at these n."""
+    ties = 0
+    for n in range(1, 13):
+        for k_down in range(n + 1):
+            for k_up in range(n - k_down + 1):
+                law = reference_bootstrap.delta_law(k_down, n - k_down - k_up, k_up)
+                cdf = np.cumsum([law.get(s, 0) for s in range(-n, n + 1)])
+                baseline, constrained = reference_bootstrap.arms(n, k_up, k_down)
+                for level in (0.5, 0.9, 0.95):
+                    low, high = reference_bootstrap.exact_delta_ci(
+                        k_down, n - k_down - k_up, k_up, level)
+                    cfg = BootstrapConfig(level=level)
+                    ci = _paired_delta_ci(baseline, constrained, cfg)
+                    assert (ci.low, ci.high) == (float(low), float(high)), \
+                        (n, k_down, k_up, level)
+                    if k_down == 0:  # a single rate: the same law with no -1s
+                        assert bootstrap_rate_ci(constrained - baseline, cfg) == ci
+                    ties += sum(1 for q in ((1 - Fraction(str(level))) / 2,
+                                            (1 + Fraction(str(level))) / 2) if q in cdf)
+    assert ties > 0
+
+
+def test_a_tie_within_rounding_reads_as_a_tie(monkeypatch):
+    """n = 2 with shares 1/2 puts F(0) = 1/4 and F(1) = 3/4 exactly on the
+    0.5 level's quantiles. An FFT backend that lands both a rounding error
+    below must still give the enumerated bounds."""
+    irfft = np.fft.irfft
+
+    def low_by_rounding(*args, **kwargs):
+        pmf = irfft(*args, **kwargs)
+        pmf[2] -= 1e-13  # s = 0
+        pmf[4] += 1e-13  # s = 2
+        return pmf
+
+    monkeypatch.setattr(np.fft, "irfft", low_by_rounding)
+    ci = _exact_ci.__wrapped__(0, 1, 1, 0.5)  # unmemoised
+    low, high = reference_bootstrap.exact_delta_ci(0, 1, 1, 0.5)
+    assert (ci.low, ci.high) == (float(low), float(high)) == (0.0, 0.5)
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover - hypothesis is optional
+    st = None
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_exact_ci_brackets_the_point_on_the_lattice():
+    @st.composite
+    def counts(draw):
+        n = draw(st.integers(1, 3000))
+        k_down = draw(st.integers(0, n))
+        return n, k_down, draw(st.integers(0, n - k_down))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(counts())
+    def check(case):
+        n, k_down, k_up = case
+        arms = reference_bootstrap.arms(n, k_up, k_down)
+        wide = _paired_delta_ci(*arms, BootstrapConfig(level=0.95))
+        narrow = _paired_delta_ci(*arms, BootstrapConfig(level=0.9))
+        assert wide.low <= (k_up - k_down) / n <= wide.high
+        for bound in (wide.low, wide.high, narrow.low, narrow.high):
+            assert -1.0 <= bound <= 1.0
+            assert bound == round(bound * n) / n
+        assert wide.low <= narrow.low <= narrow.high <= wide.high
+
+    check()
 
 
 def test_paired_delta_ci_memory_does_not_scale_with_resamples_times_n():
