@@ -57,7 +57,8 @@ from .modes import (
     scoring_constraint,
     transported_constraint,
 )
-from .records import RunRecord, append_record, drop_torn_tail, read_records, timestamp
+from .records import (RunRecord, append_record, drop_torn_tail, new_record, open_jsonl,
+                      read_records, timestamp)
 from .taskgen import (CALENDAR_SEMANTIC_FIELDS, FAMILIES, TaskInstance, generate_suite,
                       write_suite)
 from .validation import (LENIENT_EXTRACTION, PARSE_NO_JSON, STRICT_EXTRACTION, canonical_digest,
@@ -228,7 +229,7 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
     """
     family = instance.family
     contract = scoring_constraint(mode, family)
-    common = dict(
+    doc = dict(
         instance_id=instance.id,
         model_id=ctx.model_id,
         backend_label=ctx.backend_label,
@@ -246,10 +247,11 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
         started_at=result.started_at,
     )
     if result.failed:
-        return RunRecord(**common, raw_text="", parse_status=PARSE_NO_JSON,
-                         error_class=GENERATION_FAILED, failure_reason=result.failure_reason,
-                         latency_annotation="+ pkg." if derived_from else None,
-                         finished_at=timestamp())
+        doc.update(raw_text="", parse_status=PARSE_NO_JSON, error_class=GENERATION_FAILED,
+                   failure_reason=result.failure_reason,
+                   latency_annotation="+ pkg." if derived_from else None,
+                   finished_at=timestamp())
+        return new_record(doc)
 
     text, scored_as = result.raw_text, mode
     packaged_text = packaging_ms = latency_annotation = None
@@ -272,8 +274,7 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
     checks = score_completion(instance, scored_as, parse, text,
                               packaging_failed=packaging_failed,
                               strict_trace=ctx.strict_trace)
-    return RunRecord(
-        **common,
+    doc.update(
         raw_text=result.raw_text,
         parse_status=parse.status,
         violations=tuple({"path": v.path, "keyword": v.keyword, "message": v.message}
@@ -294,6 +295,7 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
         structural_overhead=structural_overhead(result.raw_text, checks.answer_payload),
         finished_at=timestamp(),
     )
+    return new_record(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +343,7 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
     write_suite((i for suite in suites.values() for i in suite), out / "tasks.jsonl")
     _write_manifest(config, digest, out)
 
-    with records_path.open("a", encoding="utf-8") as fh:
+    with open_jsonl(records_path, "a") as fh:
         for backend in config.backends:
             ctx = _RecordContext(backend.label, backend.model_id, config.run_id, digest,
                                  config.strict_extraction, config.strict_trace,

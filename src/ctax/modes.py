@@ -8,6 +8,7 @@ any wording change so runs remain comparable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any
 
@@ -79,11 +80,18 @@ def get_mode(name: str) -> ModeDescriptor:
 
 @dataclass(frozen=True)
 class Constraint:
+    """A constraint document. Treat the schema as read-only: the memoised
+    constraints below hand one dict to every caller."""
+
     kind: str  # none | regex | schema
     pattern: str | None = None
     schema: dict | None = None
 
     def digest(self) -> str | None:
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str | None:  # cached in __dict__, outside the compared fields
         if self.kind == CONSTRAINT_SCHEMA and self.schema is not None:
             return canonical_digest(self.schema)
         if self.kind == CONSTRAINT_REGEX and self.pattern is not None:
@@ -207,13 +215,17 @@ def typed_trace_schema(family: str) -> dict:
     }
 
 
+@functools.cache
 def scoring_constraint(mode: str, family: str) -> Constraint:
     """Constraint the scorer validates against.
 
     For hard-constrained modes this equals the transported constraint; for
     prompt_json it is the same object schema requested by prompt only; for
     delayed_constraint it is the stage-2 packaging schema; freeform modes
-    have none.
+    have none. Memoised: one object per (mode, family), so its schema is
+    built and its digest hashed once per process. The schema builders above
+    stay unmemoised, because rationale_answer_schema edits the dict that
+    answer_schema returns.
     """
     if mode in FREEFORM_MODES:
         return NO_CONSTRAINT
@@ -228,12 +240,14 @@ def scoring_constraint(mode: str, family: str) -> Constraint:
     raise ConfigError(f"unknown mode: {mode!r}")
 
 
+@functools.cache
 def transported_constraint(mode: str, family: str, stage: str = "single") -> Constraint:
-    """Constraint actually sent to the backend for decoding."""
+    """Constraint actually sent to the backend for decoding (memoised like
+    scoring_constraint)."""
     kind = get_mode(mode).constraint_kind
     if mode == "delayed_constraint":
         if stage == "stage2":
-            return Constraint(kind=CONSTRAINT_SCHEMA, schema=answer_schema(family))
+            return scoring_constraint(mode, family)
         return NO_CONSTRAINT
     if kind == CONSTRAINT_NONE:
         return NO_CONSTRAINT
@@ -360,7 +374,7 @@ def build_delayed_stage2(stage1_text: str, instance: TaskInstance,
     if variant not in DELAYED_VARIANTS:
         raise ConfigError(f"unknown delayed variant: {variant!r}")
     family = instance.family
-    target = answer_schema(family)
+    target = transported_constraint("delayed_constraint", family, "stage2")
     if variant == "model":
         prefix, _ = _instruction_block("prompt_json", family)
         instruction = _STAGE2_INSTRUCTION.format(stage1=stage1_text)
@@ -370,7 +384,7 @@ def build_delayed_stage2(stage1_text: str, instance: TaskInstance,
             mode="delayed_constraint",
             stage="stage2",
             user_text="\n\n".join(parts),
-            constraint=Constraint(kind=CONSTRAINT_SCHEMA, schema=target),
+            constraint=target,
         )
         return PackagingOutcome(variant=variant, stage2_bundle=bundle)
 
@@ -380,7 +394,7 @@ def build_delayed_stage2(stage1_text: str, instance: TaskInstance,
                                 failure_reason="no extractable answer in stage-1 text")
     if family != "tool_call_argument" and "answer" in value:
         value = {"answer": str(value["answer"])}
-    violations = validate_schema(value, target)
+    violations = validate_schema(value, target.schema)
     if violations:
         reasons = "; ".join(f"{v.path or '/'}: {v.keyword}" for v in violations[:3])
         return PackagingOutcome(variant=variant, failed=True,

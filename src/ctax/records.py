@@ -81,17 +81,30 @@ def timestamp() -> str:
     return dt.datetime.now(dt.timezone.utc).isoformat(timespec="milliseconds")
 
 
-def record_from_dict(doc: dict[str, Any]) -> RunRecord:
-    """Unknown keys are dropped, absent optional fields take their defaults and
-    a missing required field is a TypeError. Fills __dict__ directly: the frozen
-    dataclass __init__ (a setattr call per field) costs several times as much."""
-    if not _FIELD_NAMES.issuperset(doc):
-        doc = {k: v for k, v in doc.items() if k in _FIELD_NAMES}
+def new_record(fields: dict[str, Any]) -> RunRecord:
+    """RunRecord(**fields): absent optional fields take their defaults, and a
+    missing required field or an unknown one is a TypeError. Fills __dict__
+    directly: the frozen dataclass __init__ (a setattr call per field) costs
+    several times as much."""
     record = object.__new__(RunRecord)
     state = record.__dict__
-    state.update(_DEFAULTS, **doc)
-    if len(state) < len(_FIELD_NAMES):
-        raise TypeError(f"missing field(s): {', '.join(sorted(_FIELD_NAMES - state.keys()))}")
+    state.update(_DEFAULTS)
+    state.update(fields)
+    if len(state) != len(_FIELD_NAMES):
+        missing, unknown = _FIELD_NAMES - state.keys(), state.keys() - _FIELD_NAMES
+        raise TypeError(f"missing field(s): {', '.join(sorted(missing))}" if missing
+                        else f"unknown field(s): {', '.join(sorted(unknown))}")
+    return record
+
+
+def record_from_dict(doc: dict[str, Any]) -> RunRecord:
+    """A record from its JSON object: unknown keys are dropped, absent
+    optional fields take their defaults and a missing required field is a
+    TypeError."""
+    if not _FIELD_NAMES.issuperset(doc):
+        doc = {k: v for k, v in doc.items() if k in _FIELD_NAMES}
+    record = new_record(doc)
+    state = record.__dict__
     state["violations"] = tuple(state["violations"] or ())
     state["calendar_wrong_fields"] = tuple(state["calendar_wrong_fields"] or ())
     return record
@@ -101,11 +114,22 @@ def _json_line(doc: dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def open_jsonl(path: str | Path, mode: str = "w"):
+    """A JSONL file opened for writing lines from _json_line, in UTF-8.
+
+    Lone surrogates (a completion may hold one: JSON's "\\ud800" decodes to
+    it) are the only characters UTF-8 cannot encode, and json.dumps leaves
+    non-ASCII only inside string literals, so backslashreplace writes each
+    as its \\uXXXX JSON escape, which reads back as the same character.
+    Every other line is unchanged."""
+    return Path(path).open(mode, encoding="utf-8", errors="backslashreplace")
+
+
 def write_jsonl(path: str | Path, docs: Iterable[dict[str, Any]]) -> None:
     """One sorted-key JSON object per line: records.jsonl and tasks.jsonl."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with open_jsonl(path) as fh:
         fh.writelines(map(_json_line, docs))
 
 

@@ -8,11 +8,13 @@ schema validity is itself a reported metric rather than mere plumbing.
 
 Each job is done once: extraction finds its candidates in one linear pass,
 and validate_schema trusts its schema, because every schema ctax validates
-against is a module constant that the tests check once (check_schema_doc).
+against comes from the fixed builders in modes, which the tests run through
+check_schema_doc for every (mode, family).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -84,11 +86,17 @@ def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return out
 
 
+# Built once: json.loads with hooks builds a fresh decoder and scanner per
+# call. A decoder keeps no state between calls (json.loads shares one too).
+_STRICT_DECODER = json.JSONDecoder(object_pairs_hook=unique_keys,
+                                   parse_constant=_reject_constant,
+                                   parse_float=_finite_float)
+
+
 def strict_loads(text: str) -> Any:
     """json.loads with duplicate keys, NaN/Infinity and overflowing numbers
     rejected."""
-    return json.loads(text, object_pairs_hook=unique_keys, parse_constant=_reject_constant,
-                      parse_float=_finite_float)
+    return _STRICT_DECODER.decode(text)
 
 
 _FENCE_RE = re.compile(r"```json\s*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
@@ -153,8 +161,16 @@ def extract_json(text: str, strict: bool = False) -> ParseOutcome:
 
     No candidate parses -> malformed_json when braces were present,
     no_json_found otherwise.
+
+    Without a fence, a stripped text that starts with "{" is tried first:
+    if it parses, it is also the first balanced span, so the walk would
+    pick it anyway; if not, the walk skips every candidate equal to it.
     """
-    for candidate in _candidates(text, strict):
+    candidates = _candidates(text, strict)
+    whole = text.strip()
+    if not strict and whole.startswith("{") and "```" not in text:
+        candidates = itertools.chain((whole,), (c for c in candidates if c != whole))
+    for candidate in candidates:
         if not candidate:
             continue
         try:
@@ -249,8 +265,9 @@ def validate_schema(value: Any, schema: dict) -> list[Violation]:
     means no fractional part and not a boolean. Returns all violations,
     each with a path like "/arguments/date" ("" for the root).
 
-    The schema is trusted: ctax validates only against module constants,
-    which the tests run through check_schema_doc.
+    The schema is trusted: ctax validates only against the schemas that
+    modes builds for each (mode, family), which the tests run through
+    check_schema_doc.
     """
     out: list[Violation] = []
     _validate(value, schema, "", out)

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import ctax
-from ctax.backend import BackendConfig, FaultProfile, SamplingConfig
+from ctax.backend import BackendConfig, FaultProfile, SamplingConfig, build_request_body
 from ctax.cli import main
 from ctax.errors import ConfigError
 from ctax.harness import (
@@ -29,13 +29,17 @@ from ctax.harness import (
     derive_delayed,
     load_records,
     run,
+    _write_manifest,
     score,
     score_to_files,
 )
 from ctax import metrics
 from ctax.metrics import BOOTSTRAP_VERSION, BootstrapConfig
-from ctax.modes import MODE_NAMES
-from ctax.records import RunRecord, canonical_diff, canonical_record_lines, write_records
+from ctax.modes import (DELAYED_VARIANTS, MODE_NAMES, NO_CONSTRAINT, Constraint,
+                        build_delayed_stage2, build_prompt, scoring_constraint,
+                        transported_constraint)
+from ctax.records import (MASKED_FIELDS, RunRecord, canonical_diff, canonical_record_lines,
+                          read_records, write_records)
 from ctax.report import render_report
 from ctax.taskgen import CALENDAR_SEMANTIC_FIELDS, FAMILIES, generate_suite
 from ctax.validation import canonical_serialize
@@ -218,6 +222,25 @@ def test_endpoint_records_start_at_their_own_request(tmp_path):
         assert took.total_seconds() >= 0.025
 
 
+def test_a_lone_surrogate_in_a_completion_is_written_escaped_and_read_back(tmp_path):
+    raw = '{"answer": "7\ud800"}'  # the stub's JSON body carries it as \ud800
+    out = tmp_path / "out"
+    with stub_server(content=raw) as (_state, url):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            _endpoint_run_config(url, modes=("prompt_json",), count=3).to_dict()))
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(config_path), "--out", str(out), "--resume"]) == 0
+    data = (out / "records.jsonl").read_bytes()
+    data.decode("utf-8")  # valid UTF-8
+    assert data.count(b'7\\ud800') == 3
+    records = read_records(out / "records.jsonl")
+    assert [r.raw_text for r in records] == [raw] * 3
+    assert {r.parse_status for r in records} == {"ok"}
+    assert main(["score", "--records", str(out / "records.jsonl"),
+                 "--out", str(tmp_path / "scores")]) == 0
+
+
 def _complete_lines(path: Path) -> int:
     return path.read_bytes().count(b"\n") if path.exists() else 0
 
@@ -254,6 +277,84 @@ def test_killed_endpoint_run_keeps_landed_records_and_resumes(tmp_path):
     assert len(records) == 2 * 20
     assert len({r.key() for r in records}) == len(records)
     assert not [r for r in records if r.error_class == "generation_failed"]
+
+
+# ---------------------------------------------------------------------------
+# the record line format, pinned
+# ---------------------------------------------------------------------------
+
+# sha256 of each scripted run's records.jsonl bytes with the wall-clock
+# fields set to null. Two runs of one commit cannot show a format drift;
+# these pins can.
+_GOLDEN_RECORD_SHA256 = {
+    "deterministic": "ee4ebf2a9a1c536377bec057fbd3cfe808a14eefcd68dd4efb30b2f71f188b01",
+    "model": "21139c566113a04140256a702997e45cdb0ee0af627d6e74eb4971b24fce9c34",
+}
+_MASK_RE = re.compile(rb'"(%s)": (?:null|"[^"]*"|[-+.0-9eE]+)'
+                      % b"|".join(name.encode() for name in MASKED_FIELDS))
+
+
+@pytest.fixture(scope="module")
+def scripted_runs(tmp_path_factory):
+    """A corruptor run over every mode and family, once per delayed variant."""
+    fault = FaultProfile(p_invalid_json=0.1, p_wrong_field=0.2, seed=5,
+                         wrong_field_targets=tuple(CALENDAR_SEMANTIC_FIELDS))
+    runs = {}
+    for variant in DELAYED_VARIANTS:
+        config = RunConfig(
+            run_id=f"record-golden-{variant}",
+            suite=SuiteConfig(families=FAMILIES, count=10, seed=31),
+            modes=MODE_NAMES,
+            backends=(BackendConfig(kind="corruptor", label="corruptor", model_id="c-v1",
+                                    fault=fault),),
+            delayed_variant=variant)
+        runs[variant] = (config, run(config, tmp_path_factory.mktemp(variant)))
+    return runs
+
+
+def test_record_lines_match_golden_hashes(scripted_runs):
+    digests = {}
+    for variant, (_config, path) in scripted_runs.items():
+        data = path.read_bytes()
+        lines = data.decode("utf-8").splitlines()
+        assert len(lines) == 9 * 5 * 10 + (50 if variant == "model" else 0)
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True, ensure_ascii=False)
+        masked, hits = _MASK_RE.subn(rb'"\1": null', data)
+        assert hits == len(MASKED_FIELDS) * len(lines)
+        digests[variant] = hashlib.sha256(masked).hexdigest()
+    assert digests == _GOLDEN_RECORD_SHA256
+
+
+def test_shared_constraints_stay_unchanged(scripted_runs, tmp_path):
+    """Constraints are memoised, so every caller shares one schema dict: a
+    caller that edited it would change every later record and request."""
+    endpoint = BackendConfig(kind="endpoint", label="e", model_id="m",
+                             base_url="http://127.0.0.1:9")
+    for variant, (config, path) in scripted_runs.items():
+        (tmp_path / variant).mkdir()
+        _write_manifest(config, config.digest(), tmp_path / variant)
+        instances = _instances(config)
+        for mode in MODE_NAMES:
+            for instance in instances.values():
+                json.dumps(build_request_body(endpoint, build_prompt(instance, mode)))
+        for record in read_records(path):
+            fresh = scoring_constraint.__wrapped__(record.mode, record.family)
+            assert record.constraint_digest == fresh.digest()
+            if record.mode == "delayed_constraint" and record.stage == "stage1":
+                outcome = build_delayed_stage2(record.raw_text, instances[record.instance_id],
+                                               "model")
+                json.dumps(build_request_body(endpoint, outcome.stage2_bundle))
+    assert NO_CONSTRAINT == Constraint(kind="none")
+    for mode in MODE_NAMES:
+        for family in FAMILIES:
+            shared, fresh = scoring_constraint(mode, family), scoring_constraint.__wrapped__(
+                mode, family)
+            assert shared == fresh and shared.digest() == fresh.digest()
+            for stage in ("single", "stage1", "stage2"):
+                transported = transported_constraint(mode, family, stage)
+                assert transported == transported_constraint.__wrapped__(mode, family, stage)
+                assert transported in (NO_CONSTRAINT, shared)
 
 
 # ---------------------------------------------------------------------------

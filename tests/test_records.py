@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
 from ctax.cli import main
 from ctax.errors import ConfigError
-from ctax.records import RunRecord, read_records, record_from_dict, write_records
+from ctax.records import (RunRecord, new_record, read_records, record_from_dict,
+                          write_records)
 
 REQUIRED = {
     "instance_id": "arithmetic_two_step-00000",
@@ -71,6 +73,31 @@ def test_absent_optional_fields_take_their_defaults():
     assert record.extraction_rule == "lenient/v1"
     assert record.violations == () and record.calendar_wrong_fields == ()
     assert record.trace_correct is None and record.error_class == "correct_valid"
+
+
+def test_new_record_is_the_dataclass_constructor():
+    doc = {**REQUIRED, "schema_valid": True, "violations": ({"path": "", "keyword": "type"},),
+           "calendar_wrong_fields": ("date", "topic"), "latency_ms": 12.5,
+           "extraction_rule": "lenient/v2"}
+    record = new_record(doc)
+    assert record == RunRecord(**doc)
+    assert vars(record) == vars(RunRecord(**doc))
+    assert new_record(dict(REQUIRED)) == RunRecord(**REQUIRED)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.schema_valid = False
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda doc: doc.pop("raw_text"), "missing field(s): raw_text"),
+    (lambda doc: doc.update(prompt="retired"), "unknown field(s): prompt"),
+])
+def test_new_record_refuses_what_the_constructor_refuses(change, named):
+    doc = dict(REQUIRED)
+    change(doc)
+    with pytest.raises(TypeError):
+        RunRecord(**doc)
+    with pytest.raises(TypeError, match=re.escape(named)):
+        new_record(doc)
 
 
 try:

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from ctax import validation
 from ctax.errors import ConfigError
 from ctax.validation import (
     canonical_digest,
@@ -19,6 +20,7 @@ from ctax.validation import (
     validate_regex,
     validate_schema,
 )
+from reference_extraction import walk_extract_json
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +178,79 @@ def test_extract_json_properties_over_brace_heavy_text():
         if out.ok:
             assert out.matched_text in text
             assert strict_loads(out.matched_text) == out.value
+
+    check()
+
+
+_DEEP = '{"a":' * 100_000 + "1" + "}" * 100_000
+
+
+@pytest.mark.parametrize("text", [
+    # a fence inside a JSON string still comes first
+    '{"answer": "```json\n{\"a\": 1}\n```"}',
+    '{"answer": "```json 7 ```"}',  # the whole text parses, but the fence wins
+    '\u00a0{"answer": "4"}',
+    '\u2028{"answer": "4"}\u2028',
+    ' \t\n{"answer": "4"}\r\n',
+    '\ufeff{"answer": "4"}',
+    '{"answer": "4"}\ufeff',
+    '{"a": 1, "a": 2}',
+    '{"a": 1, "a": 2} then {"b": 2}',
+    '{"a": NaN}',
+    '{"a": 1e400}',
+    '{"a": 1} {"b": 2}',
+    '{"a": 1} trailing prose',
+    '{"a": "unclosed',
+    "{}",
+    _DEEP,
+    '{"x": ' + _DEEP + "}",
+], ids=["fence-in-string", "fence-beats-whole", "nbsp", "line-separator", "json-whitespace",
+        "leading-bom", "trailing-bom", "duplicate-keys", "duplicate-then-object", "nan",
+        "overflow", "two-objects", "object-then-prose", "unclosed-string", "empty-object",
+        "deep", "deep-inside"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_extract_json_matches_the_candidate_walk(text, strict):
+    assert extract_json(text, strict=strict) == walk_extract_json(text, strict=strict)
+
+
+def test_fence_inside_a_string_still_wins():
+    out = extract_json('{"answer": "```json\n{\"a\": 1}\n```"}')
+    assert out.ok and out.value == {"a": 1} and out.matched_text == '{"a": 1}'
+    out = extract_json('{"answer": "```json 7 ```"}')
+    assert out.ok and out.value == 7 and out.matched_text == "7"
+
+
+def test_no_candidate_text_is_parsed_twice(monkeypatch):
+    seen = []
+
+    def counting_loads(text):
+        seen.append(text)
+        return strict_loads(text)
+
+    monkeypatch.setattr(validation, "strict_loads", counting_loads)
+    for text in ['{"a": 1, "a": 2}', ' {"a": NaN} ', '{"a": 1} {"b": 2}', _DEEP,
+                 '{"answer": "4"}', 'say {"a": 1, "a": 2}']:
+        seen.clear()
+        assert extract_json(text) == walk_extract_json(text)
+        assert len(seen) == len(set(seen)), text
+    seen.clear()
+    assert extract_json('{"answer": "4"}').ok
+    assert seen == ['{"answer": "4"}']  # the whole text, not a search first
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_extract_json_equals_the_candidate_walk_on_any_text():
+    pieces = st.sampled_from([
+        "{", "}", '"', "\\", "[", "]", ":", ",", " ", "\n", "\t", "\r", "\u00a0", "\u2028",
+        "\ufeff", "a", "1", "-", ".", "e", '"a"', '"\\"', "```", "```json", "```json\n",
+        "NaN", "null", '{"a": 1}', '{"answer": "4"}', '"answer"', "{}",
+    ])
+    texts = st.lists(pieces, max_size=30).map("".join)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(texts, st.booleans())
+    def check(text, strict):
+        assert extract_json(text, strict=strict) == walk_extract_json(text, strict=strict)
 
     check()
 
