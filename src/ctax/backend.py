@@ -21,7 +21,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from itertools import islice
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from .errors import ConfigError
@@ -259,20 +259,46 @@ def _tampered_trace(instance: TaskInstance, answer: str,
                  for s in gt.trace)
 
 
-def corrupt_generate(instance: TaskInstance, mode: str, fault: FaultProfile,
-                     stage: str = "single") -> str:
+_INVALID = "invalid"  # the fault that truncates every completion into unparsable text
+
+
+class _Tampered(NamedTuple):
+    """The wrong truth every completion of a wrong-field instance renders."""
+
+    answer: str
+    exec_target: dict | None
+    trace: tuple[TraceStep, ...]
+
+
+_Fault = _Tampered | str | None  # tampered, _INVALID or clean
+
+
+def _draw_fault(instance: TaskInstance, fault: FaultProfile) -> _Fault:
+    """The instance's fault under the profile, the same in every mode and
+    stage: seeded by (fault seed, instance id), drawn from its ground truth."""
     rng = SplitMix64(derive_seed(fault.seed, instance.id))
     u_invalid = rng.random()
     u_wrong = rng.random()
     if u_invalid < fault.p_invalid_json:
-        return _malform(oracle_generate(instance, mode, stage))
+        return _INVALID
     if u_wrong < fault.p_wrong_field:
         answer, exec_target = _tampered_truth(instance, rng, fault.wrong_field_targets)
-        gt = instance.ground_truth
-        trace = _tampered_trace(instance, answer, exec_target)
-        return _render_completion(instance, mode, stage, answer,
-                                  exec_target or gt.exec_target, trace)
-    return oracle_generate(instance, mode, stage)
+        return _Tampered(answer, exec_target or instance.ground_truth.exec_target,
+                         _tampered_trace(instance, answer, exec_target))
+    return None
+
+
+def _render_fault(instance: TaskInstance, mode: str, stage: str, fault: _Fault) -> str:
+    if fault is None:
+        return oracle_generate(instance, mode, stage)
+    if fault == _INVALID:
+        return _malform(oracle_generate(instance, mode, stage))
+    return _render_completion(instance, mode, stage, *fault)
+
+
+def corrupt_generate(instance: TaskInstance, mode: str, fault: FaultProfile,
+                     stage: str = "single") -> str:
+    return _render_fault(instance, mode, stage, _draw_fault(instance, fault))
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +438,30 @@ def _endpoint_generate(config: BackendConfig, bundle: PromptBundle) -> Generatio
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def generate(config: BackendConfig, bundle: PromptBundle) -> GenerationResult:
+# The corruptor's fault draws of one generate_all call, by instance identity:
+# id(instance) -> (instance, fault). The entry holds its instance, so the id
+# is not reused while the entry lives. Keys are never instance ids (or equal
+# instances), since instances that share an id may differ in ground truth.
+_FaultDraws = dict[int, tuple[TaskInstance, _Fault]]
+
+
+def generate(config: BackendConfig, bundle: PromptBundle,
+             faults: _FaultDraws | None = None) -> GenerationResult:
     """One completion of the bundle. Scripted kinds render it from the
-    bundle's instance's ground truth."""
+    bundle's instance's ground truth; the corruptor draws each instance's
+    fault once per faults dict (every call draws when it is None)."""
     if config.kind == "endpoint":
         return _endpoint_generate(config, bundle)
     started_at = timestamp()
+    instance = bundle.instance
     if config.kind == "oracle":
-        text = oracle_generate(bundle.instance, bundle.mode, bundle.stage)
+        text = oracle_generate(instance, bundle.mode, bundle.stage)
     else:  # corruptor, the last kind BackendConfig admits
-        text = corrupt_generate(bundle.instance, bundle.mode, config.fault or FaultProfile(),
-                                bundle.stage)
+        faults = {} if faults is None else faults
+        if id(instance) not in faults:
+            faults[id(instance)] = (instance,
+                                    _draw_fault(instance, config.fault or FaultProfile()))
+        text = _render_fault(instance, bundle.mode, bundle.stage, faults[id(instance)][1])
     # scripted latency is pinned to zero so scripted runs stay byte-deterministic
     return GenerationResult(raw_text=text, latency_ms=0.0, started_at=started_at)
 
@@ -459,7 +498,8 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
     if config.kind == "endpoint":
         _stream(config, next_bundle, land)
     else:
-        while batch := [(bundle, generate(config, bundle))
+        faults: _FaultDraws = {}  # lives as long as this call
+        while batch := [(bundle, generate(config, bundle, faults))
                         for bundle in islice(iter(next_bundle, None), _INLINE_RUN)]:
             for item in batch:
                 land(*item)

@@ -45,6 +45,13 @@ def _read(what: str, path: str, loader):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
+def _write(what: str, path: str, writer):
+    try:
+        return writer(path)
+    except OSError as exc:  # a directory where a file goes, a file where a directory goes
+        raise ConfigError(f"cannot write {what} {path}: {exc}") from None
+
+
 def _scored(args: argparse.Namespace):
     records = []
     for path in args.records:
@@ -61,7 +68,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     instances = []
     for family in families:
         instances.extend(generate_suite(family, args.count, args.seed))
-    write_suite(instances, args.out)
+    _write("tasks", args.out, lambda out: write_suite(instances, out))
     print(f"[INFO] wrote {len(instances)} instances "
           f"({len(families)} families x {args.count}) to {args.out}")
     return 0
@@ -74,7 +81,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:  # unreadable, not JSON, or a key given twice
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     config = config_from_dict(doc)
-    run(config, args.out, resume=args.resume)
+    _write("run directory", args.out, lambda out: run(config, out, resume=args.resume))
     return 0
 
 
@@ -93,7 +100,7 @@ def _cmd_derive_delayed(args: argparse.Namespace) -> int:
                 "pick one with --source-mode")
     instances = {i.id: i for i in _read("tasks", args.tasks, read_suite)}
     derived = derive_delayed(records, instances)
-    write_records(args.out, derived)
+    _write("records", args.out, lambda out: write_records(out, derived))
     print(f"[INFO] derived {len(derived)} delayed-constraint records "
           f"from {len(records)} source records -> {args.out}")
     return 0
@@ -101,7 +108,7 @@ def _cmd_derive_delayed(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     result = _scored(args)
-    paths = score_to_files(result, args.out)
+    paths = _write("scores directory", args.out, lambda out: score_to_files(result, out))
     for name, path in sorted(paths.items()):
         print(f"[INFO] wrote {name}: {path}")
     return 0
@@ -110,8 +117,12 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     result = _scored(args)
     text = render_report(result, baseline_mode=args.baseline)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(text, encoding="utf-8")
+
+    def write(out: str) -> None:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text, encoding="utf-8")
+
+    _write("report", args.out, write)
     print(f"[INFO] wrote report: {args.out}")
     return 0
 

@@ -14,7 +14,10 @@ of the same config can be diffed for semantic identity.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import json
+import os
+import time
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -76,9 +79,19 @@ _FIELD_NAMES = frozenset(f.name for f in fields(RunRecord))
 _DEFAULTS = {f.name: f.default for f in fields(RunRecord) if f.default is not MISSING}
 
 
+_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+
+
+@functools.lru_cache(maxsize=1)  # thread-safe; endpoint workers stamp concurrently
+def _millisecond_stamp(ms: int) -> str:
+    return (_EPOCH + dt.timedelta(milliseconds=ms)).isoformat(timespec="milliseconds")
+
+
 def timestamp() -> str:
-    """The current UTC time as records store it (started_at, finished_at)."""
-    return dt.datetime.now(dt.timezone.utc).isoformat(timespec="milliseconds")
+    """The current UTC time as records store it (started_at, finished_at):
+    YYYY-MM-DDTHH:MM:SS.mmm+00:00. Each millisecond is formatted once, and
+    every call within it returns that text."""
+    return _millisecond_stamp(time.time_ns() // 1_000_000)
 
 
 def new_record(fields: dict[str, Any]) -> RunRecord:
@@ -110,8 +123,13 @@ def record_from_dict(doc: dict[str, Any]) -> RunRecord:
     return record
 
 
+# Built once: json.dumps with options builds a fresh encoder per call. An
+# encoder keeps no state between calls.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def _json_line(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n"
+    return _LINE_ENCODER.encode(doc) + "\n"
 
 
 def open_jsonl(path: str | Path, mode: str = "w"):
@@ -153,12 +171,14 @@ def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any]) -> Ite
             yield item
 
 
+# A record's line encodes its fields as they stand (vars): json writes the
+# tuples as the lists to_dict would copy them into, so the copy is skipped.
 def write_records(path: str | Path, records: Iterable[RunRecord]) -> None:
-    write_jsonl(path, (record.to_dict() for record in records))
+    write_jsonl(path, map(vars, records))
 
 
 def append_record(fh, record: RunRecord) -> None:
-    fh.write(_json_line(record.to_dict()))
+    fh.write(_json_line(vars(record)))
     fh.flush()
 
 
@@ -170,14 +190,30 @@ def read_records(path: str | Path) -> list[RunRecord]:
     return list(iter_records(path))
 
 
+_TAIL_BLOCK = 64 * 1024
+
+
 def drop_torn_tail(path: str | Path) -> None:
     """Cut a final line that lacks its newline: the trace of a write the
     process did not live to finish. Appending after it would glue the next
-    record onto it."""
+    record onto it. Reads back from the end, a block at a time, only as far
+    as the last newline."""
     with Path(path).open("rb+") as fh:
-        data = fh.read()
-        if data and not data.endswith(b"\n"):
-            fh.truncate(data.rfind(b"\n") + 1)
+        end = fh.seek(0, os.SEEK_END)
+        if not end:
+            return
+        fh.seek(end - 1)
+        if fh.read(1) == b"\n":
+            return
+        while end:
+            start = max(0, end - _TAIL_BLOCK)
+            fh.seek(start)
+            newline = fh.read(end - start).rfind(b"\n")
+            if newline != -1:
+                fh.truncate(start + newline + 1)
+                return
+            end = start
+        fh.truncate(0)
 
 
 def canonical_record_lines(path: str | Path) -> list[str]:
@@ -188,7 +224,7 @@ def canonical_record_lines(path: str | Path) -> list[str]:
         doc = record.to_dict()
         for name in MASKED_FIELDS:
             doc[name] = None
-        lines.append(json.dumps(doc, sort_keys=True, ensure_ascii=False))
+        lines.append(_LINE_ENCODER.encode(doc))
     return lines
 
 

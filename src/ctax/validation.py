@@ -356,11 +356,16 @@ def normalize_answer(text: object, family: str | None = None) -> str:
     return s
 
 
+# Built once, like _STRICT_DECODER; it checks for cycles on every call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                      ensure_ascii=False, allow_nan=False)
+
+
 def canonical_serialize(value: Any) -> str:
     """Canonical JSON text: keys sorted at every depth, no insignificant
-    whitespace, UTF-8 verbatim, non-finite numbers rejected (ValueError)."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
-                      allow_nan=False)
+    whitespace, UTF-8 verbatim, non-finite numbers and cycles rejected
+    (ValueError)."""
+    return _CANONICAL_ENCODER.encode(value)
 
 
 def canonical_digest(value: Any, length: int = 12) -> str:

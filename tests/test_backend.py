@@ -12,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from ctax import backend
 from ctax.backend import (
     DEFAULT_CONSTRAINT_TRANSPORT,
     FREEFORM_MAX_TOKENS,
@@ -28,9 +29,10 @@ from ctax.backend import (
     oracle_generate,
 )
 from ctax.errors import ConfigError
-from ctax.modes import MODE_NAMES, build_prompt, parse_for_mode
+from ctax.modes import MODE_NAMES, build_delayed_stage2, build_prompt, parse_for_mode
 from ctax.checkers import score_completion
-from ctax.taskgen import FAMILIES, generate_suite
+from ctax.taskgen import (CALENDAR_SEMANTIC_FIELDS, FAMILIES, generate_suite, read_suite,
+                          write_suite)
 from ctax.validation import canonical_serialize, extract_json
 
 
@@ -498,6 +500,76 @@ def test_generate_all_scripted_is_ordered_and_complete():
     landed = _collect(config, bundles)
     assert [b.instance_id for b, _ in landed] == [b.instance_id for b in bundles]  # inline
     assert all(r.latency_ms == 0.0 for _, r in landed)  # pinned for determinism
+
+
+def _every_bundle(instances):
+    """Every (instance, mode, stage) bundle a run can generate, the
+    model-variant delayed stage 2 included."""
+    bundles = []
+    for inst in instances:
+        for mode in MODE_NAMES:
+            bundle = build_prompt(inst, mode)
+            bundles.append(bundle)
+            if mode == "delayed_constraint":
+                stage1 = oracle_generate(inst, mode, bundle.stage)
+                bundles.append(build_delayed_stage2(stage1, inst, "model").stage2_bundle)
+    return bundles
+
+
+def test_generate_all_corruptor_matches_an_uncached_draw(monkeypatch):
+    """generate_all draws each instance's fault once; every completion still
+    equals a fresh draw, under two fault profiles in one process."""
+    draws = []
+    draw = backend._draw_fault
+    monkeypatch.setattr(backend, "_draw_fault",
+                        lambda inst, fault: draws.append(inst) or draw(inst, fault))
+    suite = [inst for family in FAMILIES for inst in generate_suite(family, 6, seed=5)]
+    bundles = _every_bundle(suite)
+    assert {b.stage for b in bundles} == {"single", "stage1", "stage2"}
+    texts = {}
+    for fault in (FaultProfile(p_invalid_json=0.3, p_wrong_field=0.4, seed=11,
+                               wrong_field_targets=CALENDAR_SEMANTIC_FIELDS),
+                  FaultProfile(p_invalid_json=0.2, p_wrong_field=0.6, seed=12,
+                               wrong_field_targets=("date", "topic"))):
+        config = BackendConfig(kind="corruptor", fault=fault)
+        draws.clear()
+        landed = _collect(config, bundles)
+        assert draws == suite  # once per instance
+        assert [b for b, _ in landed] == bundles
+        for bundle, result in landed:
+            assert result.raw_text == corrupt_generate(bundle.instance, bundle.mode, fault,
+                                                       bundle.stage), bundle
+        texts[fault.seed] = [r.raw_text for _, r in landed]
+    assert texts[11] != texts[12]
+
+
+def test_generate_all_corruptor_draws_for_the_instance_not_its_id(tmp_path):
+    """An instance read back from a tasks file whose ground truth was edited
+    under the same id draws from its own ground truth, even next to the
+    original in one generate_all call."""
+    original = generate_suite("arithmetic_two_step", 4, seed=5)
+    path = tmp_path / "tasks.jsonl"
+    write_suite(original, path)
+    docs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for doc in docs:
+        gt = doc["ground_truth"]
+        edited = str(int(gt["answer"]) + 10)
+        for step in gt["trace"]:
+            if step["output"] == gt["answer"]:
+                step["output"] = edited
+        gt["answer"] = edited
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    edited = read_suite(path)
+    assert [i.id for i in edited] == [i.id for i in original]
+
+    fault = FaultProfile(p_wrong_field=1.0, seed=3)
+    config = BackendConfig(kind="corruptor", fault=fault)
+    bundles = [build_prompt(inst, "answer_only_schema")
+               for pair in zip(original, edited) for inst in pair]
+    for bundle, result in _collect(config, bundles):
+        inst = bundle.instance
+        assert json.loads(result.raw_text)["answer"] == str(
+            int(inst.ground_truth.final_answer) + 1), inst.id
 
 
 def test_endpoint_timeout_is_a_transport_error():

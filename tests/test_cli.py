@@ -234,6 +234,47 @@ def test_report_labels_the_ci_with_its_level(tmp_path):
         assert "`bootstrap/v3`" in text.split("## Notes", 1)[1]
 
 
+def _listing(root: Path) -> list[tuple[str, bytes | None]]:
+    return sorted((str(p.relative_to(root)), p.read_bytes() if p.is_file() else None)
+                  for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("command, out_is, named", [
+    ("score", "file", "scores directory"),
+    ("run", "file", "run directory"),
+    ("run", "inside-file", "run directory"),
+    ("report", "directory", "report"),
+    ("gen", "directory", "tasks"),
+    ("derive-delayed", "directory", "records"),
+])
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys, command, out_is, named):
+    """A file where a directory goes, or a directory where a file goes, is a
+    configuration error naming the path; nothing is created or changed."""
+    records = _scored_run(tmp_path)
+    config_path = tmp_path / "config.json"
+    occupied = tmp_path / "occupied"
+    if out_is == "directory":
+        occupied.mkdir()
+        (occupied / "kept.txt").write_text("kept", encoding="utf-8")
+    else:
+        occupied.write_text("kept", encoding="utf-8")
+    out = occupied / "run" if out_is == "inside-file" else occupied
+    argv = {
+        "score": ["score", "--records", str(records)],
+        "run": ["run", "--config", str(config_path)],
+        "report": ["report", "--records", str(records)],
+        "gen": ["gen", "--count", "2"],
+        "derive-delayed": ["derive-delayed", "--records", str(records),
+                           "--tasks", str(records.parent / "tasks.jsonl"),
+                           "--source-mode", "prompt_json"],
+    }[command] + ["--out", str(out)]
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"cannot write {named} {out}: " in capsys.readouterr().err
+    assert _listing(tmp_path) == before
+
+
 @pytest.mark.parametrize("command", ["score", "report"])
 def test_empty_or_missing_records_file_exits_2(tmp_path, capsys, command):
     records = _scored_run(tmp_path)

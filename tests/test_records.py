@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import datetime as dt
 import json
 import re
+import threading
 
 import pytest
 
 from ctax.cli import main
 from ctax.errors import ConfigError
-from ctax.records import (RunRecord, new_record, read_records, record_from_dict,
-                          write_records)
+from ctax import records
+from ctax.records import (RunRecord, drop_torn_tail, new_record, read_records,
+                          record_from_dict, timestamp, write_records)
 
 REQUIRED = {
     "instance_id": "arithmetic_two_step-00000",
@@ -139,3 +142,72 @@ def test_records_round_trip_through_the_jsonl_file(tmp_path):
             assert isinstance(record.calendar_wrong_fields, tuple)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the clock records stamp (started_at, finished_at)
+# ---------------------------------------------------------------------------
+
+_STAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}\+00:00")
+_MS = dt.timedelta(milliseconds=1)
+
+
+def test_timestamp_is_utc_to_the_millisecond():
+    for _ in range(200):
+        before = dt.datetime.now(dt.timezone.utc)
+        text = timestamp()
+        after = dt.datetime.now(dt.timezone.utc)
+        assert _STAMP_RE.fullmatch(text), text
+        stamp = dt.datetime.fromisoformat(text)
+        assert stamp.utcoffset() == dt.timedelta(0)
+        assert before - _MS <= stamp <= after + _MS
+
+
+def test_timestamp_never_decreases():
+    stamps = [timestamp() for _ in range(50_000)]
+    assert stamps == sorted(stamps)  # fixed-width text: text order is time order
+    assert len(set(stamps)) > 1
+
+
+def test_timestamp_is_well_formed_from_four_threads():
+    barrier = threading.Barrier(4)
+    stamps: list[list[str]] = [[] for _ in range(4)]
+
+    def stamp(out: list[str]) -> None:
+        barrier.wait(timeout=10)
+        out.extend(timestamp() for _ in range(20_000))
+
+    threads = [threading.Thread(target=stamp, args=(out,)) for out in stamps]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    for out in stamps:
+        assert len(out) == 20_000
+        assert all(_STAMP_RE.fullmatch(text) for text in out)
+        assert out == sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# drop_torn_tail: the final line a killed write left without its newline
+# ---------------------------------------------------------------------------
+
+_LINE = b'{"instance_id": "x"}\n'
+
+
+@pytest.mark.parametrize("content, kept", [
+    # the torn line is longer than a read block, so its newline is blocks back
+    (_LINE * 3 + b"y" * (records._TAIL_BLOCK + 100), _LINE * 3),
+    (_LINE * 3 + b"y" * records._TAIL_BLOCK, _LINE * 3),  # newline ends the block before
+    (b'{"instance_id": "torn', b""),  # one torn line: nothing is left
+    (b"z" * (2 * records._TAIL_BLOCK + 1), b""),
+    (_LINE * 3, _LINE * 3),  # clean: unchanged
+    (b"", b""),
+], ids=["torn-across-blocks", "torn-to-a-block-edge", "one-torn-line",
+        "one-torn-line-of-three-blocks", "clean", "empty"])
+def test_drop_torn_tail(tmp_path, content, kept):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(content)
+    drop_torn_tail(path)
+    assert path.read_bytes() == kept

@@ -498,6 +498,18 @@ def test_canonical_rejects_non_finite():
         canonical_serialize({"x": math.inf})
 
 
+def test_canonical_rejects_a_cycle():
+    cyclic: dict = {"a": 1}
+    cyclic["self"] = cyclic
+    with pytest.raises(ValueError):
+        canonical_serialize(cyclic)
+    listed: list = []
+    listed.append(listed)
+    with pytest.raises(ValueError):
+        canonical_serialize({"x": listed})
+    assert canonical_serialize({"a": [1, {"b": None}]}) == '{"a":[1,{"b":null}]}'
+
+
 def test_canonical_round_trip_stable():
     obj = {"tool": "create_calendar_event",
            "arguments": {"duration_minutes": 30, "attendee": "leo"}}
