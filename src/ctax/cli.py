@@ -78,7 +78,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"),
                          object_pairs_hook=unique_keys)
-    except (OSError, ValueError) as exc:  # unreadable, not JSON, or a key given twice
+    # unreadable, not JSON, a key given twice, or nested too deeply to decode
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     config = config_from_dict(doc)
     _write("run directory", args.out, lambda out: run(config, out, resume=args.resume))

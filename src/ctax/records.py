@@ -75,8 +75,12 @@ class RunRecord:
         return doc
 
 
-_FIELD_NAMES = frozenset(f.name for f in fields(RunRecord))
-_DEFAULTS = {f.name: f.default for f in fields(RunRecord) if f.default is not MISSING}
+# Every field at its default, in sorted name order (the order _LINE_ENCODER
+# writes them in), so a record's fields fill slots already in place. A
+# required field holds None until they fill it.
+_TEMPLATE = {f.name: None if f.default is MISSING else f.default
+             for f in sorted(fields(RunRecord), key=lambda f: f.name)}
+_REQUIRED = frozenset(f.name for f in fields(RunRecord) if f.default is MISSING)
 
 
 _EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
@@ -94,19 +98,34 @@ def timestamp() -> str:
     return _millisecond_stamp(time.time_ns() // 1_000_000)
 
 
+def _fill(state: dict[str, Any], fields: dict[str, Any]) -> bool:
+    """Fill a record's __dict__: every field at its default, then fields over
+    them. False when fields holds a key that is not a field."""
+    state.update(_TEMPLATE)
+    state.update(fields)
+    return len(state) == len(_TEMPLATE)
+
+
+def _check_required(fields: dict[str, Any]) -> None:
+    """A missing required field is a TypeError. Called once fields filled a
+    state without an unknown key: then fields as many as the template hold
+    every field."""
+    if len(fields) != len(_TEMPLATE) and not fields.keys() >= _REQUIRED:
+        missing = _REQUIRED - fields.keys()
+        raise TypeError(f"missing field(s): {', '.join(sorted(missing))}")
+
+
 def new_record(fields: dict[str, Any]) -> RunRecord:
-    """RunRecord(**fields): absent optional fields take their defaults, and a
-    missing required field or an unknown one is a TypeError. Fills __dict__
+    """RunRecord(**fields): absent optional fields take their defaults, and an
+    unknown field or a missing required one is a TypeError. Fills __dict__
     directly: the frozen dataclass __init__ (a setattr call per field) costs
     several times as much."""
     record = object.__new__(RunRecord)
     state = record.__dict__
-    state.update(_DEFAULTS)
-    state.update(fields)
-    if len(state) != len(_FIELD_NAMES):
-        missing, unknown = _FIELD_NAMES - state.keys(), state.keys() - _FIELD_NAMES
-        raise TypeError(f"missing field(s): {', '.join(sorted(missing))}" if missing
-                        else f"unknown field(s): {', '.join(sorted(unknown))}")
+    if not _fill(state, fields):
+        unknown = state.keys() - _TEMPLATE.keys()
+        raise TypeError(f"unknown field(s): {', '.join(sorted(unknown))}")
+    _check_required(fields)
     return record
 
 
@@ -114,10 +133,13 @@ def record_from_dict(doc: dict[str, Any]) -> RunRecord:
     """A record from its JSON object: unknown keys are dropped, absent
     optional fields take their defaults and a missing required field is a
     TypeError."""
-    if not _FIELD_NAMES.issuperset(doc):
-        doc = {k: v for k, v in doc.items() if k in _FIELD_NAMES}
-    record = new_record(doc)
+    record = object.__new__(RunRecord)
     state = record.__dict__
+    if not _fill(state, doc):
+        doc = {k: v for k, v in doc.items() if k in _TEMPLATE}
+        state.clear()
+        _fill(state, doc)
+    _check_required(doc)
     state["violations"] = tuple(state["violations"] or ())
     state["calendar_wrong_fields"] = tuple(state["calendar_wrong_fields"] or ())
     return record
@@ -151,6 +173,12 @@ def write_jsonl(path: str | Path, docs: Iterable[dict[str, Any]]) -> None:
         fh.writelines(map(_json_line, docs))
 
 
+# Built once, like _LINE_ENCODER: json.loads reaches this scanner through
+# three Python calls and two whitespace matches, and a stripped line has no
+# whitespace for them to skip. scan(text, 0) -> (value, end) or StopIteration.
+_SCAN_ONCE = json.JSONDecoder().scan_once
+
+
 def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any]) -> Iterator[Any]:
     """build(object) for each non-blank line, in file order; a line that is
     not a UTF-8 JSON object, or that build refuses, raises ConfigError
@@ -161,11 +189,17 @@ def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any]) -> Ite
             if not line:
                 continue
             try:
-                doc = json.loads(line.decode("utf-8"))
+                text = line.decode("utf-8")
+                try:
+                    doc, end = _SCAN_ONCE(text, 0)
+                except StopIteration:
+                    end = -1
+                if end != len(text):  # not one JSON value: json.loads names the fault
+                    doc = json.loads(text)
                 if not isinstance(doc, dict):
                     raise ValueError("not a JSON object")
                 item = build(doc)
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                 raise ConfigError(f"{path}:{lineno}: malformed {what} line "
                                   f"({type(exc).__name__}: {exc})") from exc
             yield item

@@ -94,8 +94,10 @@ class TaskInstance:
     id: str
     family: str
     problem_text: str
-    slots: dict[str, Any] = field(compare=False)
-    ground_truth: GroundTruth = field(compare=False)
+    # Compared but not hashed: slots is a dict. An instance edited under the
+    # same id hashes the same and compares unequal.
+    slots: dict[str, Any] = field(hash=False)
+    ground_truth: GroundTruth = field(hash=False)
 
 
 def resolve_relative_date(today: dt.date, phrase: str) -> dt.date:

@@ -151,6 +151,12 @@ LENIENT_EXTRACTION = "lenient/v2"
 STRICT_EXTRACTION = "strict/v1"
 
 
+# The first characters of a JSON value, NaN and Infinity included. Candidates
+# are stripped, so a candidate that starts with any other character has no
+# value at its start and json would refuse it.
+_VALUE_START = frozenset('{["-0123456789tfnNI')
+
+
 def extract_json(text: str, strict: bool = False) -> ParseOutcome:
     """Pull a JSON value out of a completion.
 
@@ -171,8 +177,8 @@ def extract_json(text: str, strict: bool = False) -> ParseOutcome:
     if not strict and whole.startswith("{") and "```" not in text:
         candidates = itertools.chain((whole,), (c for c in candidates if c != whole))
     for candidate in candidates:
-        if not candidate:
-            continue
+        if not candidate or candidate[0] not in _VALUE_START:
+            continue  # cannot parse: spares building a JSONDecodeError for prose
         try:
             value = strict_loads(candidate)
         except (ValueError, RecursionError):  # RecursionError: nesting too deep

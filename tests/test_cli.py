@@ -340,6 +340,40 @@ def test_undecodable_records_line_exits_2(tmp_path, capsys, command):
     assert f"{records}:{lineno}: malformed record line" in err and "utf-8" in err
 
 
+_DEEP = b"[" * 200_000 + b"]" * 200_000
+
+
+@pytest.mark.parametrize("entry", ["score", "report", "resume", "derive-delayed-tasks",
+                                   "run-config"])
+def test_a_line_nested_too_deeply_exits_2(tmp_path, capsys, entry):
+    records = _scored_run(tmp_path)
+    config, tasks = tmp_path / "config.json", records.parent / "tasks.jsonl"
+    out = tmp_path / "out"
+    argv = {
+        "score": ["score", "--records", str(records), "--out", str(out)],
+        "report": ["report", "--records", str(records), "--out", str(out)],
+        "resume": ["run", "--config", str(config), "--out", str(records.parent), "--resume"],
+        "derive-delayed-tasks": ["derive-delayed", "--records", str(records),
+                                 "--tasks", str(tasks), "--source-mode", "prompt_json",
+                                 "--out", str(out)],
+        "run-config": ["run", "--config", str(config), "--out", str(out)],
+    }[entry]
+    target = {"derive-delayed-tasks": tasks, "run-config": config}.get(entry, records)
+    if entry == "run-config":
+        target.write_bytes(_DEEP)
+        named = f"cannot read config {config}: maximum recursion depth exceeded"
+    else:
+        lineno = len(target.read_bytes().splitlines()) + 1
+        with target.open("ab") as fh:
+            fh.write(_DEEP + b"\n")
+        what = "task" if target == tasks else "record"
+        named = f"{target}:{lineno}: malformed {what} line (RecursionError"
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_derive_delayed_with_undecodable_tasks_exits_2(tmp_path, capsys):
     records = _scored_run(tmp_path)
     tasks = tmp_path / "tasks.jsonl"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import json
+import json.scanner
 import re
 import threading
 
@@ -15,6 +16,7 @@ from ctax.errors import ConfigError
 from ctax import records
 from ctax.records import (RunRecord, drop_torn_tail, new_record, read_records,
                           record_from_dict, timestamp, write_records)
+from reference_jsonl import loads_iter_jsonl
 
 REQUIRED = {
     "instance_id": "arithmetic_two_step-00000",
@@ -93,6 +95,8 @@ def test_new_record_is_the_dataclass_constructor():
 @pytest.mark.parametrize("change, named", [
     (lambda doc: doc.pop("raw_text"), "missing field(s): raw_text"),
     (lambda doc: doc.update(prompt="retired"), "unknown field(s): prompt"),
+    # one missing and one unknown: the field count alone would balance out
+    (lambda doc: (doc.pop("raw_text"), doc.update(bogus=1)), "unknown field(s): bogus"),
 ])
 def test_new_record_refuses_what_the_constructor_refuses(change, named):
     doc = dict(REQUIRED)
@@ -101,6 +105,19 @@ def test_new_record_refuses_what_the_constructor_refuses(change, named):
         RunRecord(**doc)
     with pytest.raises(TypeError, match=re.escape(named)):
         new_record(doc)
+
+
+def test_a_dict_missing_a_field_is_refused_though_it_holds_an_unknown_key():
+    doc = {**REQUIRED, "prompt": "retired field"}
+    del doc["raw_text"]
+    with pytest.raises(TypeError, match=re.escape("missing field(s): raw_text")):
+        record_from_dict(doc)
+
+
+def test_a_record_holds_its_fields_in_the_order_its_line_writes_them():
+    names = [f.name for f in dataclasses.fields(RunRecord)]
+    assert list(vars(new_record(dict(REQUIRED)))) == sorted(names)
+    assert list(vars(record_from_dict({**REQUIRED, "prompt": "retired"}))) == sorted(names)
 
 
 try:
@@ -140,6 +157,119 @@ def test_records_round_trip_through_the_jsonl_file(tmp_path):
         for record in read:
             assert isinstance(record.violations, tuple)
             assert isinstance(record.calendar_wrong_fields, tuple)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# the JSONL reader against one json.loads call per line
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["c", "python"])
+def scanner(request, monkeypatch):
+    """Read with the C scanner, or with the pure-Python one everywhere, as in
+    an interpreter without the json accelerator."""
+    if request.param == "c":
+        if json.scanner.c_make_scanner is None:
+            pytest.skip("the C json scanner is not built")
+        assert records._SCAN_ONCE.__class__ is json.scanner.c_make_scanner
+    else:
+        monkeypatch.setattr(records, "_SCAN_ONCE",
+                            json.scanner.py_make_scanner(json.JSONDecoder()))
+        monkeypatch.setattr(json._default_decoder, "scan_once",
+                            json.scanner.py_make_scanner(json._default_decoder))
+    return request.param
+
+
+def _read(reader, path):
+    """What a reader makes of a file: its objects (repr keeps key order and
+    reads NaN as itself), or its ConfigError message."""
+    try:
+        return repr(list(reader(path, "record", lambda doc: doc)))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def _agree(path, scanner):
+    read, reference = _read(records.iter_jsonl, path), _read(loads_iter_jsonl, path)
+    if scanner == "python":  # where pure-Python code hits the limit depends on the caller
+        read, reference = (re.sub(r"RecursionError: .*", "RecursionError", text)
+                           for text in (read, reference))
+    assert read == reference
+    return read
+
+
+_DEEP_LIST = b"[" * 200_000 + b"]" * 200_000
+
+
+@pytest.mark.parametrize("line", [
+    b'{"a": 1, "b": [true, false, null], "c": {"d": "e"}}',
+    b'{}',
+    rb'{"x": "caf\u00e9 \ud800 \"q\" \\ \n", "y": "\u2028 ' + "café ☃".encode() + b'"}',
+    b'{"n": [0, -0, -1.5e-3, 12345678901234567890, 1e400, NaN, Infinity, -Infinity]}',
+    b'{"a": 1, "a": 2}',
+    b'  {"a" :\t1 ,  "b":[ ] }  ',
+    b'{"a": 1}\r',
+    b'\x0c{"a": 1}\x0b',
+], ids=["nested", "empty", "strings", "numbers", "duplicate-key", "inner-whitespace",
+        "crlf", "formfeed"])
+def test_the_reader_reads_what_json_loads_reads(tmp_path, scanner, line):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"first": 1}\n\n   \n' + line + b"\n" + line)
+    read = _agree(path, scanner)
+    assert not read.startswith("ConfigError"), read
+
+
+@pytest.mark.parametrize("line", [
+    b'{"a": 1} x',
+    b'{"a": 1}{"b": 2}',
+    b'{"a": 1} {"b": 2}',
+    b'\xef\xbb\xbf{"a": 1}',
+    b"NaN",
+    b"-Infinity",
+    b'{"a": "torn',
+    b'{"a": 1',
+    b'{"a": 1,}',
+    b"[1, 2]",
+    b'"a string"',
+    b"42",
+    b'{"a": "\xff"}',
+    b'{"a": "x\ry"}',
+    b'\x1c{"a": 1}',
+    _DEEP_LIST,
+    b'{"a": ' * 100_000 + b"1" + b"}" * 100_000,
+], ids=["trailing-data", "two-objects", "two-objects-spaced", "bom", "nan", "infinity",
+        "torn-string", "torn-object", "trailing-comma", "list", "string", "number",
+        "not-utf8", "bare-cr", "leading-control", "deep-list", "deep-object"])
+def test_a_malformed_line_fails_as_json_loads_fails(tmp_path, scanner, line):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"first": 1}\n' + line + b"\n")
+    read = _agree(path, scanner)
+    assert read.startswith(f"ConfigError: {path}:2: malformed record line ("), read
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_the_reader_agrees_with_json_loads_on_generated_objects(tmp_path, scanner):
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+               | st.text(max_size=8))
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                          max_leaves=12)
+    objects = st.dictionaries(st.text(max_size=5), values, max_size=5)
+    lines = st.tuples(objects, st.booleans(), st.integers(0, 10**6)).map(
+        lambda t: (json.dumps(t[0], ensure_ascii=t[1]), t[2]))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(lines, min_size=1, max_size=4), st.booleans())
+    def check(drawn, torn):
+        texts = [text for text, _ in drawn]
+        if torn:  # cut the last line short, as a killed writer leaves it
+            text, cut = drawn[-1]
+            texts[-1] = text[:cut % max(len(text), 1)]
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(text + "\n" for text in texts), encoding="utf-8",
+                        errors="backslashreplace")
+        _agree(path, scanner)
 
     check()
 

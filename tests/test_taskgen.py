@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
 import re
 
 import pytest
@@ -313,6 +314,21 @@ def test_instance_round_trip():
             back = instance_from_dict(doc)
             assert back == inst
             assert instance_to_dict(back) == doc
+
+
+def test_an_instance_edited_under_its_id_hashes_the_same_and_differs(tmp_path):
+    original = generate_suite("arithmetic_two_step", 2, seed=5)
+    path = tmp_path / "tasks.jsonl"
+    write_suite(original, path)
+    docs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    docs[0]["ground_truth"]["answer"] += "0"
+    docs[1]["slots"]["edited"] = True
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    for edited, inst in zip(read_suite(path), original):
+        assert edited.id == inst.id
+        assert edited != inst
+        assert hash(edited) == hash(inst)
+    assert read_suite(path) == read_suite(path)
 
 
 def test_suite_file_round_trip(tmp_path):

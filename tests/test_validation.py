@@ -204,10 +204,24 @@ _DEEP = '{"a":' * 100_000 + "1" + "}" * 100_000
     "{}",
     _DEEP,
     '{"x": ' + _DEEP + "}",
+    "The answer is 4.",
+    "Answer: 4 (see {the table} above)",
+    "\ufeff42",
+    "\ufeff The answer is 4.",
+    "42",
+    " -1.5e3 ",
+    "true",
+    "null",
+    '"4"',
+    "[1, 2]",
+    "NaN",
+    "Infinity",
 ], ids=["fence-in-string", "fence-beats-whole", "nbsp", "line-separator", "json-whitespace",
         "leading-bom", "trailing-bom", "duplicate-keys", "duplicate-then-object", "nan",
         "overflow", "two-objects", "object-then-prose", "unclosed-string", "empty-object",
-        "deep", "deep-inside"])
+        "deep", "deep-inside", "prose", "prose-with-braces", "bom-number", "bom-prose",
+        "bare-number", "bare-negative", "bare-true", "bare-null", "bare-string",
+        "bare-list", "bare-nan", "bare-infinity"])
 @pytest.mark.parametrize("strict", [False, True])
 def test_extract_json_matches_the_candidate_walk(text, strict):
     assert extract_json(text, strict=strict) == walk_extract_json(text, strict=strict)
@@ -218,6 +232,19 @@ def test_fence_inside_a_string_still_wins():
     assert out.ok and out.value == {"a": 1} and out.matched_text == '{"a": 1}'
     out = extract_json('{"answer": "```json 7 ```"}')
     assert out.ok and out.value == 7 and out.matched_text == "7"
+
+
+def test_prose_is_never_handed_to_the_parser(monkeypatch):
+    seen = []
+
+    def counting_loads(text):
+        seen.append(text)
+        return strict_loads(text)
+
+    monkeypatch.setattr(validation, "strict_loads", counting_loads)
+    assert extract_json("The answer is 4.").status == "no_json_found"
+    assert extract_json("Answer: {4} or {x: 1}").status == "malformed_json"
+    assert seen == ["{4}", "{x: 1}"]  # the balanced spans, not the whole text
 
 
 def test_no_candidate_text_is_parsed_twice(monkeypatch):
