@@ -6,7 +6,8 @@ since inference servers disagree about where guided-decoding parameters
 live. The two scripted backends exist to calibrate the harness itself:
 the oracle proves the measurement pipeline has zero intrinsic tax, the
 corruptor injects failures at known rates so measured rates can be checked
-against the dial settings.
+against the dial settings. The corruptor draws one fault per instance per
+run, shared by every mode and stage; the oracle ignores `fault`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import islice
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .errors import ConfigError
@@ -38,6 +40,7 @@ from .taskgen import (
     CALENDAR_SEMANTIC_FIELDS,
     NAMES,
     TOPICS,
+    GroundTruth,
     TaskInstance,
     TraceStep,
 )
@@ -81,6 +84,9 @@ class FaultProfile:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("p_invalid_json", "p_wrong_field"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if not self.wrong_field_targets or set(self.wrong_field_targets) - set(
                 CALENDAR_SEMANTIC_FIELDS):
             raise ConfigError(f"wrong_field_targets must name one or more of "
@@ -120,6 +126,8 @@ class BackendConfig:
                 raise ConfigError(f"base_url {self.base_url!r}: {exc}") from None
             if not url.hostname:
                 raise ConfigError(f"base_url has no host, got {self.base_url!r}")
+        if self.timeout_ms < 1:
+            raise ConfigError("timeout_ms must be >= 1")
         if self.max_in_flight < 1:
             raise ConfigError("max_in_flight must be >= 1")
         if self.max_retries < 0:
@@ -146,13 +154,11 @@ class GenerationResult:
 # ---------------------------------------------------------------------------
 
 def _render_completion(instance: TaskInstance, mode: str, stage: str,
-                       answer: str, exec_target: dict | None,
-                       trace: Sequence[TraceStep]) -> str:
-    family = instance.family
-    is_tool = family == "tool_call_argument"
+                       truth: GroundTruth) -> str:
+    answer, trace = truth.final_answer, truth.trace
 
     def object_payload() -> Any:
-        return exec_target if is_tool else {"answer": answer}
+        return truth.exec_target if instance.family == "tool_call_argument" else {"answer": answer}
 
     if mode == "delayed_constraint" and stage == "stage2":
         return canonical_serialize(object_payload())
@@ -183,9 +189,7 @@ def _render_completion(instance: TaskInstance, mode: str, stage: str,
 
 
 def oracle_generate(instance: TaskInstance, mode: str, stage: str = "single") -> str:
-    gt = instance.ground_truth
-    return _render_completion(instance, mode, stage, gt.final_answer,
-                              gt.exec_target, gt.trace)
+    return _render_completion(instance, mode, stage, instance.ground_truth)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +203,16 @@ def _malform(text: str) -> str:
     return broken if broken.strip() else "{"
 
 
+_Renderer = Callable[[str, str], str]  # (mode, stage) -> completion
+
 _WRONG_DURATION = 180  # deliberately plausible but wrong
 
 
 def _tampered_truth(instance: TaskInstance, rng: SplitMix64,
-                    targets: Sequence[str]) -> tuple[str, dict | None]:
-    """(wrong answer, wrong exec_target) staying schema-valid and in-domain."""
+                    targets: Sequence[str]) -> GroundTruth:
+    """A wrong truth staying schema-valid and in-domain, with a trace
+    consistent with it: the fault models a model that is wrong, not one that
+    contradicts itself at the last line."""
     gt = instance.ground_truth
     family = instance.family
     if family == "tool_call_argument":
@@ -227,78 +235,49 @@ def _tampered_truth(instance: TaskInstance, rng: SplitMix64,
             hours, minutes = map(int, args["start_time"].split(":"))
             total = (hours * 60 + minutes + 15 - 8 * 60) % (10 * 60) + 8 * 60
             args["start_time"] = f"{total // 60:02d}:{total % 60:02d}"
-        return canonical_serialize(exec_target), exec_target
-    if family == "arithmetic_two_step":
-        return str(int(gt.final_answer) + 1), None
-    if family == "boolean_logic":
-        return ("false" if gt.final_answer == "true" else "true"), None
-    if family == "symbolic_string":
-        wrong_head = "z" if gt.final_answer[0] != "z" else "q"
-        return wrong_head + gt.final_answer[1:], None
-    if family == "object_tracking":
-        participants = [normalize_answer(instance.slots[k]) for k in ("p1", "p2", "p3")]
-        pool = [p for p in participants if p != gt.final_answer]
-        return pool[rng.randrange(len(pool))], None
-    raise ConfigError(f"unknown task family: {family!r}")
-
-
-def _tampered_trace(instance: TaskInstance, answer: str,
-                    exec_target: dict | None) -> tuple[TraceStep, ...]:
-    """Trace consistent with a tampered truth: the fault models a model
-    that is wrong, not one that contradicts itself at the last line."""
-    gt = instance.ground_truth
-    if instance.family == "tool_call_argument" and exec_target is not None:
-        args = exec_target["arguments"]
+        answer = canonical_serialize(exec_target)
         swap = {"resolve_date": args["date"], "resolve_time": args["start_time"],
                 "build_arguments": answer}
-        return tuple(TraceStep(s.op_name, s.inputs, swap.get(s.op_name, s.output))
-                     for s in gt.trace)
-    true_answer = gt.final_answer
-    return tuple(TraceStep(s.op_name, s.inputs,
-                           answer if s.output == true_answer else s.output)
-                 for s in gt.trace)
+        trace = tuple(TraceStep(s.op_name, s.inputs, swap.get(s.op_name, s.output))
+                      for s in gt.trace)
+        return GroundTruth(answer, trace, exec_target)
+    if family == "arithmetic_two_step":
+        answer = str(int(gt.final_answer) + 1)
+    elif family == "boolean_logic":
+        answer = "false" if gt.final_answer == "true" else "true"
+    elif family == "symbolic_string":
+        answer = ("z" if gt.final_answer[0] != "z" else "q") + gt.final_answer[1:]
+    elif family == "object_tracking":
+        participants = [normalize_answer(instance.slots[k]) for k in ("p1", "p2", "p3")]
+        pool = [p for p in participants if p != gt.final_answer]
+        answer = pool[rng.randrange(len(pool))]
+    else:
+        raise ConfigError(f"unknown task family: {family!r}")
+    return GroundTruth(answer, tuple(
+        TraceStep(s.op_name, s.inputs, answer if s.output == gt.final_answer else s.output)
+        for s in gt.trace))
 
 
-_INVALID = "invalid"  # the fault that truncates every completion into unparsable text
-
-
-class _Tampered(NamedTuple):
-    """The wrong truth every completion of a wrong-field instance renders."""
-
-    answer: str
-    exec_target: dict | None
-    trace: tuple[TraceStep, ...]
-
-
-_Fault = _Tampered | str | None  # tampered, _INVALID or clean
-
-
-def _draw_fault(instance: TaskInstance, fault: FaultProfile) -> _Fault:
-    """The instance's fault under the profile, the same in every mode and
-    stage: seeded by (fault seed, instance id), drawn from its ground truth."""
-    rng = SplitMix64(derive_seed(fault.seed, instance.id))
-    u_invalid = rng.random()
-    u_wrong = rng.random()
-    if u_invalid < fault.p_invalid_json:
-        return _INVALID
-    if u_wrong < fault.p_wrong_field:
-        answer, exec_target = _tampered_truth(instance, rng, fault.wrong_field_targets)
-        return _Tampered(answer, exec_target or instance.ground_truth.exec_target,
-                         _tampered_trace(instance, answer, exec_target))
-    return None
-
-
-def _render_fault(instance: TaskInstance, mode: str, stage: str, fault: _Fault) -> str:
-    if fault is None:
-        return oracle_generate(instance, mode, stage)
-    if fault == _INVALID:
-        return _malform(oracle_generate(instance, mode, stage))
-    return _render_completion(instance, mode, stage, *fault)
+def _draw_fault(instance: TaskInstance, fault: FaultProfile | None) -> _Renderer:
+    """The instance's renderer, (mode, stage) -> completion, under the
+    profile: one fault for every mode and stage, seeded by (fault seed,
+    instance id) and drawn from its ground truth. No profile renders the
+    oracle's text."""
+    if fault is not None:
+        rng = SplitMix64(derive_seed(fault.seed, instance.id))
+        u_invalid = rng.random()
+        u_wrong = rng.random()
+        if u_invalid < fault.p_invalid_json:
+            return lambda mode, stage: _malform(oracle_generate(instance, mode, stage))
+        if u_wrong < fault.p_wrong_field:
+            return partial(_render_completion, instance,
+                           truth=_tampered_truth(instance, rng, fault.wrong_field_targets))
+    return partial(oracle_generate, instance)
 
 
 def corrupt_generate(instance: TaskInstance, mode: str, fault: FaultProfile,
                      stage: str = "single") -> str:
-    return _render_fault(instance, mode, stage, _draw_fault(instance, fault))
+    return _draw_fault(instance, fault)(mode, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -438,32 +417,23 @@ def _endpoint_generate(config: BackendConfig, bundle: PromptBundle) -> Generatio
 # Dispatch
 # ---------------------------------------------------------------------------
 
-# The corruptor's fault draws of one generate_all call, by instance identity:
-# id(instance) -> (instance, fault). The entry holds its instance, so the id
-# is not reused while the entry lives. Keys are never instance ids (or equal
-# instances), since instances that share an id may differ in ground truth.
-_FaultDraws = dict[int, tuple[TaskInstance, _Fault]]
-
-
 def generate(config: BackendConfig, bundle: PromptBundle,
-             faults: _FaultDraws | None = None) -> GenerationResult:
-    """One completion of the bundle. Scripted kinds render it from the
-    bundle's instance's ground truth; the corruptor draws each instance's
-    fault once per faults dict (every call draws when it is None)."""
+             renderers: dict[TaskInstance, _Renderer] | None = None) -> GenerationResult:
+    """One completion of the bundle. Scripted kinds render it through its
+    instance's renderer, drawn once per renderers dict (every call draws
+    when it is None) under the corruptor's fault profile; the oracle takes
+    no profile."""
     if config.kind == "endpoint":
         return _endpoint_generate(config, bundle)
     started_at = timestamp()
     instance = bundle.instance
-    if config.kind == "oracle":
-        text = oracle_generate(instance, bundle.mode, bundle.stage)
-    else:  # corruptor, the last kind BackendConfig admits
-        faults = {} if faults is None else faults
-        if id(instance) not in faults:
-            faults[id(instance)] = (instance,
-                                    _draw_fault(instance, config.fault or FaultProfile()))
-        text = _render_fault(instance, bundle.mode, bundle.stage, faults[id(instance)][1])
+    renderers = {} if renderers is None else renderers
+    if (render := renderers.get(instance)) is None:
+        render = renderers[instance] = _draw_fault(
+            instance, config.fault if config.kind == "corruptor" else None)
     # scripted latency is pinned to zero so scripted runs stay byte-deterministic
-    return GenerationResult(raw_text=text, latency_ms=0.0, started_at=started_at)
+    return GenerationResult(raw_text=render(bundle.mode, bundle.stage), latency_ms=0.0,
+                            started_at=started_at)
 
 
 # Scripted kinds generate this many bundles, then land them. Alternating
@@ -498,8 +468,8 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
     if config.kind == "endpoint":
         _stream(config, next_bundle, land)
     else:
-        faults: _FaultDraws = {}  # lives as long as this call
-        while batch := [(bundle, generate(config, bundle, faults))
+        renderers: dict[TaskInstance, _Renderer] = {}  # lives as long as this call
+        while batch := [(bundle, generate(config, bundle, renderers))
                         for bundle in islice(iter(next_bundle, None), _INLINE_RUN)]:
             for item in batch:
                 land(*item)

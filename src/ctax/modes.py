@@ -340,7 +340,6 @@ class PackagingOutcome:
     hard schema constraint attached.
     """
 
-    variant: str
     packaged_text: str | None = None
     failed: bool = False
     failure_reason: str | None = None
@@ -386,20 +385,19 @@ def build_delayed_stage2(stage1_text: str, instance: TaskInstance,
             user_text="\n\n".join(parts),
             constraint=target,
         )
-        return PackagingOutcome(variant=variant, stage2_bundle=bundle)
+        return PackagingOutcome(stage2_bundle=bundle)
 
     value = _extract_stage1_value(stage1_text, family)
     if value is None:
-        return PackagingOutcome(variant=variant, failed=True,
-                                failure_reason="no extractable answer in stage-1 text")
+        return PackagingOutcome(failed=True, failure_reason="no extractable answer in stage-1 text")
     if family != "tool_call_argument" and "answer" in value:
         value = {"answer": str(value["answer"])}
     violations = validate_schema(value, target.schema)
     if violations:
         reasons = "; ".join(f"{v.path or '/'}: {v.keyword}" for v in violations[:3])
-        return PackagingOutcome(variant=variant, failed=True,
+        return PackagingOutcome(failed=True,
                                 failure_reason=f"extracted value violates target schema ({reasons})")
-    return PackagingOutcome(variant=variant, packaged_text=canonical_serialize(value))
+    return PackagingOutcome(packaged_text=canonical_serialize(value))
 
 
 def parse_for_mode(raw_text: str, mode: str, family: str,

@@ -273,10 +273,25 @@ def test_backend_config_validation():
     ({"base_url": "localhost:8000"}, "base_url"),
     ({"base_url": "ftp://models.example"}, "base_url"),
     ({"base_url": "http://127.0.0.1:9", "max_retries": -1}, "max_retries"),
+    ({"base_url": "http://127.0.0.1:9", "timeout_ms": 0}, "timeout_ms"),
+    ({"base_url": "http://127.0.0.1:9", "timeout_ms": -5}, "timeout_ms"),
 ])
 def test_backend_config_rejects_unusable_endpoint_settings(kw, named):
     with pytest.raises(ConfigError, match=named):
         BackendConfig(kind="endpoint", label="x", **kw)
+
+
+@pytest.mark.parametrize("kw, named", [
+    ({"p_invalid_json": -0.1}, "p_invalid_json"),
+    ({"p_invalid_json": 1.5}, "p_invalid_json"),
+    ({"p_wrong_field": -1.0}, "p_wrong_field"),
+    ({"p_wrong_field": 2.0}, "p_wrong_field"),
+    ({"p_wrong_field": float("nan")}, "p_wrong_field"),
+])
+def test_fault_profile_rejects_probabilities_outside_the_unit_interval(kw, named):
+    with pytest.raises(ConfigError, match=named):
+        FaultProfile(**kw)
+    FaultProfile(p_invalid_json=0.0, p_wrong_field=1.0)  # the bounds themselves are fine
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +556,20 @@ def test_generate_all_corruptor_matches_an_uncached_draw(monkeypatch):
                                                        bundle.stage), bundle
         texts[fault.seed] = [r.raw_text for _, r in landed]
     assert texts[11] != texts[12]
+
+
+@pytest.mark.parametrize("kind, fault", [
+    ("oracle", FaultProfile(p_invalid_json=1.0)),  # the oracle ignores fault
+    ("corruptor", None),  # no profile, no fault
+])
+def test_generate_all_scripted_without_a_profile_renders_the_oracle_text(kind, fault):
+    suite = [inst for family in FAMILIES for inst in generate_suite(family, 2, seed=5)]
+    bundles = _every_bundle(suite)
+    landed = _collect(BackendConfig(kind=kind, fault=fault), bundles)
+    assert [b for b, _ in landed] == bundles
+    for bundle, result in landed:
+        assert result.raw_text == oracle_generate(bundle.instance, bundle.mode,
+                                                  bundle.stage), bundle
 
 
 def test_generate_all_corruptor_draws_for_the_instance_not_its_id(tmp_path):

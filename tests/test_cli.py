@@ -193,6 +193,26 @@ def test_run_with_an_unreachable_endpoint_exits_2_before_writing(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("backend, named", [
+    ({"kind": "endpoint", "base_url": "http://127.0.0.1:9", "timeout_ms": -5},
+     "backends[0]: timeout_ms"),
+    ({"kind": "endpoint", "base_url": "http://127.0.0.1:9", "timeout_ms": 0},
+     "backends[0]: timeout_ms"),
+    ({"kind": "corruptor", "fault": {"p_wrong_field": 1.5}},
+     "backends[0].fault: p_wrong_field"),
+])
+def test_run_with_an_out_of_range_backend_setting_exits_2(tmp_path, capsys, backend, named):
+    """Refused while the config is read: no health check runs, nothing is
+    written, and no exception escapes main."""
+    doc = _run_config_doc()
+    doc["backends"] = [backend]
+    config_path, out = tmp_path / "config.json", tmp_path / "out"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"{named} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_config_with_a_duplicated_key_exits_2(tmp_path, capsys):
     config_path, out = tmp_path / "config.json", tmp_path / "out"
     config_path.write_text(json.dumps(_run_config_doc()).replace(
