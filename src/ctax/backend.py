@@ -69,6 +69,12 @@ class SamplingConfig:
     max_tokens: int | None = None
     request_seed: int | None = None
 
+    def __post_init__(self):
+        if not self.temperature >= 0.0:  # NaN included
+            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if self.max_tokens is not None and self.max_tokens < 1:
+            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
+
 
 @dataclass(frozen=True)
 class FaultProfile:

@@ -6,9 +6,11 @@ checker, plus enough provenance (constraint digest, extraction rule,
 config digest) to audit any number in a report. Records store nothing that
 can be derived: the run's manifest.json holds each constraint document
 keyed by its digest, and a prompt is rebuilt from tasks.jsonl and the
-manifest's template_version. Canonical record lines
-mask wall-clock fields (latency, timestamps, packaging time) so two runs
-of the same config can be diffed for semantic identity.
+manifest's template_version. A line leaves out each optional field that
+holds its default (_ALWAYS_WRITTEN names the keys every line carries), and
+the reader fills it back in. Canonical record lines mask wall-clock fields
+(latency, timestamps, packaging time) so two runs of the same config can be
+diffed for semantic identity.
 """
 
 from __future__ import annotations
@@ -205,14 +207,39 @@ def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any]) -> Ite
             yield item
 
 
-# A record's line encodes its fields as they stand (vars): json writes the
-# tuples as the lists to_dict would copy them into, so the copy is skipped.
+# Keys every records line carries: the required fields; the verdicts and
+# error class, which readers of the raw lines (perfbench/workloads.py)
+# index with no default; extraction_rule, whose default marks a line
+# written before the field existed; and the masked wall-clock fields, so
+# every raw line holds each key a canonical line masks.
+_ALWAYS_WRITTEN = _REQUIRED | {
+    "error_class", "schema_valid", "answer_correct", "exec_correct", "trace_correct",
+    "extraction_rule", *MASKED_FIELDS}
+# Every other field is left out of a line while it holds its default;
+# record_from_dict fills it back in.
+_OMITTABLE = tuple((name, default) for name, default in _TEMPLATE.items()
+                   if name not in _ALWAYS_WRITTEN)
+
+
+def _record_doc(record: RunRecord) -> dict[str, Any]:
+    """A record's line as a dict: its fields as they stand (json writes the
+    tuples as the lists to_dict would copy them into), less every omittable
+    field equal to its default in type and value (False never stands in for
+    0)."""
+    doc = dict(vars(record))
+    for name, default in _OMITTABLE:
+        value = doc[name]
+        if type(value) is type(default) and value == default:
+            del doc[name]
+    return doc
+
+
 def write_records(path: str | Path, records: Iterable[RunRecord]) -> None:
-    write_jsonl(path, map(vars, records))
+    write_jsonl(path, map(_record_doc, records))
 
 
 def append_record(fh, record: RunRecord) -> None:
-    fh.write(_json_line(vars(record)))
+    fh.write(_json_line(_record_doc(record)))
     fh.flush()
 
 

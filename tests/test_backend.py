@@ -282,6 +282,20 @@ def test_backend_config_rejects_unusable_endpoint_settings(kw, named):
 
 
 @pytest.mark.parametrize("kw, named", [
+    ({"max_tokens": -1}, "max_tokens"),
+    ({"max_tokens": 0}, "max_tokens"),
+    ({"temperature": -3.0}, "temperature"),
+    ({"temperature": -0.5, "max_tokens": 64}, "temperature"),
+    ({"temperature": float("nan")}, "temperature"),
+])
+def test_sampling_config_rejects_values_a_server_would_refuse(kw, named):
+    with pytest.raises(ConfigError, match=named):
+        SamplingConfig(**kw)
+    SamplingConfig(temperature=0.0, max_tokens=1)  # the bounds themselves are fine
+    SamplingConfig(max_tokens=None)  # unset: the per-mode default
+
+
+@pytest.mark.parametrize("kw, named", [
     ({"p_invalid_json": -0.1}, "p_invalid_json"),
     ({"p_invalid_json": 1.5}, "p_invalid_json"),
     ({"p_wrong_field": -1.0}, "p_wrong_field"),

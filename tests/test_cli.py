@@ -200,6 +200,11 @@ def test_run_with_an_unreachable_endpoint_exits_2_before_writing(tmp_path, capsy
      "backends[0]: timeout_ms"),
     ({"kind": "corruptor", "fault": {"p_wrong_field": 1.5}},
      "backends[0].fault: p_wrong_field"),
+    ({"kind": "oracle", "sampling": {"max_tokens": -1, "temperature": -3.0}},
+     "backends[0].sampling: temperature"),
+    ({"kind": "oracle", "sampling": {"max_tokens": 0}}, "backends[0].sampling: max_tokens"),
+    ({"kind": "oracle", "sampling": {"temperature": -3.0}},
+     "backends[0].sampling: temperature"),
 ])
 def test_run_with_an_out_of_range_backend_setting_exits_2(tmp_path, capsys, backend, named):
     """Refused while the config is read: no health check runs, nothing is

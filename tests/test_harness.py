@@ -130,6 +130,27 @@ def test_resume_skips_done_work(tmp_path):
     assert path.read_text().startswith(before)
 
 
+def _full_lines(records) -> str:
+    """Records as lines carried them before a line left out its default
+    fields: every field, in sorted key order."""
+    return "".join(json.dumps(vars(r), sort_keys=True, ensure_ascii=False) + "\n"
+                   for r in records)
+
+
+def test_resume_over_full_format_lines_adds_only_the_missing_records(tmp_path):
+    config = _config(("prompt_json", "delayed_constraint"))
+    path = run(config, tmp_path / "out")
+    full = canonical_record_lines(path)
+    records = read_records(path)
+    kept = _full_lines(records[:-3])
+    path.write_text(kept, encoding="utf-8")
+    run(config, tmp_path / "out", resume=True)
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith(kept)  # the full lines were neither rewritten nor made again
+    assert text.count("\n") == len(records)
+    assert canonical_record_lines(path) == full
+
+
 def test_resume_after_torn_final_line(tmp_path):
     # a kill inside append_record leaves a final line without its newline
     config = _config(("prompt_json", "delayed_constraint"))
@@ -287,8 +308,8 @@ def test_killed_endpoint_run_keeps_landed_records_and_resumes(tmp_path):
 # fields set to null. Two runs of one commit cannot show a format drift;
 # these pins can.
 _GOLDEN_RECORD_SHA256 = {
-    "deterministic": "ee4ebf2a9a1c536377bec057fbd3cfe808a14eefcd68dd4efb30b2f71f188b01",
-    "model": "21139c566113a04140256a702997e45cdb0ee0af627d6e74eb4971b24fce9c34",
+    "deterministic": "001f39787e2550cab98da1095dc28c68842f56068e18f601d7acb0b25524675b",
+    "model": "641b1f0d16a548191bf005e5e7d2adde9d8f3552d88e46f4b500c05f1b2ef6fe",
 }
 _MASK_RE = re.compile(rb'"(%s)": (?:null|"[^"]*"|[-+.0-9eE]+)'
                       % b"|".join(name.encode() for name in MASKED_FIELDS))
@@ -324,6 +345,53 @@ def test_record_lines_match_golden_hashes(scripted_runs):
         assert hits == len(MASKED_FIELDS) * len(lines)
         digests[variant] = hashlib.sha256(masked).hexdigest()
     assert digests == _GOLDEN_RECORD_SHA256
+
+
+def test_full_and_compact_lines_read_back_to_equal_records(scripted_runs, tmp_path):
+    for variant, (_config, path) in scripted_runs.items():
+        records = read_records(path)
+        full, compact, mixed = (tmp_path / f"{variant}-{name}.jsonl"
+                                for name in ("full", "compact", "mixed"))
+        full.write_text(_full_lines(records), encoding="utf-8")
+        write_records(compact, records)
+        assert compact.read_bytes() == path.read_bytes()  # run and write_records: one encoder
+        assert compact.stat().st_size < full.stat().st_size
+        pairs = zip(full.read_text(encoding="utf-8").splitlines(keepends=True),
+                    compact.read_text(encoding="utf-8").splitlines(keepends=True))
+        mixed.write_text("".join(pair[i % 2] for i, pair in enumerate(pairs)),
+                         encoding="utf-8")
+        for other in (full, mixed):
+            assert read_records(other) == records
+            assert canonical_diff(other, compact) == []
+
+
+# The keys perfbench/workloads.py indexes in every records line it reads.
+_BENCH_KEYS = ("instance_id", "backend_label", "model_id", "mode", "stage", "family",
+               "raw_text", "error_class", "schema_valid", "answer_correct", "exec_correct",
+               "trace_correct")
+
+
+def _assert_lines_carry(path: Path, keys) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines
+    for line in lines:
+        assert not set(keys) - json.loads(line).keys(), line
+
+
+def test_every_line_carries_the_bench_keys_and_the_masked_fields(scripted_runs, tmp_path):
+    keys = _BENCH_KEYS + MASKED_FIELDS
+    for _config, path in scripted_runs.values():
+        _assert_lines_carry(path, keys)
+    with stub_server(fail_first=10**6, fail_status=400) as (_state, url):  # refuses every post
+        failed = run(_endpoint_run_config(url, count=2), tmp_path / "failed")
+    assert {r.error_class for r in read_records(failed)} == {"generation_failed"}
+    _assert_lines_carry(failed, keys)
+    source, derived = scripted_runs["deterministic"][1], tmp_path / "derived.jsonl"
+    assert main(["derive-delayed", "--records", str(source),
+                 "--tasks", str(source.parent / "tasks.jsonl"), "--source-mode", "freeform",
+                 "--out", str(derived)]) == 0
+    assert {r.derived_from for r in read_records(derived)} == {"freeform"}
+    _assert_lines_carry(derived, keys)
 
 
 def test_shared_constraints_stay_unchanged(scripted_runs, tmp_path):

@@ -80,6 +80,16 @@ def test_absent_optional_fields_take_their_defaults():
     assert record.trace_correct is None and record.error_class == "correct_valid"
 
 
+def test_a_line_leaves_out_a_default_only_when_type_and_value_match(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records(path, [RunRecord(**REQUIRED),
+                         RunRecord(**REQUIRED, packaging_failed=0, violations=[])])
+    default, typed = path.read_text(encoding="utf-8").splitlines()
+    assert '"packaging_failed"' not in default and '"violations"' not in default
+    assert '"packaging_failed": 0,' in typed and '"violations": []' in typed
+    assert read_records(path)[1].packaging_failed == 0
+
+
 def test_new_record_is_the_dataclass_constructor():
     doc = {**REQUIRED, "schema_valid": True, "violations": ({"path": "", "keyword": "type"},),
            "calendar_wrong_fields": ("date", "topic"), "latency_ms": 12.5,
