@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 
 import pytest
 
+from ctax.backend import BackendConfig, build_request_body, oracle_generate
 from ctax.errors import ConfigError
 from ctax.modes import (
     DELAYED_VARIANTS,
@@ -249,6 +252,42 @@ def test_prompt_preserves_problem_text():
             bundle = build_prompt(inst, mode)
             assert inst.problem_text in bundle.user_text
             assert bundle.instance_id == inst.id
+
+
+# sha256 of the prompts and request bodies built for fixed instances. Records
+# do not store prompts, and scripted backends ignore them, so nothing else
+# shows a change of a prompt byte.
+_GOLDEN_PROMPT_SHA256 = {
+    "user_text": "db5ff3a7383e3c9cc50adf9e0b6c5740838c31c307f3a7dc03fb70a96d4358b6",
+    "stage2_user_text": "0b628fd4b2ea8c2916e12b26bc691972b6640e5e5d04cc9a4659a430c4ecb4e6",
+    "request_body": "2f1bc9adb81117ac8178f457afcc668810982dc69c64fc796b2bdb37efc0ce0b",
+}
+
+
+def _prompt_bundles():
+    """Every mode's bundle for two instances of every family, then the
+    model-variant stage-2 bundle built from each oracle stage-1 text."""
+    instances = [inst for family in FAMILIES for inst in generate_suite(family, 2, seed=21)]
+    singles = [build_prompt(inst, mode) for inst in instances for mode in MODE_NAMES]
+    stage2 = [build_delayed_stage2(oracle_generate(inst, "delayed_constraint", "stage1"), inst,
+                                   "model").stage2_bundle for inst in instances]
+    return singles, stage2
+
+
+def _sha256(texts) -> str:
+    return hashlib.sha256("\x00".join(texts).encode("utf-8")).hexdigest()
+
+
+def test_prompts_and_request_bodies_match_golden_hashes():
+    singles, stage2 = _prompt_bundles()
+    config = BackendConfig(kind="endpoint", base_url="http://localhost:1", model_id="m")
+    bodies = (json.dumps(build_request_body(config, b), sort_keys=True, ensure_ascii=False)
+              for b in singles + stage2)
+    assert {
+        "user_text": _sha256(b.user_text for b in singles),
+        "stage2_user_text": _sha256(b.user_text for b in stage2),
+        "request_body": _sha256(bodies),
+    } == _GOLDEN_PROMPT_SHA256
 
 
 def test_calendar_object_modes_use_fixed_header_footer():
