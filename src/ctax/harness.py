@@ -46,7 +46,9 @@ from .metrics import (
 )
 from .modes import (
     CONSTRAINT_NONE,
+    DELAYED_MODE,
     DELAYED_VARIANTS,
+    MODE_CATALOG,
     MODE_NAMES,
     TEMPLATE_VERSION,
     PromptBundle,
@@ -64,9 +66,9 @@ from .taskgen import (CALENDAR_SEMANTIC_FIELDS, FAMILIES, TaskInstance, generate
 from .validation import (LENIENT_EXTRACTION, PARSE_NO_JSON, STRICT_EXTRACTION, canonical_digest,
                          canonical_serialize, extract_json)
 
-DELAYED_MODE = "delayed_constraint"
-DELAYED_SOURCE_MODES = frozenset({"prompt_json", "freeform", "freeform_direct",
-                                  "freeform_brief_reasoning"})
+# Modes a delayed stage 1 can be derived from: those generated unconstrained.
+DELAYED_SOURCE_MODES = frozenset(m.name for m in MODE_CATALOG
+                                 if not m.enforced and m.name != DELAYED_MODE)
 
 
 @dataclass(frozen=True)

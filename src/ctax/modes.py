@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ConfigError
 from .taskgen import FAMILIES, TOOL_NAME, TRACE_OPS, TaskInstance
@@ -32,50 +32,11 @@ CONSTRAINT_NONE = "none"
 CONSTRAINT_REGEX = "regex"
 CONSTRAINT_SCHEMA = "schema"
 
+# Where a mode's scored answer is read: the final-answer line, the matched line, a JSON object.
+CHANNEL_FREEFORM, CHANNEL_REGEX, CHANNEL_OBJECT = "freeform", "regex", "object"
+
+DELAYED_MODE = "delayed_constraint"
 DELAYED_VARIANTS = ("deterministic", "model")
-
-
-@dataclass(frozen=True)
-class ModeDescriptor:
-    name: str
-    interface: str
-    constraint_kind: str  # constraint transported to the backend
-    stages: tuple[str, ...]
-
-
-MODE_CATALOG: tuple[ModeDescriptor, ...] = (
-    ModeDescriptor("freeform", "Verbose step-by-step response", CONSTRAINT_NONE, ("single",)),
-    ModeDescriptor("freeform_direct", "Answer-only final line", CONSTRAINT_NONE, ("single",)),
-    ModeDescriptor("freeform_brief_reasoning", "Short scratchpad, final answer last",
-                   CONSTRAINT_NONE, ("single",)),
-    ModeDescriptor("prompt_json", "JSON requested only by prompt", CONSTRAINT_NONE, ("single",)),
-    ModeDescriptor("final_only_regex", "Regex-constrained final answer",
-                   CONSTRAINT_REGEX, ("single",)),
-    ModeDescriptor("answer_only_schema", "Minimal answer JSON schema",
-                   CONSTRAINT_SCHEMA, ("single",)),
-    ModeDescriptor("rationale_answer_schema", "JSON schema with rationale and answer",
-                   CONSTRAINT_SCHEMA, ("single",)),
-    ModeDescriptor("typed_trace_schema", "Typed JSON trace with final answer",
-                   CONSTRAINT_SCHEMA, ("single",)),
-    ModeDescriptor("delayed_constraint", "Reason first, package answer second",
-                   CONSTRAINT_NONE, ("stage1", "stage2")),
-)
-
-MODE_NAMES = tuple(m.name for m in MODE_CATALOG)
-
-FREEFORM_MODES = frozenset({"freeform", "freeform_direct", "freeform_brief_reasoning"})
-# Modes whose scored output is a JSON object (delayed counts: its scored
-# artifact is the packaged object).
-OBJECT_MODES = frozenset({"prompt_json", "answer_only_schema", "rationale_answer_schema",
-                          "typed_trace_schema", "delayed_constraint"})
-REGEX_MODE = "final_only_regex"
-
-
-def get_mode(name: str) -> ModeDescriptor:
-    for descriptor in MODE_CATALOG:
-        if descriptor.name == name:
-            return descriptor
-    raise ConfigError(f"unknown mode: {name!r}")
 
 
 @dataclass(frozen=True)
@@ -215,89 +176,126 @@ def typed_trace_schema(family: str) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# The mode catalog: one row per mode, and everything derived from it
+# ---------------------------------------------------------------------------
+
+_FINAL_LINE = 'End with one final line of exactly this form:\nFinal answer: <answer>'
+_STEP_BY_STEP = f"Think through the problem step by step and explain your reasoning.\n{_FINAL_LINE}"
+
+
+@dataclass(frozen=True)
+class ModeDescriptor:
+    """A mode's contract, stated once."""
+
+    name: str
+    channel: str  # freeform | regex | object
+    schema: Callable[[str], dict] | None  # the object channel's schema, built per family
+    enforced: bool  # the scoring constraint is sent to the backend
+    instruction: str  # follows the problem text; "{ops}" lists the family's trace ops
+
+    @property
+    def constraint_kind(self) -> str:
+        """Kind of the constraint sent to the backend (bar delayed stage 2)."""
+        if not self.enforced:
+            return CONSTRAINT_NONE
+        return CONSTRAINT_REGEX if self.channel == CHANNEL_REGEX else CONSTRAINT_SCHEMA
+
+
+MODE_CATALOG: tuple[ModeDescriptor, ...] = (
+    ModeDescriptor("freeform", CHANNEL_FREEFORM, None, False, _STEP_BY_STEP),
+    ModeDescriptor("freeform_direct", CHANNEL_FREEFORM, None, False,
+                   "Reply with only the final answer on a single line. Do not explain."),
+    ModeDescriptor("freeform_brief_reasoning", CHANNEL_FREEFORM, None, False,
+                   f"Use at most two short sentences of reasoning.\n{_FINAL_LINE}"),
+    ModeDescriptor("prompt_json", CHANNEL_OBJECT, answer_schema, False,
+                   'Respond with only a JSON object {"answer": "..."} and nothing else.'),
+    ModeDescriptor("final_only_regex", CHANNEL_REGEX, None, True,
+                   "Reply with only the final answer and nothing else."),
+    ModeDescriptor("answer_only_schema", CHANNEL_OBJECT, answer_schema, True,
+                   'Respond with only a JSON object of the form {"answer": "..."}. '
+                   "It must satisfy the required schema."),
+    ModeDescriptor("rationale_answer_schema", CHANNEL_OBJECT, rationale_answer_schema, True,
+                   'Respond with only a JSON object of the form '
+                   '{"rationale": "...", "answer": "..."}. Keep the rationale brief.'),
+    ModeDescriptor("typed_trace_schema", CHANNEL_OBJECT, typed_trace_schema, True,
+                   'Respond with only a JSON object of the form '
+                   '{"steps": [{"op": "...", "output": "..."}, ...], "answer": "..."} '
+                   "listing every reasoning step. Allowed op values: {ops}."),
+    # stage 1 reasons freely; stage 2, which packages the answer, is enforced
+    ModeDescriptor(DELAYED_MODE, CHANNEL_OBJECT, answer_schema, False, _STEP_BY_STEP),
+)
+
+_BY_NAME = {m.name: m for m in MODE_CATALOG}
+MODE_NAMES = tuple(_BY_NAME)
+FREEFORM_MODES = frozenset(m.name for m in MODE_CATALOG if m.channel == CHANNEL_FREEFORM)
+# Modes whose scored output is a JSON object (delayed counts: its scored
+# artifact is the packaged object).
+OBJECT_MODES = frozenset(m.name for m in MODE_CATALOG if m.channel == CHANNEL_OBJECT)
+(REGEX_MODE,) = (m.name for m in MODE_CATALOG if m.channel == CHANNEL_REGEX)
+
+
+def get_mode(name: str) -> ModeDescriptor:
+    descriptor = _BY_NAME.get(name)
+    if descriptor is None:
+        raise ConfigError(f"unknown mode: {name!r}")
+    return descriptor
+
+
 @functools.cache
 def scoring_constraint(mode: str, family: str) -> Constraint:
     """Constraint the scorer validates against.
 
-    For hard-constrained modes this equals the transported constraint; for
-    prompt_json it is the same object schema requested by prompt only; for
-    delayed_constraint it is the stage-2 packaging schema; freeform modes
-    have none. Memoised: one object per (mode, family), so its schema is
-    built and its digest hashed once per process. The schema builders above
-    stay unmemoised, because rationale_answer_schema edits the dict that
-    answer_schema returns.
+    For enforced modes this equals the transported constraint; prompt_json
+    asks for the same object by prompt only; the delayed mode's is its
+    stage-2 packaging schema; freeform modes have none. Memoised: one
+    object per (mode, family), so its schema is built and its digest
+    hashed once per process. The schema builders stay unmemoised, because
+    rationale_answer_schema edits the dict that answer_schema returns.
     """
-    if mode in FREEFORM_MODES:
-        return NO_CONSTRAINT
-    if mode == REGEX_MODE:
+    descriptor = get_mode(mode)
+    if descriptor.channel == CHANNEL_REGEX:
         return Constraint(kind=CONSTRAINT_REGEX, pattern=answer_regex(family))
-    if mode in ("prompt_json", "answer_only_schema", "delayed_constraint"):
-        return Constraint(kind=CONSTRAINT_SCHEMA, schema=answer_schema(family))
-    if mode == "rationale_answer_schema":
-        return Constraint(kind=CONSTRAINT_SCHEMA, schema=rationale_answer_schema(family))
-    if mode == "typed_trace_schema":
-        return Constraint(kind=CONSTRAINT_SCHEMA, schema=typed_trace_schema(family))
-    raise ConfigError(f"unknown mode: {mode!r}")
+    if descriptor.schema is None:
+        return NO_CONSTRAINT
+    return Constraint(kind=CONSTRAINT_SCHEMA, schema=descriptor.schema(family))
 
 
 @functools.cache
 def transported_constraint(mode: str, family: str, stage: str = "single") -> Constraint:
     """Constraint actually sent to the backend for decoding (memoised like
-    scoring_constraint)."""
-    kind = get_mode(mode).constraint_kind
-    if mode == "delayed_constraint":
-        if stage == "stage2":
-            return scoring_constraint(mode, family)
-        return NO_CONSTRAINT
-    if kind == CONSTRAINT_NONE:
-        return NO_CONSTRAINT
-    return scoring_constraint(mode, family)
+    scoring_constraint): the scoring constraint of an enforced mode or of
+    the delayed mode's stage 2, else none."""
+    if get_mode(mode).enforced or (mode == DELAYED_MODE and stage == "stage2"):
+        return scoring_constraint(mode, family)
+    return NO_CONSTRAINT
 
 
 # ---------------------------------------------------------------------------
 # Prompt construction
 # ---------------------------------------------------------------------------
 
-_FINAL_LINE = 'End with one final line of exactly this form:\nFinal answer: <answer>'
-
-# Header/footer used by the calendar tool-call interface.
+# Header/footer used by the calendar tool-call interface, for single-stage
+# prompts whose expected output is the tool-call object itself (a typed
+# trace carries it as its string answer instead).
 _CALENDAR_HEADER = "You are a calendar assistant. Return only JSON."
 _CALENDAR_FOOTER = f'Use tool name "{TOOL_NAME}".'
-
-_INSTRUCTIONS: dict[str, str] = {
-    "freeform": f"Think through the problem step by step and explain your reasoning.\n{_FINAL_LINE}",
-    "freeform_direct": "Reply with only the final answer on a single line. Do not explain.",
-    "freeform_brief_reasoning": f"Use at most two short sentences of reasoning.\n{_FINAL_LINE}",
-    "prompt_json": 'Respond with only a JSON object {"answer": "..."} and nothing else.',
-    "final_only_regex": "Reply with only the final answer and nothing else.",
-    "answer_only_schema": ('Respond with only a JSON object of the form {"answer": "..."}. '
-                           "It must satisfy the required schema."),
-    "rationale_answer_schema": ('Respond with only a JSON object of the form '
-                                '{"rationale": "...", "answer": "..."}. Keep the rationale brief.'),
-    "typed_trace_schema": ('Respond with only a JSON object of the form '
-                           '{"steps": [{"op": "...", "output": "..."}, ...], "answer": "..."} '
-                           "listing every reasoning step. Allowed op values: {ops}."),
-    "delayed_constraint": f"Think through the problem step by step and explain your reasoning.\n{_FINAL_LINE}",
-}
 
 _STAGE2_INSTRUCTION = ("A draft solution follows between the markers.\n---\n{stage1}\n---\n"
                        "Package its final answer as a JSON object satisfying the required schema. "
                        "Respond with only the JSON object.")
 
-# Calendar-family wording for modes whose expected output is the tool-call
-# object itself.
-_CALENDAR_OBJECT_MODES = frozenset({"prompt_json", "answer_only_schema", "rationale_answer_schema"})
 
-
-def _instruction_block(mode: str, family: str) -> tuple[str, str]:
+def _instruction_block(descriptor: ModeDescriptor, family: str, stage: str) -> tuple[str, str]:
     """(prefix, suffix) wrapped around the untouched problem text."""
-    if family == "tool_call_argument" and mode in _CALENDAR_OBJECT_MODES:
+    if (family == "tool_call_argument" and stage == "single"
+            and descriptor.schema in (answer_schema, rationale_answer_schema)):
         suffix = _CALENDAR_FOOTER
-        if mode == "rationale_answer_schema":
+        if descriptor.schema is rationale_answer_schema:
             suffix += ' Include a brief "rationale" field in the JSON object.'
         return _CALENDAR_HEADER, suffix
-    text = _INSTRUCTIONS[mode]
-    if mode == "typed_trace_schema":
+    text = descriptor.instruction
+    if descriptor.schema is typed_trace_schema:
         # str.format would trip over the literal JSON braces in the template
         text = text.replace("{ops}", ", ".join(TRACE_OPS[family]))
     return "", text
@@ -310,16 +308,14 @@ def build_prompt(instance: TaskInstance, mode: str) -> PromptBundle:
     Prompt construction never alters problem_text: instructions are pure
     prefix/suffix blocks.
     """
-    descriptor = get_mode(mode)
-    prefix, suffix = _instruction_block(mode, instance.family)
+    stage = "stage1" if mode == DELAYED_MODE else "single"
+    prefix, suffix = _instruction_block(get_mode(mode), instance.family, stage)
     parts = [p for p in (prefix, instance.problem_text, suffix) if p]
-    user_text = "\n\n".join(parts)
-    stage = "stage1" if descriptor.stages[0] == "stage1" else "single"
     return PromptBundle(
         instance=instance,
         mode=mode,
         stage=stage,
-        user_text=user_text,
+        user_text="\n\n".join(parts),
         constraint=transported_constraint(mode, instance.family, stage),
     )
 
@@ -373,14 +369,14 @@ def build_delayed_stage2(stage1_text: str, instance: TaskInstance,
     if variant not in DELAYED_VARIANTS:
         raise ConfigError(f"unknown delayed variant: {variant!r}")
     family = instance.family
-    target = transported_constraint("delayed_constraint", family, "stage2")
+    target = transported_constraint(DELAYED_MODE, family, "stage2")
     if variant == "model":
-        prefix, _ = _instruction_block("prompt_json", family)
+        prefix = _CALENDAR_HEADER if family == "tool_call_argument" else ""
         instruction = _STAGE2_INSTRUCTION.format(stage1=stage1_text)
         parts = [p for p in (prefix, instance.problem_text, instruction) if p]
         bundle = PromptBundle(
             instance=instance,
-            mode="delayed_constraint",
+            mode=DELAYED_MODE,
             stage="stage2",
             user_text="\n\n".join(parts),
             constraint=target,

@@ -10,6 +10,7 @@ import pytest
 
 from ctax.backend import BackendConfig, build_request_body, oracle_generate
 from ctax.errors import ConfigError
+from ctax.harness import DELAYED_SOURCE_MODES
 from ctax.modes import (
     DELAYED_VARIANTS,
     FREEFORM_MODES,
@@ -83,16 +84,33 @@ def test_catalog_constraint_kinds():
         assert kinds[name] == "schema"
 
 
-def test_catalog_interfaces_described():
-    for mode in MODE_CATALOG:
-        assert mode.interface and isinstance(mode.interface, str)
+# Each mode's facts, by name: (channel, scoring constraint kind, transported
+# constraint kind per stage in stage order, a delayed stage-1 source).
+_CATALOG_TABLE = {
+    "freeform": ("freeform", "none", {"single": "none"}, True),
+    "freeform_direct": ("freeform", "none", {"single": "none"}, True),
+    "freeform_brief_reasoning": ("freeform", "none", {"single": "none"}, True),
+    "prompt_json": ("object", "schema", {"single": "none"}, True),
+    "final_only_regex": ("regex", "regex", {"single": "regex"}, False),
+    "answer_only_schema": ("object", "schema", {"single": "schema"}, False),
+    "rationale_answer_schema": ("object", "schema", {"single": "schema"}, False),
+    "typed_trace_schema": ("object", "schema", {"single": "schema"}, False),
+    "delayed_constraint": ("object", "schema", {"stage1": "none", "stage2": "schema"}, False),
+}
 
 
-def test_delayed_mode_has_two_stages():
-    assert get_mode("delayed_constraint").stages == ("stage1", "stage2")
-    for mode in MODE_CATALOG:
-        if mode.name != "delayed_constraint":
-            assert mode.stages == ("single",)
+def test_catalog_table():
+    assert tuple(_CATALOG_TABLE) == MODE_NAMES
+    for family in FAMILIES:
+        inst = generate_suite(family, 1, seed=21)[0]
+        for mode in MODE_CATALOG:
+            channel, scoring, transported, source = _CATALOG_TABLE[mode.name]
+            assert mode.channel == channel
+            assert scoring_constraint(mode.name, family).kind == scoring
+            assert {stage: transported_constraint(mode.name, family, stage).kind
+                    for stage in transported} == transported
+            assert build_prompt(inst, mode.name).stage == next(iter(transported))
+            assert (mode.name in DELAYED_SOURCE_MODES) == source
     assert DELAYED_VARIANTS == ("deterministic", "model")
 
 
