@@ -243,9 +243,9 @@ def bootstrap_rate_ci(indicators: Sequence[int] | np.ndarray, cfg: BootstrapConf
 
 
 def _paired_delta_ci(baseline: np.ndarray, constrained: np.ndarray,
-                     cfg: BootstrapConfig, *labels: object) -> BootstrapCI:
+                     cfg: BootstrapConfig) -> BootstrapCI:
     """Exact percentile CI for mean(constrained) - mean(baseline) over paired
-    0/1 columns. Trailing labels are ignored, as in bootstrap_rate_ci."""
+    0/1 columns."""
     up = int(np.count_nonzero(constrained > baseline))
     down = int(np.count_nonzero(constrained < baseline))
     return _exact_ci(down, len(baseline) - up - down, up, cfg.level)

@@ -486,7 +486,7 @@ def test_paired_delta_ci_memory_does_not_scale_with_resamples_times_n():
     cfg = BootstrapConfig(resamples=2000, seed=0)
     tracemalloc.start()
     try:
-        ci = _paired_delta_ci(baseline, constrained, cfg, "memory")
+        ci = _paired_delta_ci(baseline, constrained, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
