@@ -67,8 +67,7 @@ from .validation import (LENIENT_EXTRACTION, PARSE_NO_JSON, STRICT_EXTRACTION, c
                          canonical_serialize, extract_json)
 
 # Modes a delayed stage 1 can be derived from: those generated unconstrained.
-DELAYED_SOURCE_MODES = frozenset(m.name for m in MODE_CATALOG
-                                 if not m.enforced and m.name != DELAYED_MODE)
+DELAYED_SOURCE_MODES = frozenset(m.name for m in MODE_CATALOG if not m.enforced) - {DELAYED_MODE}
 
 
 @dataclass(frozen=True)

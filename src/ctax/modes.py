@@ -244,14 +244,12 @@ def get_mode(name: str) -> ModeDescriptor:
 
 @functools.cache
 def scoring_constraint(mode: str, family: str) -> Constraint:
-    """Constraint the scorer validates against.
-
-    For enforced modes this equals the transported constraint; prompt_json
-    asks for the same object by prompt only; the delayed mode's is its
-    stage-2 packaging schema; freeform modes have none. Memoised: one
-    object per (mode, family), so its schema is built and its digest
-    hashed once per process. The schema builders stay unmemoised, because
-    rationale_answer_schema edits the dict that answer_schema returns.
+    """Constraint the scorer validates against: the answer regex of the
+    regex channel, else the row's object schema (prompt_json and the delayed
+    mode score it unenforced), else none. Memoised: one object per (mode,
+    family), so its schema is built and its digest hashed once per process.
+    The schema builders stay unmemoised, because rationale_answer_schema
+    edits the dict that answer_schema returns.
     """
     descriptor = get_mode(mode)
     if descriptor.channel == CHANNEL_REGEX:
