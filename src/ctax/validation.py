@@ -106,14 +106,13 @@ _FENCE_RE = re.compile(r"```json\s*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
 _BRACE_OR_STRING_RE = re.compile(r'[{}]|"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
 
 
-def _balanced_objects(text: str) -> Iterator[str]:
+def _balanced_objects(text: str, start: int) -> Iterator[str]:
     """Maximal balanced {...} spans, left to right, from one string-aware pass.
 
-    Quotes count from the first open brace on, so a brace inside a string
-    literal never opens a span. Spans that close inside a brace that never
-    closes are yielded, in order, when the text runs out.
+    Quotes count from start, so a brace inside a string literal never opens
+    a span; a "}" with no open brace is skipped. Spans that close inside a
+    brace that never closes are yielded, in order, when the text runs out.
     """
-    start = text.find("{")
     while start != -1:
         opens: list[int] = []
         inner: list[tuple[int, int]] = []  # closed spans not inside another closed span
@@ -121,7 +120,7 @@ def _balanced_objects(text: str) -> Iterator[str]:
             i = m.start()
             if text[i] == "{":
                 opens.append(i)
-            elif text[i] == "}":
+            elif text[i] == "}" and opens:
                 first = opens.pop()
                 if not opens:  # a top-level object: yield it, jump to the next brace
                     yield text[first:i + 1]
@@ -141,13 +140,17 @@ def _candidates(text: str, strict: bool) -> Iterator[str]:
         return
     for m in _FENCE_RE.finditer(text):
         yield m.group(1).strip()
-    yield from _balanced_objects(text)
+    first = text.find("{")
+    yield from _balanced_objects(text, first)
+    if first > 0 and text.find('"', 0, first) != -1:  # a quoted "{" may come first
+        yield from _balanced_objects(text, 0)
     yield text.strip()
 
 
 # Stamped on each record; bump when the candidates change. lenient/v1 restarted
-# its scan at every brace after an unclosed one, even inside a string literal.
-LENIENT_EXTRACTION = "lenient/v2"
+# its scan at every brace after an unclosed one, even inside a string literal;
+# lenient/v2 lost the object after a quoted "{" in the prose before it.
+LENIENT_EXTRACTION = "lenient/v3"
 STRICT_EXTRACTION = "strict/v1"
 
 
@@ -161,9 +164,10 @@ def extract_json(text: str, strict: bool = False) -> ParseOutcome:
     """Pull a JSON value out of a completion.
 
     Candidate order: (1) fenced ```json blocks, (2) the maximal balanced
-    {...} spans of one string-aware pass, left to right, (3) the whole
-    text. The first candidate that parses wins. With strict=True only the
-    whole text is tried.
+    {...} spans of a string-aware pass from the first "{", left to right,
+    (3) when a '"' comes before that brace, the spans of a second pass that
+    counts quotes from the start, (4) the whole text. The first candidate
+    that parses wins. With strict=True only the whole text is tried.
 
     No candidate parses -> malformed_json when braces were present,
     no_json_found otherwise.

@@ -1,4 +1,4 @@
-"""Reference extract_json: the lenient/v2 candidate walk and nothing else.
+"""Reference extract_json: the lenient/v3 candidate walk and nothing else.
 
 extract_json tries a fence-free text that starts with "{" as a whole before
 it walks the candidates. This reference has no such shortcut, so agreement

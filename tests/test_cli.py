@@ -459,4 +459,4 @@ def test_score_warns_when_a_cell_mixes_extraction_rules(tmp_path, capsys):
     out = capsys.readouterr().out
     for mode in ("prompt_json", "answer_only_schema"):
         assert (f"[WARN] oracle/oracle-v1/boolean_logic/{mode} mixes extraction rules "
-                "lenient/v1, lenient/v2") in out
+                "lenient/v1, lenient/v3") in out

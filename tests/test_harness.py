@@ -94,7 +94,7 @@ def test_run_records_carry_scoring_fields(tmp_path):
     assert rec.constraint_kind == "schema"
     assert manifest["constraints"][rec.constraint_digest]["schema"] is not None
     assert rec.constraint_enforced
-    assert rec.extraction_rule == "lenient/v2"
+    assert rec.extraction_rule == "lenient/v3"
     assert rec.error_class == "correct_valid"
     assert rec.run_id == "t-run" and rec.config_digest == config.digest()
     assert rec.started_at and rec.finished_at
@@ -308,8 +308,8 @@ def test_killed_endpoint_run_keeps_landed_records_and_resumes(tmp_path):
 # fields set to null. Two runs of one commit cannot show a format drift;
 # these pins can.
 _GOLDEN_RECORD_SHA256 = {
-    "deterministic": "001f39787e2550cab98da1095dc28c68842f56068e18f601d7acb0b25524675b",
-    "model": "641b1f0d16a548191bf005e5e7d2adde9d8f3552d88e46f4b500c05f1b2ef6fe",
+    "deterministic": "460aff1506d6510ae46035047bc98ccab90e77e6dc1d53b2b72e829969e9a08f",
+    "model": "709ed18bd0710837b7ca7512bf581a1201588fe2f7dc6be6723c43eab5b96bc8",
 }
 _MASK_RE = re.compile(rb'"(%s)": (?:null|"[^"]*"|[-+.0-9eE]+)'
                       % b"|".join(name.encode() for name in MASKED_FIELDS))

@@ -138,6 +138,28 @@ def test_extract_brace_inside_string_never_starts_a_candidate():
 
 
 @pytest.mark.parametrize("text", [
+    'The "{" opens it: {"answer": "4"}',
+    'Note: "{" then {"answer": "4"}',
+    'Note: "{" then The answer is {"answer": "4"}.',
+    'A "}" and a "{" come first: {"answer": "4"}',
+    'Unmatched } and "{" first: {"answer": "4"}',
+])
+def test_extract_keeps_an_object_after_a_quoted_brace(text):
+    # quotes count from the start of the text in a second pass, which runs
+    # only when a '"' comes before the first "{"
+    out = extract_json(text)
+    assert out.ok and out.value == {"answer": "4"} and out.matched_text == '{"answer": "4"}'
+
+
+def test_extract_second_pass_runs_only_after_a_quote_before_the_first_brace():
+    # without one it would only repeat the first pass's spans
+    text = 'x {"a": 1, "a": 2}'
+    assert list(validation._candidates(text, strict=False)) == ['{"a": 1, "a": 2}', text]
+    text = 'The "{" opens it: {"answer": "4"}'
+    assert list(validation._candidates(text, strict=False)) == ['{"answer": "4"}', text]
+
+
+@pytest.mark.parametrize("text", [
     '{"a": {"answer": "42"}',
     'Sure: {"answer": "42"} and {',
 ])
@@ -151,7 +173,9 @@ def test_extract_spans_inside_an_unclosed_brace_still_parse(text):
     "{" * 100000,
     '{"a":' * 30000,
     "```json\n{" * 10000,
-], ids=["brace-quote", "braces", "nested-keys", "fences"])
+    '"{' * 20000,
+    '"}' + '"{' * 20000,
+], ids=["brace-quote", "braces", "nested-keys", "fences", "quote-brace", "quote-close-brace"])
 def test_extract_is_linear_on_unclosed_braces(text):
     started = time.perf_counter()
     assert extract_json(text).status == "malformed_json"
