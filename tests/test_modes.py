@@ -85,7 +85,7 @@ def test_catalog_constraint_kinds():
 
 
 # Each mode's facts, by name: (channel, scoring constraint kind, transported
-# constraint kind per stage in stage order, a delayed stage-1 source).
+# constraint kind per stage, a delayed stage-1 source).
 _CATALOG_TABLE = {
     "freeform": ("freeform", "none", {"single": "none"}, True),
     "freeform_direct": ("freeform", "none", {"single": "none"}, True),
@@ -109,8 +109,27 @@ def test_catalog_table():
             assert scoring_constraint(mode.name, family).kind == scoring
             assert {stage: transported_constraint(mode.name, family, stage).kind
                     for stage in transported} == transported
-            assert build_prompt(inst, mode.name).stage == next(iter(transported))
             assert (mode.name in DELAYED_SOURCE_MODES) == source
+
+
+def test_catalog_interfaces_described():
+    # a mode's interface is the instruction that follows the problem text
+    inst = generate_suite("arithmetic_two_step", 1, seed=21)[0]
+    for mode in MODE_CATALOG:
+        assert mode.instruction and isinstance(mode.instruction, str)
+        user_text = build_prompt(inst, mode.name).user_text
+        assert user_text.startswith(inst.problem_text)
+        assert mode.instruction.split("{ops}")[0] in user_text
+
+
+def test_delayed_mode_has_two_stages():
+    inst = generate_suite("arithmetic_two_step", 1, seed=21)[0]
+    assert build_prompt(inst, "delayed_constraint").stage == "stage1"
+    stage2 = build_delayed_stage2("Final answer: 7", inst, "model").stage2_bundle
+    assert stage2.stage == "stage2"
+    for mode in MODE_NAMES:
+        if mode != "delayed_constraint":
+            assert build_prompt(inst, mode).stage == "single"
     assert DELAYED_VARIANTS == ("deterministic", "model")
 
 
