@@ -957,14 +957,49 @@ def _golden_records(tmp_path):
                       ("oracle", "answer_only_schema", "arithmetic_two_step")]
 
 
-def test_score_outputs_match_golden_hashes(tmp_path):
-    result = score(_golden_records(tmp_path), bootstrap=BootstrapConfig(resamples=200, seed=3))
-    paths = score_to_files(result, tmp_path / "scores")
+def _score_digests(result, out_dir):
+    paths = score_to_files(result, out_dir)
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in paths.items()}
     digests["report"] = hashlib.sha256(
         render_report(result, "prompt_json").encode("utf-8")).hexdigest()
-    assert digests == _GOLDEN_SCORE_SHA256
+    return digests
+
+
+def test_score_outputs_match_golden_hashes(tmp_path):
+    result = score(_golden_records(tmp_path), bootstrap=BootstrapConfig(resamples=200, seed=3))
+    assert _score_digests(result, tmp_path / "scores") == _GOLDEN_SCORE_SHA256
+
+
+# sha256 of the score outputs of _golden_records with every fifth record a
+# generation failure, at a 90% level: pins the n_failed column, the report's
+# failed-generations note, and the CI level in the tax header and the
+# bootstrap_level column.
+_GOLDEN_FAILED_SCORE_SHA256 = {
+    "aggregates": "be52f2aa7f25de2c1238c19e03ab6c61e6913e5d33122947e1ed548649e455ab",
+    "comparisons": "e512bbc9e465c96afd4a23c40a72c3ed746a25bf2bb246f2256c62c9cf668e0a",
+    "calendar": "e867404f60c2772d98dd6184a7b0b81ec24524460b2cac790b4de201f5be3f2c",
+    "report": "edb67d73f869166e12106edf606f8ca12563d352cadbfa24ddd1891c39d204b1",
+}
+
+
+def _generation_failed(record):
+    """record as the run loop writes a failed generation of it."""
+    return replace(record, raw_text="", parse_status="no_json_found", violations=(),
+                   schema_valid=False, answer_correct=False, exec_correct=False,
+                   trace_correct=None, error_class="generation_failed",
+                   calendar_failure_class=None, calendar_wrong_fields=(),
+                   prompt_tokens=None, completion_tokens=None, structural_overhead=None,
+                   failure_reason="HTTP 503 after 3 attempt(s)")
+
+
+def test_score_outputs_with_generation_failures_match_golden_hashes(tmp_path):
+    records = [_generation_failed(r) if r.stage == "single" and i % 5 == 2 else r
+               for i, r in enumerate(_golden_records(tmp_path))]
+    result = score(records, bootstrap=BootstrapConfig(level=0.9))
+    report = render_report(result, "prompt_json")
+    assert "90% CI" in report and "generation(s) failed" in report
+    assert _score_digests(result, tmp_path / "scores") == _GOLDEN_FAILED_SCORE_SHA256
 
 
 def test_answer_and_exec_rows_share_validity_and_wrong_valid_cis(tmp_path):
