@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import UnionType
-from typing import (Any, Iterator, Mapping, Sequence, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import (Any, Iterable, Iterator, Mapping, Sequence, Union, get_args,
+                    get_origin, get_type_hints)
 
 from . import __version__
 from .backend import (
@@ -487,6 +487,11 @@ def derive_delayed(source_records: Sequence[RunRecord],
 
 @dataclass(frozen=True)
 class CalendarRow:
+    """Calendar failure counts of one (backend, model, mode) cell. class_counts
+    holds one (class, count) pair per CALENDAR_FAILURE_CLASSES entry and
+    field_counts one (field, count) pair per CALENDAR_SEMANTIC_FIELDS entry,
+    each in that order, so the tables read the counts off in sequence."""
+
     backend_label: str
     model_id: str
     mode: str
@@ -588,76 +593,19 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
 # CSV output
 # ---------------------------------------------------------------------------
 
-def _fmt_rate(rate: Fraction | None) -> str:
-    return "" if rate is None else f"{pts(rate):.1f}"
+def _pts(rate: Fraction | float | None, fmt: str = ".1f") -> str:
+    return "" if rate is None else format(pts(rate), fmt)
 
 
 def _fmt_opt(value: float | None, fmt: str = ".1f") -> str:
     return "" if value is None else format(value, fmt)
 
 
-def write_aggregates_csv(path: str | Path, aggregates: Sequence[ModeAggregate]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([
-            "backend", "model", "task", "mode", "n", "n_failed",
-            "schema_validity_pct", "answer_accuracy_pct", "exec_accuracy_pct",
-            "trace_accuracy_pct", "wrong_valid_pct", "mean_latency_ms",
-            "mean_completion_tokens", "mean_structural_overhead",
-        ])
-        for agg in aggregates:
-            writer.writerow([
-                agg.backend_label, agg.model_id, agg.task, agg.mode, agg.n, agg.n_failed,
-                _fmt_rate(agg.schema_validity), _fmt_rate(agg.answer_accuracy),
-                _fmt_rate(agg.exec_accuracy), _fmt_rate(agg.trace_accuracy),
-                _fmt_rate(agg.wrong_valid_rate), f"{agg.mean_latency_ms:.1f}",
-                _fmt_opt(agg.mean_completion_tokens),
-                _fmt_opt(agg.mean_structural_overhead, ".3f"),
-            ])
-
-
-def write_comparisons_csv(path: str | Path,
-                          comparisons: Sequence[PairedComparison]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "backend", "model", "task", "baseline_mode", "mode", "acc_metric", "n",
-            "acc_baseline_pct", "acc_constrained_pct", "signed_delta_pts", "tax_pts",
-            "tax_normalized", "epsilon", "delta_ci_low_pts", "delta_ci_high_pts",
-            "validity_delta_pts", "validity_ci_low_pts", "validity_ci_high_pts",
-            "wrong_valid_delta_pts", "wrong_valid_ci_low_pts", "wrong_valid_ci_high_pts",
-            "bootstrap_resamples", "bootstrap_level", "bootstrap_version",
-        ])
-        for cmp in comparisons:
-            writer.writerow([
-                cmp.backend_label, cmp.model_id, cmp.task, cmp.baseline_mode, cmp.mode,
-                cmp.acc_metric, cmp.n,
-                f"{pts(cmp.acc_baseline):.1f}", f"{pts(cmp.acc_constrained):.1f}",
-                f"{pts(cmp.signed_delta):+.1f}", f"{pts(cmp.tax):.1f}",
-                f"{cmp.tax_norm:.4f}", f"{DEFAULT_EPSILON:g}",
-                f"{pts(cmp.acc_ci.low):+.1f}", f"{pts(cmp.acc_ci.high):+.1f}",
-                f"{pts(cmp.validity_delta):+.1f}",
-                f"{pts(cmp.validity_ci.low):+.1f}", f"{pts(cmp.validity_ci.high):+.1f}",
-                f"{pts(cmp.wrong_valid_delta):+.1f}",
-                f"{pts(cmp.wrong_valid_ci.low):+.1f}", f"{pts(cmp.wrong_valid_ci.high):+.1f}",
-                "exact", f"{cmp.acc_ci.level:g}", BOOTSTRAP_VERSION,
-            ])
-
-
-def write_calendar_csv(path: str | Path, rows: Sequence[CalendarRow]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["backend", "model", "mode", "n",
-                         *CALENDAR_FAILURE_CLASSES,
-                         *[f"wrong_field_{f}" for f in CALENDAR_SEMANTIC_FIELDS]])
-        for row in rows:
-            class_map = dict(row.class_counts)
-            field_map = dict(row.field_counts)
-            writer.writerow([
-                row.backend_label, row.model_id, row.mode, row.n,
-                *[class_map.get(c, 0) for c in CALENDAR_FAILURE_CLASSES],
-                *[field_map.get(f, 0) for f in CALENDAR_SEMANTIC_FIELDS],
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def score_to_files(result: ScoreResult, out_dir: str | Path) -> dict[str, Path]:
@@ -668,9 +616,38 @@ def score_to_files(result: ScoreResult, out_dir: str | Path) -> dict[str, Path]:
         "comparisons": out / "comparisons.csv",
         "calendar": out / "calendar_failures.csv",
     }
-    write_aggregates_csv(paths["aggregates"], result.aggregates)
-    write_comparisons_csv(paths["comparisons"], result.comparisons)
-    write_calendar_csv(paths["calendar"], result.calendar)
+    _write_csv(paths["aggregates"], [
+        "backend", "model", "task", "mode", "n", "n_failed",
+        "schema_validity_pct", "answer_accuracy_pct", "exec_accuracy_pct",
+        "trace_accuracy_pct", "wrong_valid_pct", "mean_latency_ms",
+        "mean_completion_tokens", "mean_structural_overhead",
+    ], ([agg.backend_label, agg.model_id, agg.task, agg.mode, agg.n, agg.n_failed,
+         _pts(agg.schema_validity), _pts(agg.answer_accuracy), _pts(agg.exec_accuracy),
+         _pts(agg.trace_accuracy), _pts(agg.wrong_valid_rate),
+         _fmt_opt(agg.mean_latency_ms), _fmt_opt(agg.mean_completion_tokens),
+         _fmt_opt(agg.mean_structural_overhead, ".3f")] for agg in result.aggregates))
+    _write_csv(paths["comparisons"], [
+        "backend", "model", "task", "baseline_mode", "mode", "acc_metric", "n",
+        "acc_baseline_pct", "acc_constrained_pct", "signed_delta_pts", "tax_pts",
+        "tax_normalized", "epsilon", "delta_ci_low_pts", "delta_ci_high_pts",
+        "validity_delta_pts", "validity_ci_low_pts", "validity_ci_high_pts",
+        "wrong_valid_delta_pts", "wrong_valid_ci_low_pts", "wrong_valid_ci_high_pts",
+        "bootstrap_resamples", "bootstrap_level", "bootstrap_version",
+    ], ([cmp.backend_label, cmp.model_id, cmp.task, cmp.baseline_mode, cmp.mode,
+         cmp.acc_metric, cmp.n, _pts(cmp.acc_baseline), _pts(cmp.acc_constrained),
+         _pts(cmp.signed_delta, "+.1f"), _pts(cmp.tax), f"{cmp.tax_norm:.4f}",
+         f"{DEFAULT_EPSILON:g}",
+         *(_pts(v, "+.1f") for v in (cmp.acc_ci.low, cmp.acc_ci.high,
+                                     cmp.validity_delta, cmp.validity_ci.low,
+                                     cmp.validity_ci.high, cmp.wrong_valid_delta,
+                                     cmp.wrong_valid_ci.low, cmp.wrong_valid_ci.high)),
+         "exact", f"{cmp.acc_ci.level:g}", BOOTSTRAP_VERSION] for cmp in result.comparisons))
+    _write_csv(paths["calendar"], [
+        "backend", "model", "mode", "n", *CALENDAR_FAILURE_CLASSES,
+        *[f"wrong_field_{f}" for f in CALENDAR_SEMANTIC_FIELDS],
+    ], ([row.backend_label, row.model_id, row.mode, row.n,
+         *(n for _, n in row.class_counts), *(n for _, n in row.field_counts)]
+        for row in result.calendar))
     return paths
 
 

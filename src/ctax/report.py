@@ -7,7 +7,7 @@ environment probes, so identical inputs give byte-identical output.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .checkers import CALENDAR_FAILURE_CLASSES
 from .harness import CalendarRow, ScoreResult
@@ -20,8 +20,12 @@ def _pct(rate: Fraction | None) -> str:
     return "—" if rate is None else f"{pts(rate):.1f}"
 
 
-def _signed(rate: Fraction) -> str:
+def _signed(rate: Fraction | float) -> str:
     return f"{pts(rate):+.1f}"
+
+
+def _opt(value: float | None, fmt: str) -> str:
+    return "—" if value is None else format(value, fmt)
 
 
 def _latency(agg: ModeAggregate) -> str:
@@ -37,68 +41,50 @@ def _reading(cmp: PairedComparison) -> str:
     return "accuracy lost to the constraint"
 
 
-def dashboard_table(aggregates: Sequence[ModeAggregate]) -> str:
-    lines = [
-        "| backend | model | task | mode | n | validity % | answer % | exec % "
-        "| wrong-valid % | trace % | latency | tokens | overhead |",
-        "|---|---|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|",
-    ]
-    for agg in aggregates:
-        tokens = ("—" if agg.mean_completion_tokens is None
-                  else f"{agg.mean_completion_tokens:.1f}")
-        overhead = ("—" if agg.mean_structural_overhead is None
-                    else f"{agg.mean_structural_overhead:.3f}")
-        lines.append(
-            f"| {agg.backend_label} | {agg.model_id} | {agg.task} | {agg.mode} "
-            f"| {agg.n} | {_pct(agg.schema_validity)} | {_pct(agg.answer_accuracy)} "
-            f"| {_pct(agg.exec_accuracy)} | {_pct(agg.wrong_valid_rate)} "
-            f"| {_pct(agg.trace_accuracy)} | {_latency(agg)} | {tokens} | {overhead} |")
+def _table(header: Sequence[str], align: str, rows: Iterable[Sequence[object]]) -> str:
+    """A Markdown table; align holds one "l" (left) or "r" (right) per column."""
+    lines = ["| " + " | ".join(header) + " |",
+             "|" + "".join("---:|" if a == "r" else "---|" for a in align)]
+    lines += ["| " + " | ".join(map(str, row)) + " |" for row in rows]
     return "\n".join(lines)
+
+
+def dashboard_table(aggregates: Sequence[ModeAggregate]) -> str:
+    return _table(
+        ["backend", "model", "task", "mode", "n", "validity %", "answer %", "exec %",
+         "wrong-valid %", "trace %", "latency", "tokens", "overhead"], "llll" + "r" * 9,
+        ([agg.backend_label, agg.model_id, agg.task, agg.mode, agg.n,
+          _pct(agg.schema_validity), _pct(agg.answer_accuracy), _pct(agg.exec_accuracy),
+          _pct(agg.wrong_valid_rate), _pct(agg.trace_accuracy), _latency(agg),
+          _opt(agg.mean_completion_tokens, ".1f"), _opt(agg.mean_structural_overhead, ".3f")]
+         for agg in aggregates))
 
 
 def tax_table(comparisons: Sequence[PairedComparison]) -> str:
     levels = "/".join(sorted({f"{cmp.acc_ci.level * 100:g}%" for cmp in comparisons}))
-    lines = [
-        "| backend | model | task | metric | mode | baseline % | constrained % "
-        f"| signed Δ | tax | Δ {levels} CI | validity Δ | wrong-valid Δ | reading |",
-        "|---|---|---|---|---|---:|---:|---:|---:|---|---:|---:|---|",
-    ]
-    for cmp in comparisons:
-        ci = f"[{pts(cmp.acc_ci.low):+.1f}, {pts(cmp.acc_ci.high):+.1f}]"
-        lines.append(
-            f"| {cmp.backend_label} | {cmp.model_id} | {cmp.task} | {cmp.acc_metric} "
-            f"| {cmp.mode} | {_pct(cmp.acc_baseline)} | {_pct(cmp.acc_constrained)} "
-            f"| {_signed(cmp.signed_delta)} | {pts(cmp.tax):.1f} | {ci} "
-            f"| {_signed(cmp.validity_delta)} | {_signed(cmp.wrong_valid_delta)} "
-            f"| {_reading(cmp)} |")
-    return "\n".join(lines)
+    return _table(
+        ["backend", "model", "task", "metric", "mode", "baseline %", "constrained %",
+         "signed Δ", "tax", f"Δ {levels} CI", "validity Δ", "wrong-valid Δ", "reading"],
+        "lllllrrrrlrrl",
+        ([cmp.backend_label, cmp.model_id, cmp.task, cmp.acc_metric, cmp.mode,
+          _pct(cmp.acc_baseline), _pct(cmp.acc_constrained), _signed(cmp.signed_delta),
+          _pct(cmp.tax), f"[{_signed(cmp.acc_ci.low)}, {_signed(cmp.acc_ci.high)}]",
+          _signed(cmp.validity_delta), _signed(cmp.wrong_valid_delta), _reading(cmp)]
+         for cmp in comparisons))
 
 
 def calendar_table(rows: Sequence[CalendarRow]) -> str:
-    header_classes = " | ".join(CALENDAR_FAILURE_CLASSES)
-    lines = [
-        f"| backend | model | mode | n | {header_classes} |",
-        "|---|---|---|---:|" + "---:|" * len(CALENDAR_FAILURE_CLASSES),
-    ]
-    for row in rows:
-        counts = dict(row.class_counts)
-        cells = " | ".join(str(counts.get(c, 0)) for c in CALENDAR_FAILURE_CLASSES)
-        lines.append(f"| {row.backend_label} | {row.model_id} | {row.mode} "
-                     f"| {row.n} | {cells} |")
-    return "\n".join(lines)
+    return _table(["backend", "model", "mode", "n", *CALENDAR_FAILURE_CLASSES],
+                  "lll" + "r" * (1 + len(CALENDAR_FAILURE_CLASSES)),
+                  ([row.backend_label, row.model_id, row.mode, row.n,
+                    *(n for _, n in row.class_counts)] for row in rows))
 
 
 def calendar_field_table(rows: Sequence[CalendarRow]) -> str:
-    header_fields = " | ".join(CALENDAR_SEMANTIC_FIELDS)
-    lines = [
-        f"| backend | model | mode | {header_fields} |",
-        "|---|---|---|" + "---:|" * len(CALENDAR_SEMANTIC_FIELDS),
-    ]
-    for row in rows:
-        counts = dict(row.field_counts)
-        cells = " | ".join(str(counts.get(f, 0)) for f in CALENDAR_SEMANTIC_FIELDS)
-        lines.append(f"| {row.backend_label} | {row.model_id} | {row.mode} | {cells} |")
-    return "\n".join(lines)
+    return _table(["backend", "model", "mode", *CALENDAR_SEMANTIC_FIELDS],
+                  "lll" + "r" * len(CALENDAR_SEMANTIC_FIELDS),
+                  ([row.backend_label, row.model_id, row.mode,
+                    *(n for _, n in row.field_counts)] for row in rows))
 
 
 def render_report(result: ScoreResult, baseline_mode: str = DEFAULT_BASELINE_MODE) -> str:
