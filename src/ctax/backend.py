@@ -311,8 +311,10 @@ def effective_max_tokens(bundle: PromptBundle, sampling: SamplingConfig) -> int:
 def build_request_body(config: BackendConfig, bundle: PromptBundle) -> dict:
     """Chat-completions request with the constraint mapped into place.
 
-    A constrained bundle whose kind has no transport mapping is a
-    configuration error, caught before any network traffic.
+    A constrained bundle whose kind has no transport mapping, or whose path
+    collides with the body, is a configuration error. harness.run builds
+    one body per (endpoint backend, mode) before its health check, so the
+    error comes before any network traffic or output.
     """
     body: dict[str, Any] = {
         "model": config.model_id,

@@ -24,6 +24,7 @@ from . import __version__
 from .backend import (
     BackendConfig,
     GenerationResult,
+    build_request_body,
     check_health,
     generate_all,
 )
@@ -331,6 +332,8 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
     digest = config.digest()
     if resume:
         _check_resumable(config, digest, out / "manifest.json")
+    suites = _suites(config)
+    _check_transport(config, next(iter(suites.values()))[0])
     for backend in config.backends:  # before anything is written
         if backend.kind == "endpoint":
             check_health(backend)
@@ -340,7 +343,6 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
         drop_torn_tail(records_path)
         done = {record.key(): record for record in read_records(records_path)}
     out.mkdir(parents=True, exist_ok=True)
-    suites = _suites(config)
     write_suite((i for suite in suites.values() for i in suite), out / "tasks.jsonl")
     _write_manifest(config, digest, out)
 
@@ -378,6 +380,20 @@ def _check_resumable(config: RunConfig, digest: str, manifest_path: Path) -> Non
     raise ConfigError(
         f"cannot resume: {manifest_path} has config digest {stored_digest}, this config "
         f"has {digest}; resume with the original config or use a fresh output directory")
+
+
+def _check_transport(config: RunConfig, instance: TaskInstance) -> None:
+    """Build one request body per (endpoint backend, mode), and one for the
+    model variant's stage 2, so that a constraint kind with no transport
+    path, or a path that collides with the body, raises its ConfigError
+    before anything is written or sent."""
+    bundles = [build_prompt(instance, mode) for mode in config.modes]
+    if config.delayed_variant == "model" and DELAYED_MODE in config.modes:
+        bundles.append(build_delayed_stage2("", instance, "model").stage2_bundle)
+    for backend in config.backends:
+        if backend.kind == "endpoint":
+            for bundle in bundles:
+                build_request_body(backend, bundle)
 
 
 def _missing_bundles(ctx: _RecordContext, modes: Sequence[str],

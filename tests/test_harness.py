@@ -262,6 +262,29 @@ def test_a_lone_surrogate_in_a_completion_is_written_escaped_and_read_back(tmp_p
                  "--out", str(tmp_path / "scores")]) == 0
 
 
+@pytest.mark.parametrize("transport, modes, variant, message", [
+    ({"schema": "guided_json"}, ("freeform", "final_only_regex"), "deterministic",
+     "no constraint transport mapping for kind 'regex'"),
+    ({"schema": "messages.guided"}, ("freeform", "answer_only_schema"), "deterministic",
+     "collides at 'messages'"),
+    ({"schema": "messages.guided", "regex": "guided_regex"}, ("freeform", "delayed_constraint"),
+     "model", "collides at 'messages'"),
+])
+def test_run_checks_the_constraint_transport_before_anything_is_written(
+        tmp_path, capsys, transport, modes, variant, message):
+    out = tmp_path / "out"
+    with stub_server(content="Final answer: true") as (state, url):
+        config = replace(_endpoint_run_config(url, modes=modes, count=50,
+                                              constraint_transport=transport),
+                         delayed_variant=variant)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert state.post_count == 0
+
+
 def _complete_lines(path: Path) -> int:
     return path.read_bytes().count(b"\n") if path.exists() else 0
 
