@@ -102,8 +102,9 @@ def strict_loads(text: str) -> Any:
 _FENCE_RE = re.compile(r"```json\s*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
 
 
-# A brace, or a whole string literal (to the end of the text if it never closes).
-_BRACE_OR_STRING_RE = re.compile(r'[{}]|"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+# A whole string literal (to the end of the text if it never closes).
+_STRING_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+_BRACE_OR_STRING_RE = re.compile(r"[{}]|" + _STRING_RE.pattern, re.DOTALL)
 
 
 def _balanced_objects(text: str, start: int) -> Iterator[str]:
@@ -142,7 +143,9 @@ def _candidates(text: str, strict: bool) -> Iterator[str]:
         yield m.group(1).strip()
     first = text.find("{")
     yield from _balanced_objects(text, first)
-    if first > 0 and text.find('"', 0, first) != -1:  # a quoted "{" may come first
+    # Counting quotes from the start changes the spans only when it puts the
+    # first "{" inside a string literal; otherwise both passes match alike.
+    if first > 0 and any(m.end() > first for m in _STRING_RE.finditer(text, 0, first + 1)):
         yield from _balanced_objects(text, 0)
     yield text.strip()
 
@@ -165,8 +168,9 @@ def extract_json(text: str, strict: bool = False) -> ParseOutcome:
 
     Candidate order: (1) fenced ```json blocks, (2) the maximal balanced
     {...} spans of a string-aware pass from the first "{", left to right,
-    (3) when a '"' comes before that brace, the spans of a second pass that
-    counts quotes from the start, (4) the whole text. The first candidate
+    (3) when counting quotes from the start puts that brace inside a string
+    literal, the spans of a second pass that counts them so, (4) the whole
+    text. The first candidate
     that parses wins. With strict=True only the whole text is tried.
 
     No candidate parses -> malformed_json when braces were present,

@@ -146,7 +146,7 @@ def test_extract_brace_inside_string_never_starts_a_candidate():
 ])
 def test_extract_keeps_an_object_after_a_quoted_brace(text):
     # quotes count from the start of the text in a second pass, which runs
-    # only when a '"' comes before the first "{"
+    # only when counting them so puts the first "{" inside a string literal
     out = extract_json(text)
     assert out.ok and out.value == {"answer": "4"} and out.matched_text == '{"answer": "4"}'
 
@@ -280,7 +280,7 @@ def test_no_candidate_text_is_parsed_twice(monkeypatch):
 
     monkeypatch.setattr(validation, "strict_loads", counting_loads)
     for text in ['{"a": 1, "a": 2}', ' {"a": NaN} ', '{"a": 1} {"b": 2}', _DEEP,
-                 '{"answer": "4"}', 'say {"a": 1, "a": 2}']:
+                 '{"answer": "4"}', 'say {"a": 1, "a": 2}', '"x" {"a": 1, "a": 2}']:
         seen.clear()
         assert extract_json(text) == walk_extract_json(text)
         assert len(seen) == len(set(seen)), text
