@@ -61,6 +61,10 @@ DEFAULT_CONSTRAINT_TRANSPORT: Mapping[str, str] = {
 DEFAULT_MAX_TOKENS = 512
 FREEFORM_MAX_TOKENS = 1024
 
+# A response body longer than this fails its attempt unread, so a server
+# cannot grow the client's memory without bound.
+MAX_RESPONSE_BYTES = 8 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class SamplingConfig:
@@ -354,7 +358,8 @@ def _exchange(config: BackendConfig, method: str, path: str,
               body: bytes | None = None) -> tuple[int, bytes]:
     """(status, body) of one request on its own connection, closed once the
     body is read. Proxy variables are not read. Raises OSError (timeouts
-    included) or http.client.HTTPException on transport failure."""
+    included) or http.client.HTTPException on transport failure, and
+    HTTPException on a body over MAX_RESPONSE_BYTES."""
     url = urlsplit(config.base_url.rstrip("/") + path)
     connection_type = (http.client.HTTPSConnection if url.scheme == "https"
                        else http.client.HTTPConnection)
@@ -363,7 +368,11 @@ def _exchange(config: BackendConfig, method: str, path: str,
     try:
         connection.request(method, url.path, body=body, headers=_headers())
         response = connection.getresponse()
-        return response.status, response.read()
+        data = response.read(MAX_RESPONSE_BYTES + 1)
+        if len(data) > MAX_RESPONSE_BYTES:
+            raise http.client.HTTPException(
+                f"response body over the {MAX_RESPONSE_BYTES}-byte cap")
+        return response.status, data
     finally:
         connection.close()
 
@@ -382,8 +391,9 @@ def check_health(config: BackendConfig) -> None:
 
 def _endpoint_generate(config: BackendConfig, bundle: PromptBundle) -> GenerationResult:
     """One completion, retried up to max_retries times on transport errors,
-    5xx, 408, 429 and malformed payloads; any other 4xx fails at once. A
-    call out of attempts is a failed result naming its last error."""
+    over-long bodies, 5xx, 408, 429 and malformed payloads; any other 4xx
+    fails at once. A call out of attempts is a failed result naming its
+    last error."""
     body = json.dumps(build_request_body(config, bundle)).encode()
     started_at = timestamp()
     attempts = config.max_retries + 1

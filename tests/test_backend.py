@@ -705,6 +705,23 @@ def test_generate_all_stops_its_workers_on_an_error(failing):
     assert not [t for t in threading.enumerate() if t.name.startswith("ctax-")]
 
 
+def test_endpoint_over_long_body_fails_its_attempt_and_is_retried(monkeypatch):
+    inst = generate_suite("boolean_logic", 1, seed=4)[0]
+    bundle = build_prompt(inst, "freeform")
+    monkeypatch.setattr(backend, "MAX_RESPONSE_BYTES", 1000)
+    with stub_server(content="x" * 1000) as (state, url):
+        result = generate(_endpoint_config(base_url=url, max_retries=2), bundle)
+        with pytest.raises(ConfigError, match="health check failed: response body over "
+                                              "the 20-byte cap"):
+            monkeypatch.setattr(backend, "MAX_RESPONSE_BYTES", 20)
+            check_health(_endpoint_config(base_url=url))
+    assert result.failed and "response body over the 1000-byte cap" in result.failure_reason
+    assert state.post_count == 3  # retried like a malformed payload
+    monkeypatch.setattr(backend, "MAX_RESPONSE_BYTES", 1000)
+    with stub_server(content="x" * 800) as (state, url):  # the whole body is under the cap
+        assert generate(_endpoint_config(base_url=url), bundle).raw_text == "x" * 800
+
+
 def test_check_health_ok_and_failure():
     with stub_server() as (_state, url):
         check_health(_endpoint_config(base_url=url))  # no raise
