@@ -464,7 +464,9 @@ def derive_delayed(source_records: Sequence[RunRecord],
     is copied from the source and annotated "+ pkg."; packaging time is
     tracked separately and never added to generation latency. Instance ids
     and ordering are preserved. Without a config, derived records keep the
-    source run's id, digest and extraction rule.
+    source run's id ("derived" when it has none) and digest, and its
+    extraction strictness: they are parsed again under the current rule and
+    stamped with it, so a lenient/v2 source gives lenient/v3 records.
     """
     digest = config.digest() if config is not None else None
     derived: list[RunRecord] = []
