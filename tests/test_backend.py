@@ -722,6 +722,30 @@ def test_endpoint_over_long_body_fails_its_attempt_and_is_retried(monkeypatch):
         assert generate(_endpoint_config(base_url=url), bundle).raw_text == "x" * 800
 
 
+def test_endpoint_body_shorter_than_its_content_length_is_a_transport_error():
+    payload = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def serve(connections):
+        for _ in range(connections):  # the whole payload, then close 10 bytes short
+            conn, _addr = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                             % (len(payload) + 10, payload))
+
+    thread = threading.Thread(target=serve, args=(2,), daemon=True)
+    thread.start()
+    bundle = build_prompt(generate_suite("boolean_logic", 1, seed=4)[0], "freeform")
+    url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+    with listener:
+        result = generate(_endpoint_config(base_url=url, max_retries=1), bundle)
+        thread.join(timeout=5)
+    assert result.failed and "transport error: IncompleteRead" in result.failure_reason
+    assert result.failure_reason.startswith("2 of 2 attempt(s)")
+
+
 def test_check_health_ok_and_failure():
     with stub_server() as (_state, url):
         check_health(_endpoint_config(base_url=url))  # no raise
