@@ -372,7 +372,7 @@ def _exchange(config: BackendConfig, method: str, path: str,
         if len(data) > MAX_RESPONSE_BYTES:
             raise http.client.HTTPException(
                 f"response body over the {MAX_RESPONSE_BYTES}-byte cap")
-        if response.length:  # a bounded read returns a short body rather than raise
+        if response.length:  # closed short of its Content-Length; read(n) does not raise
             raise http.client.IncompleteRead(data, response.length)
         return response.status, data
     finally:

@@ -387,13 +387,13 @@ def _check_transport(config: RunConfig, instance: TaskInstance) -> None:
     model variant's stage 2, so that a constraint kind with no transport
     path, or a path that collides with the body, raises its ConfigError
     before anything is written or sent."""
-    bundles = [build_prompt(instance, mode) for mode in config.modes]
-    if config.delayed_variant == "model" and DELAYED_MODE in config.modes:
-        bundles.append(build_delayed_stage2("", instance, "model").stage2_bundle)
     for backend in config.backends:
-        if backend.kind == "endpoint":
-            for bundle in bundles:
-                build_request_body(backend, bundle)
+        if backend.kind != "endpoint":
+            continue
+        for mode in config.modes:
+            build_request_body(backend, build_prompt(instance, mode))
+        if config.delayed_variant == "model" and DELAYED_MODE in config.modes:
+            build_request_body(backend, build_delayed_stage2("", instance, "model").stage2_bundle)
 
 
 def _missing_bundles(ctx: _RecordContext, modes: Sequence[str],

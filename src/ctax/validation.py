@@ -170,8 +170,8 @@ def extract_json(text: str, strict: bool = False) -> ParseOutcome:
     {...} spans of a string-aware pass from the first "{", left to right,
     (3) when counting quotes from the start puts that brace inside a string
     literal, the spans of a second pass that counts them so, (4) the whole
-    text. The first candidate
-    that parses wins. With strict=True only the whole text is tried.
+    text. The first candidate that parses wins. With strict=True only the
+    whole text is tried.
 
     No candidate parses -> malformed_json when braces were present,
     no_json_found otherwise.
