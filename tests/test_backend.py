@@ -711,9 +711,9 @@ def test_endpoint_over_long_body_fails_its_attempt_and_is_retried(monkeypatch):
     monkeypatch.setattr(backend, "MAX_RESPONSE_BYTES", 1000)
     with stub_server(content="x" * 1000) as (state, url):
         result = generate(_endpoint_config(base_url=url, max_retries=2), bundle)
+        monkeypatch.setattr(backend, "MAX_RESPONSE_BYTES", 20)
         with pytest.raises(ConfigError, match="health check failed: response body over "
                                               "the 20-byte cap"):
-            monkeypatch.setattr(backend, "MAX_RESPONSE_BYTES", 20)
             check_health(_endpoint_config(base_url=url))
     assert result.failed and "response body over the 1000-byte cap" in result.failure_reason
     assert state.post_count == 3  # retried like a malformed payload
