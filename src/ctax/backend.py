@@ -17,7 +17,6 @@ import http.client
 import json
 import os
 import queue
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field as dc_field
@@ -295,12 +294,19 @@ def corrupt_generate(instance: TaskInstance, mode: str, fault: FaultProfile,
 # ---------------------------------------------------------------------------
 
 def _set_path(body: dict, path: str, value: Any) -> None:
+    """Set value at the dot-path, creating objects on the way; a path with an
+    empty part, or one that runs through or replaces a body field, is a
+    configuration error."""
     parts = path.split(".")
+    if "" in parts:
+        raise ConfigError(f"constraint transport path {path!r} has an empty part")
     node = body
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
             raise ConfigError(f"constraint transport path collides at {part!r} in {path!r}")
+    if parts[-1] in node:
+        raise ConfigError(f"constraint transport path collides at {parts[-1]!r} in {path!r}")
     node[parts[-1]] = value
 
 
@@ -357,24 +363,37 @@ _RETRIED_CLIENT_ERRORS = frozenset({408, 429})
 def _exchange(config: BackendConfig, method: str, path: str,
               body: bytes | None = None) -> tuple[int, bytes]:
     """(status, body) of one request on its own connection, closed once the
-    body is read. Proxy variables are not read. Raises OSError (timeouts
-    included) or http.client.HTTPException on transport failure, and
-    HTTPException on a body over MAX_RESPONSE_BYTES."""
+    body is read. Proxy variables are not read. timeout_ms bounds each
+    socket read, and the body must also be read within timeout_ms of the
+    call's start. Raises OSError (timeouts included) or
+    http.client.HTTPException on transport failure, and HTTPException on a
+    body over MAX_RESPONSE_BYTES."""
+    timeout = config.timeout_ms / 1000.0
+    deadline = time.monotonic() + timeout
     url = urlsplit(config.base_url.rstrip("/") + path)
     connection_type = (http.client.HTTPSConnection if url.scheme == "https"
                        else http.client.HTTPConnection)
-    connection = connection_type(url.hostname, url.port,
-                                 timeout=config.timeout_ms / 1000.0)
+    connection = connection_type(url.hostname, url.port, timeout=timeout)
     try:
+        connection.connect()
+        sock = connection.sock  # getresponse drops it when the server closes
         connection.request(method, url.path, body=body, headers=_headers())
         response = connection.getresponse()
-        data = response.read(MAX_RESPONSE_BYTES + 1)
+        data = bytearray()
+        while len(data) <= MAX_RESPONSE_BYTES:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("timed out")
+            sock.settimeout(left)
+            if not (chunk := response.read1(MAX_RESPONSE_BYTES + 1 - len(data))):
+                break
+            data += chunk
         if len(data) > MAX_RESPONSE_BYTES:
             raise http.client.HTTPException(
                 f"response body over the {MAX_RESPONSE_BYTES}-byte cap")
-        if response.length:  # closed short of its Content-Length; read(n) does not raise
-            raise http.client.IncompleteRead(data, response.length)
-        return response.status, data
+        if response.length:  # closed short of its Content-Length; read1 does not raise
+            raise http.client.IncompleteRead(bytes(data), response.length)
+        return response.status, bytes(data)
     finally:
         connection.close()
 
@@ -471,69 +490,49 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
 
     Hands each (bundle, result) to on_result on the calling thread as it
     lands, in completion order, and queues the bundles on_result returns
-    ahead of the rest. Bundles are drawn from the iterable
-    only as work is handed out. The endpoint kind generates on max_in_flight
-    worker threads, so at most that many calls are in flight; scripted kinds
-    generate inline, in runs of up to _INLINE_RUN bundles, and land in the
-    order they are drawn.
+    ahead of the rest. Bundles are drawn from the iterable only as work is
+    handed out. Scripted kinds generate inline, in runs of up to
+    _INLINE_RUN bundles, and land in the order they are drawn.
+
+    The endpoint kind generates on a standard thread pool of max_in_flight
+    workers, so at most that many calls are in flight, and keeps up to
+    max_in_flight more bundles handed out, so a worker never idles while
+    the caller lands a result. An error raised by a worker or by on_result
+    leaves this call once the unstarted bundles are cancelled and the calls
+    in flight have finished.
     """
     source, follow_ups = iter(bundles), deque()
 
     def next_bundle() -> PromptBundle | None:
         return follow_ups.popleft() if follow_ups else next(source, None)
 
-    def land(bundle: PromptBundle, result: GenerationResult) -> None:
-        follow_ups.extend(on_result(bundle, result))
-
-    if config.kind == "endpoint":
-        _stream(config, next_bundle, land)
-    else:
+    if config.kind != "endpoint":
         renderers: dict[TaskInstance, _Renderer] = {}  # lives as long as this call
         while batch := [(bundle, generate(config, bundle, renderers))
                         for bundle in islice(iter(next_bundle, None), _INLINE_RUN)]:
-            for item in batch:
-                land(*item)
+            for bundle, result in batch:
+                follow_ups.extend(on_result(bundle, result))
+        return
 
+    # Imported here, not at the top: concurrent.futures loads logging, about
+    # 7 ms on a 2-vCPU machine that scripted runs and `import ctax.cli` need
+    # not pay.
+    from concurrent.futures import ThreadPoolExecutor
 
-def _stream(config: BackendConfig, next_bundle: Callable[[], PromptBundle | None],
-            land: Callable[[PromptBundle, GenerationResult], None]) -> None:
-    """Run next_bundle's work on max_in_flight worker threads and land each
-    result on the calling thread. Up to max_in_flight more bundles wait
-    handed out, so a worker never idles while the caller scores. On an
-    error the workers stop after the call they are in."""
-    work: queue.SimpleQueue = queue.SimpleQueue()
-    landed: queue.SimpleQueue = queue.SimpleQueue()
-    stop = threading.Event()
-
-    def worker() -> None:
-        while not stop.is_set() and (bundle := work.get()) is not None:
-            try:
-                landed.put((bundle, generate(config, bundle)))
-            except BaseException as exc:  # re-raised on the calling thread
-                landed.put(exc)
-                return
-
-    workers = [threading.Thread(target=worker, name=f"ctax-{config.label}-{i}", daemon=True)
-               for i in range(config.max_in_flight)]
-    for thread in workers:
-        thread.start()
+    landed: queue.SimpleQueue = queue.SimpleQueue()  # (bundle, future), as each finishes
+    pool = ThreadPoolExecutor(config.max_in_flight, thread_name_prefix=f"ctax-{config.label}")
     handed_out = 0
     try:
         while True:
             while handed_out < 2 * config.max_in_flight and (
                     bundle := next_bundle()) is not None:
-                work.put(bundle)
+                pool.submit(generate, config, bundle).add_done_callback(
+                    lambda future, bundle=bundle: landed.put((bundle, future)))
                 handed_out += 1
             if not handed_out:
                 return
-            item = landed.get()
+            bundle, future = landed.get()
             handed_out -= 1
-            if isinstance(item, BaseException):
-                raise item
-            land(*item)
+            follow_ups.extend(on_result(bundle, future.result()))
     finally:
-        stop.set()
-        for _ in workers:
-            work.put(None)
-        for thread in workers:
-            thread.join()
+        pool.shutdown(cancel_futures=True)

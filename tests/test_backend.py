@@ -241,10 +241,21 @@ def test_missing_transport_mapping_is_config_error():
 
 def test_transport_path_collision_is_config_error():
     inst = generate_suite("boolean_logic", 1, seed=2)[0]
-    bundle = build_prompt(inst, "answer_only_schema")
-    config = _endpoint_config(constraint_transport={"schema": "messages.guided"})
-    with pytest.raises(ConfigError, match="collides"):
-        build_request_body(config, bundle)
+    for mode, transport, sampling, message in [
+        ("answer_only_schema", {"schema": "messages.guided"}, None, "collides at 'messages'"),
+        ("answer_only_schema", {"schema": "model"}, None, "collides at 'model'"),
+        ("answer_only_schema", {"schema": "messages"}, None, "collides at 'messages'"),
+        ("final_only_regex", {"regex": "max_tokens"}, None, "collides at 'max_tokens'"),
+        ("final_only_regex", {"regex": "seed"}, SamplingConfig(request_seed=7),
+         "collides at 'seed'"),
+        ("answer_only_schema", {"schema": "guided_json."}, None, "has an empty part"),
+        ("answer_only_schema", {"schema": "response_format..json_schema"}, None,
+         "has an empty part"),
+    ]:
+        config = _endpoint_config(constraint_transport=transport,
+                                  sampling=sampling or SamplingConfig())
+        with pytest.raises(ConfigError, match=message):
+            build_request_body(config, build_prompt(inst, mode))
 
 
 def test_effective_max_tokens_per_stage():
@@ -414,6 +425,20 @@ def _free_port() -> int:
         return s.getsockname()[1]
 
 
+def _read_request(conn: socket.socket) -> None:
+    """Read one request, headers and Content-Length body, off a raw socket
+    server's connection. Closing with request bytes unread makes the kernel
+    reset the connection, and the client may see the reset before the reply."""
+    data = b""
+    while b"\r\n\r\n" not in data and (chunk := conn.recv(65536)):
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = next((int(line.split(b":", 1)[1]) for line in head.split(b"\r\n")
+                   if line.lower().startswith(b"content-length:")), 0)
+    while len(body) < length and (chunk := conn.recv(65536)):
+        body += chunk
+
+
 # ---------------------------------------------------------------------------
 # endpoint behavior
 # ---------------------------------------------------------------------------
@@ -509,6 +534,16 @@ def test_generate_all_bounds_concurrency():
     assert len(landed) == 6
     assert state.peak <= 2
     assert sorted(b.instance_id for b, _ in landed) == sorted(i.id for i in suite)
+
+
+def test_generate_all_leaves_no_worker_thread_after_a_successful_run():
+    suite = generate_suite("boolean_logic", 6, seed=4)
+    with stub_server(content="ok") as (_state, url):
+        landed = _collect(_endpoint_config(base_url=url, max_in_flight=3),
+                          [build_prompt(i, "freeform") for i in suite])
+        threads = [t.name for t in threading.enumerate() if t.name.startswith("ctax-")]
+    assert len(landed) == 6 and not any(r.failed for _, r in landed)
+    assert threads == []
 
 
 def test_generate_all_turns_failures_into_failed_results():
@@ -731,7 +766,7 @@ def test_endpoint_body_shorter_than_its_content_length_is_a_transport_error():
         for _ in range(connections):  # the whole payload, then close 10 bytes short
             conn, _addr = listener.accept()
             with conn:
-                conn.recv(65536)
+                _read_request(conn)
                 conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
                              % (len(payload) + 10, payload))
 
@@ -744,6 +779,43 @@ def test_endpoint_body_shorter_than_its_content_length_is_a_transport_error():
         thread.join(timeout=5)
     assert result.failed and "transport error: IncompleteRead" in result.failure_reason
     assert result.failure_reason.startswith("2 of 2 attempt(s)")
+
+
+def test_endpoint_timeout_bounds_a_trickling_body():
+    """timeout_ms is a deadline for the attempt, not for each socket read: a
+    body sent one byte every 0.1 s fails its attempt once the time is up."""
+    payload = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    done = threading.Event()
+
+    def serve():  # the headers at once, then the body byte by byte
+        conn, _addr = listener.accept()
+        with conn:
+            _read_request(conn)
+            try:
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(payload))
+                for i in range(len(payload)):
+                    if done.wait(0.1):
+                        return
+                    conn.sendall(payload[i:i + 1])
+            except OSError:  # the client gave up and closed
+                pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    bundle = build_prompt(generate_suite("boolean_logic", 1, seed=4)[0], "freeform")
+    url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+    with listener:
+        started = time.monotonic()
+        result = generate(_endpoint_config(base_url=url, timeout_ms=1000, max_retries=0),
+                          bundle)
+        elapsed = time.monotonic() - started
+        done.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert result.failed and "transport error: timed out" in result.failure_reason
+    assert elapsed < 1.5  # timeout_ms + 0.5 s
 
 
 def test_check_health_ok_and_failure():

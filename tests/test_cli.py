@@ -447,6 +447,17 @@ def test_cli_import_leaves_requests_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_the_thread_pool_and_logging_unloaded():
+    # concurrent.futures loads logging; only an endpoint generate_all needs it
+    code = ("import sys, ctax.cli; "
+            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(ctax.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_score_warns_when_a_cell_mixes_extraction_rules(tmp_path, capsys):
     # half the instances as a run made under lenient/v1 left them, half resumed
     records = read_records(_scored_run(tmp_path))

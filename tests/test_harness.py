@@ -269,6 +269,10 @@ def test_a_lone_surrogate_in_a_completion_is_written_escaped_and_read_back(tmp_p
      "collides at 'messages'"),
     ({"schema": "messages.guided", "regex": "guided_regex"}, ("freeform", "delayed_constraint"),
      "model", "collides at 'messages'"),
+    ({"schema": "model"}, ("freeform", "answer_only_schema"), "deterministic",
+     "collides at 'model'"),
+    ({"schema": "guided_json."}, ("freeform", "answer_only_schema"), "deterministic",
+     "has an empty part"),
 ])
 def test_run_checks_the_constraint_transport_before_anything_is_written(
         tmp_path, capsys, transport, modes, variant, message):
