@@ -1,9 +1,10 @@
 """Generation backends: live endpoint, perfect oracle, fault corruptor.
 
-The endpoint backend speaks the chat-completions wire protocol and places
-constraints into the request body through a configurable field-path map,
-since inference servers disagree about where guided-decoding parameters
-live. The two scripted backends exist to calibrate the harness itself:
+The endpoint backend speaks the chat-completions wire protocol, over
+HTTP/1.1 on non-blocking sockets driven by one selector loop in the calling
+thread, and places constraints into the request body through a configurable
+field-path map, since inference servers disagree about where
+guided-decoding parameters live. The two scripted backends exist to calibrate the harness itself:
 the oracle proves the measurement pipeline has zero intrinsic tax, the
 corruptor injects failures at known rates so measured rates can be checked
 against the dial settings. The corruptor draws one fault per instance per
@@ -13,16 +14,17 @@ run, shared by every mode and stage; the oracle ignores `fault`.
 from __future__ import annotations
 
 import datetime as dt
-import http.client
+import errno
 import json
 import os
-import queue
+import selectors
+import socket
 import time
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from itertools import islice
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from .errors import ConfigError
@@ -348,108 +350,393 @@ def build_request_body(config: BackendConfig, bundle: PromptBundle) -> dict:
     return body
 
 
-def _headers() -> dict[str, str]:
-    headers = {"Content-Type": "application/json"}
-    token = os.environ.get(TOKEN_ENV_VAR)
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    return headers
-
-
 # Client errors a retry cannot fix; 408 and 429 ask the client to try again.
 _RETRIED_CLIENT_ERRORS = frozenset({408, 429})
 
+# A response head (status line and headers, 1xx responses included) longer
+# than this fails its attempt.
+MAX_HEAD_BYTES = 64 * 1024
 
-def _exchange(config: BackendConfig, method: str, path: str,
-              body: bytes | None = None) -> tuple[int, bytes]:
-    """(status, body) of one request on its own connection, closed once the
-    body is read. Proxy variables are not read. timeout_ms bounds each
-    socket read, and the body must also be read within timeout_ms of the
-    call's start. Raises OSError (timeouts included) or
-    http.client.HTTPException on transport failure, and HTTPException on a
-    body over MAX_RESPONSE_BYTES."""
-    timeout = config.timeout_ms / 1000.0
-    deadline = time.monotonic() + timeout
-    url = urlsplit(config.base_url.rstrip("/") + path)
-    connection_type = (http.client.HTTPSConnection if url.scheme == "https"
-                       else http.client.HTTPConnection)
-    connection = connection_type(url.hostname, url.port, timeout=timeout)
-    try:
-        connection.connect()
-        sock = connection.sock  # getresponse drops it when the server closes
-        connection.request(method, url.path, body=body, headers=_headers())
-        response = connection.getresponse()
-        data = bytearray()
-        while len(data) <= MAX_RESPONSE_BYTES:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise TimeoutError("timed out")
-            sock.settimeout(left)
-            if not (chunk := response.read1(MAX_RESPONSE_BYTES + 1 - len(data))):
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+_CONNECTING = frozenset({errno.EINPROGRESS, errno.EALREADY, errno.EWOULDBLOCK})
+
+
+class _ResponseError(OSError):
+    """A response that is malformed, over a cap or cut short: a transport
+    error, like the socket's own."""
+
+
+def _incomplete(read: int, expected: int | None = None) -> _ResponseError:
+    more = "" if expected is None else f", {expected} more expected"
+    return _ResponseError(f"IncompleteRead({read} bytes read{more})")
+
+
+class _ResponseReader:
+    """One HTTP/1.x response, parsed as its bytes arrive. feed() returns
+    (status, body) once the response is complete, and None while more is
+    due; b"" is the server's close. 1xx responses are skipped. The body is
+    framed by chunked transfer coding, else by Content-Length, else by the
+    close. Raises _ResponseError on a response that is malformed, cut short,
+    or over MAX_HEAD_BYTES or MAX_RESPONSE_BYTES."""
+
+    def __init__(self):
+        self.cap = MAX_RESPONSE_BYTES  # read per reader: tests lower it
+        self.buffer = bytearray()  # head lines or chunk framing not yet parsed, or the body
+        self.start = 0  # where the next unparsed line starts in buffer
+        self.status = 0  # of the final response, once its status line is in
+        self.headers: dict[bytes, bytes] = {}
+        self.framing = ""  # "" in the head, then "chunked", "length" or "close"
+        self.left = 0  # length: body bytes due; chunked: bytes left in the chunk
+        self.trailers = False  # chunked: the last chunk is in
+        self.body = bytearray()  # chunked: the chunks so far
+
+    def feed(self, data: bytes) -> tuple[int, bytes] | None:
+        if not data:
+            return self._closed()
+        self.buffer += data
+        if not self.framing and not self._read_head():
+            return None
+        if self.framing == "length":
+            if self.left > self.cap:
+                raise self._over_cap()
+            if len(self.buffer) < self.left:
+                return None
+            return self.status, bytes(self.buffer[:self.left])
+        if self.framing == "close":
+            if len(self.buffer) > self.cap:
+                raise self._over_cap()
+            return None
+        return self._read_chunks()
+
+    def _over_cap(self) -> _ResponseError:
+        return _ResponseError(f"response body over the {self.cap}-byte cap")
+
+    def _line(self, what: str, end_by: int) -> bytes | None:
+        """The next whole line, its line ending dropped, or None while it is
+        not all in; one that does not end before end_by is over the cap."""
+        end = self.buffer.find(b"\n", self.start, end_by)
+        if end < 0:
+            if len(self.buffer) >= end_by:
+                raise _ResponseError(f"{what} over the {MAX_HEAD_BYTES}-byte cap")
+            return None
+        line, self.start = bytes(self.buffer[self.start:end]).rstrip(b"\r"), end + 1
+        return line
+
+    def _read_head(self) -> bool:
+        while (line := self._line("response head", MAX_HEAD_BYTES)) is not None:
+            if not self.status:
+                parts = line.split(None, 2)
+                if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+                        or len(parts[1]) != 3 or not parts[1].isdigit()
+                        or int(parts[1]) < 100):
+                    raise _ResponseError(f"bad status line {line!r}")
+                self.status = int(parts[1])
+            elif line:
+                name, _, value = line.partition(b":")
+                self.headers.setdefault(name.strip().lower(), value.strip())
+            elif self.status < 200:  # an interim response: the real one follows
+                self.status, self.headers = 0, {}
+            else:
                 break
-            data += chunk
-        if len(data) > MAX_RESPONSE_BYTES:
-            raise http.client.HTTPException(
-                f"response body over the {MAX_RESPONSE_BYTES}-byte cap")
-        if response.length:  # closed short of its Content-Length; read1 does not raise
-            raise http.client.IncompleteRead(bytes(data), response.length)
-        return response.status, bytes(data)
-    finally:
-        connection.close()
+        else:
+            return False
+        del self.buffer[:self.start]
+        self.start = 0
+        try:  # as http.client reads it: a length that is not a number is no length
+            length = int(self.headers.get(b"content-length", b""))
+        except ValueError:
+            length = -1
+        if self.status in (204, 304):
+            self.framing, self.left = "length", 0
+        elif self.headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+            self.framing = "chunked"
+        elif length >= 0:
+            self.framing, self.left = "length", length
+        else:
+            self.framing = "close"
+        return True
+
+    def _read_chunks(self) -> tuple[int, bytes] | None:
+        while True:
+            if self.left:  # chunk data, then its line ending
+                if len(self.buffer) - self.start < self.left + 2:
+                    break
+                self.body += self.buffer[self.start:self.start + self.left]
+                self.start += self.left + 2
+                self.left = 0
+                continue
+            if (line := self._line("chunk line", self.start + MAX_HEAD_BYTES)) is None:
+                break
+            if self.trailers:
+                if not line:
+                    return self.status, bytes(self.body)
+                continue
+            try:
+                size = int(line.split(b";", 1)[0], 16)
+            except ValueError:
+                size = -1
+            if size < 0:
+                raise _incomplete(len(self.body))
+            if len(self.body) + size > self.cap:
+                raise self._over_cap()
+            self.left, self.trailers = size, not size
+        del self.buffer[:self.start]
+        self.start = 0
+        return None
+
+    def _closed(self) -> tuple[int, bytes]:
+        if not self.framing:
+            raise _ResponseError("connection closed before the response head ended")
+        if self.framing == "length":
+            raise _incomplete(len(self.buffer), self.left - len(self.buffer))
+        if self.framing == "close":
+            return self.status, bytes(self.buffer)
+        if not self.trailers:
+            raise _incomplete(len(self.body))
+        return self.status, bytes(self.body)  # the server closed in the trailers
+
+
+class _Target:
+    """Where one call's requests go: the base_url's addresses, resolved
+    once, the TLS context for https, and the header lines every request
+    carries. Proxy variables are not read."""
+
+    def __init__(self, config: BackendConfig):
+        self.base_url = config.base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        self.timeout = config.timeout_ms / 1000.0
+        self.hostname = url.hostname
+        default_port = 443 if url.scheme == "https" else 80
+        try:
+            self.addresses = socket.getaddrinfo(self.hostname, url.port or default_port,
+                                                type=socket.SOCK_STREAM)
+            self.error = None
+        except OSError as exc:  # every attempt fails with it
+            self.addresses, self.error = [], exc
+        try:
+            host = self.hostname.encode("ascii")
+        except UnicodeEncodeError:
+            host = self.hostname.encode("idna")
+        if b":" in host:
+            host = b"[" + host + b"]"
+        if url.port not in (None, default_port):
+            host += b":%d" % url.port
+        self.headers = (b"Host: " + host + b"\r\nAccept-Encoding: identity\r\n"
+                        b"Content-Type: application/json\r\nConnection: close\r\n")
+        if token := os.environ.get(TOKEN_ENV_VAR):
+            self.headers += f"Authorization: Bearer {token}\r\n".encode("latin-1")
+        self.tls = None
+        self.wants: dict[type, int] = {}  # the events a TLS call that cannot go on waits for
+        if url.scheme == "https":
+            import ssl  # only here: plain-http runs never load it
+
+            self.tls = ssl.create_default_context()
+            self.tls.set_alpn_protocols(["http/1.1"])
+            self.wants = {ssl.SSLWantReadError: _READ, ssl.SSLWantWriteError: _WRITE}
+
+    def request(self, method: str, path: str, body: bytes | None = None) -> bytes:
+        target = urlsplit(self.base_url + path).path or "/"
+        head = f"{method} {target} HTTP/1.1\r\n".encode("ascii") + self.headers
+        if body is None:
+            return head + b"\r\n"
+        return head + b"Content-Length: %d\r\n\r\n" % len(body) + body
+
+
+class _Reply(NamedTuple):
+    """One attempt's outcome: the response's status and body, or the
+    transport error that ended the attempt."""
+
+    started_at: str
+    latency_ms: float = 0.0
+    status: int = 0
+    data: bytes = b""
+    error: str | None = None
+
+
+class _Exchange:
+    """One attempt: a request on its own non-blocking connection, moving to
+    the next resolved address when a connect fails, as
+    socket.create_connection does. It starts on construction; step() takes
+    it as far as its socket allows whenever the selector finds the socket
+    ready, and reply is set once it has ended. timeout_ms from the start is
+    the deadline for all of it: connect, TLS handshake, send and response."""
+
+    def __init__(self, target: _Target, selector: selectors.BaseSelector, request: bytes):
+        self.target, self.selector = target, selector
+        self.started = time.perf_counter()
+        self.deadline = self.started + target.timeout
+        self.started_at = timestamp()
+        self.outgoing = memoryview(request)
+        self.reader = _ResponseReader()
+        self.addresses = iter(target.addresses)
+        self.address = None
+        self.first_error: OSError | None = None  # of the connects that failed
+        self.sock: socket.socket | None = None
+        self.events = 0  # what the selector watches the socket for; 0: not registered
+        self.phase = "connect"  # then "handshake" (https), "send", "receive"
+        self.reply: _Reply | None = None
+        if target.error is not None:
+            self.end(str(target.error))
+        else:
+            self.step()
+
+    def step(self) -> None:
+        try:
+            events = self._advance()
+        except OSError as exc:  # a TLS call that must wait is one too
+            if not (events := self.target.wants.get(type(exc), 0)):
+                self.end(str(exc))
+                return
+        if events:
+            self._watch(events)
+
+    def end(self, error: str) -> None:
+        self.reply = _Reply(self.started_at, error=error)
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self._watch(0)
+            self.sock.close()
+            self.sock = None
+
+    def _watch(self, events: int) -> None:
+        if events == self.events:
+            return
+        if not events:
+            self.selector.unregister(self.sock)
+        elif self.events:
+            self.selector.modify(self.sock, events, self)
+        else:
+            self.selector.register(self.sock, events, self)
+        self.events = events
+
+    def _advance(self) -> int:
+        """Go on until the socket would block: the events to wait for then,
+        or 0 once the reply is in."""
+        if self.phase == "connect":
+            if not self._connected():
+                return _WRITE
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.phase = "send"
+            if self.target.tls is not None:
+                self._watch(0)  # the TLS socket takes over the descriptor
+                self.sock = self.target.tls.wrap_socket(
+                    self.sock, server_hostname=self.target.hostname,
+                    do_handshake_on_connect=False)
+                self.phase = "handshake"
+        if self.phase == "handshake":
+            self.sock.do_handshake()
+            self.phase = "send"
+        if self.phase == "send":
+            while self.outgoing:
+                try:
+                    self.outgoing = self.outgoing[self.sock.send(self.outgoing):]
+                except BlockingIOError:
+                    return _WRITE
+            self.phase = "receive"
+        while True:  # to the end: that also drains what TLS holds decrypted (pending())
+            try:
+                data = self.sock.recv(65536)
+            except BlockingIOError:
+                return _READ
+            if (response := self.reader.feed(data)) is not None:
+                latency_ms = (time.perf_counter() - self.started) * 1000.0
+                self.reply = _Reply(self.started_at, latency_ms, *response)
+                return 0
+
+    def _connected(self) -> bool:
+        """Start or check the connection; False while it is under way."""
+        while True:
+            if self.sock is None:
+                try:
+                    family, kind, proto, _, self.address = next(self.addresses)
+                except StopIteration:
+                    raise self.first_error from None
+                self.sock = socket.socket(family, kind, proto)
+                self.sock.setblocking(False)
+                code = self.sock.connect_ex(self.address)
+                if code in _CONNECTING:  # asking again shows whether it is up already
+                    code = self.sock.connect_ex(self.address)
+            else:
+                code = self.sock.connect_ex(self.address)
+            if code in (0, errno.EISCONN):
+                return True
+            if code in _CONNECTING:
+                return False
+            self.first_error = self.first_error or OSError(code, os.strerror(code))
+            self.close()
+
+
+def _wait_any(selector: selectors.BaseSelector, exchanges: Collection[_Exchange]) -> None:
+    """Step the exchanges as their sockets come ready until one has ended,
+    those past their deadline ending as timed out."""
+    while True:
+        now = time.perf_counter()
+        for exchange in exchanges:
+            if exchange.reply is None and now >= exchange.deadline:
+                exchange.end("timed out")
+        if any(exchange.reply is not None for exchange in exchanges):
+            return
+        timeout = min(exchange.deadline for exchange in exchanges) - now
+        for key, _ in selector.select(timeout):
+            key.data.step()
 
 
 def check_health(config: BackendConfig) -> None:
     """Probe the models listing; unreachable or erroring servers are a
     configuration error before the run starts."""
-    try:
-        status, _ = _exchange(config, "GET", "/v1/models")
-    except (OSError, http.client.HTTPException) as exc:
-        raise ConfigError(f"endpoint health check failed: {exc}") from exc
-    if status >= 400:
-        raise ConfigError(f"endpoint health check failed: HTTP {status} from "
-                          f"{config.base_url.rstrip('/')}/v1/models")
+    target = _Target(config)
+    with selectors.DefaultSelector() as selector:
+        exchange = _Exchange(target, selector, target.request("GET", "/v1/models"))
+        try:
+            _wait_any(selector, [exchange])
+        finally:
+            exchange.close()
+    reply = exchange.reply
+    if reply.error is not None:
+        raise ConfigError(f"endpoint health check failed: {reply.error}")
+    if reply.status >= 400:
+        raise ConfigError(f"endpoint health check failed: HTTP {reply.status} from "
+                          f"{target.base_url}/v1/models")
 
 
-def _endpoint_generate(config: BackendConfig, bundle: PromptBundle) -> GenerationResult:
-    """One completion, retried up to max_retries times on transport errors,
-    over-long bodies, 5xx, 408, 429 and malformed payloads; any other 4xx
-    fails at once. A call out of attempts is a failed result naming its
-    last error."""
-    body = json.dumps(build_request_body(config, bundle)).encode()
-    started_at = timestamp()
-    attempts = config.max_retries + 1
-    for attempt in range(1, attempts + 1):
-        started = time.perf_counter()
+def _endpoint_result(config: BackendConfig,
+                     replies: Sequence[_Reply]) -> GenerationResult | None:
+    """The call's result after its attempts so far, or None when another
+    attempt is due. Transport errors (timeouts and over-long bodies
+    included), 5xx, 408, 429 and malformed payloads are retried up to
+    max_retries times; any other 4xx fails at once. A call out of attempts
+    is a failed result naming its last error."""
+    reply, attempts = replies[-1], config.max_retries + 1
+    if reply.error is not None:
+        error = f"transport error: {reply.error}"
+    elif not 200 <= reply.status < 300:
+        error = f"HTTP {reply.status}: {reply.data.decode('utf-8', 'replace')[:200]}"
+        if 400 <= reply.status < 500 and reply.status not in _RETRIED_CLIENT_ERRORS:
+            attempts = len(replies)  # resending the same body cannot fix it
+    else:
         try:
-            status, data = _exchange(config, "POST", "/v1/chat/completions", body)
-        except (OSError, http.client.HTTPException) as exc:
-            last_error = f"transport error: {exc}"
-            continue
-        latency_ms = (time.perf_counter() - started) * 1000.0
-        if not 200 <= status < 300:
-            last_error = f"HTTP {status}: {data.decode('utf-8', 'replace')[:200]}"
-            if 400 <= status < 500 and status not in _RETRIED_CLIENT_ERRORS:
-                break
-            continue
-        try:
-            payload = json.loads(data)
+            payload = json.loads(reply.data)
             content = payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            last_error = f"malformed completion payload: {exc}"
-            continue
-        usage = payload.get("usage")  # optional: a count that is not an int is dropped
-        counts = ({name: count for name, count in usage.items() if type(count) is int}
-                  if isinstance(usage, dict) else {})
-        return GenerationResult(
-            raw_text=content if isinstance(content, str) else "",
-            latency_ms=latency_ms,
-            prompt_tokens=counts.get("prompt_tokens"),
-            completion_tokens=counts.get("completion_tokens"),
-            started_at=started_at,
-        )
+            error = f"malformed completion payload: {exc}"
+        else:
+            usage = payload.get("usage")  # optional: a count that is not an int is dropped
+            counts = ({name: count for name, count in usage.items() if type(count) is int}
+                      if isinstance(usage, dict) else {})
+            return GenerationResult(
+                raw_text=content if isinstance(content, str) else "",
+                latency_ms=reply.latency_ms,
+                prompt_tokens=counts.get("prompt_tokens"),
+                completion_tokens=counts.get("completion_tokens"),
+                started_at=replies[0].started_at,
+            )
+    if len(replies) < attempts:
+        return None
     return GenerationResult(
-        raw_text="", latency_ms=0.0, failed=True, started_at=started_at,
-        failure_reason=f"{attempt} of {attempts} attempt(s) made; last error: {last_error}")
+        raw_text="", latency_ms=0.0, failed=True, started_at=replies[0].started_at,
+        failure_reason=f"{len(replies)} of {config.max_retries + 1} attempt(s) made; "
+                       f"last error: {error}")
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +744,20 @@ def _endpoint_generate(config: BackendConfig, bundle: PromptBundle) -> Generatio
 # ---------------------------------------------------------------------------
 
 def generate(config: BackendConfig, bundle: PromptBundle,
-             renderers: dict[TaskInstance, _Renderer] | None = None) -> GenerationResult:
+             renderers: dict[TaskInstance, _Renderer] | None = None,
+             replies: Sequence[_Reply] | None = None) -> GenerationResult | None:
     """One completion of the bundle. Scripted kinds render it through its
     instance's renderer, drawn once per renderers dict (every call draws
     when it is None) under the corruptor's fault profile; the oracle takes
-    no profile."""
+    no profile. The endpoint kind runs generate_all's loop on the bundle;
+    given the replies of the attempts made so far, it returns their result,
+    or None when another attempt is due."""
     if config.kind == "endpoint":
-        return _endpoint_generate(config, bundle)
+        if replies is not None:
+            return _endpoint_result(config, replies)
+        landed: list[GenerationResult] = []
+        generate_all(config, [bundle], lambda _bundle, result: landed.append(result) or ())
+        return landed[0]
     started_at = timestamp()
     instance = bundle.instance
     renderers = {} if renderers is None else renderers
@@ -494,12 +788,14 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
     handed out. Scripted kinds generate inline, in runs of up to
     _INLINE_RUN bundles, and land in the order they are drawn.
 
-    The endpoint kind generates on a standard thread pool of max_in_flight
-    workers, so at most that many calls are in flight, and keeps up to
-    max_in_flight more bundles handed out, so a worker never idles while
-    the caller lands a result. An error raised by a worker or by on_result
-    leaves this call once the unstarted bundles are cancelled and the calls
-    in flight have finished.
+    The endpoint kind runs one selector loop on the calling thread, with at
+    most max_in_flight exchanges open, each on its own connection. After
+    each wait it starts replacements for the exchanges that ended (a due
+    retry first), then closes their sockets, then lands their results, so
+    the slots are busy again while the caller scores. Each attempt's reply
+    goes to generate(config, bundle, replies=...), which says whether
+    another attempt is due. An error raised by on_result or by a request
+    body leaves this call with every socket closed.
     """
     source, follow_ups = iter(bundles), deque()
 
@@ -514,25 +810,44 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
                 follow_ups.extend(on_result(bundle, result))
         return
 
-    # Imported here, not at the top: concurrent.futures loads logging, about
-    # 7 ms on a 2-vCPU machine that scripted runs and `import ctax.cli` need
-    # not pay.
-    from concurrent.futures import ThreadPoolExecutor
-
-    landed: queue.SimpleQueue = queue.SimpleQueue()  # (bundle, future), as each finishes
-    pool = ThreadPoolExecutor(config.max_in_flight, thread_name_prefix=f"ctax-{config.label}")
-    handed_out = 0
-    try:
-        while True:
-            while handed_out < 2 * config.max_in_flight and (
-                    bundle := next_bundle()) is not None:
-                pool.submit(generate, config, bundle).add_done_callback(
-                    lambda future, bundle=bundle: landed.put((bundle, future)))
-                handed_out += 1
-            if not handed_out:
-                return
-            bundle, future = landed.get()
-            handed_out -= 1
-            follow_ups.extend(on_result(bundle, future.result()))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    target = _Target(config)
+    # open exchange -> (bundle, request, replies of its earlier attempts)
+    calls: dict[_Exchange, tuple[PromptBundle, bytes, list[_Reply]]] = {}
+    retries: deque = deque()  # (bundle, request, replies) due another attempt
+    ended: list[_Exchange] = []
+    landed: list[tuple[PromptBundle, GenerationResult]] = []
+    with selectors.DefaultSelector() as selector:
+        try:
+            while True:
+                while len(calls) < config.max_in_flight:
+                    if retries:
+                        call = retries.popleft()
+                    elif (bundle := next_bundle()) is not None:
+                        body = json.dumps(build_request_body(config, bundle)).encode()
+                        call = (bundle, target.request("POST", "/v1/chat/completions", body),
+                                [])
+                    else:
+                        break
+                    calls[_Exchange(target, selector, call[1])] = call
+                for exchange in ended:
+                    exchange.close()
+                ended.clear()
+                for bundle, result in landed:
+                    follow_ups.extend(on_result(bundle, result))
+                if landed:  # their follow-ups may fill free slots at once
+                    landed.clear()
+                    continue
+                if not calls:
+                    return
+                _wait_any(selector, calls)
+                for exchange in [e for e in calls if e.reply is not None]:
+                    bundle, request, replies = call = calls.pop(exchange)
+                    ended.append(exchange)
+                    replies.append(exchange.reply)
+                    if (result := generate(config, bundle, replies=replies)) is None:
+                        retries.append(call)
+                    else:
+                        landed.append((bundle, result))
+        finally:
+            for exchange in [*calls, *ended]:
+                exchange.close()

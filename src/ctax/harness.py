@@ -61,7 +61,7 @@ from .modes import (
     transported_constraint,
 )
 from .records import (RunRecord, append_record, drop_torn_tail, new_record, open_jsonl,
-                      read_records, timestamp)
+                      read_records, replace_file, timestamp)
 from .taskgen import (CALENDAR_SEMANTIC_FIELDS, FAMILIES, TaskInstance, generate_suite,
                       write_suite)
 from .validation import (LENIENT_EXTRACTION, PARSE_NO_JSON, STRICT_EXTRACTION, canonical_digest,
@@ -446,8 +446,7 @@ def _write_manifest(config: RunConfig, digest: str, out: Path) -> None:
         "bootstrap_version": BOOTSTRAP_VERSION,
         "created_at": timestamp(),
     }
-    (out / "manifest.json").write_text(
-        canonical_serialize(manifest) + "\n", encoding="utf-8")
+    replace_file(out / "manifest.json", [canonical_serialize(manifest) + "\n"])
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ _REQUIRED = frozenset(f.name for f in fields(RunRecord) if f.default is MISSING)
 _EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 
 
-@functools.lru_cache(maxsize=1)  # thread-safe; endpoint workers stamp concurrently
+@functools.lru_cache(maxsize=1)
 def _millisecond_stamp(ms: int) -> str:
     return (_EPOCH + dt.timedelta(milliseconds=ms)).isoformat(timespec="milliseconds")
 
@@ -167,12 +167,26 @@ def open_jsonl(path: str | Path, mode: str = "w"):
     return Path(path).open(mode, encoding="utf-8", errors="backslashreplace")
 
 
-def write_jsonl(path: str | Path, docs: Iterable[dict[str, Any]]) -> None:
-    """One sorted-key JSON object per line: records.jsonl and tasks.jsonl."""
+def replace_file(path: str | Path, lines: Iterable[str]) -> None:
+    """Write lines to a sibling temporary file, then rename it over path, so
+    a process killed mid-write leaves the old file whole rather than
+    truncated. Nothing is flushed to disk: this guards against a killed
+    process, not a power loss."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open_jsonl(path) as fh:
-        fh.writelines(map(_json_line, docs))
+    partial = path.with_name(f"{path.name}.partial")
+    try:
+        with open_jsonl(partial) as fh:
+            fh.writelines(lines)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, docs: Iterable[dict[str, Any]]) -> None:
+    """One sorted-key JSON object per line: records.jsonl and tasks.jsonl."""
+    replace_file(path, map(_json_line, docs))
 
 
 # Built once, like _LINE_ENCODER: json.loads reaches this scanner through

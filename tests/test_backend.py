@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import datetime as dt
+import http.client
+import io
+import ipaddress
 import json
 import socket
-import sys
 import threading
 import time
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 
@@ -403,15 +407,19 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 @contextmanager
-def stub_server(**kw):
+def stub_server(threaded=True, tls=None, **kw):
+    """A stub endpoint: a thread per connection unless threaded is False,
+    and HTTPS when tls is a server SSLContext."""
     state = _StubState(**kw)
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server = (ThreadingHTTPServer if threaded else HTTPServer)(("127.0.0.1", 0), _StubHandler)
     server.state = state
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()
     try:
-        yield state, f"http://127.0.0.1:{server.server_port}"
+        yield state, f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}"
     finally:
         state.release.set()
         server.shutdown()
@@ -536,14 +544,20 @@ def test_generate_all_bounds_concurrency():
     assert sorted(b.instance_id for b, _ in landed) == sorted(i.id for i in suite)
 
 
-def test_generate_all_leaves_no_worker_thread_after_a_successful_run():
+def test_endpoint_generate_all_starts_no_thread():
+    """The endpoint runs on the calling thread alone: the thread count is
+    the same at every landing as before the call (the stub serves from one
+    thread)."""
     suite = generate_suite("boolean_logic", 6, seed=4)
-    with stub_server(content="ok") as (_state, url):
-        landed = _collect(_endpoint_config(base_url=url, max_in_flight=3),
-                          [build_prompt(i, "freeform") for i in suite])
-        threads = [t.name for t in threading.enumerate() if t.name.startswith("ctax-")]
-    assert len(landed) == 6 and not any(r.failed for _, r in landed)
-    assert threads == []
+    landed = []
+    with stub_server(threaded=False, content="ok") as (_state, url):
+        before = threading.active_count()
+        generate_all(_endpoint_config(base_url=url, max_in_flight=3),
+                     [build_prompt(i, "freeform") for i in suite],
+                     lambda bundle, result: landed.append(
+                         (result, threading.active_count())) or [])
+    assert len(landed) == 6 and not any(result.failed for result, _ in landed)
+    assert {count for _, count in landed} == {before}
 
 
 def test_generate_all_turns_failures_into_failed_results():
@@ -695,7 +709,7 @@ def test_generate_all_lands_each_result_on_the_calling_thread(kind):
     assert all(started_at.endswith("+00:00") for _, _, _, started_at in landed)
 
 
-def test_generate_all_lands_every_bundle_once_under_thread_churn():
+def test_generate_all_lands_every_bundle_once_with_follow_ups():
     suite = generate_suite("symbolic_string", 40, seed=4)
     instances = {i.id: i for i in suite}
     landed = []
@@ -705,14 +719,9 @@ def test_generate_all_lands_every_bundle_once_under_thread_churn():
         return [build_prompt(instances[bundle.instance_id], "prompt_json")] * (
             bundle.mode == "freeform")
 
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # force thread switches inside the queue hand-offs
-    try:
-        with stub_server(content="ok") as (state, url):
-            generate_all(_endpoint_config(base_url=url, max_in_flight=4),
-                         [build_prompt(i, "freeform") for i in suite], on_result)
-    finally:
-        sys.setswitchinterval(switch)
+    with stub_server(content="ok") as (state, url):
+        generate_all(_endpoint_config(base_url=url, max_in_flight=4),
+                     [build_prompt(i, "freeform") for i in suite], on_result)
     assert sorted(landed) == sorted((mode, i.id) for mode in ("freeform", "prompt_json")
                                     for i in suite)
     assert state.post_count == 80 and state.peak <= 4
@@ -731,12 +740,12 @@ def test_generate_all_stops_its_workers_on_an_error(failing):
             config = _endpoint_config(base_url=url, max_in_flight=2)
             with pytest.raises(RuntimeError, match="scoring crashed"):
                 generate_all(config, bundles, on_result)
-        else:  # no transport for the schema: raised by generate on a worker
+        else:  # no transport for the schema: raised while the first request is built
             config = _endpoint_config(base_url=url, max_in_flight=2,
                                       constraint_transport={"regex": "guided_regex"})
             with pytest.raises(ConfigError, match="no constraint transport"):
                 _collect(config, bundles)
-    assert state.post_count <= 4  # at most 2 x max_in_flight were handed out
+    assert state.post_count <= 4  # max_in_flight sent, then replaced before the landing
     assert not [t for t in threading.enumerate() if t.name.startswith("ctax-")]
 
 
@@ -818,6 +827,46 @@ def test_endpoint_timeout_bounds_a_trickling_body():
     assert elapsed < 1.5  # timeout_ms + 0.5 s
 
 
+def test_endpoint_timeout_bounds_a_trickling_head():
+    """The status line and headers count against the same timeout_ms
+    deadline as the body: a head sent one byte every 0.1 s fails the attempt
+    once the time is up."""
+    payload = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+    head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n" % (
+        len(payload))
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    done = threading.Event()
+
+    def serve():
+        conn, _addr = listener.accept()
+        with conn:
+            _read_request(conn)
+            try:
+                for i in range(len(head)):
+                    if done.wait(0.1):
+                        return
+                    conn.sendall(head[i:i + 1])
+                conn.sendall(payload)
+            except OSError:  # the client gave up and closed
+                pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    bundle = build_prompt(generate_suite("boolean_logic", 1, seed=4)[0], "freeform")
+    url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+    with listener:
+        started = time.monotonic()
+        result = generate(_endpoint_config(base_url=url, timeout_ms=1000, max_retries=0),
+                          bundle)
+        elapsed = time.monotonic() - started
+        done.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert result.failed and "transport error: timed out" in result.failure_reason
+    assert elapsed < 1.5  # timeout_ms + 0.5 s
+
+
 def test_check_health_ok_and_failure():
     with stub_server() as (_state, url):
         check_health(_endpoint_config(base_url=url))  # no raise
@@ -832,3 +881,248 @@ def test_check_health_ok_and_failure():
 def test_default_transport_map_is_vllm_style():
     assert DEFAULT_CONSTRAINT_TRANSPORT == {"schema": "guided_json",
                                             "regex": "guided_regex"}
+
+
+# ---------------------------------------------------------------------------
+# the response reader, against http.client
+# ---------------------------------------------------------------------------
+
+_READER_CAP = 64  # MAX_RESPONSE_BYTES while the reader cases run
+
+_RAW_RESPONSES = {
+    "content-length": b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+    "content-length, bytes after it": b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhello",
+    "content-length, closed short": b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nhello",
+    "content-length over the cap": b"HTTP/1.1 200 OK\r\nContent-Length: 65\r\n\r\n" + b"x" * 65,
+    "content-length not a number": b"HTTP/1.1 200 OK\r\nContent-Length: five\r\n\r\nhello",
+    "error status": b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 4\r\n\r\ndown",
+    "no content": b"HTTP/1.1 204 No Content\r\n\r\n",
+    "bare line feeds": b"HTTP/1.1 200 OK\nContent-Length: 2\n\nok",
+    "chunked": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n"),
+    "chunked, extensions and trailers": (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: Chunked\r\n\r\n"
+        b"5;name=value\r\nhello\r\na ; x=\"y\"\r\n0123456789\r\n0;last\r\n"
+        b"Expires: never\r\nX-Trailer: 1\r\n\r\n"),
+    "chunked over content-length": (b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n"
+                                    b"Transfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n"),
+    "chunked, closed in the trailers": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                                        b"2\r\nok\r\n0\r\nX-Trailer: 1\r\n"),
+    "chunked, truncated chunk": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                                 b"5\r\nhello\r\n5\r\nwor"),
+    "chunked, bad size": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nhello\r\n",
+    "chunked over the cap": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                             + b"20\r\n" + b"y" * 32 + b"\r\n" + b"21\r\n" + b"z" * 33
+                             + b"\r\n0\r\n\r\n"),
+    "100 continue, then 200": (b"HTTP/1.1 100 Continue\r\n\r\n"
+                               b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"),
+    "no length, the server closes": b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nto the end",
+    "no length, over the cap": b"HTTP/1.1 200 OK\r\n\r\n" + b"x" * 65,
+    "http/1.0": b"HTTP/1.0 200 OK\r\nServer: old\r\n\r\nread to the close",
+    "http/1.0 with a length": b"HTTP/1.0 200 OK\r\nContent-Length: 4\r\n\r\nfour and more",
+    "bad status line": b"HTTP/1.1 2x0 OK\r\nContent-Length: 2\r\n\r\nok",
+    "not http": b"ICY 200 OK\r\nContent-Length: 2\r\n\r\nok",
+    "empty status line": b"\r\nContent-Length: 2\r\n\r\nok",
+    "head over 64 KiB": (b"HTTP/1.1 200 OK\r\nX-Big: " + b"a" * (70 * 1024)
+                         + b"\r\nContent-Length: 2\r\n\r\nok"),
+}
+
+
+def _read_by_http_client(raw: bytes) -> tuple[int, bytes] | None:
+    """(status, body) as http.client reads raw, with the body cap applied;
+    None where it fails."""
+    class _Socket:
+        def makefile(self, mode):
+            return io.BytesIO(raw)
+
+    response = http.client.HTTPResponse(_Socket(), method="POST")
+    try:
+        response.begin()
+        body = response.read()
+    except http.client.HTTPException:
+        return None
+    return None if len(body) > _READER_CAP else (response.status, body)
+
+
+def _read_by_ctax(raw: bytes, piece: int) -> tuple[int, bytes] | None:
+    """(status, body) as the endpoint's reader reads raw, fed piece bytes
+    at a time and then the close; None where it fails."""
+    reader = backend._ResponseReader()
+    try:
+        for i in range(0, len(raw), piece):
+            if (response := reader.feed(raw[i:i + piece])) is not None:
+                return response
+        return reader.feed(b"")
+    except backend._ResponseError:
+        return None
+
+
+@pytest.mark.parametrize("name", list(_RAW_RESPONSES))
+def test_response_reader_agrees_with_http_client(name, monkeypatch):
+    raw = _RAW_RESPONSES[name]
+    monkeypatch.setattr(backend, "MAX_RESPONSE_BYTES", _READER_CAP)
+    expected = _read_by_http_client(raw)
+    for piece in (len(raw), 1 if len(raw) < 1024 else 997):
+        assert _read_by_ctax(raw, piece) == expected, (name, piece)
+
+
+def test_response_reader_names_what_failed(monkeypatch):
+    monkeypatch.setattr(backend, "MAX_RESPONSE_BYTES", _READER_CAP)
+    reader = backend._ResponseReader()
+    assert reader.feed(_RAW_RESPONSES["content-length, closed short"]) is None
+    with pytest.raises(backend._ResponseError,
+                       match=r"^IncompleteRead\(5 bytes read, 4 more expected\)$"):
+        reader.feed(b"")
+    with pytest.raises(backend._ResponseError, match="response body over the 64-byte cap"):
+        backend._ResponseReader().feed(_RAW_RESPONSES["chunked over the cap"])
+    with pytest.raises(backend._ResponseError, match="response head over the 65536-byte cap"):
+        backend._ResponseReader().feed(_RAW_RESPONSES["head over 64 KiB"])
+    # stricter than http.client, which takes a close inside the head as its end
+    reader = backend._ResponseReader()
+    assert reader.feed(b"HTTP/1.1 200 OK\r\nContent-Le") is None
+    with pytest.raises(backend._ResponseError, match="closed before the response head ended"):
+        reader.feed(b"")
+
+
+def test_endpoint_request_head_matches_what_http_client_sent(monkeypatch):
+    """Request line and headers: Host with the port unless it is the
+    scheme's default and IPv6 in brackets, identity encoding, the JSON type,
+    the optional token, Connection: close and the body's length."""
+    monkeypatch.setenv(TOKEN_ENV_VAR, "sekrit")
+    target = backend._Target(_endpoint_config(base_url="http://127.0.0.1:8000/api/"))
+    head, _, body = target.request("POST", "/v1/chat/completions", b"{}").partition(
+        b"\r\n\r\n")
+    assert body == b"{}"
+    assert head.split(b"\r\n") == [
+        b"POST /api/v1/chat/completions HTTP/1.1", b"Host: 127.0.0.1:8000",
+        b"Accept-Encoding: identity", b"Content-Type: application/json",
+        b"Connection: close", b"Authorization: Bearer sekrit", b"Content-Length: 2"]
+    monkeypatch.delenv(TOKEN_ENV_VAR)
+    for url, host in (("http://[::1]:80", b"[::1]"), ("https://[::1]:8443", b"[::1]:8443"),
+                      ("https://example.invalid", b"example.invalid")):
+        config = _endpoint_config(base_url=url)
+        monkeypatch.setattr(backend.socket, "getaddrinfo", lambda *a, **k: [])
+        lines = backend._Target(config).request("GET", "/v1/models").split(b"\r\n")
+        assert lines[0] == b"GET /v1/models HTTP/1.1" and lines[1] == b"Host: " + host
+        assert not any(line.startswith((b"Content-Length", b"Authorization")) for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# the endpoint loop: sockets, TLS
+# ---------------------------------------------------------------------------
+
+def test_an_endpoint_run_that_fails_in_on_result_leaves_no_socket_open(monkeypatch):
+    opened = []
+    real_socket = socket.socket
+
+    def tracked(*args, **kwargs):
+        opened.append(sock := real_socket(*args, **kwargs))
+        return sock
+
+    monkeypatch.setattr(backend, "socket", SimpleNamespace(**{**vars(socket), "socket": tracked}))
+
+    def on_result(bundle, result):
+        raise RuntimeError("scoring crashed")
+
+    suite = generate_suite("boolean_logic", 8, seed=4)
+    with stub_server(delay=0.02, content="ok") as (_state, url):
+        with pytest.raises(RuntimeError, match="scoring crashed"):
+            generate_all(_endpoint_config(base_url=url, max_in_flight=3),
+                         [build_prompt(i, "freeform") for i in suite], on_result)
+    assert len(opened) >= 3  # the one that landed and the ones still open
+    assert all(sock.fileno() == -1 for sock in opened)
+
+
+def _tls_files(tmp_path):
+    """(CA certificate path, server certificate path, server key path): a
+    throwaway CA and a certificate it signs for localhost and 127.0.0.1."""
+    x509 = pytest.importorskip("cryptography.x509")
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
+
+    now = dt.datetime.now(dt.timezone.utc)
+
+    def certificate(subject, issuer, public_key, signing_key, *extensions):
+        builder = (x509.CertificateBuilder().subject_name(subject).issuer_name(issuer)
+                   .public_key(public_key).serial_number(x509.random_serial_number())
+                   .not_valid_before(now - dt.timedelta(hours=1))
+                   .not_valid_after(now + dt.timedelta(hours=1)))
+        for extension, critical in extensions:
+            builder = builder.add_extension(extension, critical=critical)
+        return builder.sign(signing_key, hashes.SHA256())
+
+    def usage(**allowed):
+        flags = ("digital_signature", "content_commitment", "key_encipherment",
+                 "data_encipherment", "key_agreement", "key_cert_sign", "crl_sign",
+                 "encipher_only", "decipher_only")
+        return x509.KeyUsage(**{flag: allowed.get(flag, False) for flag in flags})
+
+    ca_key, key = ec.generate_private_key(ec.SECP256R1()), ec.generate_private_key(ec.SECP256R1())
+    ca_name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "ctax test CA")])
+    ca = certificate(ca_name, ca_name, ca_key.public_key(), ca_key,
+                     (x509.BasicConstraints(ca=True, path_length=0), True),
+                     (usage(key_cert_sign=True, crl_sign=True), True),
+                     (x509.SubjectKeyIdentifier.from_public_key(ca_key.public_key()), False))
+    server = certificate(
+        x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "localhost")]), ca_name,
+        key.public_key(), ca_key,
+        (x509.BasicConstraints(ca=False, path_length=None), True),
+        (usage(digital_signature=True), True),
+        (x509.ExtendedKeyUsage([ExtendedKeyUsageOID.SERVER_AUTH]), False),
+        (x509.SubjectAlternativeName([x509.DNSName("localhost"),
+                                      x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]),
+         False),
+        (x509.AuthorityKeyIdentifier.from_issuer_public_key(ca_key.public_key()), False))
+    paths = tmp_path / "ca.pem", tmp_path / "server.pem", tmp_path / "server.key"
+    paths[0].write_bytes(ca.public_bytes(serialization.Encoding.PEM))
+    paths[1].write_bytes(server.public_bytes(serialization.Encoding.PEM))
+    paths[2].write_bytes(key.private_bytes(serialization.Encoding.PEM,
+                                           serialization.PrivateFormat.PKCS8,
+                                           serialization.NoEncryption()))
+    return paths
+
+
+def _server_context(tmp_path):
+    import ssl
+
+    ca, cert, key = _tls_files(tmp_path)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    return ca, context
+
+
+def test_https_round_trip_with_a_trusted_ca(tmp_path, monkeypatch):
+    ca, context = _server_context(tmp_path)
+    monkeypatch.setenv("SSL_CERT_FILE", str(ca))
+    bundle = build_prompt(generate_suite("boolean_logic", 1, seed=4)[0], "freeform")
+    with stub_server(tls=context, content="over tls") as (state, url):
+        check_health(_endpoint_config(base_url=url))  # no raise
+        result = generate(_endpoint_config(base_url=url, max_retries=0), bundle)
+        landed = _collect(_endpoint_config(base_url=url, max_in_flight=2, max_retries=0),
+                          [bundle] * 4)
+    assert url.startswith("https://")
+    assert not result.failed and result.raw_text == "over tls"
+    assert [r.raw_text for _, r in landed] == ["over tls"] * 4
+    assert state.post_count == 5
+
+
+def test_https_with_an_untrusted_certificate_fails_the_health_check(tmp_path, monkeypatch,
+                                                                     capsys):
+    from ctax.cli import main
+
+    _ca, context = _server_context(tmp_path)
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    with stub_server(tls=context) as (state, url):
+        with pytest.raises(ConfigError, match="health check failed: .*CERTIFICATE_VERIFY_FAILED"):
+            check_health(_endpoint_config(base_url=url))
+        doc = {"run_id": "tls", "suite": {"families": ["boolean_logic"], "count": 2, "seed": 3},
+               "modes": ["freeform"],
+               "backends": [{"kind": "endpoint", "label": "ep", "model_id": "m",
+                             "base_url": url}]}
+        config_path, out = tmp_path / "config.json", tmp_path / "out"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "CERTIFICATE_VERIFY_FAILED" in capsys.readouterr().err
+    assert not out.exists() and state.post_count == 0

@@ -437,6 +437,36 @@ def test_resume_with_changed_config_exits_2(tmp_path, capsys):
     assert (records.read_bytes(), manifest.read_bytes()) == before
 
 
+@pytest.mark.parametrize("name", ["manifest.json", "tasks.jsonl"])
+def test_a_rewrite_that_fails_midway_leaves_the_run_directory_resumable(
+        tmp_path, capsys, monkeypatch, name):
+    """run rewrites manifest.json and tasks.jsonl on every --resume. A write
+    that dies after opening its file (a killed process, a full disk) must
+    leave the old file whole, so the next --resume still runs."""
+    records = _scored_run(tmp_path)
+    out = records.parent
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_run_config_doc()), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_open = Path.open
+
+    def open_then_fail(self, mode="r", *args, **kwargs):
+        if "w" in mode and self.name.startswith(name):  # the file or a sibling of it
+            real_open(self, mode, *args, **kwargs).close()  # truncated or created
+            raise OSError(28, "No space left on device")
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_then_fail)
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--resume"]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--resume"]) == 0, \
+        capsys.readouterr().err
+    assert records.read_bytes() == before["records.jsonl"]
+
+
 def test_cli_import_leaves_requests_unloaded():
     # a fresh interpreter: this one may have imported requests for other reasons
     code = "import sys, ctax.cli; print('requests' in sys.modules)"
@@ -448,9 +478,11 @@ def test_cli_import_leaves_requests_unloaded():
 
 
 def test_cli_import_leaves_the_thread_pool_and_logging_unloaded():
-    # concurrent.futures loads logging; only an endpoint generate_all needs it
-    code = ("import sys, ctax.cli; "
-            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    # the endpoint runs on one selector loop: no thread pool (which loads
+    # logging) and no http.client (which loads email and ssl); ssl loads
+    # only for an https:// endpoint
+    code = ("import sys, ctax.cli; print([m for m in ('concurrent.futures', 'logging', "
+            "'http.client', 'email', 'ssl') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(ctax.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)

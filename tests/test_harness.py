@@ -308,7 +308,7 @@ def test_killed_endpoint_run_keeps_landed_records_and_resumes(tmp_path):
             try:
                 deadline = time.monotonic() + 30
                 while state.hung < in_flight and time.monotonic() < deadline:
-                    time.sleep(0.01)  # k answered, every worker now waits on the stub
+                    time.sleep(0.01)  # k answered, every slot now waits on the stub
                 assert state.hung == in_flight and state.post_count == k + in_flight
                 deadline = time.monotonic() + 5
                 while (_complete_lines(out / "records.jsonl") < k - in_flight
