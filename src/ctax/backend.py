@@ -652,7 +652,11 @@ class _Exchange:
                     family, kind, proto, _, self.address = next(self.addresses)
                 except StopIteration:
                     raise self.first_error from None
-                self.sock = socket.socket(family, kind, proto)
+                try:  # an address family this host cannot use is one more failed address
+                    self.sock = socket.socket(family, kind, proto)
+                except OSError as exc:
+                    self.first_error = self.first_error or exc
+                    continue
                 self.sock.setblocking(False)
                 code = self.sock.connect_ex(self.address)
                 if code in _CONNECTING:  # asking again shows whether it is up already

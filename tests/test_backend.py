@@ -526,6 +526,25 @@ def test_endpoint_connection_refused_raises():
     assert result.failed and "transport error" in result.failure_reason
 
 
+def test_endpoint_moves_to_the_next_address_when_a_connect_fails(monkeypatch):
+    """As socket.create_connection does: an address that refuses, or whose
+    family cannot be used, gives way to the next one the host resolves to;
+    when none connects, the first error is the attempt's."""
+    bundle = build_prompt(generate_suite("boolean_logic", 1, seed=4)[0], "freeform")
+    refused = ("127.0.0.1", _free_port())
+    unusable = (socket.AF_UNIX, socket.SOCK_STREAM, 12345, "", "/nowhere")  # bad protocol
+    with stub_server(content="ok") as (state, url):
+        served = ("127.0.0.1", int(url.rsplit(":", 1)[1]))
+        for addresses, ok in (([refused, served], True), ([refused, refused], False)):
+            infos = [unusable] + [(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP, "",
+                                   address) for address in addresses]
+            monkeypatch.setattr(backend.socket, "getaddrinfo", lambda *a, **k: infos)
+            result = generate(_endpoint_config(base_url=url, max_retries=0), bundle)
+            assert result.failed is not ok, result.failure_reason
+        assert state.post_count == 1
+    assert "Protocol not supported" in result.failure_reason
+
+
 def _collect(config, bundles):
     """Every (bundle, result) generate_all lands, in landing order."""
     landed = []
