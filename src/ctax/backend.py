@@ -137,8 +137,8 @@ class BackendConfig:
                 raise ConfigError(f"base_url {self.base_url!r}: {exc}") from None
             if not url.hostname:
                 raise ConfigError(f"base_url has no host, got {self.base_url!r}")
-        if self.timeout_ms < 1:
-            raise ConfigError("timeout_ms must be >= 1")
+        if not 1 <= self.timeout_ms <= 2**31 - 1:  # the most milliseconds epoll waits
+            raise ConfigError(f"timeout_ms must be in [1, {2**31 - 1}]")
         if self.max_in_flight < 1:
             raise ConfigError("max_in_flight must be >= 1")
         if self.max_retries < 0:
@@ -722,7 +722,7 @@ def _endpoint_result(config: BackendConfig,
         try:
             payload = json.loads(reply.data)
             content = payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             error = f"malformed completion payload: {exc}"
         else:
             usage = payload.get("usage")  # optional: a count that is not an int is dropped

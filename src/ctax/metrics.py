@@ -11,13 +11,15 @@ validity and one wrong-valid CI.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
+from itertools import accumulate, product, repeat
+from math import fsum, inf
+from operator import attrgetter, gt, lshift, lt, mul, or_, truediv
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .checkers import GENERATION_FAILED
 from .errors import ConfigError, PairingError
@@ -107,14 +109,17 @@ def pts(rate: Fraction | float) -> float:
     return round(rate * 100.0, 1)
 
 
-FLAG_COLUMNS = ("answer", "exec", "validity", "wrong_valid")  # the columns of Cell.flags
+FLAG_COLUMNS = ("answer", "exec", "validity", "wrong_valid")  # bit j of a Cell.flags code
+_FLAG_FIELDS = attrgetter("answer_correct", "exec_correct", "schema_valid")
+_FLAG_CODE = {(answer, exec_ok, valid): answer | exec_ok << 1 | valid << 2 | (valid > exec_ok) << 3
+              for answer, exec_ok, valid in product((False, True), repeat=3)}
 
 
 @dataclass(frozen=True, eq=False)  # eq=False: hashed by identity, as _pair's cache key
 class Cell:
     """The records of one (backend, model, mode) cell as columns. ids, flags
-    and scored follow the scored records in record order; flags holds one
-    boolean row per scored record. A cell of no records has no labels."""
+    and scored follow the scored records in record order; a flag code sets
+    bit j when FLAG_COLUMNS[j] holds. A cell of no records has no labels."""
 
     backend_label: str | None
     model_id: str | None
@@ -122,7 +127,7 @@ class Cell:
     task: str  # the records' one family, or "all" when they span several
     ids: tuple[str, ...]
     failed: tuple[str, ...]  # the generation_failed records' instance ids
-    flags: np.ndarray
+    flags: tuple[int, ...]
     scored: list  # the scored records, for aggregate's trace verdicts and means
 
     @classmethod
@@ -133,15 +138,16 @@ class Cell:
         if len(keys) > 1:
             raise ValueError(f"records mix backend/model/mode cells: {sorted(keys)!r}")
         scored = [r for r in records if r.error_class != GENERATION_FAILED]
-        answer, exec_ok, valid = (np.array(list(map(attrgetter(name), scored)), dtype=bool)
-                                  for name in ("answer_correct", "exec_correct", "schema_valid"))
         families = set(map(attrgetter("family"), records))
+        flags = tuple(map(_FLAG_CODE.get, map(_FLAG_FIELDS, scored)))
+        if None in flags:  # a verdict that is not a bool reads as its truth value
+            flags = tuple(_FLAG_CODE[tuple(map(bool, v))] for v in map(_FLAG_FIELDS, scored))
         return cls(*(keys.pop() if keys else (None, None, None)),
                    task=families.pop() if len(families) == 1 else "all",
                    ids=tuple(r.instance_id for r in scored),
                    failed=tuple(r.instance_id for r in records
                                 if r.error_class == GENERATION_FAILED),
-                   flags=np.column_stack([answer, exec_ok, valid, valid & ~exec_ok]),
+                   flags=flags,
                    scored=scored)
 
 
@@ -159,7 +165,9 @@ def aggregate(records: Iterable | Cell, task: str | None = None) -> ModeAggregat
     if not cell.ids:
         raise ValueError("no scored records to aggregate (all generation_failed)"
                          if cell.failed else "cannot aggregate an empty record list")
-    answer, exec_ok, valid, wrong_valid = map(int, cell.flags.sum(axis=0))
+    codes = Counter(cell.flags)
+    answer, exec_ok, valid, wrong_valid = (sum(codes[code] for code in codes if code >> j & 1)
+                                           for j in range(len(FLAG_COLUMNS)))
     scored = cell.scored
     traced = [r.trace_correct for r in scored if r.trace_correct is not None]
     tokens = [r.completion_tokens for r in scored if r.completion_tokens is not None]
@@ -180,9 +188,9 @@ def aggregate(records: Iterable | Cell, task: str | None = None) -> ModeAggregat
         trace_n=len(traced),
         trace_count=sum(traced),
         wrong_valid_count=wrong_valid,
-        mean_latency_ms=float(np.mean([r.latency_ms for r in scored])),
-        mean_completion_tokens=float(np.mean(tokens)) if tokens else None,
-        mean_structural_overhead=float(np.mean(overheads)) if overheads else None,
+        mean_latency_ms=fsum(r.latency_ms for r in scored) / len(scored),
+        mean_completion_tokens=fsum(tokens) / len(tokens) if tokens else None,
+        mean_structural_overhead=fsum(overheads) / len(overheads) if overheads else None,
         latency_note=latency_note,
     )
 
@@ -209,46 +217,67 @@ def normalized_tax(acc_baseline: float, acc_constrained: float,
 # Paired bootstrap
 # ---------------------------------------------------------------------------
 
-_TIE_TOLERANCE = 1e-9  # a CDF this close to a quantile reaches it, on any FFT backend
+_TIE_TOLERANCE = 1e-9  # a CDF this close to a quantile reaches it, whatever the rounding
+
+
+def _ratios(a: float, b: float, c: float, n: int) -> list[float]:
+    """t(k+1)/t(k) for k < n, t(k) the x^k coefficient of (a + bx + cx^2)^n,
+    a, b > 0. By p f' = n p' f for f = p^n, a(k+1)t(k+1) = (n-k)b t(k) +
+    (2n-k+1)c t(k-1), where no term is negative for k < n."""
+    ratios = [inf]  # t(0)/t(-1), as t(-1) = 0
+    for k in range(n):
+        ratios.append(((n - k) * b + (2 * n - k + 1) * c / ratios[-1]) / (a * (k + 1)))
+    return ratios[1:]
+
+
+def _delta_law(k_down: int, k_zero: int, k_up: int) -> tuple[int, int, list[float]]:
+    """(lowest, step, w): w[i] is proportional to P(K+ - K- = s) at s = lowest + step*i, for
+    (K-, K0, K+) ~ Multinomial(n, k/n) with two or three of the counts non-zero."""
+    n = k_down + k_zero + k_up
+    kinds = [(value, k / n) for value, k in zip((-1, 0, 1), (k_down, k_zero, k_up)) if k]
+    if len(kinds) == 2:  # s = n*low + (high - low)*K, K ~ Binomial(n, p_high)
+        (low, p_low), (high, p_high) = kinds
+        lowest, step, ratios = n * low, high - low, _ratios(p_low, p_high, 0.0, n)
+    else:  # (p- + p0 x + p+ x^2)^n up from x^0 to x^n, and down from x^2n to x^n
+        (_, a), (_, b), (_, c) = kinds
+        lowest, step = -n, 1
+        ratios = _ratios(a, b, c, n) + [1.0 / r for r in reversed(_ratios(c, b, a, n))]
+    mean = (k_up - k_down - lowest) // step  # weight 1 there, never far below the mode's
+    below = list(accumulate(reversed(ratios[:mean]), truediv, initial=1.0))
+    return lowest, step, below[:0:-1] + list(accumulate(ratios[mean:], mul, initial=1.0))
 
 
 @lru_cache(maxsize=4096)
 def _exact_ci(k_down: int, k_zero: int, k_up: int, level: float) -> BootstrapCI:
-    """Percentile CI, over infinitely many resamples, for the mean of n values:
-    k_down -1s, k_zero 0s and k_up +1s. A resample's mean is (K+ - K-)/n with
-    (K-, K0, K+) ~ Multinomial(n, k/n), so P(K+ - K- = s) is the coefficient
-    of x^(n+s) in (p- + p0 x + p+ x^2)^n, raised by one FFT. A bound is the
-    first s/n whose CDF reaches alpha/2, or 1 - alpha/2."""
+    """Percentile CI, over infinitely many resamples, for the mean of k_down -1s, k_zero 0s
+    and k_up +1s: the first s/n whose CDF reaches alpha/2, and the first to reach 1 - alpha/2."""
     n = k_down + k_zero + k_up
-    size = 1 << (2 * n).bit_length()  # the next power of two >= 2n + 1, so no wrap
-    coeffs = np.zeros(size)
-    coeffs[:3] = k_down / n, k_zero / n, k_up / n
-    pmf = np.fft.irfft(np.fft.rfft(coeffs) ** n, size)[:2 * n + 1]
-    cdf = np.cumsum(np.clip(pmf, 0.0, None))
-    cdf /= cdf[-1]
+    if n in (k_down, k_zero, k_up):  # one value throughout, and so every resample's mean
+        return BootstrapCI(low=(k_up - k_down) / n, high=(k_up - k_down) / n, level=level)
+    lowest, step, weights = _delta_law(k_down, k_zero, k_up)
+    cdf = list(accumulate(weights))
     alpha = (1.0 - level) / 2.0
-    low, high = np.searchsorted(cdf, [alpha - _TIE_TOLERANCE, 1.0 - alpha - _TIE_TOLERANCE])
-    return BootstrapCI(low=(int(low) - n) / n, high=(int(high) - n) / n, level=level)
+    low, high = (lowest + step * bisect_left(cdf, (q - _TIE_TOLERANCE) * cdf[-1])
+                 for q in (alpha, 1.0 - alpha))
+    return BootstrapCI(low=low / n, high=high / n, level=level)
 
 
-def bootstrap_rate_ci(indicators: Sequence[int] | np.ndarray, cfg: BootstrapConfig,
+def bootstrap_rate_ci(indicators: Sequence[int], cfg: BootstrapConfig,
                       *labels: object) -> BootstrapCI:
     """Exact percentile CI for a single success rate: the mean of 0/1
     indicators. Trailing labels are ignored; they once seeded a sampler."""
-    data = np.asarray(indicators)
-    if data.size == 0:
+    if not len(indicators):
         raise ValueError("cannot bootstrap an empty indicator set")
-    k = int(np.count_nonzero(data))
-    return _exact_ci(0, data.size - k, k, cfg.level)
+    return _paired_delta_ci([0] * len(indicators), indicators, cfg)
 
 
-def _paired_delta_ci(baseline: np.ndarray, constrained: np.ndarray,
-                     cfg: BootstrapConfig) -> BootstrapCI:
+def _paired_delta_ci(baseline: Sequence[int], constrained: Sequence[int],
+                     cfg: BootstrapConfig, counts: Sequence[int] | None = None) -> BootstrapCI:
     """Exact percentile CI for mean(constrained) - mean(baseline) over paired
-    0/1 columns."""
-    up = int(np.count_nonzero(constrained > baseline))
-    down = int(np.count_nonzero(constrained < baseline))
-    return _exact_ci(down, len(baseline) - up - down, up, cfg.level)
+    0/1 columns, pair i counted counts[i] times (once by default)."""
+    counts = [1] * len(baseline) if counts is None else counts
+    up, down = (sum(map(mul, map(order, constrained, baseline), counts)) for order in (gt, lt))
+    return _exact_ci(int(down), int(sum(counts) - up - down), int(up), cfg.level)
 
 
 @dataclass(frozen=True)
@@ -273,30 +302,30 @@ class PairedComparison:
 
 
 @lru_cache(maxsize=1)
-def _pair(baseline: Cell, constrained: Cell) -> tuple[np.ndarray, np.ndarray]:
-    """Both arms' flags, row for row over the instances scored in both. Cached
-    for a mode pair's exec row, which follows its answer row; score clears it
-    when done, so it keeps no records alive."""
-    rows = []
+def _pair(baseline: Cell, constrained: Cell) -> Counter:
+    """Counts of the joint flag codes (baseline's << 4 | constrained's) of the
+    instances scored in both. Cached for a mode pair's exec row, which follows
+    its answer row; score clears it when done, so it keeps no records alive."""
+    codes = []
     for arm, cell in (("baseline", baseline), ("constrained", constrained)):
-        row = dict(zip(cell.ids, range(len(cell.ids))))
-        if len(row) < len(cell.ids):
+        code = dict(zip(cell.ids, cell.flags))
+        if len(code) < len(cell.ids):
             seen: set = set()
             duplicate = next(i for i in cell.ids if i in seen or seen.add(i))
             raise PairingError(detail=(
                 f"duplicate {arm} record for instance {duplicate!r}; "
                 "a cell must hold one record per instance — deduplicate "
                 "the inputs before pairing"))
-        rows.append(row)
-    base_row, cons_row = rows
-    base_ids, cons_ids = base_row.keys() | baseline.failed, cons_row.keys() | constrained.failed
+        codes.append(code)
+    base_code, cons_code = codes
+    base_ids, cons_ids = base_code.keys() | baseline.failed, cons_code.keys() | constrained.failed
     if base_ids != cons_ids:
         raise PairingError(sorted(cons_ids - base_ids), sorted(base_ids - cons_ids))
-    paired = list(filter(cons_row.__contains__, baseline.ids))
+    paired = list(filter(cons_code.__contains__, baseline.ids))
     if not paired:
         raise PairingError(detail="cannot compare empty record sets")
-    return tuple(cell.flags[np.fromiter(map(row.__getitem__, paired), np.intp, len(paired))]
-                 for cell, row in ((baseline, base_row), (constrained, cons_row)))
+    return Counter(map(or_, map(lshift, map(base_code.__getitem__, paired), repeat(4)),
+                       map(cons_code.__getitem__, paired)))
 
 
 def paired_comparison(baseline: Iterable | Cell, constrained: Iterable | Cell,
@@ -317,10 +346,11 @@ def paired_comparison(baseline: Iterable | Cell, constrained: Iterable | Cell,
         raise ValueError(f"unknown accuracy metric: {acc_metric!r}")
     cfg = cfg or BootstrapConfig()
     base_cell, cons_cell = _cell(baseline), _cell(constrained)
-    base, cons = _pair(base_cell, cons_cell)
-    n = len(base)
+    joint = _pair(base_cell, cons_cell)
+    counts, n = list(joint.values()), joint.total()
+    base, cons = ([[c >> shift + j & 1 for c in joint] for j in range(4)] for shift in (4, 0))
     acc, valid, wrong_valid = map(FLAG_COLUMNS.index, (acc_metric, "validity", "wrong_valid"))
-    base_counts, cons_counts = (list(map(int, arm.sum(axis=0))) for arm in (base, cons))
+    base_counts, cons_counts = ([sum(map(mul, col, counts)) for col in arm] for arm in (base, cons))
     acc_b, acc_c = Fraction(base_counts[acc], n), Fraction(cons_counts[acc], n)
 
     tax = constraint_tax(acc_b, acc_c)
@@ -339,9 +369,9 @@ def paired_comparison(baseline: Iterable | Cell, constrained: Iterable | Cell,
         tax_norm=normalized_tax(float(acc_b), float(acc_c)),
         validity_delta=Fraction(cons_counts[valid] - base_counts[valid], n),
         wrong_valid_delta=Fraction(cons_counts[wrong_valid] - base_counts[wrong_valid], n),
-        acc_ci=_paired_delta_ci(base[:, acc], cons[:, acc], cfg),
-        validity_ci=_paired_delta_ci(base[:, valid], cons[:, valid], cfg),
-        wrong_valid_ci=_paired_delta_ci(base[:, wrong_valid], cons[:, wrong_valid], cfg),
+        acc_ci=_paired_delta_ci(base[acc], cons[acc], cfg, counts),
+        validity_ci=_paired_delta_ci(base[valid], cons[valid], cfg, counts),
+        wrong_valid_ci=_paired_delta_ci(base[wrong_valid], cons[wrong_valid], cfg, counts),
     )
 
 

@@ -3,9 +3,11 @@
 paired_delta_ci resamples instance indices: each resample draws n instance
 indices with replacement, applies the same indices to both arms, and takes
 the difference of the arm means. exact_delta_ci enumerates the law of a
-resample's mean in exact rationals. Neither shares code with the package's
-FFT, so agreement is evidence that its counts-only law is the right one and
-that it reads its quantiles off that law correctly.
+resample's mean in exact rationals. fft_delta_cis raises the same law by one
+FFT, as the package did before it read the law off a recurrence. None of
+them shares code with the package, so agreement is evidence that its
+counts-only law is the right one and that it reads its quantiles off that law
+correctly.
 """
 
 from __future__ import annotations
@@ -80,3 +82,23 @@ def exact_delta_ci(k_down: int, k_zero: int, k_up: int,
             bounds.append(Fraction(s, n))
     low, high = bounds
     return low, high
+
+
+def fft_delta_cis(k_down: int, k_zero: int, k_up: int,
+                  levels: tuple[float, ...]) -> list[tuple[float, float]]:
+    """The package's CI at each level, read off one FFT: P(K+ - K- = s) is
+    the coefficient of x^(n+s) in (p- + p0 x + p+ x^2)^n, and a bound is the
+    first s/n whose CDF reaches alpha/2, or 1 - alpha/2, less 1e-9."""
+    n = k_down + k_zero + k_up
+    size = 1 << (2 * n).bit_length()  # the next power of two >= 2n + 1, so no wrap
+    coeffs = np.zeros(size)
+    coeffs[:3] = k_down / n, k_zero / n, k_up / n
+    pmf = np.fft.irfft(np.fft.rfft(coeffs) ** n, size)[:2 * n + 1]
+    cdf = np.cumsum(np.clip(pmf, 0.0, None))
+    cdf /= cdf[-1]
+    bounds = []
+    for level in levels:
+        alpha = (1.0 - level) / 2.0
+        low, high = np.searchsorted(cdf, [alpha - 1e-9, 1.0 - alpha - 1e-9])
+        bounds.append(((int(low) - n) / n, (int(high) - n) / n))
+    return bounds

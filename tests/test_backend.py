@@ -433,10 +433,11 @@ def _free_port() -> int:
         return s.getsockname()[1]
 
 
-def _read_request(conn: socket.socket) -> None:
+def _read_request(conn: socket.socket) -> bytes:
     """Read one request, headers and Content-Length body, off a raw socket
-    server's connection. Closing with request bytes unread makes the kernel
-    reset the connection, and the client may see the reset before the reply."""
+    server's connection, and return its head. Closing with request bytes
+    unread makes the kernel reset the connection, and the client may see the
+    reset before the reply."""
     data = b""
     while b"\r\n\r\n" not in data and (chunk := conn.recv(65536)):
         data += chunk
@@ -445,6 +446,7 @@ def _read_request(conn: socket.socket) -> None:
                    if line.lower().startswith(b"content-length:")), 0)
     while len(body) < length and (chunk := conn.recv(65536)):
         body += chunk
+    return head
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +785,67 @@ def test_endpoint_over_long_body_fails_its_attempt_and_is_retried(monkeypatch):
     monkeypatch.setattr(backend, "MAX_RESPONSE_BYTES", 1000)
     with stub_server(content="x" * 800) as (state, url):  # the whole body is under the cap
         assert generate(_endpoint_config(base_url=url), bundle).raw_text == "x" * 800
+
+
+@contextmanager
+def _deeply_nested_completions():
+    """A raw-socket endpoint that lists its models, and answers each
+    completion request 200 with 100,000 nested arrays: 200 kB, under the
+    body cap, and deeper than json.loads can recurse."""
+    payload = b"[" * 100_000 + b"]" * 100_000
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop, posts = threading.Event(), []
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _addr = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                head = _read_request(conn)
+                posts.append(head.startswith(b"POST"))
+                body = payload if posts[-1] else b'{"data": []}'
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                             % (len(body), body))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", posts
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+
+
+def test_endpoint_deeply_nested_payload_is_malformed_and_retried():
+    bundle = build_prompt(generate_suite("boolean_logic", 1, seed=4)[0], "freeform")
+    with _deeply_nested_completions() as (url, posts):
+        result = generate(_endpoint_config(base_url=url, max_retries=1), bundle)
+    assert result.failed and posts == [True, True]
+    assert result.failure_reason.startswith(
+        "2 of 2 attempt(s) made; last error: malformed completion payload: ")
+
+
+def test_endpoint_run_against_deeply_nested_payloads_records_failures(tmp_path):
+    from ctax.cli import main
+    from ctax.records import read_records
+
+    with _deeply_nested_completions() as (url, posts):
+        doc = {"run_id": "deep", "suite": {"families": ["boolean_logic"], "count": 2, "seed": 3},
+               "modes": ["freeform", "prompt_json"],
+               "backends": [{"kind": "endpoint", "label": "ep", "model_id": "m",
+                             "base_url": url, "max_retries": 0}]}
+        config_path, out = tmp_path / "config.json", tmp_path / "out"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    records = read_records(out / "records.jsonl")
+    assert len(records) == 4 and posts.count(True) == 4
+    assert {r.error_class for r in records} == {"generation_failed"}
+    assert all("malformed completion payload" in r.failure_reason for r in records)
 
 
 def test_endpoint_body_shorter_than_its_content_length_is_a_transport_error():

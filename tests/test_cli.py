@@ -16,7 +16,7 @@ import ctax
 from ctax.cli import build_parser, main
 from ctax.harness import SuiteConfig
 from ctax.metrics import DEFAULT_BASELINE_MODE, BootstrapConfig
-from ctax.records import read_records, write_records
+from ctax.records import canonical_diff, read_records, write_records
 from ctax.taskgen import read_suite
 
 
@@ -205,6 +205,9 @@ def test_run_with_an_unreachable_endpoint_exits_2_before_writing(tmp_path, capsy
     ({"kind": "oracle", "sampling": {"max_tokens": 0}}, "backends[0].sampling: max_tokens"),
     ({"kind": "oracle", "sampling": {"temperature": -3.0}},
      "backends[0].sampling: temperature"),
+    # one past the longest wait, in milliseconds, that an epoll selector takes
+    ({"kind": "endpoint", "base_url": "http://127.0.0.1:9", "timeout_ms": 2**31},
+     "backends[0]: timeout_ms"),
 ])
 def test_run_with_an_out_of_range_backend_setting_exits_2(tmp_path, capsys, backend, named):
     """Refused while the config is read: no health check runs, nothing is
@@ -480,14 +483,59 @@ def test_cli_import_leaves_requests_unloaded():
 def test_cli_import_leaves_the_thread_pool_and_logging_unloaded():
     # the endpoint runs on one selector loop: no thread pool (which loads
     # logging) and no http.client (which loads email and ssl); ssl loads
-    # only for an https:// endpoint
+    # only for an https:// endpoint; scoring needs no numpy
     code = ("import sys, ctax.cli; print([m for m in ('concurrent.futures', 'logging', "
-            "'http.client', 'email', 'ssl') if m in sys.modules])")
+            "'http.client', 'email', 'ssl', 'numpy') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(ctax.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_run_with_numpy_unimportable(tmp_path):
+    """run, score, report and derive-delayed need nothing beyond the standard
+    library: in a process where importing numpy fails, each exits 0 and
+    writes what the same command writes in-process."""
+    doc = {**_run_config_doc(("prompt_json", "freeform", "answer_only_schema")),
+           "suite": {"families": ["boolean_logic", "tool_call_argument"], "count": 12,
+                     "seed": 3},
+           "backends": [{"kind": "corruptor", "label": "c", "model_id": "c-1",
+                         "fault": {"p_invalid_json": 0.2, "p_wrong_field": 0.3}}]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    blocked = ("import sys; sys.modules['numpy'] = None; from ctax.cli import main; "
+               "sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(ctax.__file__).resolve().parents[1])}
+    outputs = {}
+    for where in ("blocked", "in-process"):
+        out = tmp_path / where
+        run_dir = out / "run"
+        commands = [
+            ["run", "--config", str(config_path), "--out", str(run_dir)],
+            ["score", "--records", str(run_dir / "records.jsonl"), "--out", str(out / "scores"),
+             "--level", "0.9"],
+            ["report", "--records", str(run_dir / "records.jsonl"),
+             "--out", str(out / "report.md")],
+            ["derive-delayed", "--records", str(run_dir / "records.jsonl"),
+             "--tasks", str(run_dir / "tasks.jsonl"), "--source-mode", "prompt_json",
+             "--out", str(out / "derived.jsonl")],
+        ]
+        for command in commands:
+            if where == "blocked":
+                proc = subprocess.run([sys.executable, "-c", blocked, *command],
+                                      capture_output=True, text=True, env=env, timeout=120)
+                assert proc.returncode == 0, (command[0], proc.stderr)
+            else:
+                assert main(command) == 0, command[0]
+        outputs[where] = {path.relative_to(out).as_posix(): path.read_bytes()
+                          for path in [run_dir / "tasks.jsonl", out / "report.md",
+                                       *sorted((out / "scores").iterdir())]}
+    assert len(outputs["blocked"]) == 5 and outputs["blocked"] == outputs["in-process"]
+    for records in ("run/records.jsonl", "derived.jsonl"):  # equal but for wall-clock fields
+        assert read_records(tmp_path / "blocked" / records)
+        assert canonical_diff(tmp_path / "blocked" / records,
+                              tmp_path / "in-process" / records) == []
 
 
 def test_score_warns_when_a_cell_mixes_extraction_rules(tmp_path, capsys):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 import reference_bootstrap
 
+from ctax import metrics
 from ctax.errors import ConfigError, PairingError
 from ctax.metrics import (
     ACC_METRICS,
@@ -118,6 +122,20 @@ def test_aggregate_counts():
     assert pts(agg.exec_accuracy) == 48.0
     assert pts(agg.schema_validity) == 100.0
     assert agg.task == "arithmetic_two_step"
+
+
+def test_verdicts_that_are_not_bools_read_as_their_truth_values():
+    # a records line hand-edited to null or 1 scores as false or true, as
+    # every other verdict does
+    odd = [None, 1, "yes", 0.0, 2]
+    records = [Stub(instance_id=f"t-{i}", answer_correct=value, exec_correct=odd[i - 1],
+                    schema_valid=odd[i - 2]) for i, value in enumerate(odd)]
+    truth = [replace(r, answer_correct=bool(r.answer_correct), exec_correct=bool(r.exec_correct),
+                     schema_valid=bool(r.schema_valid)) for r in records]
+    assert aggregate(records) == aggregate(truth)
+    assert (aggregate(records).answer_count, aggregate(records).exec_count,
+            aggregate(records).valid_count, aggregate(records).wrong_valid_count) == (3, 3, 3, 2)
+    assert paired_comparison(records, truth).acc_ci == paired_comparison(truth, truth).acc_ci
 
 
 def test_aggregate_excludes_generation_failures():
@@ -434,20 +452,65 @@ def test_exact_ci_equals_enumerated_quantiles():
 
 def test_a_tie_within_rounding_reads_as_a_tie(monkeypatch):
     """n = 2 with shares 1/2 puts F(0) = 1/4 and F(1) = 3/4 exactly on the
-    0.5 level's quantiles. An FFT backend that lands both a rounding error
-    below must still give the enumerated bounds."""
-    irfft = np.fft.irfft
+    0.5 level's quantiles. A law that lands both a rounding error below must
+    still give the enumerated bounds."""
+    delta_law = metrics._delta_law
 
-    def low_by_rounding(*args, **kwargs):
-        pmf = irfft(*args, **kwargs)
-        pmf[2] -= 1e-13  # s = 0
-        pmf[4] += 1e-13  # s = 2
-        return pmf
+    def low_by_rounding(*counts):
+        lowest, step, weights = delta_law(*counts)
+        total = sum(weights)
+        weights[(0 - lowest) // step] -= 1e-13 * total  # s = 0
+        weights[(2 - lowest) // step] += 1e-13 * total  # s = 2
+        return lowest, step, weights
 
-    monkeypatch.setattr(np.fft, "irfft", low_by_rounding)
+    monkeypatch.setattr(metrics, "_delta_law", low_by_rounding)
     ci = _exact_ci.__wrapped__(0, 1, 1, 0.5)  # unmemoised
     low, high = reference_bootstrap.exact_delta_ci(0, 1, 1, 0.5)
     assert (ci.low, ci.high) == (float(low), float(high)) == (0.0, 0.5)
+
+
+def _random_counts(rng: random.Random, kind: str) -> tuple[int, int, int]:
+    """A count vector (k_down, k_zero, k_up) of the given kind, with n
+    log-uniform in [3, 9000]."""
+    n = round(math.exp(rng.uniform(math.log(3), math.log(9000))))
+    k = rng.randint(1, n - 1)
+    if kind == "only up":
+        return 0, n - k, k
+    if kind == "only down":
+        return k, n - k, 0
+    if kind == "no zeros":
+        return k, 0, n - k
+    k_down = rng.randint(1, n - 2)
+    k_up = rng.randint(1, n - 1 - k_down)
+    return k_down, n - k_down - k_up, k_up
+
+
+def test_exact_ci_equals_the_fft_reference():
+    """The recurrence's bounds are the ones the FFT reads off the same law:
+    every count vector with n <= 60 at four levels, and 3000 seeded random
+    vectors up to n = 9000, one-sided either way, without zeros, and
+    two-sided, at one of the levels each."""
+    levels = (0.5, 0.9, 0.95, 0.99)
+    checked = Counter()
+    for n in range(1, 61):
+        for k_down in range(n + 1):
+            for k_up in range(n - k_down + 1):
+                counts = k_down, n - k_down - k_up, k_up
+                for level, bounds in zip(levels, reference_bootstrap.fft_delta_cis(*counts,
+                                                                                   levels)):
+                    ci = _exact_ci.__wrapped__(*counts, level)
+                    assert (ci.low, ci.high) == bounds, (counts, level)
+                    checked["n <= 60"] += 1
+    rng = random.Random(22)
+    for i in range(3000):
+        kind = ("only up", "only down", "no zeros", "two-sided")[i % 4]
+        counts, level = _random_counts(rng, kind), rng.choice(levels)
+        ci = _exact_ci.__wrapped__(*counts, level)
+        assert (ci.low, ci.high) == reference_bootstrap.fft_delta_cis(*counts, (level,))[0], \
+            (counts, level)
+        checked[kind] += 1
+    assert checked == {"n <= 60": 158_840, "only up": 750, "only down": 750,
+                       "no zeros": 750, "two-sided": 750}
 
 
 try:
