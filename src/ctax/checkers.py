@@ -24,8 +24,7 @@ else correct_valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .modes import FREEFORM_MODES, OBJECT_MODES, REGEX_MODE
 from .taskgen import CALENDAR_SEMANTIC_FIELDS, TOOL_NAME, TaskInstance
@@ -64,8 +63,7 @@ _FIELD_TO_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     schema_valid: bool
     answer_correct: bool
     exec_correct: bool

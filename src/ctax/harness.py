@@ -2,8 +2,9 @@
 
 A run is declarative: one JSON config names the suite, the modes, the
 backends, and the bootstrap settings, and its canonical digest is stamped
-into the manifest and every record. Records append to JSONL as they are
-produced, so an interrupted run resumes by skipping keys already on disk.
+into the manifest and every record. Records append to JSONL a landing
+batch at a time, so an interrupted run resumes by skipping keys already on
+disk.
 """
 
 from __future__ import annotations
@@ -312,16 +313,19 @@ def _suites(config: RunConfig) -> dict[str, list[TaskInstance]]:
 def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
     """Execute a run config; returns the records path.
 
-    Each backend's work goes through one generate_all call: every record is
-    scored and appended as its completion lands, so records.jsonl is in
-    completion order (canonical_diff sorts it) and a killed run loses only
-    the generations in flight and completions not yet scored. Reruns with
+    Each backend's work goes through one generate_all call, which lands
+    completions a batch at a time: each record of a batch is scored and
+    written, then the file is flushed once, so records.jsonl is in
+    completion order (canonical_diff sorts it). A killed scripted run loses
+    at most the batch in hand (up to backend._INLINE_RUN generations); a
+    killed endpoint run loses only the generations in flight, since every
+    landing round is flushed before the loop waits again. Reruns with
     --resume skip every (backend, model, mode, stage, instance) already on
-    disk, so a killed run completes without duplicates. A final line left
-    unterminated by a killed write is cut and its record made again, and a
-    delayed stage 1 on disk whose model-variant stage 2 is missing gets its
-    stage 2. A resume must run the config the directory was started with;
-    it may only add modes.
+    disk, so a killed run regenerates what it lost, without duplicates. A
+    final line left unterminated by a killed write is cut and its record
+    made again, and a delayed stage 1 on disk whose model-variant stage 2 is
+    missing gets its stage 2. A resume must run the config the directory
+    was started with; it may only add modes.
     """
     out = Path(out_dir)
     records_path = out / "records.jsonl"
@@ -352,10 +356,14 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
                                  config.strict_extraction, config.strict_trace,
                                  config.delayed_variant)
 
-            def land(bundle: PromptBundle, result: GenerationResult) -> list[PromptBundle]:
-                record = _record(ctx, bundle.instance, bundle.mode, bundle.stage, result)
-                append_record(fh, record)
-                return _stage2_bundles(ctx, record, bundle.instance, done)
+            def land(pairs: list[tuple[PromptBundle, GenerationResult]]) -> list[PromptBundle]:
+                follow_ups: list[PromptBundle] = []
+                for bundle, result in pairs:
+                    record = _record(ctx, bundle.instance, bundle.mode, bundle.stage, result)
+                    append_record(fh, record)
+                    follow_ups += _stage2_bundles(ctx, record, bundle.instance, done)
+                fh.flush()
+                return follow_ups
 
             generate_all(backend, _missing_bundles(ctx, config.modes, suites, done), land)
     print(f"[INFO] run complete: {records_path}")

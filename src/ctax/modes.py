@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import ConfigError
 from .taskgen import FAMILIES, TOOL_NAME, TRACE_OPS, TaskInstance
@@ -63,8 +63,7 @@ class Constraint:
 NO_CONSTRAINT = Constraint(kind=CONSTRAINT_NONE)
 
 
-@dataclass(frozen=True)
-class PromptBundle:
+class PromptBundle(NamedTuple):
     """One prompt and the instance it asks about; the instance owns the
     family, and the run's manifest stamps TEMPLATE_VERSION."""
 
@@ -322,8 +321,7 @@ def build_prompt(instance: TaskInstance, mode: str) -> PromptBundle:
 # Delayed-constraint packaging
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PackagingOutcome:
+class PackagingOutcome(NamedTuple):
     """Result of turning an unconstrained stage-1 completion into the
     constrained object.
 

@@ -21,6 +21,7 @@ import json
 import os
 import time
 from dataclasses import MISSING, dataclass, fields
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -77,7 +78,7 @@ class RunRecord:
         return doc
 
 
-# Every field at its default, in sorted name order (the order _LINE_ENCODER
+# Every field at its default, in sorted name order (the order _json_line
 # writes them in), so a record's fields fill slots already in place. A
 # required field holds None until they fill it.
 _TEMPLATE = {f.name: None if f.default is MISSING else f.default
@@ -133,7 +134,8 @@ def new_record(fields: dict[str, Any]) -> RunRecord:
 
 def record_from_dict(doc: dict[str, Any]) -> RunRecord:
     """A record from its JSON object: unknown keys are dropped, absent
-    optional fields take their defaults and a missing required field is a
+    optional fields take their defaults, and a missing required field, or a
+    verdict that is not a bool (trace_correct may be None), is a
     TypeError."""
     record = object.__new__(RunRecord)
     state = record.__dict__
@@ -142,18 +144,40 @@ def record_from_dict(doc: dict[str, Any]) -> RunRecord:
         state.clear()
         _fill(state, doc)
     _check_required(doc)
+    # Read by its truth value, a verdict of "no" would score as true. Checked
+    # inline: a call per record read would show on score_report.
+    if (type(state["schema_valid"]) is not bool or type(state["answer_correct"]) is not bool
+            or type(state["exec_correct"]) is not bool
+            or (state["trace_correct"] is not None and type(state["trace_correct"]) is not bool)):
+        raise TypeError(_verdict_fault(state))
     state["violations"] = tuple(state["violations"] or ())
     state["calendar_wrong_fields"] = tuple(state["calendar_wrong_fields"] or ())
     return record
 
 
+def _verdict_fault(state: dict[str, Any]) -> str:
+    """What is wrong with the first verdict that is not a bool (or, for
+    trace_correct, None)."""
+    for name in ("schema_valid", "answer_correct", "exec_correct"):
+        if type(state[name]) is not bool:
+            return f"{name} must be true or false, got {state[name]!r}"
+    return f"trace_correct must be true, false or null, got {state['trace_correct']!r}"
+
+
 # Built once: json.dumps with options builds a fresh encoder per call. An
 # encoder keeps no state between calls.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+# The C encoder under _LINE_ENCODER, with the same options, built once too:
+# _LINE_ENCODER.encode checks its options and builds this on every call.
+# With no markers it skips the cycle check; no line holds a cycle.
+# (value, 0) -> the line's text in chunks.
+_ENCODE_CHUNKS = (c_make_encoder(None, _LINE_ENCODER.default, encode_basestring, None,
+                                 ": ", ", ", True, False, True)
+                  if c_make_encoder is not None else _LINE_ENCODER.iterencode)
 
 
 def _json_line(doc: dict[str, Any]) -> str:
-    return _LINE_ENCODER.encode(doc) + "\n"
+    return "".join(_ENCODE_CHUNKS(doc, 0)) + "\n"
 
 
 def open_jsonl(path: str | Path, mode: str = "w"):
@@ -253,8 +277,9 @@ def write_records(path: str | Path, records: Iterable[RunRecord]) -> None:
 
 
 def append_record(fh, record: RunRecord) -> None:
+    """Write the record's line to fh, unflushed: the caller flushes once per
+    landing batch."""
     fh.write(_json_line(_record_doc(record)))
-    fh.flush()
 
 
 def iter_records(path: str | Path) -> Iterator[RunRecord]:

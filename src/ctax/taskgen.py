@@ -13,7 +13,7 @@ import datetime as dt
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .errors import ConfigError
 from .records import iter_jsonl, write_jsonl
@@ -75,15 +75,13 @@ RELATIVE_DATE_PHRASES = (
 )
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     op_name: str
     inputs: tuple[str, ...]
     output: str
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     final_answer: str
     trace: tuple[TraceStep, ...]
     exec_target: dict[str, Any] | None = None

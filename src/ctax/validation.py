@@ -18,8 +18,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .errors import ConfigError
 
@@ -38,8 +37,7 @@ PARSE_MALFORMED = "malformed_json"
 PARSE_REGEX_MISMATCH = "regex_mismatch"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One schema violation: a JSON-pointer-style path, the failing keyword,
     and a human-readable message."""
 
@@ -48,8 +46,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class ParseOutcome:
+class ParseOutcome(NamedTuple):
     status: str  # ok | no_json_found | malformed_json | regex_mismatch
     value: Any = None
     matched_text: str | None = None

@@ -550,8 +550,28 @@ def test_endpoint_moves_to_the_next_address_when_a_connect_fails(monkeypatch):
 def _collect(config, bundles):
     """Every (bundle, result) generate_all lands, in landing order."""
     landed = []
-    generate_all(config, bundles, lambda bundle, result: landed.append((bundle, result)) or [])
+    generate_all(config, bundles, lambda pairs: landed.extend(pairs) or [])
     return landed
+
+
+def test_scripted_generate_all_lands_runs_of_at_most_inline_run_pairs():
+    suite = generate_suite("boolean_logic", 300, seed=4)
+    batches = []
+
+    def on_result(pairs):
+        batches.append([(bundle.mode, bundle.instance_id) for bundle, _ in pairs])
+        return [build_prompt(bundle.instance, "prompt_json")
+                for bundle, _ in pairs if bundle.mode == "freeform"]
+
+    generate_all(BackendConfig(kind="oracle"), [build_prompt(i, "freeform") for i in suite],
+                 on_result)
+    rest = 300 - backend._INLINE_RUN
+    assert [len(batch) for batch in batches] == [backend._INLINE_RUN] * 2 + [rest] * 2
+    assert [pair for batch in batches for pair in batch] == (
+        [("freeform", i.id) for i in suite[:backend._INLINE_RUN]]
+        + [("prompt_json", i.id) for i in suite[:backend._INLINE_RUN]]  # follow-ups first
+        + [("freeform", i.id) for i in suite[backend._INLINE_RUN:]]
+        + [("prompt_json", i.id) for i in suite[backend._INLINE_RUN:]])
 
 
 def test_generate_all_bounds_concurrency():
@@ -575,8 +595,8 @@ def test_endpoint_generate_all_starts_no_thread():
         before = threading.active_count()
         generate_all(_endpoint_config(base_url=url, max_in_flight=3),
                      [build_prompt(i, "freeform") for i in suite],
-                     lambda bundle, result: landed.append(
-                         (result, threading.active_count())) or [])
+                     lambda pairs: landed.extend(
+                         (result, threading.active_count()) for _, result in pairs) or [])
     assert len(landed) == 6 and not any(result.failed for result, _ in landed)
     assert {count for _, count in landed} == {before}
 
@@ -712,12 +732,14 @@ def test_generate_all_lands_each_result_on_the_calling_thread(kind):
     instances = {i.id: i for i in suite}
     landed = []
 
-    def on_result(bundle, result):
-        landed.append((bundle.mode, bundle.instance_id, threading.current_thread(),
-                       result.started_at))
-        if bundle.mode == "freeform":  # a follow-up, as a model-variant stage 2 is
-            return [build_prompt(instances[bundle.instance_id], "prompt_json")]
-        return []
+    def on_result(pairs):
+        follow_ups = []
+        for bundle, result in pairs:
+            landed.append((bundle.mode, bundle.instance_id, threading.current_thread(),
+                           result.started_at))
+            if bundle.mode == "freeform":  # a follow-up, as a model-variant stage 2 is
+                follow_ups.append(build_prompt(instances[bundle.instance_id], "prompt_json"))
+        return follow_ups
 
     with stub_server(content="ok") as (_state, url):
         config = (_endpoint_config(base_url=url, max_in_flight=2) if kind == "endpoint"
@@ -735,10 +757,10 @@ def test_generate_all_lands_every_bundle_once_with_follow_ups():
     instances = {i.id: i for i in suite}
     landed = []
 
-    def on_result(bundle, result):
-        landed.append((bundle.mode, bundle.instance_id))
-        return [build_prompt(instances[bundle.instance_id], "prompt_json")] * (
-            bundle.mode == "freeform")
+    def on_result(pairs):
+        landed.extend((bundle.mode, bundle.instance_id) for bundle, _ in pairs)
+        return [build_prompt(instances[bundle.instance_id], "prompt_json")
+                for bundle, _ in pairs if bundle.mode == "freeform"]
 
     with stub_server(content="ok") as (state, url):
         generate_all(_endpoint_config(base_url=url, max_in_flight=4),
@@ -753,7 +775,7 @@ def test_generate_all_stops_its_workers_on_an_error(failing):
     suite = generate_suite("boolean_logic", 20, seed=4)
     bundles = [build_prompt(i, "answer_only_schema") for i in suite]
 
-    def on_result(bundle, result):
+    def on_result(pairs):
         raise RuntimeError("scoring crashed")
 
     with stub_server(delay=0.01, content="ok") as (state, url):
@@ -1103,7 +1125,7 @@ def test_an_endpoint_run_that_fails_in_on_result_leaves_no_socket_open(monkeypat
 
     monkeypatch.setattr(backend, "socket", SimpleNamespace(**{**vars(socket), "socket": tracked}))
 
-    def on_result(bundle, result):
+    def on_result(pairs):
         raise RuntimeError("scoring crashed")
 
     suite = generate_suite("boolean_logic", 8, seed=4)

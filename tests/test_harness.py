@@ -9,8 +9,10 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import textwrap
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -19,7 +21,9 @@ from pathlib import Path
 import pytest
 
 import ctax
-from ctax.backend import BackendConfig, FaultProfile, SamplingConfig, build_request_body
+from ctax import harness
+from ctax.backend import (_INLINE_RUN, BackendConfig, FaultProfile, SamplingConfig,
+                          build_request_body)
 from ctax.cli import main
 from ctax.errors import ConfigError
 from ctax.harness import (
@@ -325,6 +329,77 @@ def test_killed_endpoint_run_keeps_landed_records_and_resumes(tmp_path):
     assert len(records) == 2 * 20
     assert len({r.key() for r in records}) == len(records)
     assert not [r for r in records if r.error_class == "generation_failed"]
+
+
+def test_a_scripted_run_lands_whole_flushed_batches(tmp_path, monkeypatch):
+    """Scripted generate_all hands on_result lists of at most _INLINE_RUN
+    pairs, and each batch's lines are whole and on disk, as another reader
+    sees the file, before the next batch is generated."""
+    config = _config(("prompt_json", "freeform"), count=150)  # 600 records
+    records_path = tmp_path / "out" / "records.jsonl"
+    seen = []  # (batch size, complete lines on disk, file ends with a newline)
+    real_generate_all = harness.generate_all
+
+    def watched(backend, bundles, on_result):
+        def land(pairs):
+            follow_ups = on_result(pairs)
+            data = records_path.read_bytes()
+            seen.append((len(pairs), data.count(b"\n"), data.endswith(b"\n")))
+            return follow_ups
+
+        real_generate_all(backend, bundles, land)
+
+    monkeypatch.setattr(harness, "generate_all", watched)
+    run(config, tmp_path / "out")
+    assert [n for n, _, _ in seen] == [_INLINE_RUN, _INLINE_RUN, 600 - 2 * _INLINE_RUN]
+    assert [lines for _, lines, _ in seen] == [_INLINE_RUN, 2 * _INLINE_RUN, 600]
+    assert all(whole for _, _, whole in seen)
+
+
+# Runs `ctax run` and kills its own process with SIGKILL right after the
+# given number of landing batches returned: nothing unflushed survives that.
+_KILL_AFTER_BATCHES = textwrap.dedent("""
+    import os, signal, sys
+    from ctax import cli, harness
+
+    batches, real_generate_all = int(sys.argv[1]), harness.generate_all
+
+    def generate_all(backend, bundles, on_result):
+        landed = []
+
+        def land(pairs):
+            follow_ups = on_result(pairs)
+            landed.append(len(pairs))
+            if len(landed) == batches:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return follow_ups
+
+        real_generate_all(backend, bundles, land)
+
+    harness.generate_all = generate_all
+    sys.exit(cli.main(sys.argv[2:]))
+""")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_a_scripted_run_killed_between_batches_resumes_to_the_same_records(tmp_path):
+    fault = FaultProfile(p_invalid_json=0.2, p_wrong_field=0.3, seed=3)
+    config = _config(("prompt_json", "delayed_constraint"), count=150, backend_kind="corruptor",
+                     fault=fault)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    env = {**os.environ, "PYTHONPATH": str(Path(ctax.__file__).resolve().parents[1])}
+    killed = tmp_path / "killed"
+    proc = subprocess.run([sys.executable, "-c", _KILL_AFTER_BATCHES, "2", "run", "--config",
+                           str(config_path), "--out", str(killed)], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=120)
+    assert proc.returncode == -signal.SIGKILL
+    assert _complete_lines(killed / "records.jsonl") == 2 * _INLINE_RUN  # every landed batch
+    assert main(["run", "--config", str(config_path), "--out", str(killed), "--resume"]) == 0
+
+    whole = run(config, tmp_path / "whole")
+    assert _complete_lines(killed / "records.jsonl") == 600
+    assert canonical_diff(killed / "records.jsonl", whole) == []
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,32 @@ def test_a_line_without_a_required_field_names_its_file_and_line(tmp_path, capsy
     assert "records.jsonl:2" in err and "instance_id" in err
 
 
+@pytest.mark.parametrize("name, value", [
+    ("answer_correct", "no"), ("schema_valid", 0.5), ("exec_correct", None),
+    ("answer_correct", 1), ("trace_correct", "yes"), ("trace_correct", 0),
+])
+def test_a_verdict_that_is_not_a_bool_names_its_file_and_line(tmp_path, capsys, name, value):
+    path = tmp_path / "records.jsonl"
+    write_records(path, _records())
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), name: value}) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"records\.jsonl:2: malformed record line "
+                                          rf"\(TypeError: .*{name}"):
+        read_records(path)
+    capsys.readouterr()
+    assert main(["score", "--records", str(path), "--out", str(tmp_path / "scores")]) == 2
+    err = capsys.readouterr().err
+    assert "records.jsonl:2" in err and name in err
+
+
+def test_a_null_trace_verdict_and_bool_verdicts_are_read():
+    doc = {**REQUIRED, "schema_valid": True, "answer_correct": False, "exec_correct": True,
+           "trace_correct": None}
+    assert record_from_dict(doc) == RunRecord(**doc)
+    assert record_from_dict({**doc, "trace_correct": False}).trace_correct is False
+
+
 def test_unknown_keys_are_dropped():
     record = _records(1)[0]
     doc = {**record.to_dict(), "prompt": "retired field", "constraint_schema": {}}
