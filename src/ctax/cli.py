@@ -59,8 +59,11 @@ def _scored(args: argparse.Namespace):
         if not loaded:
             raise ConfigError(f"no records in {path}")
         records.extend(loaded)
-    return score(records, bootstrap=BootstrapConfig(level=args.level),
-                 baseline_mode=args.baseline)
+    result = score(records, bootstrap=BootstrapConfig(level=args.level),
+                   baseline_mode=args.baseline)
+    for warning in result.warnings:
+        print(f"[WARN] {warning}")
+    return result
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -13,12 +13,13 @@ import csv
 import json
 import math
 import time
-from collections import abc
+from collections import Counter, abc
 from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from types import UnionType
-from typing import (Any, Iterable, Iterator, Mapping, Sequence, Union, get_args,
+from typing import (Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union, get_args,
                     get_origin, get_type_hints)
 
 from . import __version__
@@ -40,7 +41,6 @@ from .metrics import (
     Cell,
     ModeAggregate,
     PairedComparison,
-    _pair,
     aggregate,
     paired_comparison,
     pts,
@@ -467,7 +467,8 @@ def derive_delayed(source_records: Sequence[RunRecord],
     """Re-package already-generated unconstrained records under the delayed
     contract, without further generation.
 
-    Source records must come from prompt_json or a freeform mode. Latency
+    Source records must come from prompt_json or a freeform mode, and hold
+    no value score would refuse (a ConfigError names the record). Latency
     is copied from the source and annotated "+ pkg."; packaging time is
     tracked separately and never added to generation latency. Instance ids
     and ordering are preserved. Without a config, derived records keep the
@@ -475,6 +476,9 @@ def derive_delayed(source_records: Sequence[RunRecord],
     extraction strictness: they are parsed again under the current rule and
     stamped with it, so a lenient/v2 source gives lenient/v3 records.
     """
+    refusal = _refusal(source_records)  # a value score refuses would reach the derived line
+    if refusal is not None:
+        raise refusal
     digest = config.digest() if config is not None else None
     derived: list[RunRecord] = []
     for source in source_records:
@@ -530,6 +534,145 @@ class ScoreResult:
     aggregates: list[ModeAggregate]
     comparisons: list[PairedComparison]
     calendar: list[CalendarRow]
+    warnings: tuple[str, ...] = ()  # what score found questionable, in the order found
+
+
+# Fields score reads besides the verdicts (which records.record_from_dict
+# checks), with the types a record may hold in each and their description.
+# A record holding another type in one, or a float that is not finite, is
+# refused rather than scored.
+_NONE = type(None)
+_SCORED_FIELDS = (
+    ("backend_label", (str,), "a string"),
+    ("model_id", (str,), "a string"),
+    ("family", (str,), "a string"),
+    ("mode", (str,), "a string"),
+    ("instance_id", (str,), "a string"),
+    ("extraction_rule", (str,), "a string"),
+    ("config_digest", (str, _NONE), "a string or null"),
+    ("latency_annotation", (str, _NONE), "a string or null"),
+    ("calendar_failure_class", (str, _NONE), "a string or null"),
+    ("latency_ms", (int, float), "a finite number"),
+    ("completion_tokens", (int, _NONE), "an integer or null"),
+    ("structural_overhead", (int, float, _NONE), "a finite number or null"),
+)
+_TYPES = {name: frozenset(types) for name, types, _ in _SCORED_FIELDS}
+_CALENDAR_FAMILY = "tool_call_argument"
+
+
+def _record_fault(record: RunRecord) -> str | None:
+    """What in a record score cannot read, or None."""
+    for name, types, kind in _SCORED_FIELDS:
+        value = getattr(record, name)
+        if type(value) not in types or (type(value) is float and not math.isfinite(value)):
+            return f"{name} must be {kind}, got {value!r}"
+    if record.family == "all":
+        return "family must not be 'all', the task of the cross-family rows"
+    if record.calendar_failure_class not in (None, *CALENDAR_FAILURE_CLASSES):
+        return (f"calendar_failure_class must be one of {', '.join(CALENDAR_FAILURE_CLASSES)} "
+                f"or null, got {record.calendar_failure_class!r}")
+    return None
+
+
+def _refusal(records: Iterable[RunRecord], otherwise: str | None = None) -> ConfigError | None:
+    """The error naming the first record score cannot read; when none is
+    found, the error saying otherwise, or None without it."""
+    for record in records:
+        fault = _record_fault(record)
+        if fault is not None:
+            return ConfigError(f"record {'/'.join(map(str, record.key()))}: {fault}")
+    return None if otherwise is None else ConfigError(otherwise)
+
+
+def _provenance_row(r: RunRecord) -> bool:
+    """A scored delayed stage 1 that was not packaged locally: a model-variant
+    provenance row, scored as freeform, which the delayed cell leaves out."""
+    return (r.mode == DELAYED_MODE and r.stage == "stage1" and r.error_class != GENERATION_FAILED
+            and r.packaged_text is None and not r.packaging_failed)
+
+
+class _Scored(NamedTuple):
+    """A cell, the records it was built from, and what score reports of them
+    besides the cell's aggregate and comparisons."""
+
+    cell: Cell
+    records: list[RunRecord]
+    rules: set  # their extraction rules
+    calendar: CalendarRow | None  # the calendar family's failure counts, else None
+
+
+def _calendar_row(backend_label: str, model_id: str, mode: str,
+                  records: list[RunRecord]) -> CalendarRow | None:
+    classified = [r for r in records if r.calendar_failure_class is not None]
+    if not classified:
+        return None
+    classes = Counter([r.calendar_failure_class for r in classified])
+    wrong = Counter([name for r in classified for name in set(r.calendar_wrong_fields)])
+    return CalendarRow(backend_label, model_id, mode, len(classified),
+                       tuple((name, classes[name]) for name in CALENDAR_FAILURE_CLASSES),
+                       tuple((name, wrong[name]) for name in CALENDAR_SEMANTIC_FIELDS))
+
+
+def _family_cell(key: tuple[str, str, str, str], records: list[RunRecord],
+                 digests: set) -> _Scored:
+    """The cell of one (backend, model, family, mode), its config digests
+    added to digests. A record holding a value score cannot read is a
+    ConfigError naming it."""
+    backend_label, model_id, family, mode = key
+    if not all(type(label) is str for label in key) or family == "all":
+        raise _refusal(records[:1], f"{key!r} is not a cell")  # each record shares the key
+    try:
+        cell = Cell.build(backend_label, model_id, mode, family, records)
+        tally = cell.tally
+        rules = {r.extraction_rule for r in records}
+        cell_digests = {r.config_digest for r in records}
+        calendar = (_calendar_row(backend_label, model_id, mode, records)
+                    if family == _CALENDAR_FAMILY else None)
+    except TypeError:  # a list where a string goes, which no set can hold
+        refusal = _refusal(records)
+        if refusal is None:
+            raise
+        raise refusal from None
+    # one pass per column, over the types it holds; an unknown calendar class
+    # leaves the row's class counts short of its n
+    if not (all(_TYPES[name].issuperset(map(type, column)) for name, column in (
+                ("instance_id", chain(cell.ids, cell.failed)), ("extraction_rule", rules),
+                ("config_digest", cell_digests), ("latency_annotation", tally.notes),
+                ("latency_ms", tally.latencies), ("completion_tokens", tally.tokens),
+                ("structural_overhead", tally.overheads)))
+            and (calendar is None
+                 or calendar.n == sum(count for _, count in calendar.class_counts))):
+        raise _refusal(records, f"{'/'.join(key)} holds a value score cannot read")
+    digests |= cell_digests
+    return _Scored(cell, records, rules, calendar)
+
+
+def _rollup(entries: list[_Scored], records: Sequence[RunRecord]) -> _Scored:
+    """The "all" cell of one mode from its family cells: their columns joined,
+    so no record is read again. Its ids then run family by family; where one
+    repeats, the cell is built again from records in their order, so a
+    pairing names the first duplicate as the records list it."""
+    cell = Cell.join([entry.cell for entry in entries])
+    if len(cell.codes) < len(cell.ids):
+        labels = (cell.backend_label, cell.model_id, cell.mode)
+        cell = Cell.of([r for r in records if (r.backend_label, r.model_id, r.mode) == labels
+                        and not _provenance_row(r)])
+    return _Scored(cell, list(chain.from_iterable(entry.records for entry in entries)),
+                   set().union(*(entry.rules for entry in entries)), None)
+
+
+def _aggregate(entry: _Scored, task: str, where: str) -> ModeAggregate:
+    """aggregate(cell, task), with a mean that is not a finite number (one
+    value past the largest float, or a sum that overflows) refused."""
+    try:
+        agg = aggregate(entry.cell, task=task)
+    except (ValueError, OverflowError):  # fsum of both infinities, or past the largest float
+        agg = None
+    if agg is None or not all(map(math.isfinite, (
+            agg.mean_latency_ms, agg.mean_completion_tokens or 0.0,
+            agg.mean_structural_overhead or 0.0))):
+        raise _refusal(entry.records, f"{where}: a mean is not a finite number")
+    return agg
 
 
 def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None,
@@ -537,81 +680,97 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
     """Aggregate records and compute paired comparisons against the
     baseline mode.
 
-    One pass groups the records, in file order, into (backend, model) ->
-    task -> mode cells; the task is a family, or "all" for a mode whose
-    records span several families. A scored delayed stage 1 that was not
-    packaged locally is a model-variant provenance row and is left out: the
-    delayed cell takes its verdict from stage 2 only, so an instance whose
-    stage 2 is missing leaves the cell. One walk over the cells in output
-    order then emits the aggregates, the calendar rows and the comparisons,
-    building each cell's columns (Cell) once for its aggregate and pairings.
+    One pass groups the records, in file order, into (backend, model,
+    family, mode) cells, and each family cell's columns (Cell) are built
+    once from its records. A mode whose records span several families also
+    gets an "all" cell, joined from its family cells' columns. A scored
+    delayed stage 1 that was not packaged locally is a model-variant
+    provenance row and is left out: the delayed cell takes its verdict from
+    stage 2 only, so an instance whose stage 2 is missing leaves the cell.
+    One walk over the cells in output order then emits the aggregates, the
+    calendar rows and the comparisons; a cell's instance -> flag code map
+    (Cell.codes) is built at its first pairing and serves the rest. Every
+    output is independent of record order but for the warning naming a
+    duplicated instance, which names the first in record order.
+
     A cell with no scored record is left out with a warning; a task without
     the baseline mode gets aggregates only; mixed config digests, and a cell
     that mixes extraction rules, get a warning (the records may not be
-    comparable)."""
-    groups: dict[tuple[str, str], dict[str, dict[str, list[RunRecord]]]] = {}
-    digests = set()
+    comparable). The warnings are returned, in ScoreResult.warnings, not
+    printed. A record holding a value of the wrong type in a field score
+    reads (_SCORED_FIELDS), or a float that is not finite, is a ConfigError
+    naming the record."""
+    if not isinstance(records, abc.Sequence):  # read again for a duplicated instance
+        records = list(records)
+    by_key: dict[tuple[str, str, str, str], list[RunRecord]] = {}
     for r in records:
-        if (r.mode == DELAYED_MODE and r.stage == "stage1" and r.error_class != GENERATION_FAILED
-                and r.packaged_text is None and not r.packaging_failed):
-            continue  # model-variant provenance row, scored as freeform
-        digests.add(r.config_digest)
-        tasks = groups.setdefault((r.backend_label, r.model_id), {})
-        for task in (r.family, "all"):
-            tasks.setdefault(task, {}).setdefault(r.mode, []).append(r)
+        key = (r.backend_label, r.model_id, r.family, r.mode)
+        try:
+            cell_records = by_key.get(key)
+        except TypeError:  # a list where a label goes
+            raise _refusal([r], f"record {r.key()!r} cannot be scored") from None
+        if cell_records is None:
+            by_key[key] = [r]
+        else:
+            cell_records.append(r)
+
+    digests: set = set()
+    groups: dict[tuple[str, str], dict[str, dict[str, _Scored]]] = {}
+    by_mode: dict[tuple[str, str], dict[str, list[_Scored]]] = {}
+    for key, cell_records in by_key.items():
+        backend_label, model_id, family, mode = key
+        if mode == DELAYED_MODE:
+            cell_records = [r for r in cell_records if not _provenance_row(r)]
+            if not cell_records:
+                continue
+        entry = _family_cell(key, cell_records, digests)
+        groups.setdefault((backend_label, model_id), {}).setdefault(family, {})[mode] = entry
+        by_mode.setdefault((backend_label, model_id), {}).setdefault(mode, []).append(entry)
     if not groups:
         raise ValueError("no records to score")
+    for group, modes in by_mode.items():  # a mode of one family would repeat its row
+        groups[group]["all"] = {mode: _rollup(entries, records)
+                                for mode, entries in modes.items() if len(entries) > 1}
+
+    warnings = []
     digests -= {None, ""}
     if len(digests) > 1:
-        print(f"[WARN] records mix {len(digests)} config digests; "
-              "cross-run comparability is not guaranteed")
-
+        warnings.append(f"records mix {len(digests)} config digests; "
+                        "cross-run comparability is not guaranteed")
     bootstrap = bootstrap or BootstrapConfig()
     mode_rank = {name: i for i, name in enumerate(MODE_NAMES)}
     task_rank = {family: i for i, family in enumerate(FAMILIES)}
-    result = ScoreResult(aggregates=[], comparisons=[], calendar=[])
+    aggregates, comparisons, calendar = [], [], []
     for (backend_label, model_id), tasks in sorted(groups.items()):
         for task in sorted(tasks, key=lambda t: (task_rank.get(t, 99), t)):
             where = f"{backend_label}/{model_id}/{task}"
             kept: dict[str, Cell] = {}
             for mode in sorted(tasks[task], key=lambda m: mode_rank.get(m, 99)):
-                cell_records = tasks[task][mode]
-                if task == "all" and len({r.family for r in cell_records}) == 1:
-                    continue  # the rollup would repeat its one family's row
-                cell = Cell.of(cell_records)
-                if not cell.ids:
-                    print(f"[WARN] {where}/{mode} has no scored records; row omitted")
+                entry = tasks[task][mode]
+                if not entry.cell.ids:
+                    warnings.append(f"{where}/{mode} has no scored records; row omitted")
                     continue
-                rules = sorted({r.extraction_rule for r in cell_records})
-                if len(rules) > 1:
-                    print(f"[WARN] {where}/{mode} mixes extraction rules {', '.join(rules)}")
-                kept[mode] = cell
-                result.aggregates.append(aggregate(cell, task=task))
-                if task != "tool_call_argument":
-                    continue
-                classified = [r for r in cell_records if r.calendar_failure_class is not None]
-                if classified:
-                    result.calendar.append(CalendarRow(
-                        backend_label, model_id, mode, len(classified),
-                        tuple((name, sum(r.calendar_failure_class == name for r in classified))
-                              for name in CALENDAR_FAILURE_CLASSES),
-                        tuple((name, sum(name in r.calendar_wrong_fields for r in classified))
-                              for name in CALENDAR_SEMANTIC_FIELDS)))
+                if len(entry.rules) > 1:
+                    warnings.append(f"{where}/{mode} mixes extraction rules "
+                                    f"{', '.join(sorted(entry.rules))}")
+                kept[mode] = entry.cell
+                aggregates.append(_aggregate(entry, task, f"{where}/{mode}"))
+                if entry.calendar is not None:
+                    calendar.append(entry.calendar)
             if kept and baseline_mode not in kept:
-                print(f"[WARN] baseline mode {baseline_mode!r} absent for {where}; "
-                      "comparisons skipped")
+                warnings.append(f"baseline mode {baseline_mode!r} absent for {where}; "
+                                "comparisons skipped")
                 continue
             for mode, cell in kept.items():
                 if mode == baseline_mode:
                     continue
                 try:
-                    result.comparisons.extend([paired_comparison(
+                    comparisons.extend([paired_comparison(
                         kept[baseline_mode], cell, acc_metric=metric, cfg=bootstrap)
                         for metric in ACC_METRICS])
                 except PairingError as exc:  # missing instances, duplicates, none scored
-                    print(f"[WARN] comparisons skipped for {where}/{mode}: {exc}")
-    _pair.cache_clear()  # the cached pairing holds the last two cells' records
-    return result
+                    warnings.append(f"comparisons skipped for {where}/{mode}: {exc}")
+    return ScoreResult(aggregates, comparisons, calendar, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

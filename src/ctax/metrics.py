@@ -5,8 +5,9 @@ rounded at display time, to 0.1 percentage point. Uncertainty comes from
 the percentile bootstrap with infinitely many resamples, computed exactly
 from the counts of a paired comparison's deltas in {-1, 0, +1}, or a single
 rate's 0/1 indicators (BOOTSTRAP_VERSION; no CSV carries a single-rate CI).
-A mode pair's answer and exec comparisons share one pairing, and one
-validity and one wrong-valid CI.
+A cell's instance -> flag code map (Cell.codes) is built once and serves
+every comparison it takes part in; a mode pair's answer and exec
+comparisons share one validity and one wrong-valid CI.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, product, repeat
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, compress, product, repeat
 from math import fsum, inf
 from operator import attrgetter, gt, lshift, lt, mul, or_, truediv
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .checkers import GENERATION_FAILED
 from .errors import ConfigError, PairingError
@@ -110,16 +111,49 @@ def pts(rate: Fraction | float) -> float:
 
 
 FLAG_COLUMNS = ("answer", "exec", "validity", "wrong_valid")  # bit j of a Cell.flags code
-_FLAG_FIELDS = attrgetter("answer_correct", "exec_correct", "schema_valid")
 _FLAG_CODE = {(answer, exec_ok, valid): answer | exec_ok << 1 | valid << 2 | (valid > exec_ok) << 3
               for answer, exec_ok, valid in product((False, True), repeat=3)}
+# _FLAG_CODE nested, [answer][exec][valid]: three lookups cost less than a key tuple
+_FLAG_NEST = {a: {e: {v: _FLAG_CODE[a, e, v] for v in (False, True)} for e in (False, True)}
+              for a in (False, True)}
+_LABELS = attrgetter("backend_label", "model_id", "mode")
+_FAMILY = attrgetter("family")
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: hashed by identity, as _pair's cache key
+class Tally(NamedTuple):
+    """What aggregate reads of a cell's scored records besides their flags,
+    one column per field, each in the order of Cell.scored."""
+
+    traces: list  # the trace verdicts, None left out
+    latencies: list[float]
+    tokens: list[int]  # the completion token counts, None left out
+    overheads: list[float]  # the structural overheads, None left out
+    notes: frozenset[str]  # the latency annotations, empty ones left out
+
+    @classmethod
+    def of(cls, scored: Sequence) -> Tally:
+        """The tally of a cell's scored records, one pass per column."""
+        return cls([t for r in scored if (t := r.trace_correct) is not None],
+                   [r.latency_ms for r in scored],
+                   [t for r in scored if (t := r.completion_tokens) is not None],
+                   [o for r in scored if (o := r.structural_overhead) is not None],
+                   frozenset([n for r in scored if (n := r.latency_annotation)]))
+
+    @classmethod
+    def join(cls, tallies: Sequence[Tally]) -> Tally:
+        """The tally of the tallies' records together, each column end to end."""
+        *columns, notes = zip(*tallies)
+        return cls(*(list(chain.from_iterable(column)) for column in columns),
+                   frozenset().union(*notes))
+
+
+@dataclass(frozen=True, eq=False)  # eq=False: a cell is its records' columns, not a value
 class Cell:
     """The records of one (backend, model, mode) cell as columns. ids, flags
-    and scored follow the scored records in record order; a flag code sets
-    bit j when FLAG_COLUMNS[j] holds. A cell of no records has no labels."""
+    and scored follow the scored records: in record order in a cell of
+    records, and part by part in a cell joined from others (Cell.join). A
+    flag code sets bit j when FLAG_COLUMNS[j] holds. A cell of no records
+    has no labels."""
 
     backend_label: str | None
     model_id: str | None
@@ -128,27 +162,61 @@ class Cell:
     ids: tuple[str, ...]
     failed: tuple[str, ...]  # the generation_failed records' instance ids
     flags: tuple[int, ...]
-    scored: list  # the scored records, for aggregate's trace verdicts and means
+    scored: list  # the scored records
+    parts: tuple[Cell, ...] = ()  # the cells a joined cell joins
 
     @classmethod
     def of(cls, records: Iterable) -> Cell:
         """The cell of records that share (backend, model, mode)."""
         records = list(records)
-        keys = set(map(attrgetter("backend_label", "model_id", "mode"), records))
+        keys = set(map(_LABELS, records))
         if len(keys) > 1:
             raise ValueError(f"records mix backend/model/mode cells: {sorted(keys)!r}")
+        families = set(map(_FAMILY, records))
+        return cls.build(*(keys.pop() if keys else (None, None, None)),
+                         task=families.pop() if len(families) == 1 else "all", records=records)
+
+    @classmethod
+    def build(cls, backend_label: str | None, model_id: str | None, mode: str | None, task: str,
+              records: Sequence) -> Cell:
+        """The cell of records known to share (backend, model, mode), under the
+        labels given: Cell.of without the passes that find them."""
         scored = [r for r in records if r.error_class != GENERATION_FAILED]
-        families = set(map(attrgetter("family"), records))
-        flags = tuple(map(_FLAG_CODE.get, map(_FLAG_FIELDS, scored)))
-        if None in flags:  # a verdict that is not a bool reads as its truth value
-            flags = tuple(_FLAG_CODE[tuple(map(bool, v))] for v in map(_FLAG_FIELDS, scored))
-        return cls(*(keys.pop() if keys else (None, None, None)),
-                   task=families.pop() if len(families) == 1 else "all",
-                   ids=tuple(r.instance_id for r in scored),
-                   failed=tuple(r.instance_id for r in records
-                                if r.error_class == GENERATION_FAILED),
-                   flags=flags,
-                   scored=scored)
+        try:
+            flags = [_FLAG_NEST[r.answer_correct][r.exec_correct][r.schema_valid]
+                     for r in scored]
+        except (KeyError, TypeError):  # a verdict that is not a bool reads as its truth value
+            flags = [_FLAG_CODE[bool(r.answer_correct), bool(r.exec_correct),
+                                bool(r.schema_valid)] for r in scored]
+        failed = (() if len(scored) == len(records) else
+                  tuple([r.instance_id for r in records if r.error_class == GENERATION_FAILED]))
+        return cls(backend_label, model_id, mode, task, tuple([r.instance_id for r in scored]),
+                   failed, tuple(flags), scored)
+
+    @classmethod
+    def join(cls, cells: Sequence[Cell], task: str = "all") -> Cell:
+        """The cell of the given cells' records together, labelled as the first
+        and with the task given: each column is theirs end to end."""
+        first = cells[0]
+        ids, failed, flags = (tuple(chain.from_iterable(getattr(cell, column) for cell in cells))
+                              for column in ("ids", "failed", "flags"))
+        return cls(first.backend_label, first.model_id, first.mode, task, ids, failed, flags,
+                   list(chain.from_iterable(cell.scored for cell in cells)), tuple(cells))
+
+    @cached_property
+    def tally(self) -> Tally:
+        """Built at first use; a joined cell joins its parts' tallies, so its
+        records are not read again."""
+        if self.parts:
+            return Tally.join([part.tally for part in self.parts])
+        return Tally.of(self.scored)
+
+    @cached_property
+    def codes(self) -> dict[str, int]:
+        """instance id -> flag code of each scored record. Built at the cell's
+        first pairing and kept with it, so one baseline cell serves every
+        constrained mode of its task."""
+        return dict(zip(self.ids, self.flags))
 
 
 def _cell(records: Iterable | Cell) -> Cell:
@@ -168,30 +236,25 @@ def aggregate(records: Iterable | Cell, task: str | None = None) -> ModeAggregat
     codes = Counter(cell.flags)
     answer, exec_ok, valid, wrong_valid = (sum(codes[code] for code in codes if code >> j & 1)
                                            for j in range(len(FLAG_COLUMNS)))
-    scored = cell.scored
-    traced = [r.trace_correct for r in scored if r.trace_correct is not None]
-    tokens = [r.completion_tokens for r in scored if r.completion_tokens is not None]
-    overheads = [r.structural_overhead for r in scored if r.structural_overhead is not None]
-    notes = sorted({r.latency_annotation for r in scored if r.latency_annotation})
-    latency_note = " ".join(notes) if notes else None
-
+    n, tally = len(cell.ids), cell.tally
     return ModeAggregate(
         backend_label=cell.backend_label,
         model_id=cell.model_id,
         task=cell.task if task is None else task,
         mode=cell.mode,
-        n=len(scored),
+        n=n,
         n_failed=len(cell.failed),
         valid_count=valid,
         answer_count=answer,
         exec_count=exec_ok,
-        trace_n=len(traced),
-        trace_count=sum(traced),
+        trace_n=len(tally.traces),
+        trace_count=sum(tally.traces),
         wrong_valid_count=wrong_valid,
-        mean_latency_ms=fsum(r.latency_ms for r in scored) / len(scored),
-        mean_completion_tokens=fsum(tokens) / len(tokens) if tokens else None,
-        mean_structural_overhead=fsum(overheads) / len(overheads) if overheads else None,
-        latency_note=latency_note,
+        mean_latency_ms=fsum(tally.latencies) / n,
+        mean_completion_tokens=fsum(tally.tokens) / len(tally.tokens) if tally.tokens else None,
+        mean_structural_overhead=(fsum(tally.overheads) / len(tally.overheads)
+                                  if tally.overheads else None),
+        latency_note=" ".join(sorted(tally.notes)) if tally.notes else None,
     )
 
 
@@ -301,31 +364,30 @@ class PairedComparison:
     wrong_valid_ci: BootstrapCI
 
 
-@lru_cache(maxsize=1)
 def _pair(baseline: Cell, constrained: Cell) -> Counter:
     """Counts of the joint flag codes (baseline's << 4 | constrained's) of the
-    instances scored in both. Cached for a mode pair's exec row, which follows
-    its answer row; score clears it when done, so it keeps no records alive."""
-    codes = []
+    instances scored in both: each constrained code joined to its
+    instance's code in the baseline's map, so neither map is built twice."""
     for arm, cell in (("baseline", baseline), ("constrained", constrained)):
-        code = dict(zip(cell.ids, cell.flags))
-        if len(code) < len(cell.ids):
+        if len(cell.codes) < len(cell.ids):
             seen: set = set()
             duplicate = next(i for i in cell.ids if i in seen or seen.add(i))
             raise PairingError(detail=(
                 f"duplicate {arm} record for instance {duplicate!r}; "
                 "a cell must hold one record per instance — deduplicate "
                 "the inputs before pairing"))
-        codes.append(code)
-    base_code, cons_code = codes
-    base_ids, cons_ids = base_code.keys() | baseline.failed, cons_code.keys() | constrained.failed
+    base_code = baseline.codes
+    base_ids, cons_ids = ((cell.codes.keys() | cell.failed) if cell.failed else cell.codes.keys()
+                          for cell in (baseline, constrained))
     if base_ids != cons_ids:
         raise PairingError(sorted(cons_ids - base_ids), sorted(base_ids - cons_ids))
-    paired = list(filter(cons_code.__contains__, baseline.ids))
-    if not paired:
+    ids, flags = constrained.ids, constrained.flags
+    if baseline.failed:  # an instance the baseline did not score is no pair
+        scored = [i in base_code for i in ids]
+        ids, flags = list(compress(ids, scored)), list(compress(flags, scored))
+    if not ids:
         raise PairingError(detail="cannot compare empty record sets")
-    return Counter(map(or_, map(lshift, map(base_code.__getitem__, paired), repeat(4)),
-                       map(cons_code.__getitem__, paired)))
+    return Counter(map(or_, map(lshift, map(base_code.__getitem__, ids), repeat(4)), flags))
 
 
 def paired_comparison(baseline: Iterable | Cell, constrained: Iterable | Cell,

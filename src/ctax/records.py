@@ -150,9 +150,23 @@ def record_from_dict(doc: dict[str, Any]) -> RunRecord:
             or type(state["exec_correct"]) is not bool
             or (state["trace_correct"] is not None and type(state["trace_correct"]) is not bool)):
         raise TypeError(_verdict_fault(state))
-    state["violations"] = tuple(state["violations"] or ())
-    state["calendar_wrong_fields"] = tuple(state["calendar_wrong_fields"] or ())
+    # Absent, each holds the template's (); a string here would read as its characters.
+    if state["violations"].__class__ is not tuple:
+        state["violations"] = _list_field(state, "violations", dict, "objects")
+    if state["calendar_wrong_fields"].__class__ is not tuple:
+        state["calendar_wrong_fields"] = _list_field(state, "calendar_wrong_fields", str, "strings")
     return record
+
+
+def _list_field(state: dict[str, Any], name: str, item: type, items: str) -> tuple:
+    """A list field read from a line, as a tuple: null reads as empty, and
+    anything but a list of items of the given type is a TypeError."""
+    value = state[name]
+    if value is None:
+        return ()
+    if type(value) is not list or any(type(v) is not item for v in value):
+        raise TypeError(f"{name} must be a list of {items} or null, got {value!r}")
+    return tuple(value)
 
 
 def _verdict_fault(state: dict[str, Any]) -> str:
@@ -165,14 +179,15 @@ def _verdict_fault(state: dict[str, Any]) -> str:
 
 
 # Built once: json.dumps with options builds a fresh encoder per call. An
-# encoder keeps no state between calls.
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+# encoder keeps no state between calls. NaN and the infinities are refused
+# (ValueError): they are not JSON, and the reader refuses them.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False)
 # The C encoder under _LINE_ENCODER, with the same options, built once too:
 # _LINE_ENCODER.encode checks its options and builds this on every call.
 # With no markers it skips the cycle check; no line holds a cycle.
 # (value, 0) -> the line's text in chunks.
 _ENCODE_CHUNKS = (c_make_encoder(None, _LINE_ENCODER.default, encode_basestring, None,
-                                 ": ", ", ", True, False, True)
+                                 ": ", ", ", True, False, False)
                   if c_make_encoder is not None else _LINE_ENCODER.iterencode)
 
 
@@ -219,10 +234,25 @@ def write_jsonl(path: str | Path, docs: Iterable[dict[str, Any]]) -> None:
 _SCAN_ONCE = json.JSONDecoder().scan_once
 
 
-def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any]) -> Iterator[Any]:
+def _refuse_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a number a record may hold")
+
+
+# Reads records lines: json's reader with NaN, Infinity and -Infinity refused.
+# The hook runs only where a line holds one, so a well-formed line costs the same.
+_RECORD_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any],
+               decoder: json.JSONDecoder | None = None) -> Iterator[Any]:
     """build(object) for each non-blank line, in file order; a line that is
-    not a UTF-8 JSON object, or that build refuses, raises ConfigError
-    naming the file and line."""
+    not a UTF-8 JSON object (as decoder reads it, json's default reader
+    when None), or that build refuses, raises ConfigError naming the file
+    and line."""
+    if decoder is None:
+        scan, decode = _SCAN_ONCE, json.loads
+    else:
+        scan, decode = decoder.scan_once, decoder.decode
     with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -231,11 +261,11 @@ def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any]) -> Ite
             try:
                 text = line.decode("utf-8")
                 try:
-                    doc, end = _SCAN_ONCE(text, 0)
+                    doc, end = scan(text, 0)
                 except StopIteration:
                     end = -1
-                if end != len(text):  # not one JSON value: json.loads names the fault
-                    doc = json.loads(text)
+                if end != len(text):  # not one JSON value: a whole-text read names the fault
+                    doc = decode(text)
                 if not isinstance(doc, dict):
                     raise ValueError("not a JSON object")
                 item = build(doc)
@@ -283,7 +313,7 @@ def append_record(fh, record: RunRecord) -> None:
 
 
 def iter_records(path: str | Path) -> Iterator[RunRecord]:
-    return iter_jsonl(path, "record", record_from_dict)
+    return iter_jsonl(path, "record", record_from_dict, _RECORD_DECODER)
 
 
 def read_records(path: str | Path) -> list[RunRecord]:
@@ -324,7 +354,9 @@ def canonical_record_lines(path: str | Path) -> list[str]:
         doc = record.to_dict()
         for name in MASKED_FIELDS:
             doc[name] = None
-        lines.append(_LINE_ENCODER.encode(doc))
+        # NaN allowed, unlike in a records line: a number read as an infinity
+        # (1e999 overflows a float) shows in the diff rather than failing it
+        lines.append(json.dumps(doc, sort_keys=True, ensure_ascii=False))
     return lines
 
 

@@ -120,6 +120,23 @@ def test_derive_delayed_command(tmp_path, capsys):
     assert all(r.derived_from == "prompt_json" for r in derived)
 
 
+def test_derive_delayed_refuses_a_source_score_would_refuse(tmp_path, capsys):
+    # 1e999 reads as infinity, which no records line may be written with
+    records = _scored_run(tmp_path)
+    lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+    doc = json.loads(lines[0])
+    lines[0] = json.dumps({**doc, "latency_ms": "\x00"}).replace('"\\u0000"', "1e999") + "\n"
+    records.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "derived.jsonl"
+    assert main(["derive-delayed", "--records", str(records), "--source-mode", "prompt_json",
+                 "--tasks", str(records.parent / "tasks.jsonl"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"[ERROR] record oracle/oracle-v1/prompt_json/single/{doc['instance_id']}: " \
+           "latency_ms must be a finite number, got inf" in err, err
+    assert not out.exists()
+
+
 def test_validate_command_exit_codes(capsys):
     ok = main(["validate", "--mode", "answer_only_schema",
                "--family", "boolean_logic", "--text", '{"answer": "true"}'])

@@ -45,8 +45,10 @@ from ctax.modes import (DELAYED_VARIANTS, MODE_NAMES, NO_CONSTRAINT, Constraint,
 from ctax.records import (MASKED_FIELDS, RunRecord, canonical_diff, canonical_record_lines,
                           read_records, write_records)
 from ctax.report import render_report
+from ctax.checkers import CALENDAR_FAILURE_CLASSES
 from ctax.taskgen import CALENDAR_SEMANTIC_FIELDS, FAMILIES, generate_suite
 from ctax.validation import canonical_serialize
+from reference_score import reference_score
 from test_backend import stub_server
 
 
@@ -564,19 +566,18 @@ def test_delayed_model_variant_two_stage_records(tmp_path):
     assert agg.mode == "delayed_constraint" and agg.n == 3
 
 
-def test_delayed_cell_leaves_out_an_instance_whose_stage2_is_missing(tmp_path, capsys):
+def test_delayed_cell_leaves_out_an_instance_whose_stage2_is_missing(tmp_path):
     config = _config(("prompt_json", "delayed_constraint"), families=("boolean_logic",),
                      delayed_variant="model")
     records = load_records(run(config, tmp_path / "out"))
     dropped = next(r for r in records if r.stage == "stage2")
     records.remove(dropped)
-    capsys.readouterr()
     result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
     # its stage 1 was scored under the freeform contract: no delayed verdict
     assert [(a.mode, a.n) for a in result.aggregates] == [
         ("prompt_json", 3), ("delayed_constraint", 2)]
     assert result.comparisons == []
-    assert f"missing in constrained: {dropped.instance_id}" in capsys.readouterr().out
+    assert f"missing in constrained: {dropped.instance_id}" in "\n".join(result.warnings)
 
 
 def test_delayed_packaging_failure_is_scored_invalid(tmp_path):
@@ -963,31 +964,28 @@ def test_score_includes_calendar_rows(tmp_path):
         assert all(v == 0 for k, v in row.field_counts)
 
 
-def test_score_warns_on_missing_baseline(tmp_path, capsys):
+def test_score_warns_on_missing_baseline(tmp_path):
     config = _config(("freeform",))
     records = load_records(run(config, tmp_path / "out"))
-    capsys.readouterr()
     result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
     assert result.comparisons == []
-    assert "baseline mode 'prompt_json' absent" in capsys.readouterr().out
+    assert "baseline mode 'prompt_json' absent" in "\n".join(result.warnings)
 
 
-def test_score_warns_on_mixed_digests(tmp_path, capsys):
+def test_score_warns_on_mixed_digests(tmp_path):
     a = load_records(run(_config(("prompt_json",)), tmp_path / "a"))
     b = load_records(run(_config(("prompt_json",), run_id="other"), tmp_path / "b"))
     b = [replace(r, backend_label="other-backend") for r in b]
-    capsys.readouterr()
-    score(a + b, bootstrap=BootstrapConfig(resamples=50, seed=0))
-    assert "config digests" in capsys.readouterr().out
+    result = score(a + b, bootstrap=BootstrapConfig(resamples=50, seed=0))
+    assert "config digests" in "\n".join(result.warnings)
 
 
-def test_score_skips_duplicated_cell_with_warning(tmp_path, capsys):
+def test_score_skips_duplicated_cell_with_warning(tmp_path):
     config = _config(("prompt_json", "freeform", "answer_only_schema"))
     records = load_records(run(config, tmp_path / "out"))
     doubled = records + [r for r in records if r.mode == "freeform"]
-    capsys.readouterr()
     result = score(doubled, bootstrap=BootstrapConfig(resamples=50, seed=0))
-    out = capsys.readouterr().out
+    out = "\n".join(result.warnings)
     assert "duplicate" in out and "freeform" in out
     # the duplicated mode is skipped; the clean mode still gets compared
     assert {c.mode for c in result.comparisons} == {"answer_only_schema"}
@@ -997,15 +995,14 @@ def test_score_skips_duplicated_cell_with_warning(tmp_path, capsys):
     assert freeform_all[0].n == 12
 
 
-def test_score_leaves_out_a_family_cell_with_no_scored_record(tmp_path, capsys):
+def test_score_leaves_out_a_family_cell_with_no_scored_record(tmp_path):
     records = load_records(run(_config(("prompt_json", "freeform")), tmp_path / "out"))
     records = [replace(r, error_class="generation_failed")
                if (r.family, r.mode) == ("boolean_logic", "freeform") else r
                for r in records]
-    capsys.readouterr()
     result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
     assert "oracle/scripted-v1/boolean_logic/freeform has no scored records" in \
-        capsys.readouterr().out
+        "\n".join(result.warnings)
     assert [(a.task, a.mode, a.n, a.n_failed) for a in result.aggregates] == [
         ("arithmetic_two_step", "freeform", 3, 0),
         ("arithmetic_two_step", "prompt_json", 3, 0),
@@ -1284,6 +1281,88 @@ def test_score_counts_match_a_record_walk():
                                                  c.validity_delta, c.wrong_valid_delta)
                 for c in result.comparisons} == comparisons
         assert len(result.comparisons) == len(comparisons)
+
+    check()
+
+
+def test_an_all_cell_names_its_first_duplicate_in_record_order():
+    # family by family the rollup's ids would read a, a, b, b: a first
+    a, b = ("arithmetic_two_step", 0), ("boolean_logic", 0)
+    records = [_row("b", mode, i, family) for mode in ("prompt_json", "freeform")
+               for family, i in (a, b)]
+    records += [_row("b", "freeform", i, family) for family, i in (b, a)]
+    warnings = score(records).warnings
+    assert warnings[-1] == ("comparisons skipped for b/m/all/freeform: duplicate constrained "
+                            "record for instance 'boolean_logic-00000'; a cell must hold one "
+                            "record per instance — deduplicate the inputs before pairing")
+    assert score(records).warnings == reference_score(records).warnings
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_score_matches_the_reference_walk_in_any_record_order():
+    families = ("arithmetic_two_step", "boolean_logic", "tool_call_argument")
+    modes = ("prompt_json", "freeform", "answer_only_schema", "delayed_constraint")
+    calendar = st.fixed_dictionaries({
+        "calendar_failure_class": st.sampled_from((None, *CALENDAR_FAILURE_CLASSES)),
+        "calendar_wrong_fields": st.lists(st.sampled_from(CALENDAR_SEMANTIC_FIELDS),
+                                          max_size=2, unique=True).map(tuple),
+    })
+    fields = st.fixed_dictionaries({
+        "schema_valid": st.booleans(), "answer_correct": st.booleans(),
+        "exec_correct": st.booleans(), "trace_correct": st.sampled_from([None, True, False]),
+        "error_class": st.sampled_from(["x", "x", "x", "generation_failed"]),
+        "latency_ms": st.sampled_from([0.0, 1.5, 12.25, 300.0]),
+        "completion_tokens": st.sampled_from([None, 7, 40]),
+        "structural_overhead": st.sampled_from([None, 0.0, 0.125, 0.5]),
+        "latency_annotation": st.sampled_from([None, None, "+ pkg."]),
+        "extraction_rule": st.sampled_from(["lenient/v3", "lenient/v3", "lenient/v2"]),
+        "config_digest": st.sampled_from(["d1", "d1", "d1", "d2", None]),
+    })
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        chosen = data.draw(st.lists(st.sampled_from(families), min_size=1, max_size=3,
+                                    unique=True))
+        arms = data.draw(st.lists(st.sampled_from(modes), min_size=1, max_size=4, unique=True))
+        records = []
+        for backend in data.draw(st.sampled_from([("b",), ("b", "c")])):
+            for family in chosen:
+                for mode in arms:
+                    all_failed = data.draw(st.integers(0, 9)) == 0  # a whole cell fails
+                    for i in range(data.draw(st.integers(1, 4))):
+                        kw = data.draw(fields)
+                        if family == "tool_call_argument":
+                            kw.update(data.draw(calendar))
+                        if all_failed:
+                            kw["error_class"] = "generation_failed"
+                        if mode != "delayed_constraint":
+                            records.append(_row(backend, mode, i, family, **kw))
+                        elif data.draw(st.booleans()):  # packaged here: its stage 1 scores
+                            records.append(replace(_row(backend, mode, i, family, **kw),
+                                                   stage="stage1", packaged_text="{}"))
+                        else:  # model variant: a provenance stage 1, and maybe its stage 2
+                            records.append(replace(_row(backend, mode, i, family, **kw),
+                                                   stage="stage1", error_class="x"))
+                            if data.draw(st.integers(0, 5)):
+                                records.append(replace(_row(backend, mode, i, family, **kw),
+                                                       stage="stage2"))
+        for _ in range(data.draw(st.integers(0, 3))):  # duplicates, within and across families
+            twin = data.draw(st.sampled_from(records))
+            records.append(replace(twin, family=data.draw(st.sampled_from(chosen))))
+        def scored(walk, records):
+            try:
+                result = walk(records, bootstrap=BootstrapConfig(level=0.9))
+            except ValueError as exc:  # only provenance rows: nothing to score
+                return str(exc), ()
+            return result, (result.aggregates, result.comparisons, result.calendar)
+
+        result, rows = scored(score, records)
+        assert result == scored(reference_score, records)[0]
+        shuffled = data.draw(st.permutations(records))
+        again, again_rows = scored(score, shuffled)
+        assert again == scored(reference_score, shuffled)[0]
+        assert again_rows == rows
 
     check()
 

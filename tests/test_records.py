@@ -76,6 +76,101 @@ def test_a_verdict_that_is_not_a_bool_names_its_file_and_line(tmp_path, capsys, 
     assert "records.jsonl:2" in err and name in err
 
 
+def _scoreable():
+    """Two families by two modes, three instances each; the calendar
+    instances fail on their attendee."""
+    out = []
+    for family in ("arithmetic_two_step", "tool_call_argument"):
+        calendar = family == "tool_call_argument"
+        for mode in ("prompt_json", "freeform"):
+            for i in range(3):
+                out.append(RunRecord(
+                    **{**REQUIRED, "family": family, "mode": mode,
+                       "instance_id": f"{family}-{i:05d}"},
+                    schema_valid=True, answer_correct=not calendar, exec_correct=not calendar,
+                    latency_ms=10.0 + i, structural_overhead=0.5, completion_tokens=20,
+                    extraction_rule="lenient/v3", config_digest="d1",
+                    calendar_failure_class="wrong_attendee" if calendar else None,
+                    calendar_wrong_fields=("attendee",) if calendar else ()))
+    return out
+
+
+# (field, its value as JSON text, what names the fault: the line, or the record)
+_HOSTILE = [
+    ("structural_overhead", "NaN", "line"),
+    ("latency_ms", "Infinity", "line"),
+    ("structural_overhead", "-Infinity", "line"),
+    ("calendar_wrong_fields", '"attendee"', "line"),
+    ("calendar_wrong_fields", "[1]", "line"),
+    ("violations", '"type"', "line"),
+    ("latency_ms", '"fast"', "record"),
+    ("latency_ms", "true", "record"),
+    ("latency_ms", "null", "record"),
+    ("latency_ms", "1e999", "record"),
+    ("completion_tokens", '"20"', "record"),
+    ("structural_overhead", "false", "record"),
+    ("mode", '["x"]', "record"),
+    ("mode", "5", "record"),
+    ("backend_label", "null", "record"),
+    ("family", '"all"', "record"),
+    ("instance_id", "7", "record"),
+    ("extraction_rule", '["lenient/v3"]', "record"),
+    ("config_digest", '{"d": 1}', "record"),
+    ("latency_annotation", '["+ pkg."]', "record"),
+    ("calendar_failure_class", '"late"', "record"),
+]
+
+
+@pytest.mark.parametrize("command", ["score", "report"])
+@pytest.mark.parametrize("name, value, named", _HOSTILE,
+                         ids=[f"{name}={value}" for name, value, _ in _HOSTILE])
+def test_a_hostile_records_line_exits_2_naming_its_line_or_record(tmp_path, capsys, command,
+                                                                    name, value, named):
+    path = tmp_path / "records.jsonl"
+    records = _scoreable()
+    write_records(path, records)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lineno = 8 if name.startswith("calendar") else 2  # a calendar record, or a plain one
+    doc = json.loads(lines[lineno - 1])
+    doc[name] = "\x00hostile"
+    lines[lineno - 1] = json.dumps(doc).replace('"\\u0000hostile"', value) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--records", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[ERROR] ") and (name in err or value in err), err  # NaN: the value
+    if named == "line":
+        assert f"records.jsonl:{lineno}: malformed record line" in err, err
+    else:
+        record = records[lineno - 1]
+        assert f"/{record.stage}/" in err and record.instance_id in err or name == "instance_id"
+        assert "record " in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_record_line_is_never_written_with_nan_or_infinity(tmp_path):
+    path = tmp_path / "records.jsonl"
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            write_records(path, [RunRecord(**REQUIRED, latency_ms=value)])
+        with open(path, "w", encoding="utf-8") as fh, pytest.raises(ValueError):
+            records.append_record(fh, RunRecord(**REQUIRED, structural_overhead=value))
+
+
+def test_canonical_lines_show_a_number_read_as_infinite(tmp_path):
+    finite, huge = tmp_path / "finite.jsonl", tmp_path / "huge.jsonl"
+    write_records(finite, [RunRecord(**REQUIRED, structural_overhead=0.5)])
+    huge.write_text(finite.read_text(encoding="utf-8").replace(
+        '"structural_overhead": 0.5', '"structural_overhead": 1e999'), encoding="utf-8")
+    assert '"structural_overhead": Infinity' in records.canonical_record_lines(huge)[0]
+    assert records.canonical_diff(finite, huge) == ["record 0 differs"]
+
+
+def test_a_null_list_field_reads_as_empty(tmp_path):
+    record = record_from_dict({**REQUIRED, "violations": None, "calendar_wrong_fields": None})
+    assert record.violations == () and record.calendar_wrong_fields == ()
+
+
 def test_a_null_trace_verdict_and_bool_verdicts_are_read():
     doc = {**REQUIRED, "schema_valid": True, "answer_correct": False, "exec_correct": True,
            "trace_correct": None}
