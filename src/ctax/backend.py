@@ -747,14 +747,15 @@ def _endpoint_result(config: BackendConfig,
 # ---------------------------------------------------------------------------
 
 def generate(config: BackendConfig, bundle: PromptBundle,
-             renderers: dict[TaskInstance, _Renderer] | None = None,
+             renderers: dict[int, _Renderer] | None = None,
              replies: Sequence[_Reply] | None = None) -> GenerationResult | None:
     """One completion of the bundle. Scripted kinds render it through its
-    instance's renderer, drawn once per renderers dict (every call draws
-    when it is None) under the corruptor's fault profile; the oracle takes
-    no profile. The endpoint kind runs generate_all's loop on the bundle;
-    given the replies of the attempts made so far, it returns their result,
-    or None when another attempt is due."""
+    instance's renderer, drawn once per renderers dict, which keys it by
+    id(instance) (every call draws when it is None), under the corruptor's
+    fault profile; the oracle takes no profile. The endpoint kind runs
+    generate_all's loop on the bundle; given the replies of the attempts
+    made so far, it returns their result, or None when another attempt is
+    due."""
     if config.kind == "endpoint":
         if replies is not None:
             return _endpoint_result(config, replies)
@@ -765,8 +766,10 @@ def generate(config: BackendConfig, bundle: PromptBundle,
     started_at = timestamp()
     instance = bundle.instance
     renderers = {} if renderers is None else renderers
-    if (render := renderers.get(instance)) is None:
-        render = renderers[instance] = _draw_fault(
+    # by identity: TaskInstance's hash is Python code. The renderer holds the
+    # instance, so its id is not reused while the dict lives.
+    if (render := renderers.get(id(instance))) is None:
+        render = renderers[id(instance)] = _draw_fault(
             instance, config.fault if config.kind == "corruptor" else None)
     # scripted latency is pinned to zero so scripted runs stay byte-deterministic
     return GenerationResult(raw_text=render(bundle.mode, bundle.stage), latency_ms=0.0,
@@ -812,7 +815,7 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
         return follow_ups.popleft() if follow_ups else next(source, None)
 
     if config.kind != "endpoint":
-        renderers: dict[TaskInstance, _Renderer] = {}  # lives as long as this call
+        renderers: dict[int, _Renderer] = {}  # lives as long as this call
         while batch := [(bundle, generate(config, bundle, renderers))
                         for bundle in islice(iter(next_bundle, None), _INLINE_RUN)]:
             follow_ups.extend(on_result(batch))

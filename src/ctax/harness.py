@@ -61,8 +61,8 @@ from .modes import (
     scoring_constraint,
     transported_constraint,
 )
-from .records import (RunRecord, append_record, drop_torn_tail, new_record, open_jsonl,
-                      read_records, replace_file, timestamp)
+from .records import (_TEMPLATE, RunRecord, adopt_record, append_record, drop_torn_tail,
+                      open_jsonl, read_records, replace_file, timestamp)
 from .taskgen import (CALENDAR_SEMANTIC_FIELDS, FAMILIES, TaskInstance, generate_suite,
                       write_suite)
 from .validation import (LENIENT_EXTRACTION, PARSE_NO_JSON, STRICT_EXTRACTION, canonical_digest,
@@ -232,32 +232,34 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
     """
     family = instance.family
     contract = scoring_constraint(mode, family)
-    doc = dict(
-        instance_id=instance.id,
-        model_id=ctx.model_id,
-        backend_label=ctx.backend_label,
-        family=family,
-        mode=mode,
-        stage=stage,
-        constraint_kind=contract.kind,
-        constraint_digest=contract.digest(),
-        constraint_enforced=transported_constraint(mode, family, stage).kind != CONSTRAINT_NONE,
-        extraction_rule=STRICT_EXTRACTION if ctx.strict_extraction else LENIENT_EXTRACTION,
-        run_id=ctx.run_id,
-        config_digest=ctx.config_digest,
-        derived_from=derived_from,
-        latency_ms=result.latency_ms,
-        started_at=result.started_at,
-    )
+    state = _TEMPLATE.copy()  # every field at its default, in line order; set in place
+    state["instance_id"] = instance.id
+    state["model_id"] = ctx.model_id
+    state["backend_label"] = ctx.backend_label
+    state["family"] = family
+    state["mode"] = mode
+    state["stage"] = stage
+    state["constraint_kind"] = contract.kind
+    state["constraint_digest"] = contract.digest()
+    state["constraint_enforced"] = (
+        transported_constraint(mode, family, stage).kind != CONSTRAINT_NONE)
+    state["extraction_rule"] = STRICT_EXTRACTION if ctx.strict_extraction else LENIENT_EXTRACTION
+    state["run_id"] = ctx.run_id
+    state["config_digest"] = ctx.config_digest
+    state["derived_from"] = derived_from
+    state["latency_ms"] = result.latency_ms
+    state["started_at"] = result.started_at
     if result.failed:
-        doc.update(raw_text="", parse_status=PARSE_NO_JSON, error_class=GENERATION_FAILED,
-                   failure_reason=result.failure_reason,
-                   latency_annotation="+ pkg." if derived_from else None,
-                   finished_at=timestamp())
-        return new_record(doc)
+        state["raw_text"] = ""
+        state["parse_status"] = PARSE_NO_JSON
+        state["error_class"] = GENERATION_FAILED
+        state["failure_reason"] = result.failure_reason
+        if derived_from:
+            state["latency_annotation"] = "+ pkg."
+        state["finished_at"] = timestamp()
+        return adopt_record(state)
 
     text, scored_as = result.raw_text, mode
-    packaged_text = packaging_ms = latency_annotation = None
     packaging_failed = False
     if mode == DELAYED_MODE and stage == "stage1":
         if ctx.delayed_variant == "model":
@@ -265,9 +267,10 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
         else:
             pkg_started = time.perf_counter()
             outcome = build_delayed_stage2(result.raw_text, instance, "deterministic")
-            packaging_ms = (time.perf_counter() - pkg_started) * 1000.0
-            latency_annotation = "+ pkg."
-            packaged_text, packaging_failed = outcome.packaged_text, outcome.failed
+            state["packaging_ms"] = (time.perf_counter() - pkg_started) * 1000.0
+            state["latency_annotation"] = "+ pkg."
+            state["packaged_text"] = outcome.packaged_text
+            state["packaging_failed"] = packaging_failed = outcome.failed
             if not packaging_failed:
                 text = outcome.packaged_text
     if packaging_failed:
@@ -277,28 +280,23 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
     checks = score_completion(instance, scored_as, parse, text,
                               packaging_failed=packaging_failed,
                               strict_trace=ctx.strict_trace)
-    doc.update(
-        raw_text=result.raw_text,
-        parse_status=parse.status,
-        violations=tuple({"path": v.path, "keyword": v.keyword, "message": v.message}
-                         for v in parse.violations),
-        schema_valid=checks.schema_valid,
-        answer_correct=checks.answer_correct,
-        exec_correct=checks.exec_correct,
-        trace_correct=checks.trace_correct,
-        error_class=checks.error_class,
-        calendar_failure_class=checks.calendar_failure_class,
-        calendar_wrong_fields=checks.calendar_wrong_fields,
-        packaged_text=packaged_text,
-        packaging_failed=packaging_failed,
-        packaging_ms=packaging_ms,
-        latency_annotation=latency_annotation,
-        prompt_tokens=result.prompt_tokens,
-        completion_tokens=result.completion_tokens,
-        structural_overhead=structural_overhead(result.raw_text, checks.answer_payload),
-        finished_at=timestamp(),
-    )
-    return new_record(doc)
+    state["raw_text"] = result.raw_text
+    state["parse_status"] = parse.status
+    if parse.violations:
+        state["violations"] = tuple({"path": v.path, "keyword": v.keyword, "message": v.message}
+                                    for v in parse.violations)
+    state["schema_valid"] = checks.schema_valid
+    state["answer_correct"] = checks.answer_correct
+    state["exec_correct"] = checks.exec_correct
+    state["trace_correct"] = checks.trace_correct
+    state["error_class"] = checks.error_class
+    state["calendar_failure_class"] = checks.calendar_failure_class
+    state["calendar_wrong_fields"] = checks.calendar_wrong_fields
+    state["prompt_tokens"] = result.prompt_tokens
+    state["completion_tokens"] = result.completion_tokens
+    state["structural_overhead"] = structural_overhead(result.raw_text, checks.answer_payload)
+    state["finished_at"] = timestamp()
+    return adopt_record(state)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +343,11 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
     done: dict[tuple[str, str, str, str, str], RunRecord] = {}
     if resume and records_path.exists():
         drop_torn_tail(records_path)
-        done = {record.key(): record for record in read_records(records_path)}
+        stored = read_records(records_path)
+        refusal = _refusal(stored)  # appending after it would leave a file score refuses
+        if refusal is not None:
+            raise refusal
+        done = {record.key(): record for record in stored}
     out.mkdir(parents=True, exist_ok=True)
     write_suite((i for suite in suites.values() for i in suite), out / "tasks.jsonl")
     _write_manifest(config, digest, out)

@@ -21,11 +21,11 @@ import json
 import os
 import time
 from dataclasses import MISSING, dataclass, fields
-from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ConfigError
+from .validation import one_shot_encoder
 
 # Wall-clock fields masked by the canonical diff.
 MASKED_FIELDS = ("latency_ms", "packaging_ms", "started_at", "finished_at")
@@ -123,12 +123,22 @@ def new_record(fields: dict[str, Any]) -> RunRecord:
     unknown field or a missing required one is a TypeError. Fills __dict__
     directly: the frozen dataclass __init__ (a setattr call per field) costs
     several times as much."""
-    record = object.__new__(RunRecord)
-    state = record.__dict__
-    if not _fill(state, fields):
+    record = adopt_record({**_TEMPLATE, **fields})
+    _check_required(fields)
+    return record
+
+
+def adopt_record(state: dict[str, Any]) -> RunRecord:
+    """The record whose __dict__ is state itself: a copy of _TEMPLATE with
+    the fields its maker sets assigned in place, so it holds every field in
+    line order, with no second fill. A key the template lacks (a misspelled
+    field) is a TypeError. The caller hands state over and keeps no use of
+    it."""
+    if len(state) != len(_TEMPLATE):
         unknown = state.keys() - _TEMPLATE.keys()
         raise TypeError(f"unknown field(s): {', '.join(sorted(unknown))}")
-    _check_required(fields)
+    record = object.__new__(RunRecord)
+    object.__setattr__(record, "__dict__", state)  # the frozen __setattr__ refuses it
     return record
 
 
@@ -182,13 +192,9 @@ def _verdict_fault(state: dict[str, Any]) -> str:
 # encoder keeps no state between calls. NaN and the infinities are refused
 # (ValueError): they are not JSON, and the reader refuses them.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False)
-# The C encoder under _LINE_ENCODER, with the same options, built once too:
-# _LINE_ENCODER.encode checks its options and builds this on every call.
-# With no markers it skips the cycle check; no line holds a cycle.
-# (value, 0) -> the line's text in chunks.
-_ENCODE_CHUNKS = (c_make_encoder(None, _LINE_ENCODER.default, encode_basestring, None,
-                                 ": ", ", ", True, False, False)
-                  if c_make_encoder is not None else _LINE_ENCODER.iterencode)
+# (value, 0) -> the line's text in chunks, from the C encoder built once.
+# It skips the cycle check; no line holds a cycle.
+_ENCODE_CHUNKS = one_shot_encoder(_LINE_ENCODER)
 
 
 def _json_line(doc: dict[str, Any]) -> str:

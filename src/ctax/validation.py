@@ -18,7 +18,8 @@ import itertools
 import json
 import math
 import re
-from typing import Any, Iterator, NamedTuple
+from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import ConfigError
 
@@ -231,25 +232,6 @@ def check_schema_doc(schema: Any) -> None:
             check_schema_doc(arg)
 
 
-def _type_ok(value: Any, name: str) -> bool:
-    if name == "object":
-        return isinstance(value, dict)
-    if name == "array":
-        return isinstance(value, list)
-    if name == "string":
-        return isinstance(value, str)
-    if name == "boolean":
-        return isinstance(value, bool)
-    if name == "null":
-        return value is None
-    if name == "integer":
-        # JSON has no bool/int conflation; Python does, so guard it.
-        return isinstance(value, int) and not isinstance(value, bool)
-    if name == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    raise ConfigError(f"unsupported type name: {name!r}")
-
-
 def _json_equal(a: Any, b: Any) -> bool:
     if isinstance(a, bool) != isinstance(b, bool):
         return False
@@ -278,43 +260,122 @@ def validate_schema(value: Any, schema: dict) -> list[Violation]:
 
     The schema is trusted: ctax validates only against the schemas that
     modes builds for each (mode, family), which the tests run through
-    check_schema_doc.
+    check_schema_doc. Each schema dict is compiled into checks on its first
+    use, so it must not change afterwards (modes hands out one read-only
+    dict per (mode, family)).
     """
+    entry = _COMPILED.get(id(schema))
+    if entry is None or entry[0] is not schema:
+        if len(_COMPILED) >= _COMPILED_MAX:
+            _COMPILED.clear()
+        entry = _COMPILED[id(schema)] = (schema, _compile(schema))
     out: list[Violation] = []
-    _validate(value, schema, "", out)
+    entry[1](value, "", out)
     return out
 
 
-def _validate(value: Any, schema: dict, path: str, out: list[Violation]) -> None:
+# id(schema) -> (schema, its compiled check). The entry holds the schema, so
+# its id is not reused while the entry lives; `is` confirms the match. Far
+# more slots than the schemas modes builds (one per (mode, family)); a cache
+# that fills up is emptied.
+_COMPILED: dict[int, tuple[dict, Callable[[Any, str, list], None]]] = {}
+_COMPILED_MAX = 64
+
+# type name -> (the Python types it admits, whether a bool counts). JSON
+# has no bool/int conflation; Python does, so integer and number refuse bools.
+_TYPE_CLASSES: dict[str, tuple[type | tuple[type, ...], bool]] = {
+    "object": (dict, False), "array": (list, False), "string": (str, False),
+    "boolean": (bool, True), "null": (type(None), False),
+    "integer": (int, False), "number": ((int, float), False),
+}
+
+
+def _equality_check(keyword: str, options: list,
+                    message: str) -> Callable[[Any, str, list], None]:
+    """check(value, path, out) that appends a keyword violation unless value
+    is _json_equal to one of options. Strings only by a set lookup: a
+    string equals nothing but a string of the same text."""
+    if all(type(option) is str for option in options):
+        texts = frozenset(options)
+
+        def check(value: Any, path: str, out: list) -> None:
+            if type(value) is not str or value not in texts:
+                out.append(Violation(path, keyword, message))
+    else:
+        def check(value: Any, path: str, out: list) -> None:
+            if not any(_json_equal(value, option) for option in options):
+                out.append(Violation(path, keyword, message))
+    return check
+
+
+def _compile(schema: dict) -> Callable[[Any, str, list], None]:
+    """One schema node as check(value, path, out), which appends the node's
+    violations to out: the type first (a wrong type stops there, since
+    further keywords would only cascade on it), then const, enum, pattern,
+    minimum, the object keywords and items, each keyword read once here."""
     type_name = schema.get("type")
-    if type_name is not None and not _type_ok(value, type_name):
-        out.append(Violation(path, "type", f"expected {type_name}, got {_describe(value)}"))
-        return  # further keywords would only cascade on the wrong type
-    if "const" in schema and not _json_equal(value, schema["const"]):
-        out.append(Violation(path, "const", f"expected {schema['const']!r}"))
-    if "enum" in schema and not any(_json_equal(value, v) for v in schema["enum"]):
-        out.append(Violation(path, "enum", f"value not in {schema['enum']!r}"))
-    if "pattern" in schema and isinstance(value, str):
-        if re.search(schema["pattern"], value) is None:
-            out.append(Violation(path, "pattern", f"{value!r} does not match /{schema['pattern']}/"))
-    if "minimum" in schema and _is_number(value) and value < schema["minimum"]:
-        out.append(Violation(path, "minimum", f"{value} < {schema['minimum']}"))
-    if isinstance(value, dict):
-        properties = schema.get("properties", {})
-        for key in schema.get("required", []):
-            if key not in value:
-                out.append(Violation(path, "required", f'missing required property "{key}"'))
-        for key, sub in properties.items():
-            if key in value:
-                _validate(value[key], sub, f"{path}/{key}", out)
-        if schema.get("additionalProperties") is False:
-            for key in value:
-                if key not in properties:
-                    out.append(Violation(f"{path}/{key}", "additionalProperties",
-                                         "property not allowed"))
-    if isinstance(value, list) and "items" in schema:
-        for index, item in enumerate(value):
-            _validate(item, schema["items"], f"{path}/{index}", out)
+    if type_name is not None and type_name not in _TYPE_CLASSES:
+        raise ConfigError(f"unsupported type name: {type_name!r}")
+    admitted, bool_ok = _TYPE_CLASSES.get(type_name, (object, True))
+    checks: list[Callable[[Any, str, list], None]] = []
+    if "const" in schema:
+        checks.append(_equality_check("const", [schema["const"]],
+                                      f"expected {schema['const']!r}"))
+    if "enum" in schema:
+        checks.append(_equality_check("enum", schema["enum"],
+                                      f"value not in {schema['enum']!r}"))
+    if "pattern" in schema:
+        pattern = schema["pattern"]
+        search = re.compile(pattern).search
+
+        def check_pattern(value: Any, path: str, out: list) -> None:
+            if isinstance(value, str) and search(value) is None:
+                out.append(Violation(path, "pattern", f"{value!r} does not match /{pattern}/"))
+        checks.append(check_pattern)
+    if "minimum" in schema:
+        minimum = schema["minimum"]
+
+        def check_minimum(value: Any, path: str, out: list) -> None:
+            if _is_number(value) and value < minimum:
+                out.append(Violation(path, "minimum", f"{value} < {minimum}"))
+        checks.append(check_minimum)
+    properties = schema.get("properties", {})
+    required = tuple((key, f'missing required property "{key}"')
+                     for key in schema.get("required", []))
+    # (key, its path suffix, its check), in the schema's order
+    members = tuple((key, f"/{key}", _compile(sub)) for key, sub in properties.items())
+    closed = schema.get("additionalProperties") is False
+    if required or members or closed:
+        def check_object(value: Any, path: str, out: list) -> None:
+            if isinstance(value, dict):
+                for key, message in required:
+                    if key not in value:
+                        out.append(Violation(path, "required", message))
+                for key, suffix, member_check in members:
+                    if key in value:
+                        member_check(value[key], path + suffix, out)
+                if closed:
+                    for key in value:
+                        if key not in properties:
+                            out.append(Violation(f"{path}/{key}", "additionalProperties",
+                                                 "property not allowed"))
+        checks.append(check_object)
+    if "items" in schema:
+        check_item = _compile(schema["items"])
+
+        def check_items(value: Any, path: str, out: list) -> None:
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    check_item(item, f"{path}/{index}", out)
+        checks.append(check_items)
+
+    def check(value: Any, path: str, out: list) -> None:
+        if not isinstance(value, admitted) or (value.__class__ is bool and not bool_ok):
+            out.append(Violation(path, "type", f"expected {type_name}, got {_describe(value)}"))
+            return
+        for keyword_check in checks:
+            keyword_check(value, path, out)
+    return check
 
 
 def _describe(value: Any) -> str:
@@ -367,16 +428,33 @@ def normalize_answer(text: object, family: str | None = None) -> str:
     return s
 
 
-# Built once, like _STRICT_DECODER; it checks for cycles on every call.
+def one_shot_encoder(encoder: json.JSONEncoder) -> Callable[[Any, int], Any]:
+    """encoder's C encoder, with the same options, built once: (value, 0) ->
+    its text in chunks. encoder.encode builds one on every call. Without
+    the markers of encoder's cycle check, a cycle recurses until
+    RecursionError. Without json's C accelerator, encoder.iterencode, which
+    checks for cycles (ValueError)."""
+    if c_make_encoder is None:
+        return encoder.iterencode
+    return c_make_encoder(None, encoder.default,
+                          encode_basestring_ascii if encoder.ensure_ascii else encode_basestring,
+                          encoder.indent, encoder.key_separator, encoder.item_separator,
+                          encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
+
+
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                       ensure_ascii=False, allow_nan=False)
+_CANONICAL_CHUNKS = one_shot_encoder(_CANONICAL_ENCODER)
 
 
 def canonical_serialize(value: Any) -> str:
     """Canonical JSON text: keys sorted at every depth, no insignificant
     whitespace, UTF-8 verbatim, non-finite numbers and cycles rejected
     (ValueError)."""
-    return _CANONICAL_ENCODER.encode(value)
+    try:
+        return "".join(_CANONICAL_CHUNKS(value, 0))
+    except RecursionError:  # a cycle, or nesting too deep: the checked encoder tells which
+        return _CANONICAL_ENCODER.encode(value)
 
 
 def canonical_digest(value: Any, length: int = 12) -> str:

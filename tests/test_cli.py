@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -455,6 +456,24 @@ def test_resume_with_changed_config_exits_2(tmp_path, capsys):
                  "--resume"]) == 2
     assert "config digest" in capsys.readouterr().err
     assert (records.read_bytes(), manifest.read_bytes()) == before
+
+
+def test_resume_refuses_a_number_read_as_infinite(tmp_path, capsys):
+    records = _scored_run(tmp_path)
+    lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1], hits = re.subn(r'"structural_overhead": [-+.0-9eE]+',
+                             '"structural_overhead": 1e999', lines[1])
+    assert hits == 1
+    records.write_text("".join(lines), encoding="utf-8")
+    before = records.read_bytes()
+    record = read_records(records)[1]
+    capsys.readouterr()
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--out", str(records.parent),
+                 "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert f"record {'/'.join(record.key())}: structural_overhead" in err, err
+    assert "Traceback" not in err
+    assert records.read_bytes() == before
 
 
 @pytest.mark.parametrize("name", ["manifest.json", "tasks.jsonl"])

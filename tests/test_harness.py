@@ -22,8 +22,8 @@ import pytest
 
 import ctax
 from ctax import harness
-from ctax.backend import (_INLINE_RUN, BackendConfig, FaultProfile, SamplingConfig,
-                          build_request_body)
+from ctax.backend import (_INLINE_RUN, BackendConfig, FaultProfile, GenerationResult,
+                          SamplingConfig, build_request_body)
 from ctax.cli import main
 from ctax.errors import ConfigError
 from ctax.harness import (
@@ -39,13 +39,13 @@ from ctax.harness import (
 )
 from ctax import metrics
 from ctax.metrics import BOOTSTRAP_VERSION, BootstrapConfig
-from ctax.modes import (DELAYED_VARIANTS, MODE_NAMES, NO_CONSTRAINT, Constraint,
-                        build_delayed_stage2, build_prompt, scoring_constraint,
+from ctax.modes import (DELAYED_MODE, DELAYED_VARIANTS, MODE_NAMES, NO_CONSTRAINT,
+                        Constraint, build_delayed_stage2, build_prompt, scoring_constraint,
                         transported_constraint)
-from ctax.records import (MASKED_FIELDS, RunRecord, canonical_diff, canonical_record_lines,
-                          read_records, write_records)
+from ctax.records import (_TEMPLATE, MASKED_FIELDS, RunRecord, adopt_record, canonical_diff,
+                          canonical_record_lines, new_record, read_records, write_records)
 from ctax.report import render_report
-from ctax.checkers import CALENDAR_FAILURE_CLASSES
+from ctax.checkers import CALENDAR_FAILURE_CLASSES, GENERATION_FAILED
 from ctax.taskgen import CALENDAR_SEMANTIC_FIELDS, FAMILIES, generate_suite
 from ctax.validation import canonical_serialize
 from reference_score import reference_score
@@ -445,10 +445,124 @@ def test_record_lines_match_golden_hashes(scripted_runs):
         assert len(lines) == 9 * 5 * 10 + (50 if variant == "model" else 0)
         for line in lines:
             assert line == json.dumps(json.loads(line), sort_keys=True, ensure_ascii=False)
-        masked, hits = _MASK_RE.subn(rb'"\1": null', data)
-        assert hits == len(MASKED_FIELDS) * len(lines)
-        digests[variant] = hashlib.sha256(masked).hexdigest()
+        digests[variant] = _masked_sha256(data)
     assert digests == _GOLDEN_RECORD_SHA256
+
+
+def _masked_sha256(data: bytes) -> str:
+    """sha256 of records.jsonl bytes with every line's wall-clock fields null."""
+    masked, hits = _MASK_RE.subn(rb'"\1": null', data)
+    assert hits == len(MASKED_FIELDS) * data.count(b"\n")
+    return hashlib.sha256(masked).hexdigest()
+
+
+_PURE_PYTHON_JSON = textwrap.dedent("""\
+    import sys
+    sys.modules["_json"] = None  # json falls back to its pure-Python scanner and encoder
+    import ast, json, json.encoder, json.scanner
+    assert json.encoder.c_make_encoder is None and json.scanner.c_make_scanner is None
+    from ctax.harness import config_from_dict, run
+    from ctax.validation import canonical_serialize
+    cyclic = {"a": 1}
+    cyclic["self"] = cyclic
+    for refused in (cyclic, {"x": float("nan")}):
+        try:
+            canonical_serialize(refused)
+        except ValueError:
+            continue
+        raise AssertionError(f"serialized {refused!r}")
+    for variant, doc in json.loads(sys.argv[1]).items():
+        run(config_from_dict(doc), f"{sys.argv[2]}/{variant}")
+    print(json.dumps([canonical_serialize(value) for value in ast.literal_eval(sys.argv[3])]))
+""")
+_CANONICAL_SAMPLES = [
+    {"b": 1, "a": {"d": [2.5, -0.0, 1e-07, 1e300, 10**30], "c": None}},
+    {"t": 'café ☃ \u2028 \x00 "quoted" back\\slash \ud800', "z": True, "y": False},
+    "plain text",
+    {"tool": "create_calendar_event", "arguments": {"duration_minutes": 30, "attendee": "leo"}},
+]
+_CREATED_AT_RE = re.compile(rb'"created_at":"[^"]*"')
+
+
+def test_json_without_its_c_accelerator_gives_the_same_bytes(scripted_runs, tmp_path):
+    configs = {variant: config.to_dict() for variant, (config, _path) in scripted_runs.items()}
+    env = {**os.environ, "PYTHONPATH": str(Path(ctax.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _PURE_PYTHON_JSON, json.dumps(configs),
+                           str(tmp_path), repr(_CANONICAL_SAMPLES)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    texts = json.loads(proc.stdout.splitlines()[-1])
+    assert texts == [canonical_serialize(value) for value in _CANONICAL_SAMPLES]
+    for variant, (_config, path) in scripted_runs.items():
+        pure = tmp_path / variant
+        assert _masked_sha256((pure / "records.jsonl").read_bytes()) == \
+            _GOLDEN_RECORD_SHA256[variant]
+        assert (pure / "tasks.jsonl").read_bytes() == (path.parent / "tasks.jsonl").read_bytes()
+        pure_manifest, manifest = (
+            _CREATED_AT_RE.subn(b'"created_at":null', (where / "manifest.json").read_bytes())
+            for where in (pure, path.parent))
+        assert pure_manifest == manifest and manifest[1] == 1
+
+
+def _record_of_each_branch() -> dict[str, RunRecord]:
+    """A record from each branch of harness._record."""
+    ctx = harness._RecordContext("corruptor", "c-v1", "guard", "digest")
+    arithmetic = generate_suite("arithmetic_two_step", 1, 3)[0]
+    calendar = generate_suite("tool_call_argument", 1, 3)[0]
+    answer = arithmetic.ground_truth.final_answer
+
+    def landed(text: str) -> GenerationResult:
+        return GenerationResult(raw_text=text, latency_ms=1.5, prompt_tokens=3,
+                                completion_tokens=4, started_at="2026-01-01T00:00:00.000+00:00")
+
+    scored = harness._record(ctx, arithmetic, "prompt_json", "single",
+                             landed(json.dumps({"answer": answer})))
+    failed = harness._record(ctx, arithmetic, "prompt_json", "single",
+                             GenerationResult(raw_text="", latency_ms=0.0, failed=True,
+                                              failure_reason="timed out"))
+    instances = {arithmetic.id: arithmetic}
+    return {
+        "scored": scored,
+        "scored, with violations": harness._record(ctx, arithmetic, "answer_only_schema",
+                                                   "single", landed('{"answer": 4}')),
+        "generation failed": failed,
+        "delayed stage 1, packaged": harness._record(ctx, arithmetic, DELAYED_MODE, "stage1",
+                                                     landed(f"Final answer: {answer}")),
+        "delayed stage 1, packaging failed": harness._record(ctx, calendar, DELAYED_MODE,
+                                                             "stage1", landed("no object here")),
+        "model-variant stage 1": harness._record(replace(ctx, delayed_variant="model"),
+                                                 arithmetic, DELAYED_MODE, "stage1",
+                                                 landed(f"Final answer: {answer}")),
+        "derived": derive_delayed([scored], instances)[0],
+        "derived from a failed generation": derive_delayed([failed], instances)[0],
+    }
+
+
+def test_every_record_branch_fills_one_dict_in_line_order():
+    made = _record_of_each_branch()
+    for branch, record in made.items():
+        assert list(vars(record)) == list(_TEMPLATE), branch
+        assert record == new_record(dict(vars(record))), branch
+    assert made["scored"].answer_correct and not made["scored"].violations
+    assert made["scored, with violations"].violations[0]["keyword"] == "type"
+    assert made["generation failed"].error_class == GENERATION_FAILED
+    assert made["delayed stage 1, packaged"].packaged_text is not None
+    assert made["delayed stage 1, packaging failed"].packaging_failed
+    assert made["model-variant stage 1"].packaging_ms is None
+    assert made["derived"].derived_from == "prompt_json"
+    assert made["derived from a failed generation"].latency_annotation == "+ pkg."
+
+
+def test_a_misspelled_record_field_is_refused_and_never_written(tmp_path, monkeypatch):
+    state = dict(_TEMPLATE)
+    state["packagng_ms"] = 1.0
+    with pytest.raises(TypeError, match=re.escape("unknown field(s): packagng_ms")):
+        adopt_record(state)
+    # every record _record fills then holds the stray key
+    monkeypatch.setattr(harness, "_TEMPLATE", {**_TEMPLATE, "packagng_ms": None})
+    with pytest.raises(TypeError, match=re.escape("unknown field(s): packagng_ms")):
+        run(_config(("prompt_json",)), tmp_path / "out")
+    assert (tmp_path / "out" / "records.jsonl").read_bytes() == b""
 
 
 def test_full_and_compact_lines_read_back_to_equal_records(scripted_runs, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 
@@ -21,6 +22,7 @@ from ctax.validation import (
     validate_schema,
 )
 from reference_extraction import walk_extract_json
+from reference_validator import enumerate_pairs, reference_validate
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +455,33 @@ def test_validate_collects_multiple_violations():
     violations = validate_schema({"a": 1, "z": 2}, schema)
     keywords = sorted(v.keyword for v in violations)
     assert keywords == ["additionalProperties", "required", "type"]
+
+
+def test_a_schema_at_a_dropped_schemas_id_gets_its_own_verdict():
+    schema = {"type": "string"}
+    assert validate_schema("x", schema) == []
+    dropped = id(schema)
+    del schema
+    # each schema validated stays cached, so the cache fills, lets the dropped
+    # schema go, and its memory can hold a new one
+    for _ in range(100_000):
+        other = {"type": "integer"}
+        if id(other) == dropped:
+            break
+        validate_schema(0, other)
+    else:
+        pytest.fail("no new schema landed at the dropped schema's id")
+    assert validate_schema("x", other) == [
+        validation.Violation("", "type", "expected integer, got str")]
+
+
+def test_the_schema_cache_stays_bounded_over_criterion_8s_pairs():
+    pairs = enumerate_pairs()
+    assert len(pairs) == 12_958
+    for value, schema in pairs:
+        fresh = copy.deepcopy(schema)  # a schema never seen: each call compiles
+        assert (not validate_schema(value, fresh)) == reference_validate(value, schema)
+        assert len(validation._COMPILED) <= validation._COMPILED_MAX
 
 
 # ---------------------------------------------------------------------------

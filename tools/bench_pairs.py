@@ -1,0 +1,143 @@
+"""Alternated benchmark pairs of two revisions.
+
+    python3 tools/bench_pairs.py --base HEAD~1 --head HEAD \\
+        --workload offline_corruptor --seed 1 --seconds 10 --pairs 10
+
+Exports each revision with `git archive` into its own temporary directory
+(under $TMPDIR), then runs `perfbench/run.py --workload W --seed S --seconds N`
+in each, --pairs times per side, alternating which side runs first. To
+measure uncommitted work, `git add` it and pass `--head "$(git stash create)"`.
+
+For every end-to-end metric of the base's BENCHMARK.json it prints each
+pair's values, the pairs the head won (ties count for neither side), both
+medians with their quartiles, and two verdicts: whether the head's gain
+meets the acceptance rule (it wins at least nine tenths of the pairs, and
+the medians differ by more than the base's interquartile spread), and
+whether the head's median is worse than the base's by more than the
+metric's bound. The last line is one JSON object holding every value.
+Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export(revision: str, into: Path) -> str:
+    """Unpack `git archive revision` into the directory; returns the
+    revision's full commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{revision}^{{commit}}"],
+                            cwd=ROOT, check=True, capture_output=True,
+                            text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    into.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return commit
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in the tree: its last stdout line, as JSON. A run
+    that exits non-zero or prints no JSON line is a RuntimeError."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds)],
+                          cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"perfbench in {tree} exited {proc.returncode}:\n"
+                           f"{proc.stdout[-2000:]}\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
+    """The figures and verdicts of one end-to-end metric over the pairs."""
+    higher = metric["better"] == "higher"
+    wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
+    losses = sum((h < b) if higher else (h > b) for b, h in zip(base, head))
+    base_med, head_med = statistics.median(base), statistics.median(head)
+    base_q1, _, base_q3 = statistics.quantiles(base, n=4)
+    head_q1, _, head_q3 = statistics.quantiles(head, n=4)
+    better_by = (head_med - base_med) if higher else (base_med - head_med)
+    worse_share = -better_by / base_med if base_med else 0.0
+    return {
+        "base": base, "head": head, "wins": wins, "losses": losses,
+        "base_median": base_med, "head_median": head_med,
+        "base_quartiles": [base_q1, base_q3], "head_quartiles": [head_q1, head_q3],
+        "base_iqr": base_q3 - base_q1,
+        "ratio": head_med / base_med if base_med else None,
+        "gain_met": wins >= 0.9 * len(base) and better_by > base_q3 - base_q1,
+        "within_bound": worse_share <= metric["bound"],
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="alternated perfbench pairs of two revisions")
+    parser.add_argument("--base", required=True, help="the parent revision")
+    parser.add_argument("--head", required=True, help="the revision measured against it")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for quartiles")
+    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        trees = {"base": work / "base", "head": work / "head"}
+        commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
+        metrics = json.loads((trees["base"] / "BENCHMARK.json").read_text())["end_to_end"]
+        runs: dict[str, list[dict]] = {"base": [], "head": []}
+        for pair in range(args.pairs):
+            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+            for side in order:
+                runs[side].append(bench(trees[side], args.workload, args.seed, args.seconds))
+            print(f"pair {pair + 1}/{args.pairs} ({order[0]} first): " + "; ".join(
+                f"{m['name']} {runs['base'][-1]['metrics'][m['name']]['value']:.4g} -> "
+                f"{runs['head'][-1]['metrics'][m['name']]['value']:.4g}" for m in metrics),
+                flush=True)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+    print(f"\n{args.workload} seed={args.seed} seconds={args.seconds} pairs={args.pairs}")
+    print(f"base {commits['base'][:12]}  head {commits['head'][:12]}")
+    summary = {}
+    for metric in metrics:
+        name = metric["name"]
+        figures = summary[name] = summarize(
+            metric, *([run["metrics"][name]["value"] for run in runs[side]]
+                      for side in ("base", "head")))
+        print(f"\n{name} ({metric['unit']}, {metric['better']} is better, "
+              f"bound {metric['bound']:.0%})")
+        print("  base: " + ", ".join(f"{v:.4g}" for v in figures["base"]))
+        print("  head: " + ", ".join(f"{v:.4g}" for v in figures["head"]))
+        print(f"  head better in {figures['wins']} of {args.pairs} pairs, "
+              f"worse in {figures['losses']}")
+        print(f"  median {figures['base_median']:.4g} "
+              f"[{figures['base_quartiles'][0]:.4g}, {figures['base_quartiles'][1]:.4g}] -> "
+              f"{figures['head_median']:.4g} "
+              f"[{figures['head_quartiles'][0]:.4g}, {figures['head_quartiles'][1]:.4g}]"
+              + (f", ratio {figures['ratio']:.3f}" if figures["ratio"] is not None else ""))
+        print(f"  base interquartile spread {figures['base_iqr']:.4g}; "
+              f"gain {'MET' if figures['gain_met'] else 'not met'}; "
+              f"{'within' if figures['within_bound'] else 'BEYOND'} the bound")
+    failed = {side: [run["failed"] for run in runs[side]] for side in runs}
+    attempted = {side: [run["attempted"] for run in runs[side]] for side in runs}
+    print(f"\nfailed/attempted: base {sum(failed['base'])}/{sum(attempted['base'])}, "
+          f"head {sum(failed['head'])}/{sum(attempted['head'])}")
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+                      "commits": commits, "metrics": summary, "failed": failed,
+                      "attempted": attempted}))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
