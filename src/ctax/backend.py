@@ -553,19 +553,23 @@ class _Reply(NamedTuple):
 
 
 class _Exchange:
-    """One attempt: a request on its own non-blocking connection, moving to
-    the next resolved address when a connect fails, as
-    socket.create_connection does. It starts on construction; step() takes
-    it as far as its socket allows whenever the selector finds the socket
-    ready, and reply is set once it has ended. timeout_ms from the start is
-    the deadline for all of it: connect, TLS handshake, send and response."""
+    """One connection, carrying at most one request, on a non-blocking
+    socket that moves to the next resolved address when a connect fails, as
+    socket.create_connection does. It starts connecting on construction;
+    step() takes it as far as its socket allows whenever the selector finds
+    the socket ready. Started without a request, the connection is held:
+    once it is up (TLS handshake included) it waits, watched for READ only,
+    until send() puts the request on it. A held connection that fails to
+    connect, that the peer closes or writes to first, is closed at once;
+    that costs no attempt. The attempt starts at send(): timeout_ms from
+    then is the deadline for the rest of it (connect and TLS handshake if
+    still under way, send and response), and reply is set once it has
+    ended."""
 
-    def __init__(self, target: _Target, selector: selectors.BaseSelector, request: bytes):
+    def __init__(self, target: _Target, selector: selectors.BaseSelector,
+                 request: bytes | None = None):
         self.target, self.selector = target, selector
-        self.started = time.perf_counter()
-        self.deadline = self.started + target.timeout
-        self.started_at = timestamp()
-        self.outgoing = memoryview(request)
+        self.outgoing: memoryview | None = None  # the request's unsent part; None while held
         self.reader = _ResponseReader()
         self.addresses = iter(target.addresses)
         self.address = None
@@ -574,8 +578,20 @@ class _Exchange:
         self.events = 0  # what the selector watches the socket for; 0: not registered
         self.phase = "connect"  # then "handshake" (https), "send", "receive"
         self.reply: _Reply | None = None
-        if target.error is not None:
-            self.end(str(target.error))
+        if request is not None:
+            self.send(request)
+        elif target.error is None:
+            self.step()
+
+    def send(self, request: bytes) -> None:
+        """Start the attempt: the request goes out as soon as the connection
+        is up."""
+        self.started = time.perf_counter()
+        self.deadline = self.started + self.target.timeout
+        self.started_at = timestamp()
+        self.outgoing = memoryview(request)
+        if self.target.error is not None:
+            self.end(str(self.target.error))
         else:
             self.step()
 
@@ -584,7 +600,10 @@ class _Exchange:
             events = self._advance()
         except OSError as exc:  # a TLS call that must wait is one too
             if not (events := self.target.wants.get(type(exc), 0)):
-                self.end(str(exc))
+                if self.outgoing is None:  # held: its call gets a fresh connection
+                    self.close()
+                else:
+                    self.end(str(exc))
                 return
         if events:
             self._watch(events)
@@ -627,6 +646,13 @@ class _Exchange:
             self.sock.do_handshake()
             self.phase = "send"
         if self.phase == "send":
+            if self.outgoing is None:  # held: readable means the peer closed or spoke first
+                try:
+                    self.sock.recv(1)
+                except BlockingIOError:
+                    return _READ
+                self.close()
+                return 0
             while self.outgoing:
                 try:
                     self.outgoing = self.outgoing[self.sock.send(self.outgoing):]
@@ -683,6 +709,34 @@ def _wait_any(selector: selectors.BaseSelector, exchanges: Collection[_Exchange]
         timeout = min(exchange.deadline for exchange in exchanges) - now
         for key, _ in selector.select(timeout):
             key.data.step()
+
+
+def _descriptors() -> tuple[float, int]:
+    """(soft RLIMIT_NOFILE, descriptors open now); (inf, 0) where either
+    cannot be read or there is no limit."""
+    try:
+        import resource  # only here: not on every platform
+
+        limit, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+        open_now = len(os.listdir("/dev/fd")) - 1  # less the one the listing opens
+    except (ImportError, OSError):
+        return float("inf"), 0
+    return (float("inf") if limit == resource.RLIM_INFINITY else limit), open_now
+
+
+def check_descriptors(config: BackendConfig) -> None:
+    """Refuse a max_in_flight whose loop cannot have all its descriptors
+    open beside those open already: 2 x max_in_flight sockets (in flight,
+    and as many held, or ended but not yet closed), the selector and the
+    records file."""
+    limit, open_now = _descriptors()
+    needed = 2 * config.max_in_flight + 2
+    if needed > limit - open_now:
+        raise ConfigError(
+            f"max_in_flight {config.max_in_flight} needs {needed} descriptors (sockets "
+            f"in flight and closing, the selector and the records file), but {open_now} "
+            f"of the limit of {limit} are open; lower max_in_flight or raise the "
+            f"limit with `ulimit -n`")
 
 
 def check_health(config: BackendConfig) -> None:
@@ -794,20 +848,29 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
 
     Hands the (bundle, result) pairs to on_result on the calling thread a
     landing batch at a time, in completion order, and queues the bundles
-    on_result returns ahead of the rest. Bundles are drawn from the iterable
-    only as work is handed out. Scripted kinds generate inline, in runs of
-    up to _INLINE_RUN bundles, and land each run as one batch, in the order
-    its bundles were drawn.
+    on_result returns ahead of every bundle not yet handed out. Bundles are
+    drawn from the iterable only as work is handed out, or, on an endpoint,
+    up to max_in_flight ahead of it. Scripted kinds generate inline, in runs
+    of up to _INLINE_RUN bundles, and land each run as one batch, in the
+    order its bundles were drawn.
 
     The endpoint kind runs one selector loop on the calling thread, with at
-    most max_in_flight exchanges open, each on its own connection. After
-    each wait it starts replacements for the exchanges that ended (a due
-    retry first), then closes their sockets, then lands their results as
-    one batch, so the slots are busy again while the caller scores; the
-    loop waits again only once on_result has returned. Each attempt's reply
-    goes to generate(config, bundle, replies=...), which says whether
-    another attempt is due. An error raised by on_result or by a request
-    body leaves this call with every socket closed.
+    most max_in_flight exchanges open, each request on its own connection.
+    While they are busy it holds one more connection up for each call known
+    to wait (a due retry, a follow-up or a bundle drawn ahead), one per open
+    exchange at most, so a call that gets a slot is sent at once, on the
+    oldest held connection. In-flight connections are therefore older than
+    held ones, which a server that accepts one connection at a time needs.
+    Held connections stay within the descriptors free when the loop starts,
+    so at most 2 x max_in_flight sockets are open at once: in flight, and
+    held or ended but not yet closed. After each wait the loop starts
+    replacements for the exchanges that ended (a due retry first), then
+    closes their sockets, then lands their results as one batch, so the
+    slots are busy again while the caller scores; the loop waits again only
+    once on_result has returned. Each attempt's reply goes to
+    generate(config, bundle, replies=...), which says whether another
+    attempt is due. An error raised by on_result or by a request body leaves
+    this call with every socket closed.
     """
     source, follow_ups = iter(bundles), deque()
 
@@ -825,24 +888,46 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
     # open exchange -> (bundle, request, replies of its earlier attempts)
     calls: dict[_Exchange, tuple[PromptBundle, bytes, list[_Reply]]] = {}
     retries: deque = deque()  # (bundle, request, replies) due another attempt
+    drawn: deque = deque()  # (bundle, request, []) drawn from the source ahead of a slot
+    held: deque[_Exchange] = deque()  # connections opened for waiting calls, oldest first
     ended: list[_Exchange] = []
     landed: list[tuple[PromptBundle, GenerationResult]] = []
+
+    def new_call(bundle: PromptBundle) -> tuple[PromptBundle, bytes, list[_Reply]]:
+        body = json.dumps(build_request_body(config, bundle)).encode()
+        return bundle, target.request("POST", "/v1/chat/completions", body), []
+
+    def next_call() -> tuple[PromptBundle, bytes, list[_Reply]] | None:
+        if retries:
+            return retries.popleft()
+        if follow_ups:
+            return new_call(follow_ups.popleft())
+        if drawn:
+            return drawn.popleft()
+        return None if (bundle := next(source, None)) is None else new_call(bundle)
+
     with selectors.DefaultSelector() as selector:
+        limit, open_now = _descriptors()
         try:
             while True:
-                while len(calls) < config.max_in_flight:
-                    if retries:
-                        call = retries.popleft()
-                    elif (bundle := next_bundle()) is not None:
-                        body = json.dumps(build_request_body(config, bundle)).encode()
-                        call = (bundle, target.request("POST", "/v1/chat/completions", body),
-                                [])
+                while len(calls) < config.max_in_flight and (call := next_call()):
+                    while held:  # the oldest held connection still up
+                        if (exchange := held.popleft()).sock is not None:
+                            exchange.send(call[1])
+                            break
                     else:
-                        break
-                    calls[_Exchange(target, selector, call[1])] = call
+                        exchange = _Exchange(target, selector, call[1])
+                    calls[exchange] = call
                 for exchange in ended:
                     exchange.close()
                 ended.clear()
+                # a connection for each call known to wait, one per open exchange at most
+                while len(held) < len(calls) and len(calls) + len(held) < limit - open_now:
+                    if len(retries) + len(follow_ups) + len(drawn) <= len(held):
+                        if (bundle := next(source, None)) is None:
+                            break  # no call waits for another connection
+                        drawn.append(new_call(bundle))
+                    held.append(_Exchange(target, selector))
                 if landed:  # their follow-ups may fill free slots at once
                     follow_ups.extend(on_result(landed))
                     landed = []
@@ -859,5 +944,5 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
                     else:
                         landed.append((bundle, result))
         finally:
-            for exchange in [*calls, *ended]:
+            for exchange in [*calls, *ended, *held]:
                 exchange.close()

@@ -27,6 +27,7 @@ from .backend import (
     BackendConfig,
     GenerationResult,
     build_request_body,
+    check_descriptors,
     check_health,
     generate_all,
 )
@@ -316,8 +317,9 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
     written, then the file is flushed once, so records.jsonl is in
     completion order (canonical_diff sorts it). A killed scripted run loses
     at most the batch in hand (up to backend._INLINE_RUN generations); a
-    killed endpoint run loses only the generations in flight, since every
-    landing round is flushed before the loop waits again. Reruns with
+    killed endpoint run loses only the generations in flight and the calls
+    waiting on held connections, since every landing round is flushed
+    before the loop waits again. Reruns with
     --resume skip every (backend, model, mode, stage, instance) already on
     disk, so a killed run regenerates what it lost, without duplicates. A
     final line left unterminated by a killed write is cut and its record
@@ -338,6 +340,7 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
     _check_transport(config, next(iter(suites.values()))[0])
     for backend in config.backends:  # before anything is written
         if backend.kind == "endpoint":
+            check_descriptors(backend)
             check_health(backend)
 
     done: dict[tuple[str, str, str, str, str], RunRecord] = {}

@@ -349,6 +349,8 @@ class _StubState:
         self.content = content
         self.posts: list[tuple[dict, dict]] = []  # (headers, body)
         self.post_count = 0
+        self.connections = 0  # accepted
+        self.idle: list[float] = []  # per post, seconds from its connection's accept
         self.active = 0
         self.peak = 0
 
@@ -356,6 +358,12 @@ class _StubState:
 class _StubHandler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep pytest output clean
         pass
+
+    def setup(self):
+        super().setup()
+        self.accepted = time.monotonic()
+        with self.server.state.lock:
+            self.server.state.connections += 1
 
     def _respond(self, code: int, payload: dict) -> None:
         data = json.dumps(payload).encode()
@@ -380,6 +388,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             state.post_count += 1
             count = state.post_count
             state.posts.append((dict(self.headers), body))
+            state.idle.append(time.monotonic() - self.accepted)
             state.active += 1
             state.peak = max(state.peak, state.active)
         if state.delay:
@@ -1230,3 +1239,149 @@ def test_https_with_an_untrusted_certificate_fails_the_health_check(tmp_path, mo
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
     assert "CERTIFICATE_VERIFY_FAILED" in capsys.readouterr().err
     assert not out.exists() and state.post_count == 0
+
+
+# ---------------------------------------------------------------------------
+# held connections: opened while the slots are busy, one request each
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def _idle_dropping_server(tls=None):
+    """A raw-socket endpoint with a thread per connection that drops a
+    connection sending no request within 50 ms, and answers a request after
+    150 ms; HTTPS when tls is a server SSLContext. Yields (url, requests,
+    drops): the request heads it read, and the count of dropped
+    connections."""
+    payload = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop, requests, drops, handlers = threading.Event(), [], [], []
+
+    def handle(conn):
+        try:
+            if tls is not None:
+                conn.settimeout(5)
+                conn = tls.wrap_socket(conn, server_side=True)
+            conn.settimeout(0.05)
+            try:
+                head = _read_request(conn)
+            except TimeoutError:
+                drops.append(1)
+                return
+            requests.append(head)
+            time.sleep(0.15)
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                         % (len(payload), payload))
+        except OSError:  # a handshake the client gave up on
+            pass
+        finally:
+            conn.close()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _addr = listener.accept()
+            except TimeoutError:
+                continue
+            handlers.append(thread := threading.Thread(target=handle, args=(conn,), daemon=True))
+            thread.start()
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    scheme = "https" if tls else "http"
+    try:
+        yield f"{scheme}://127.0.0.1:{listener.getsockname()[1]}", requests, drops
+    finally:
+        stop.set()
+        server.join(timeout=5)
+        for thread in handlers:
+            thread.join(timeout=5)
+        listener.close()
+    assert not server.is_alive() and not any(thread.is_alive() for thread in handlers)
+
+
+@pytest.mark.parametrize("in_flight", [1, 2])
+@pytest.mark.parametrize("scheme", ["http", "https"])
+def test_a_held_connection_the_server_drops_costs_no_attempt(scheme, in_flight, tmp_path,
+                                                             monkeypatch):
+    """Servers drop connections that send no request in time; a held one
+    that is dropped is closed, and its call is sent on a fresh connection,
+    with no attempt lost."""
+    tls = None
+    if scheme == "https":
+        ca, tls = _server_context(tmp_path)
+        monkeypatch.setenv("SSL_CERT_FILE", str(ca))
+    suite = generate_suite("boolean_logic", 2 * in_flight + 1, seed=4)
+    with _idle_dropping_server(tls) as (url, requests, drops):
+        landed = _collect(_endpoint_config(base_url=url, max_in_flight=in_flight, max_retries=0),
+                          [build_prompt(i, "freeform") for i in suite])
+    assert [r.failure_reason for _, r in landed] == [None] * len(suite)
+    assert len(requests) == len(suite) and all(h.startswith(b"POST ") for h in requests)
+    assert drops  # held connections were made, and dropped
+
+
+def test_a_server_that_accepts_one_connection_at_a_time_serves_every_call():
+    """Every in-flight request's connection is older than every held one, and
+    no connection is held for a call that does not exist, so a server that
+    serves its accepted connections one by one never waits on a held one."""
+    suite = generate_suite("boolean_logic", 8, seed=4)
+    with stub_server(threaded=False, delay=0.01, content="ok") as (state, url):
+        started = time.monotonic()
+        landed = _collect(_endpoint_config(base_url=url, max_in_flight=2, timeout_ms=5000,
+                                           max_retries=0),
+                          [build_prompt(i, "freeform") for i in suite])
+        elapsed = time.monotonic() - started
+    assert [r.failure_reason for _, r in landed] == [None] * len(suite)
+    assert state.post_count == len(suite) and elapsed < 2.0  # far inside timeout_ms
+
+
+@pytest.mark.parametrize("scheme", ["http", "https"])
+def test_the_deadline_counts_from_when_the_request_is_sent(scheme, tmp_path, monkeypatch):
+    """A held connection idles while the request ahead takes 100 ms; its own
+    request then has the whole 150 ms timeout_ms, not what is left of it."""
+    tls = None
+    if scheme == "https":
+        ca, tls = _server_context(tmp_path)
+        monkeypatch.setenv("SSL_CERT_FILE", str(ca))
+    suite = generate_suite("boolean_logic", 3, seed=4)
+    with stub_server(tls=tls, delay=0.1, content="ok") as (state, url):
+        landed = _collect(_endpoint_config(base_url=url, max_in_flight=1, timeout_ms=150,
+                                           max_retries=0),
+                          [build_prompt(i, "freeform") for i in suite])
+    assert [r.failure_reason for _, r in landed] == [None] * len(suite)
+    assert all(100 <= r.latency_ms < 150 for _, r in landed)
+    assert state.post_count == state.connections == len(suite)
+    assert all(idle > 0.08 for idle in sorted(state.idle)[1:])  # the later two were held
+
+
+def test_endpoint_sockets_stay_within_twice_max_in_flight_and_all_close(monkeypatch):
+    """At most 2 x max_in_flight sockets are open at once (in flight, and
+    held or closing); each connection carries one request; every socket,
+    held ones included, is closed when on_result raises."""
+    opened, peak = [], []
+    real_socket = socket.socket
+
+    def tracked(*args, **kwargs):
+        opened.append(sock := real_socket(*args, **kwargs))
+        peak.append(sum(s.fileno() != -1 for s in opened))
+        return sock
+
+    monkeypatch.setattr(backend, "socket", SimpleNamespace(**{**vars(socket), "socket": tracked}))
+    suite = generate_suite("boolean_logic", 24, seed=4)
+    bundles = [build_prompt(i, "freeform") for i in suite]
+    with stub_server(delay=0.01, content="ok") as (state, url):
+        landed = _collect(_endpoint_config(base_url=url, max_in_flight=3), bundles)
+    assert [r.failure_reason for _, r in landed] == [None] * len(suite)
+    assert 3 < max(peak) <= 2 * 3
+    assert state.connections == state.post_count == len(suite)
+    assert all(sock.fileno() == -1 for sock in opened)
+
+    def on_result(pairs):
+        raise RuntimeError("scoring crashed")
+
+    opened.clear()
+    with stub_server(delay=0.02, content="ok") as (state, url):
+        with pytest.raises(RuntimeError, match="scoring crashed"):
+            generate_all(_endpoint_config(base_url=url, max_in_flight=3), bundles, on_result)
+    assert len(opened) > state.post_count  # held connections, not yet carrying a request
+    assert all(sock.fileno() == -1 for sock in opened)

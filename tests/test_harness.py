@@ -333,6 +333,48 @@ def test_killed_endpoint_run_keeps_landed_records_and_resumes(tmp_path):
     assert not [r for r in records if r.error_class == "generation_failed"]
 
 
+_UNDER_A_LOW_DESCRIPTOR_LIMIT = """
+import os, resource, sys
+from ctax.cli import main
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (len(os.listdir("/dev/fd")) + 6, hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_run_refuses_a_max_in_flight_the_descriptor_limit_cannot_hold(tmp_path, monkeypatch):
+    """Sockets past the soft RLIMIT_NOFILE used to fail their records as
+    `Too many open files`, silently; run now refuses such a max_in_flight
+    before anything is written or posted."""
+    resource = pytest.importorskip("resource")
+    out = tmp_path / "out"
+    with stub_server(threaded=False, content="Final answer: true") as (state, url):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            _endpoint_run_config(url, count=8, max_in_flight=4).to_dict()))
+        env = {**os.environ, "PYTHONPATH": str(Path(ctax.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", _UNDER_A_LOW_DESCRIPTOR_LIMIT, "run",
+                               "--config", str(config_path), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "max_in_flight 4 needs 10" in proc.stderr and "ulimit -n" in proc.stderr
+    assert not out.exists() and state.post_count == 0
+
+    # the peak is 2 x max_in_flight sockets, the selector and the records file
+    backend = BackendConfig(kind="endpoint", base_url="http://127.0.0.1:9", max_in_flight=5)
+    _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    for room, refused in ((12, False), (11, True)):
+        limit = len(os.listdir("/dev/fd")) - 1 + room
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, hard))
+        if refused:
+            with pytest.raises(ConfigError, match=f"needs 12 .* limit of {limit}"):
+                harness.check_descriptors(backend)
+        else:
+            harness.check_descriptors(backend)
+    monkeypatch.setitem(sys.modules, "resource", None)  # no such module: no check
+    harness.check_descriptors(backend)
+
+
 def test_a_scripted_run_lands_whole_flushed_batches(tmp_path, monkeypatch):
     """Scripted generate_all hands on_result lists of at most _INLINE_RUN
     pairs, and each batch's lines are whole and on disk, as another reader
@@ -1177,6 +1219,20 @@ def _score_digests(result, out_dir):
     digests["report"] = hashlib.sha256(
         render_report(result, "prompt_json").encode("utf-8")).hexdigest()
     return digests
+
+
+# sha256 of the tasks.jsonl each run of _golden_records writes: suites
+# regenerate byte-identically, key order and line format included.
+_GOLDEN_TASKS_SHA256 = {
+    "a": "ea73018ca8f07c59534b0de7860cfd26156abe4692f0f6ab99a36dbe4e8c9a18",
+    "b": "0a618d7802ec172d77855b9124436409fed60a236259e3a0127d42fbd8b63e09",
+}
+
+
+def test_tasks_files_match_golden_hashes(tmp_path):
+    _golden_records(tmp_path)
+    assert {run: hashlib.sha256((tmp_path / run / "tasks.jsonl").read_bytes()).hexdigest()
+            for run in _GOLDEN_TASKS_SHA256} == _GOLDEN_TASKS_SHA256
 
 
 def test_score_outputs_match_golden_hashes(tmp_path):

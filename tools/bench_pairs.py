@@ -14,14 +14,18 @@ medians with their quartiles, and two verdicts: whether the head's gain
 meets the acceptance rule (it wins at least nine tenths of the pairs, and
 the medians differ by more than the base's interquartile spread), and
 whether the head's median is worse than the base's by more than the
-metric's bound. The last line is one JSON object holding every value.
-Uses the standard library only.
+metric's bound. The figures run.py prints by name beside them
+(gap_to_ideal on the endpoint, wall_records_per_s, failed_share) get each
+pair's values and both medians with their quartiles, with no verdict. The
+last line is one JSON object holding every value. Uses the standard library
+only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -30,6 +34,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# run.py's named figures that BENCHMARK.json does not declare, as it prints
+# them: "  <name>  <value> <unit>"
+NAMED = re.compile(r"^\s+(gap_to_ideal|wall_records_per_s|failed_share)\s+(\S+) ", re.M)
 
 
 def export(revision: str, into: Path) -> str:
@@ -46,8 +54,9 @@ def export(revision: str, into: Path) -> str:
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in the tree: its last stdout line, as JSON. A run
-    that exits non-zero or prints no JSON line is a RuntimeError."""
+    """One perfbench run in the tree: its last stdout line, as JSON, with
+    the named figures it printed under "named". A run that exits non-zero
+    or prints no JSON line is a RuntimeError."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=tree, capture_output=True, text=True)
@@ -55,7 +64,15 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"perfbench in {tree} exited {proc.returncode}:\n"
                            f"{proc.stdout[-2000:]}\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    run = json.loads(lines[-1])
+    run["named"] = {name: float(value) for name, value in NAMED.findall(proc.stdout)}
+    return run
+
+
+def spread(values: list[float]) -> dict:
+    """The median and quartiles of one side's values."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "quartiles": [q1, q3]}
 
 
 def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
@@ -100,9 +117,12 @@ def main(argv: list[str] | None = None) -> int:
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for side in order:
                 runs[side].append(bench(trees[side], args.workload, args.seed, args.seconds))
+            base, head = runs["base"][-1], runs["head"][-1]
             print(f"pair {pair + 1}/{args.pairs} ({order[0]} first): " + "; ".join(
-                f"{m['name']} {runs['base'][-1]['metrics'][m['name']]['value']:.4g} -> "
-                f"{runs['head'][-1]['metrics'][m['name']]['value']:.4g}" for m in metrics),
+                [f"{m['name']} {base['metrics'][m['name']]['value']:.4g} -> "
+                 f"{head['metrics'][m['name']]['value']:.4g}" for m in metrics]
+                + [f"{name} {value:.4g} -> {head['named'][name]:.4g}"
+                   for name, value in base["named"].items() if name in head["named"]]),
                 flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -129,12 +149,26 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  base interquartile spread {figures['base_iqr']:.4g}; "
               f"gain {'MET' if figures['gain_met'] else 'not met'}; "
               f"{'within' if figures['within_bound'] else 'BEYOND'} the bound")
+    named = {}
+    for name in runs["base"][0]["named"]:
+        values = {side: [run["named"].get(name) for run in runs[side]] for side in runs}
+        if None in values["base"] + values["head"]:
+            continue  # not printed by every run
+        named[name] = {side: {"values": values[side], **spread(values[side])}
+                       for side in values}
+        print(f"\n{name} (printed by run.py; no verdict)")
+        for side in values:
+            figures = named[name][side]
+            print(f"  {side}: " + ", ".join(f"{v:.4g}" for v in figures["values"])
+                  + f"; median {figures['median']:.4g} [{figures['quartiles'][0]:.4g}, "
+                  f"{figures['quartiles'][1]:.4g}]")
     failed = {side: [run["failed"] for run in runs[side]] for side in runs}
     attempted = {side: [run["attempted"] for run in runs[side]] for side in runs}
     print(f"\nfailed/attempted: base {sum(failed['base'])}/{sum(attempted['base'])}, "
           f"head {sum(failed['head'])}/{sum(attempted['head'])}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                      "commits": commits, "metrics": summary, "failed": failed,
+                      "commits": commits, "metrics": summary, "named": named,
+                      "failed": failed,
                       "attempted": attempted}))
     return 0
 
