@@ -509,7 +509,8 @@ class _Target:
         try:
             self.addresses = socket.getaddrinfo(self.hostname, url.port or default_port,
                                                 type=socket.SOCK_STREAM)
-            self.error = None
+            self.error = None if self.addresses else OSError(
+                f"{self.hostname} resolves to no address")
         except OSError as exc:  # every attempt fails with it
             self.addresses, self.error = [], exc
         try:

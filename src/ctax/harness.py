@@ -62,8 +62,8 @@ from .modes import (
     scoring_constraint,
     transported_constraint,
 )
-from .records import (_TEMPLATE, RunRecord, adopt_record, append_record, drop_torn_tail,
-                      open_jsonl, read_records, replace_file, timestamp)
+from .records import (_TEMPLATE, VERDICT_FIELDS, RunRecord, adopt_record, append_record,
+                      drop_torn_tail, open_jsonl, read_records, replace_file, timestamp)
 from .taskgen import (CALENDAR_SEMANTIC_FIELDS, FAMILIES, TaskInstance, generate_suite,
                       write_suite)
 from .validation import (LENIENT_EXTRACTION, PARSE_NO_JSON, STRICT_EXTRACTION, canonical_digest,
@@ -542,12 +542,12 @@ class ScoreResult:
     warnings: tuple[str, ...] = ()  # what score found questionable, in the order found
 
 
-# Fields score reads besides the verdicts (which records.record_from_dict
-# checks), with the types a record may hold in each and their description.
-# A record holding another type in one, or a float that is not finite, is
-# refused rather than scored.
+# Fields score reads, with the types a record may hold in each and their
+# description. A record holding another type in one, or a float that is not
+# finite, is refused rather than scored.
 _NONE = type(None)
 _SCORED_FIELDS = (
+    *VERDICT_FIELDS,
     ("backend_label", (str,), "a string"),
     ("model_id", (str,), "a string"),
     ("family", (str,), "a string"),

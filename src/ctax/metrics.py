@@ -17,13 +17,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, product, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import fsum, inf
 from operator import attrgetter, gt, lshift, lt, mul, or_, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .checkers import GENERATION_FAILED
 from .errors import ConfigError, PairingError
+from .records import verdict_fault
 
 DEFAULT_EPSILON = 1e-6
 DEFAULT_BASELINE_MODE = "prompt_json"
@@ -111,12 +112,13 @@ def pts(rate: Fraction | float) -> float:
 
 
 FLAG_COLUMNS = ("answer", "exec", "validity", "wrong_valid")  # bit j of a Cell.flags code
-_FLAG_CODE = {(answer, exec_ok, valid): answer | exec_ok << 1 | valid << 2 | (valid > exec_ok) << 3
-              for answer, exec_ok, valid in product((False, True), repeat=3)}
-# _FLAG_CODE nested, [answer][exec][valid]: three lookups cost less than a key tuple
-_FLAG_NEST = {a: {e: {v: _FLAG_CODE[a, e, v] for v in (False, True)} for e in (False, True)}
-              for a in (False, True)}
+# flag code by verdict, nested [answer][exec][valid]: three lookups cost less than a key tuple
+_FLAG_NEST = {answer: {exec_ok: {valid: answer | exec_ok << 1 | valid << 2 | (valid > exec_ok) << 3
+                                 for valid in (False, True)} for exec_ok in (False, True)}
+              for answer in (False, True)}
 _LABELS = attrgetter("backend_label", "model_id", "mode")
+_VERDICTS = attrgetter("answer_correct", "exec_correct", "schema_valid")
+_BOOL = frozenset([bool])
 _FAMILY = attrgetter("family")
 
 
@@ -124,7 +126,7 @@ class Tally(NamedTuple):
     """What aggregate reads of a cell's scored records besides their flags,
     one column per field, each in the order of Cell.scored."""
 
-    traces: list  # the trace verdicts, None left out
+    traces: list[bool]  # the trace verdicts, None left out
     latencies: list[float]
     tokens: list[int]  # the completion token counts, None left out
     overheads: list[float]  # the structural overheads, None left out
@@ -132,8 +134,12 @@ class Tally(NamedTuple):
 
     @classmethod
     def of(cls, scored: Sequence) -> Tally:
-        """The tally of a cell's scored records, one pass per column."""
-        return cls([t for r in scored if (t := r.trace_correct) is not None],
+        """The tally of a cell's scored records, one pass per column. A trace
+        verdict that is neither a bool nor None is a TypeError naming it."""
+        traces = [t for r in scored if (t := r.trace_correct) is not None]
+        if not _BOOL.issuperset(map(type, traces)):
+            raise TypeError(next(filter(None, map(verdict_fault, scored))))
+        return cls(traces,
                    [r.latency_ms for r in scored],
                    [t for r in scored if (t := r.completion_tokens) is not None],
                    [o for r in scored if (o := r.structural_overhead) is not None],
@@ -180,14 +186,13 @@ class Cell:
     def build(cls, backend_label: str | None, model_id: str | None, mode: str | None, task: str,
               records: Sequence) -> Cell:
         """The cell of records known to share (backend, model, mode), under the
-        labels given: Cell.of without the passes that find them."""
+        labels given: Cell.of without the passes that find them. A scored
+        record's verdict that is not a bool is a TypeError naming it, as on
+        a records line read."""
         scored = [r for r in records if r.error_class != GENERATION_FAILED]
-        try:
-            flags = [_FLAG_NEST[r.answer_correct][r.exec_correct][r.schema_valid]
-                     for r in scored]
-        except (KeyError, TypeError):  # a verdict that is not a bool reads as its truth value
-            flags = [_FLAG_CODE[bool(r.answer_correct), bool(r.exec_correct),
-                                bool(r.schema_valid)] for r in scored]
+        if not _BOOL.issuperset(map(type, chain.from_iterable(map(_VERDICTS, scored)))):
+            raise TypeError(next(filter(None, map(verdict_fault, scored))))
+        flags = [_FLAG_NEST[r.answer_correct][r.exec_correct][r.schema_valid] for r in scored]
         failed = (() if len(scored) == len(records) else
                   tuple([r.instance_id for r in records if r.error_class == GENERATION_FAILED]))
         return cls(backend_label, model_id, mode, task, tuple([r.instance_id for r in scored]),

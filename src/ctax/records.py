@@ -85,6 +85,15 @@ _TEMPLATE = {f.name: None if f.default is MISSING else f.default
              for f in sorted(fields(RunRecord), key=lambda f: f.name)}
 _REQUIRED = frozenset(f.name for f in fields(RunRecord) if f.default is MISSING)
 
+# The verdicts, with the types a record may hold in each and their
+# description: read by its truth value, a verdict of "no" would score as true.
+VERDICT_FIELDS = (
+    ("schema_valid", (bool,), "true or false"),
+    ("answer_correct", (bool,), "true or false"),
+    ("exec_correct", (bool,), "true or false"),
+    ("trace_correct", (bool, type(None)), "true, false or null"),
+)
+
 
 _EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 
@@ -154,12 +163,12 @@ def record_from_dict(doc: dict[str, Any]) -> RunRecord:
         state.clear()
         _fill(state, doc)
     _check_required(doc)
-    # Read by its truth value, a verdict of "no" would score as true. Checked
-    # inline: a call per record read would show on score_report.
+    # VERDICT_FIELDS, checked inline: a call per record read would show on
+    # score_report.
     if (type(state["schema_valid"]) is not bool or type(state["answer_correct"]) is not bool
             or type(state["exec_correct"]) is not bool
             or (state["trace_correct"] is not None and type(state["trace_correct"]) is not bool)):
-        raise TypeError(_verdict_fault(state))
+        raise TypeError(verdict_fault(record))
     # Absent, each holds the template's (); a string here would read as its characters.
     if state["violations"].__class__ is not tuple:
         state["violations"] = _list_field(state, "violations", dict, "objects")
@@ -179,13 +188,14 @@ def _list_field(state: dict[str, Any], name: str, item: type, items: str) -> tup
     return tuple(value)
 
 
-def _verdict_fault(state: dict[str, Any]) -> str:
-    """What is wrong with the first verdict that is not a bool (or, for
-    trace_correct, None)."""
-    for name in ("schema_valid", "answer_correct", "exec_correct"):
-        if type(state[name]) is not bool:
-            return f"{name} must be true or false, got {state[name]!r}"
-    return f"trace_correct must be true, false or null, got {state['trace_correct']!r}"
+def verdict_fault(record: Any) -> str | None:
+    """What is wrong with the record's first verdict of a type its
+    VERDICT_FIELDS entry does not allow, or None."""
+    for name, types, kind in VERDICT_FIELDS:
+        value = getattr(record, name)
+        if type(value) not in types:
+            return f"{name} must be {kind}, got {value!r}"
+    return None
 
 
 # Built once: json.dumps with options builds a fresh encoder per call. An

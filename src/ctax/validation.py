@@ -7,9 +7,9 @@ comparison. All of it is deliberately small and exactly specified, because
 schema validity is itself a reported metric rather than mere plumbing.
 
 Each job is done once: extraction finds its candidates in one linear pass,
-and validate_schema trusts its schema, because every schema ctax validates
-against comes from the fixed builders in modes, which the tests run through
-check_schema_doc for every (mode, family).
+and one compiler states the schema subset. It turns a schema into checks
+once and refuses, as a ConfigError, any keyword or argument outside the
+subset, so no keyword a decoder would enforce is skipped in silence.
 """
 
 from __future__ import annotations
@@ -22,15 +22,6 @@ from json.encoder import c_make_encoder, encode_basestring, encode_basestring_as
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import ConfigError
-
-# Supported schema keywords. Anything else in a schema document is a
-# configuration error, never silently ignored.
-SCHEMA_KEYWORDS = frozenset({
-    "type", "required", "properties", "additionalProperties",
-    "pattern", "const", "minimum", "enum", "items",
-})
-
-_TYPE_NAMES = frozenset({"object", "array", "string", "integer", "number", "boolean", "null"})
 
 PARSE_OK = "ok"
 PARSE_NO_JSON = "no_json_found"
@@ -195,41 +186,9 @@ def extract_json(text: str, strict: bool = False) -> ParseOutcome:
 
 
 def check_schema_doc(schema: Any) -> None:
-    """Reject schema documents outside the supported subset (ConfigError)."""
-    if not isinstance(schema, dict):
-        raise ConfigError(f"schema document must be an object, got {type(schema).__name__}")
-    for keyword, arg in schema.items():
-        if keyword not in SCHEMA_KEYWORDS:
-            raise ConfigError(f"unsupported schema keyword: {keyword!r}")
-        if keyword == "type":
-            if arg not in _TYPE_NAMES:
-                raise ConfigError(f"unsupported type name: {arg!r}")
-        elif keyword == "required":
-            if not isinstance(arg, list) or not all(isinstance(k, str) for k in arg):
-                raise ConfigError("required must be a list of property names")
-        elif keyword == "properties":
-            if not isinstance(arg, dict):
-                raise ConfigError("properties must be an object")
-            for sub in arg.values():
-                check_schema_doc(sub)
-        elif keyword == "additionalProperties":
-            if arg is not False:
-                raise ConfigError("additionalProperties supports only false")
-        elif keyword == "pattern":
-            if not isinstance(arg, str):
-                raise ConfigError("pattern must be a string")
-            try:
-                re.compile(arg)
-            except re.error as exc:
-                raise ConfigError(f"pattern does not compile: {exc}") from exc
-        elif keyword == "minimum":
-            if not isinstance(arg, (int, float)) or isinstance(arg, bool):
-                raise ConfigError("minimum must be a number")
-        elif keyword == "enum":
-            if not isinstance(arg, list) or not arg:
-                raise ConfigError("enum must be a non-empty list")
-        elif keyword == "items":
-            check_schema_doc(arg)
+    """Refuse a schema document outside the supported subset (ConfigError):
+    validate_schema's compiler, run for its refusals alone."""
+    _compile(schema)
 
 
 def _json_equal(a: Any, b: Any) -> bool:
@@ -258,11 +217,11 @@ def validate_schema(value: Any, schema: dict) -> list[Violation]:
     means no fractional part and not a boolean. Returns all violations,
     each with a path like "/arguments/date" ("" for the root).
 
-    The schema is trusted: ctax validates only against the schemas that
-    modes builds for each (mode, family), which the tests run through
-    check_schema_doc. Each schema dict is compiled into checks on its first
-    use, so it must not change afterwards (modes hands out one read-only
-    dict per (mode, family)).
+    Each schema dict is compiled into checks on its first use, so it must
+    not change afterwards (modes hands out one read-only dict per (mode,
+    family)). The compiler is the one statement of the subset: a keyword
+    outside it, or an argument of the wrong form, at any depth, is a
+    ConfigError, never a keyword skipped in silence.
     """
     entry = _COMPILED.get(id(schema))
     if entry is None or entry[0] is not schema:
@@ -308,13 +267,21 @@ def _equality_check(keyword: str, options: list,
     return check
 
 
-def _compile(schema: dict) -> Callable[[Any, str, list], None]:
+def _compile(schema: Any) -> Callable[[Any, str, list], None]:
     """One schema node as check(value, path, out), which appends the node's
     violations to out: the type first (a wrong type stops there, since
     further keywords would only cascade on it), then const, enum, pattern,
-    minimum, the object keywords and items, each keyword read once here."""
+    minimum, the object keywords and items, each keyword read once here.
+    A node that is not an object, a keyword outside the subset and an
+    argument of the wrong form are each a ConfigError."""
+    if not isinstance(schema, dict):
+        raise ConfigError(f"schema document must be an object, got {type(schema).__name__}")
+    for keyword in schema:
+        if keyword not in ("type", "required", "properties", "additionalProperties",
+                           "pattern", "const", "minimum", "enum", "items"):
+            raise ConfigError(f"unsupported schema keyword: {keyword!r}")
     type_name = schema.get("type")
-    if type_name is not None and type_name not in _TYPE_CLASSES:
+    if "type" in schema and not (type(type_name) is str and type_name in _TYPE_CLASSES):
         raise ConfigError(f"unsupported type name: {type_name!r}")
     admitted, bool_ok = _TYPE_CLASSES.get(type_name, (object, True))
     checks: list[Callable[[Any, str, list], None]] = []
@@ -322,11 +289,18 @@ def _compile(schema: dict) -> Callable[[Any, str, list], None]:
         checks.append(_equality_check("const", [schema["const"]],
                                       f"expected {schema['const']!r}"))
     if "enum" in schema:
+        if not isinstance(schema["enum"], list) or not schema["enum"]:
+            raise ConfigError("enum must be a non-empty list")
         checks.append(_equality_check("enum", schema["enum"],
                                       f"value not in {schema['enum']!r}"))
     if "pattern" in schema:
         pattern = schema["pattern"]
-        search = re.compile(pattern).search
+        if not isinstance(pattern, str):
+            raise ConfigError("pattern must be a string")
+        try:
+            search = re.compile(pattern).search
+        except re.error as exc:
+            raise ConfigError(f"pattern does not compile: {exc}") from exc
 
         def check_pattern(value: Any, path: str, out: list) -> None:
             if isinstance(value, str) and search(value) is None:
@@ -334,17 +308,24 @@ def _compile(schema: dict) -> Callable[[Any, str, list], None]:
         checks.append(check_pattern)
     if "minimum" in schema:
         minimum = schema["minimum"]
+        if not _is_number(minimum):
+            raise ConfigError("minimum must be a number")
 
         def check_minimum(value: Any, path: str, out: list) -> None:
             if _is_number(value) and value < minimum:
                 out.append(Violation(path, "minimum", f"{value} < {minimum}"))
         checks.append(check_minimum)
-    properties = schema.get("properties", {})
-    required = tuple((key, f'missing required property "{key}"')
-                     for key in schema.get("required", []))
+    properties, names = schema.get("properties", {}), schema.get("required", [])
+    if not isinstance(properties, dict):
+        raise ConfigError("properties must be an object")
+    if not isinstance(names, list) or not all(isinstance(key, str) for key in names):
+        raise ConfigError("required must be a list of property names")
+    if schema.get("additionalProperties", False) is not False:
+        raise ConfigError("additionalProperties supports only false")
+    required = tuple((key, f'missing required property "{key}"') for key in names)
     # (key, its path suffix, its check), in the schema's order
     members = tuple((key, f"/{key}", _compile(sub)) for key, sub in properties.items())
-    closed = schema.get("additionalProperties") is False
+    closed = "additionalProperties" in schema
     if required or members or closed:
         def check_object(value: Any, path: str, out: list) -> None:
             if isinstance(value, dict):

@@ -556,6 +556,21 @@ def test_endpoint_moves_to_the_next_address_when_a_connect_fails(monkeypatch):
     assert "Protocol not supported" in result.failure_reason
 
 
+def test_a_host_that_resolves_to_no_address_is_a_transport_error(monkeypatch):
+    """An empty address list is a resolution error: every attempt of every
+    call ends with it, and the health check refuses the endpoint."""
+    monkeypatch.setattr(backend.socket, "getaddrinfo", lambda *a, **k: [])
+    config = _endpoint_config(base_url="http://example.invalid", max_retries=1)
+    bundles = [build_prompt(i, "freeform") for i in generate_suite("boolean_logic", 3, seed=4)]
+    landed = _collect(config, bundles)
+    assert len(landed) == 3
+    for _, result in landed:
+        assert result.failed and result.failure_reason.startswith(
+            "2 of 2 attempt(s) made; last error: transport error: "), result.failure_reason
+    with pytest.raises(ConfigError, match="health check failed: .*no address"):
+        check_health(config)
+
+
 def _collect(config, bundles):
     """Every (bundle, result) generate_all lands, in landing order."""
     landed = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -124,18 +125,25 @@ def test_aggregate_counts():
     assert agg.task == "arithmetic_two_step"
 
 
-def test_verdicts_that_are_not_bools_read_as_their_truth_values():
-    # a records line hand-edited to null or 1 scores as false or true, as
-    # every other verdict does
-    odd = [None, 1, "yes", 0.0, 2]
-    records = [Stub(instance_id=f"t-{i}", answer_correct=value, exec_correct=odd[i - 1],
-                    schema_valid=odd[i - 2]) for i, value in enumerate(odd)]
-    truth = [replace(r, answer_correct=bool(r.answer_correct), exec_correct=bool(r.exec_correct),
-                     schema_valid=bool(r.schema_valid)) for r in records]
-    assert aggregate(records) == aggregate(truth)
-    assert (aggregate(records).answer_count, aggregate(records).exec_count,
-            aggregate(records).valid_count, aggregate(records).wrong_valid_count) == (3, 3, 3, 2)
-    assert paired_comparison(records, truth).acc_ci == paired_comparison(truth, truth).acc_ci
+# (verdict, a value that is not a bool): read by its truth value, "no" would
+# count as correct, and a trace verdict of 2 as two correct traces
+_NOT_BOOLS = [(name, value) for name in ("schema_valid", "answer_correct", "exec_correct",
+                                         "trace_correct")
+              for value in (None, "yes", "no", 2, 1, 0.0, 0.5)
+              if not (name == "trace_correct" and value is None)]
+
+
+@pytest.mark.parametrize("name, value", _NOT_BOOLS, ids=[f"{n}={v!r}" for n, v in _NOT_BOOLS])
+def test_a_verdict_that_is_not_a_bool_is_a_type_error_naming_it(name, value):
+    records = _block(4, 2)
+    odd = records[:1] + [replace(records[1], **{name: value})] + records[2:]
+    fault = rf"^{name} must be true.* got {re.escape(repr(value))}$"
+    with pytest.raises(TypeError, match=fault):
+        aggregate(odd)
+    if name != "trace_correct":  # a comparison reads no trace verdict
+        with pytest.raises(TypeError, match=fault):
+            paired_comparison(records, odd)
+    assert aggregate(records).answer_count == 2
 
 
 def test_aggregate_excludes_generation_failures():

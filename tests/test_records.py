@@ -14,6 +14,7 @@ import pytest
 from ctax.cli import main
 from ctax.errors import ConfigError
 from ctax import records
+from ctax.harness import score
 from ctax.records import (RunRecord, drop_torn_tail, new_record, read_records,
                           record_from_dict, timestamp, write_records)
 from reference_jsonl import loads_iter_jsonl
@@ -74,6 +75,22 @@ def test_a_verdict_that_is_not_a_bool_names_its_file_and_line(tmp_path, capsys, 
     assert main(["score", "--records", str(path), "--out", str(tmp_path / "scores")]) == 2
     err = capsys.readouterr().err
     assert "records.jsonl:2" in err and name in err
+
+
+# (verdict, a value that is not a bool) for score's in-memory records
+_NOT_BOOLS = [(name, value) for name in ("schema_valid", "answer_correct", "exec_correct",
+                                         "trace_correct")
+              for value in (None, "yes", 2, 0.5)
+              if not (name == "trace_correct" and value is None)]
+
+
+@pytest.mark.parametrize("name, value", _NOT_BOOLS, ids=[f"{n}={v!r}" for n, v in _NOT_BOOLS])
+def test_score_refuses_an_in_memory_verdict_that_is_not_a_bool_naming_its_record(name, value):
+    records = _scoreable()
+    records[1] = dataclasses.replace(records[1], **{name: value})
+    with pytest.raises(ConfigError, match=re.escape(
+            f"record b/m-v1/prompt_json/single/{records[1].instance_id}: {name} must be true")):
+        score(records)
 
 
 def _scoreable():

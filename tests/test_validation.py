@@ -359,6 +359,43 @@ def test_check_schema_doc_rejects_additional_properties_true():
         check_schema_doc({"additionalProperties": True})
 
 
+# Each kind of node outside the subset: not an object, a keyword the subset
+# lacks, and each keyword's argument of the wrong form
+_OUTSIDE_THE_SUBSET = [
+    [], "object", None,
+    {"maxLength": 3}, {"anyOf": [{"type": "string"}]}, {"$ref": "#"},
+    {"type": "float"}, {"type": None}, {"type": ["string", "null"]},
+    {"required": "answer"}, {"required": [1]},
+    {"properties": [["a", {}]]},
+    {"additionalProperties": True}, {"additionalProperties": {"type": "string"}},
+    {"pattern": 3}, {"pattern": "["},
+    {"minimum": "0"}, {"minimum": True},
+    {"enum": []}, {"enum": "ab"},
+]
+
+
+@pytest.mark.parametrize("node", _OUTSIDE_THE_SUBSET, ids=repr)
+def test_a_node_outside_the_subset_is_refused_at_every_depth(node):
+    for schema in (node, {"type": "object", "properties": {"a": node}}, {"items": node},
+                   {"items": {"properties": {"b": {"items": node}}}}):
+        with pytest.raises(ConfigError):
+            check_schema_doc(schema)
+        with pytest.raises(ConfigError):
+            validate_schema({"a": [{"b": [1]}]}, schema)
+
+
+@pytest.mark.parametrize("value, schema", [
+    (1234, {"type": "integer", "maxLength": 3}),
+    ({"a": 1}, {"type": "object", "properties": {"a": {"anyOf": [{"type": "string"}]}}}),
+    ({"a": 1, "b": 2}, {"type": "object", "additionalProperties": {"type": "string"}}),
+], ids=["maxLength", "nested anyOf", "additionalProperties schema"])
+def test_validate_schema_refuses_a_keyword_it_cannot_enforce(value, schema):
+    # a guided decoder would enforce each of these, so skipping it would
+    # judge an output valid that the decoder could never have produced
+    with pytest.raises(ConfigError):
+        validate_schema(value, schema)
+
+
 # ---------------------------------------------------------------------------
 # validate_schema
 # ---------------------------------------------------------------------------
