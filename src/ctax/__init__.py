@@ -10,8 +10,14 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .backend import BackendConfig, FaultProfile, GenerationResult, SamplingConfig
-from .checkers import CheckResult, calendar_exec_ok, score_completion
+from .backend import (
+    BackendConfig,
+    FaultProfile,
+    GenerationResult,
+    SamplingConfig,
+    corrupt_generate,
+)
+from .checkers import ERROR_CLASSES, CheckResult, calendar_exec_ok, score_completion
 from .errors import ConfigError, PairingError
 from .harness import (
     RunConfig,
@@ -56,7 +62,8 @@ from .validation import (
 __all__ = [
     "__version__",
     "BackendConfig", "FaultProfile", "GenerationResult", "SamplingConfig",
-    "CheckResult", "calendar_exec_ok", "score_completion",
+    "corrupt_generate",
+    "ERROR_CLASSES", "CheckResult", "calendar_exec_ok", "score_completion",
     "ConfigError", "PairingError",
     "RunConfig", "ScoreResult", "SuiteConfig", "config_from_dict",
     "derive_delayed", "run", "score",

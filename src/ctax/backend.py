@@ -379,7 +379,6 @@ class _ResponseReader:
     or over MAX_HEAD_BYTES or MAX_RESPONSE_BYTES."""
 
     def __init__(self):
-        self.cap = MAX_RESPONSE_BYTES  # read per reader: tests lower it
         self.buffer = bytearray()  # head lines or chunk framing not yet parsed, or the body
         self.start = 0  # where the next unparsed line starts in buffer
         self.status = 0  # of the final response, once its status line is in
@@ -396,19 +395,19 @@ class _ResponseReader:
         if not self.framing and not self._read_head():
             return None
         if self.framing == "length":
-            if self.left > self.cap:
+            if self.left > MAX_RESPONSE_BYTES:
                 raise self._over_cap()
             if len(self.buffer) < self.left:
                 return None
             return self.status, bytes(self.buffer[:self.left])
         if self.framing == "close":
-            if len(self.buffer) > self.cap:
+            if len(self.buffer) > MAX_RESPONSE_BYTES:
                 raise self._over_cap()
             return None
         return self._read_chunks()
 
     def _over_cap(self) -> _ResponseError:
-        return _ResponseError(f"response body over the {self.cap}-byte cap")
+        return _ResponseError(f"response body over the {MAX_RESPONSE_BYTES}-byte cap")
 
     def _line(self, what: str, end_by: int) -> bytes | None:
         """The next whole line, its line ending dropped, or None while it is
@@ -476,7 +475,7 @@ class _ResponseReader:
                 size = -1
             if size < 0:
                 raise _incomplete(len(self.body))
-            if len(self.body) + size > self.cap:
+            if len(self.body) + size > MAX_RESPONSE_BYTES:
                 raise self._over_cap()
             self.left, self.trailers = size, not size
         del self.buffer[:self.start]
@@ -803,24 +802,17 @@ def _endpoint_result(config: BackendConfig,
 
 def generate(config: BackendConfig, bundle: PromptBundle,
              renderers: dict[int, _Renderer] | None = None,
-             replies: Sequence[_Reply] | None = None) -> GenerationResult | None:
-    """One completion of the bundle. Scripted kinds render it through its
-    instance's renderer, drawn once per renderers dict, which keys it by
-    id(instance) (every call draws when it is None), under the corruptor's
-    fault profile; the oracle takes no profile. The endpoint kind runs
-    generate_all's loop on the bundle; given the replies of the attempts
-    made so far, it returns their result, or None when another attempt is
-    due."""
+             replies: Sequence[_Reply] = ()) -> GenerationResult | None:
+    """One step of generate_all's work on the bundle. Scripted kinds render
+    it through its instance's renderer, drawn once per renderers dict (which
+    keys it by id(instance) and lives as long as the generate_all call),
+    under the corruptor's fault profile; the oracle takes no profile. The
+    endpoint kind takes the replies of the call's attempts so far and
+    returns their result, or None when another attempt is due."""
     if config.kind == "endpoint":
-        if replies is not None:
-            return _endpoint_result(config, replies)
-        landed: list[GenerationResult] = []
-        generate_all(config, [bundle],
-                     lambda pairs: landed.extend(result for _, result in pairs) or ())
-        return landed[0]
+        return _endpoint_result(config, replies)
     started_at = timestamp()
     instance = bundle.instance
-    renderers = {} if renderers is None else renderers
     # by identity: TaskInstance's hash is Python code. The renderer holds the
     # instance, so its id is not reused while the dict lives.
     if (render := renderers.get(id(instance))) is None:
@@ -870,8 +862,9 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
     slots are busy again while the caller scores; the loop waits again only
     once on_result has returned. Each attempt's reply goes to
     generate(config, bundle, replies=...), which says whether another
-    attempt is due. An error raised by on_result or by a request body leaves
-    this call with every socket closed.
+    attempt is due. generate_all is the only way to run an endpoint call,
+    even for one bundle. An error raised by on_result or by a request body
+    leaves this call with every socket closed.
     """
     source, follow_ups = iter(bundles), deque()
 
@@ -879,7 +872,7 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
         return follow_ups.popleft() if follow_ups else next(source, None)
 
     if config.kind != "endpoint":
-        renderers: dict[int, _Renderer] = {}  # lives as long as this call
+        renderers: dict[int, _Renderer] = {}  # one draw per instance, for this call
         while batch := [(bundle, generate(config, bundle, renderers))
                         for bundle in islice(iter(next_bundle, None), _INLINE_RUN)]:
             follow_ups.extend(on_result(batch))

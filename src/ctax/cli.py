@@ -25,7 +25,7 @@ from .harness import (
 )
 from .metrics import DEFAULT_BASELINE_MODE, BootstrapConfig
 from .modes import MODE_NAMES, parse_for_mode
-from .records import write_records
+from .records import replace_file, write_records
 from .report import render_report
 from .taskgen import FAMILIES, generate_suite, read_suite, write_suite
 from .validation import unique_keys
@@ -85,7 +85,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     config = config_from_dict(doc)
-    _write("run directory", args.out, lambda out: run(config, out, resume=args.resume))
+    records = _write("run directory", args.out, lambda out: run(config, out, resume=args.resume))
+    print(f"[INFO] run complete: {records}")
     return 0
 
 
@@ -121,12 +122,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     result = _scored(args)
     text = render_report(result, baseline_mode=args.baseline)
-
-    def write(out: str) -> None:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text, encoding="utf-8")
-
-    _write("report", args.out, write)
+    _write("report", args.out, lambda out: replace_file(out, [text]))
     print(f"[INFO] wrote report: {args.out}")
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from types import UnionType
+from types import SimpleNamespace, UnionType
 from typing import (Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union, get_args,
                     get_origin, get_type_hints)
 
@@ -371,7 +371,6 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
                 return follow_ups
 
             generate_all(backend, _missing_bundles(ctx, config.modes, suites, done), land)
-    print(f"[INFO] run complete: {records_path}")
     return records_path
 
 
@@ -791,15 +790,14 @@ def _fmt_opt(value: float | None, fmt: str = ".1f") -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    # writerow returns what its file's write returns: here, the row's text
+    row_text = csv.writer(SimpleNamespace(write=str)).writerow
+    replace_file(path, map(row_text, chain([header], rows)))
 
 
 def score_to_files(result: ScoreResult, out_dir: str | Path) -> dict[str, Path]:
+    """Write the three CSVs into out_dir, each whole or not at all."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "aggregates": out / "aggregates.csv",
         "comparisons": out / "comparisons.csv",

@@ -199,13 +199,13 @@ class Cell:
                    failed, tuple(flags), scored)
 
     @classmethod
-    def join(cls, cells: Sequence[Cell], task: str = "all") -> Cell:
+    def join(cls, cells: Sequence[Cell]) -> Cell:
         """The cell of the given cells' records together, labelled as the first
-        and with the task given: each column is theirs end to end."""
+        and with the task "all": each column is theirs end to end."""
         first = cells[0]
         ids, failed, flags = (tuple(chain.from_iterable(getattr(cell, column) for cell in cells))
                               for column in ("ids", "failed", "flags"))
-        return cls(first.backend_label, first.model_id, first.mode, task, ids, failed, flags,
+        return cls(first.backend_label, first.model_id, first.mode, "all", ids, failed, flags,
                    list(chain.from_iterable(cell.scored for cell in cells)), tuple(cells))
 
     @cached_property

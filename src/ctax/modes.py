@@ -193,13 +193,6 @@ class ModeDescriptor:
     enforced: bool  # the scoring constraint is sent to the backend
     instruction: str  # follows the problem text; "{ops}" lists the family's trace ops
 
-    @property
-    def constraint_kind(self) -> str:
-        """Kind of the constraint sent to the backend (bar delayed stage 2)."""
-        if not self.enforced:
-            return CONSTRAINT_NONE
-        return CONSTRAINT_REGEX if self.channel == CHANNEL_REGEX else CONSTRAINT_SCHEMA
-
 
 MODE_CATALOG: tuple[ModeDescriptor, ...] = (
     ModeDescriptor("freeform", CHANNEL_FREEFORM, None, False, _STEP_BY_STEP),
@@ -334,7 +327,6 @@ class PackagingOutcome(NamedTuple):
 
     packaged_text: str | None = None
     failed: bool = False
-    failure_reason: str | None = None
     stage2_bundle: PromptBundle | None = None
 
 
@@ -360,7 +352,10 @@ def build_delayed_stage2(stage1_text: str, instance: TaskInstance,
     The deterministic variant never calls a model: it extracts the stage-1
     answer (or object), validates it against the target schema, and
     canonically re-serializes it. Packaging an already-canonical object is
-    a fixpoint. The model variant returns a stage-2 prompt bundle instead.
+    a fixpoint. Nothing to extract, or a value the schema refuses, is
+    failed=True, which the record keeps as packaging_failed; no reason is
+    given, since none is stored. The model variant returns a stage-2 prompt
+    bundle instead.
     """
     if variant not in DELAYED_VARIANTS:
         raise ConfigError(f"unknown delayed variant: {variant!r}")
@@ -381,14 +376,11 @@ def build_delayed_stage2(stage1_text: str, instance: TaskInstance,
 
     value = _extract_stage1_value(stage1_text, family)
     if value is None:
-        return PackagingOutcome(failed=True, failure_reason="no extractable answer in stage-1 text")
+        return PackagingOutcome(failed=True)
     if family != "tool_call_argument" and "answer" in value:
         value = {"answer": str(value["answer"])}
-    violations = validate_schema(value, target.schema)
-    if violations:
-        reasons = "; ".join(f"{v.path or '/'}: {v.keyword}" for v in violations[:3])
-        return PackagingOutcome(failed=True,
-                                failure_reason=f"extracted value violates target schema ({reasons})")
+    if validate_schema(value, target.schema):
+        return PackagingOutcome(failed=True)
     return PackagingOutcome(packaged_text=canonical_serialize(value))
 
 

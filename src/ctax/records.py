@@ -118,25 +118,6 @@ def _fill(state: dict[str, Any], fields: dict[str, Any]) -> bool:
     return len(state) == len(_TEMPLATE)
 
 
-def _check_required(fields: dict[str, Any]) -> None:
-    """A missing required field is a TypeError. Called once fields filled a
-    state without an unknown key: then fields as many as the template hold
-    every field."""
-    if len(fields) != len(_TEMPLATE) and not fields.keys() >= _REQUIRED:
-        missing = _REQUIRED - fields.keys()
-        raise TypeError(f"missing field(s): {', '.join(sorted(missing))}")
-
-
-def new_record(fields: dict[str, Any]) -> RunRecord:
-    """RunRecord(**fields): absent optional fields take their defaults, and an
-    unknown field or a missing required one is a TypeError. Fills __dict__
-    directly: the frozen dataclass __init__ (a setattr call per field) costs
-    several times as much."""
-    record = adopt_record({**_TEMPLATE, **fields})
-    _check_required(fields)
-    return record
-
-
 def adopt_record(state: dict[str, Any]) -> RunRecord:
     """The record whose __dict__ is state itself: a copy of _TEMPLATE with
     the fields its maker sets assigned in place, so it holds every field in
@@ -162,7 +143,10 @@ def record_from_dict(doc: dict[str, Any]) -> RunRecord:
         doc = {k: v for k, v in doc.items() if k in _TEMPLATE}
         state.clear()
         _fill(state, doc)
-    _check_required(doc)
+    # doc now holds no unknown key, so as many keys as the template are every field
+    if len(doc) != len(_TEMPLATE) and not doc.keys() >= _REQUIRED:
+        missing = _REQUIRED - doc.keys()
+        raise TypeError(f"missing field(s): {', '.join(sorted(missing))}")
     # VERDICT_FIELDS, checked inline: a call per record read would show on
     # score_report.
     if (type(state["schema_valid"]) is not bool or type(state["answer_correct"]) is not bool
@@ -212,20 +196,23 @@ def _json_line(doc: dict[str, Any]) -> str:
 
 
 def open_jsonl(path: str | Path, mode: str = "w"):
-    """A JSONL file opened for writing lines from _json_line, in UTF-8.
+    """A JSONL file opened for writing lines from _json_line, in UTF-8, each
+    line ending written as given (a CSV row's \\r\\n too), on every platform.
 
     Lone surrogates (a completion may hold one: JSON's "\\ud800" decodes to
     it) are the only characters UTF-8 cannot encode, and json.dumps leaves
     non-ASCII only inside string literals, so backslashreplace writes each
     as its \\uXXXX JSON escape, which reads back as the same character.
     Every other line is unchanged."""
-    return Path(path).open(mode, encoding="utf-8", errors="backslashreplace")
+    return Path(path).open(mode, encoding="utf-8", errors="backslashreplace", newline="")
 
 
 def replace_file(path: str | Path, lines: Iterable[str]) -> None:
     """Write lines to a sibling temporary file, then rename it over path, so
-    a process killed mid-write leaves the old file whole rather than
-    truncated. Nothing is flushed to disk: this guards against a killed
+    a process killed mid-write, or an error raised while the lines are made,
+    leaves the old file whole rather than truncated. Every file ctax writes
+    whole goes through here: manifest, tasks, derived records, score CSVs
+    and report. Nothing is flushed to disk: this guards against a killed
     process, not a power loss."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -185,12 +185,6 @@ def extract_json(text: str, strict: bool = False) -> ParseOutcome:
     return ParseOutcome(status=status)
 
 
-def check_schema_doc(schema: Any) -> None:
-    """Refuse a schema document outside the supported subset (ConfigError):
-    validate_schema's compiler, run for its refusals alone."""
-    _compile(schema)
-
-
 def _json_equal(a: Any, b: Any) -> bool:
     if isinstance(a, bool) != isinstance(b, bool):
         return False

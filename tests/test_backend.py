@@ -28,7 +28,6 @@ from ctax.backend import (
     check_health,
     corrupt_generate,
     effective_max_tokens,
-    generate,
     generate_all,
     oracle_generate,
 )
@@ -238,9 +237,9 @@ def test_missing_transport_mapping_is_config_error():
     config = _endpoint_config(constraint_transport={})
     with pytest.raises(ConfigError, match="transport"):
         build_request_body(config, bundle)
-    # surfaces from generate() before any network traffic
+    # surfaces from _generate_one() before any network traffic
     with pytest.raises(ConfigError):
-        generate(config, bundle)
+        _generate_one(config, bundle)
 
 
 def test_transport_path_collision_is_config_error():
@@ -466,7 +465,7 @@ def test_endpoint_round_trip_with_constraint_and_usage():
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "answer_only_schema")
     with stub_server(content='{"answer":"true"}') as (state, url):
-        result = generate(_endpoint_config(base_url=url), bundle)
+        result = _generate_one(_endpoint_config(base_url=url), bundle)
     assert result.raw_text == '{"answer":"true"}'
     assert result.prompt_tokens == 7 and result.completion_tokens == 3
     assert result.latency_ms > 0
@@ -481,13 +480,13 @@ def test_endpoint_bearer_token_from_env(monkeypatch):
     bundle = build_prompt(inst, "freeform")
     monkeypatch.setenv(TOKEN_ENV_VAR, "sekrit")
     with stub_server() as (state, url):
-        generate(_endpoint_config(base_url=url), bundle)
+        _generate_one(_endpoint_config(base_url=url), bundle)
     headers, _ = state.posts[0]
     assert headers.get("Authorization") == "Bearer sekrit"
 
     monkeypatch.delenv(TOKEN_ENV_VAR)
     with stub_server() as (state2, url2):
-        generate(_endpoint_config(base_url=url2), bundle)
+        _generate_one(_endpoint_config(base_url=url2), bundle)
     headers2, _ = state2.posts[0]
     assert "Authorization" not in headers2
 
@@ -496,7 +495,7 @@ def test_endpoint_retries_then_succeeds():
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")
     with stub_server(fail_first=2, content="ok") as (state, url):
-        result = generate(_endpoint_config(base_url=url, max_retries=2), bundle)
+        result = _generate_one(_endpoint_config(base_url=url, max_retries=2), bundle)
     assert result.raw_text == "ok"
     assert state.post_count == 3
 
@@ -505,7 +504,7 @@ def test_endpoint_persistent_failure_raises():
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")
     with stub_server(fail_first=10**6) as (state, url):
-        result = generate(_endpoint_config(base_url=url, max_retries=1), bundle)
+        result = _generate_one(_endpoint_config(base_url=url, max_retries=1), bundle)
     assert result.failed and "HTTP 500" in result.failure_reason
     assert state.post_count == 2  # retries + 1 attempts, then gave up
 
@@ -514,7 +513,7 @@ def test_endpoint_malformed_payload_raises():
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")
     with stub_server(malformed_payload=True) as (_state, url):
-        result = generate(_endpoint_config(base_url=url, max_retries=0), bundle)
+        result = _generate_one(_endpoint_config(base_url=url, max_retries=0), bundle)
     assert result.failed and "malformed completion payload" in result.failure_reason
 
 
@@ -523,7 +522,7 @@ def test_endpoint_malformed_payload_raises():
 def test_endpoint_drops_token_counts_that_are_not_integers(usage):
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     with stub_server(content="ok", usage=usage) as (_state, url):
-        result = generate(_endpoint_config(base_url=url, max_retries=0),
+        result = _generate_one(_endpoint_config(base_url=url, max_retries=0),
                           build_prompt(inst, "freeform"))
     assert result.raw_text == "ok"
     assert (result.prompt_tokens, result.completion_tokens) == (None, None)
@@ -533,7 +532,7 @@ def test_endpoint_connection_refused_raises():
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")
     url = f"http://127.0.0.1:{_free_port()}"
-    result = generate(_endpoint_config(base_url=url, max_retries=0), bundle)
+    result = _generate_one(_endpoint_config(base_url=url, max_retries=0), bundle)
     assert result.failed and "transport error" in result.failure_reason
 
 
@@ -550,7 +549,7 @@ def test_endpoint_moves_to_the_next_address_when_a_connect_fails(monkeypatch):
             infos = [unusable] + [(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP, "",
                                    address) for address in addresses]
             monkeypatch.setattr(backend.socket, "getaddrinfo", lambda *a, **k: infos)
-            result = generate(_endpoint_config(base_url=url, max_retries=0), bundle)
+            result = _generate_one(_endpoint_config(base_url=url, max_retries=0), bundle)
             assert result.failed is not ok, result.failure_reason
         assert state.post_count == 1
     assert "Protocol not supported" in result.failure_reason
@@ -576,6 +575,12 @@ def _collect(config, bundles):
     landed = []
     generate_all(config, bundles, lambda pairs: landed.extend(pairs) or [])
     return landed
+
+
+def _generate_one(config, bundle):
+    """The result generate_all lands for a lone bundle."""
+    ((_, result),) = _collect(config, [bundle])
+    return result
 
 
 def test_scripted_generate_all_lands_runs_of_at_most_inline_run_pairs():
@@ -733,7 +738,7 @@ def test_endpoint_timeout_is_a_transport_error():
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")
     with stub_server(delay=0.5, content="ok") as (state, url):
-        result = generate(_endpoint_config(base_url=url, timeout_ms=100, max_retries=0), bundle)
+        result = _generate_one(_endpoint_config(base_url=url, timeout_ms=100, max_retries=0), bundle)
     assert result.failed and "transport error" in result.failure_reason
     assert state.post_count == 1
 
@@ -745,7 +750,7 @@ def test_endpoint_retries_only_retryable_statuses(status, posts):
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")
     with stub_server(fail_first=10**6, fail_status=status) as (state, url):
-        result = generate(_endpoint_config(base_url=url, max_retries=2), bundle)
+        result = _generate_one(_endpoint_config(base_url=url, max_retries=2), bundle)
     assert result.failed and f"HTTP {status}" in result.failure_reason
     assert state.post_count == posts
 
@@ -821,7 +826,7 @@ def test_endpoint_over_long_body_fails_its_attempt_and_is_retried(monkeypatch):
     bundle = build_prompt(inst, "freeform")
     monkeypatch.setattr(backend, "MAX_RESPONSE_BYTES", 1000)
     with stub_server(content="x" * 1000) as (state, url):
-        result = generate(_endpoint_config(base_url=url, max_retries=2), bundle)
+        result = _generate_one(_endpoint_config(base_url=url, max_retries=2), bundle)
         monkeypatch.setattr(backend, "MAX_RESPONSE_BYTES", 20)
         with pytest.raises(ConfigError, match="health check failed: response body over "
                                               "the 20-byte cap"):
@@ -830,7 +835,7 @@ def test_endpoint_over_long_body_fails_its_attempt_and_is_retried(monkeypatch):
     assert state.post_count == 3  # retried like a malformed payload
     monkeypatch.setattr(backend, "MAX_RESPONSE_BYTES", 1000)
     with stub_server(content="x" * 800) as (state, url):  # the whole body is under the cap
-        assert generate(_endpoint_config(base_url=url), bundle).raw_text == "x" * 800
+        assert _generate_one(_endpoint_config(base_url=url), bundle).raw_text == "x" * 800
 
 
 @contextmanager
@@ -870,7 +875,7 @@ def _deeply_nested_completions():
 def test_endpoint_deeply_nested_payload_is_malformed_and_retried():
     bundle = build_prompt(generate_suite("boolean_logic", 1, seed=4)[0], "freeform")
     with _deeply_nested_completions() as (url, posts):
-        result = generate(_endpoint_config(base_url=url, max_retries=1), bundle)
+        result = _generate_one(_endpoint_config(base_url=url, max_retries=1), bundle)
     assert result.failed and posts == [True, True]
     assert result.failure_reason.startswith(
         "2 of 2 attempt(s) made; last error: malformed completion payload: ")
@@ -912,7 +917,7 @@ def test_endpoint_body_shorter_than_its_content_length_is_a_transport_error():
     bundle = build_prompt(generate_suite("boolean_logic", 1, seed=4)[0], "freeform")
     url = f"http://127.0.0.1:{listener.getsockname()[1]}"
     with listener:
-        result = generate(_endpoint_config(base_url=url, max_retries=1), bundle)
+        result = _generate_one(_endpoint_config(base_url=url, max_retries=1), bundle)
         thread.join(timeout=5)
     assert result.failed and "transport error: IncompleteRead" in result.failure_reason
     assert result.failure_reason.startswith("2 of 2 attempt(s)")
@@ -945,7 +950,7 @@ def test_endpoint_timeout_bounds_a_trickling_body():
     url = f"http://127.0.0.1:{listener.getsockname()[1]}"
     with listener:
         started = time.monotonic()
-        result = generate(_endpoint_config(base_url=url, timeout_ms=1000, max_retries=0),
+        result = _generate_one(_endpoint_config(base_url=url, timeout_ms=1000, max_retries=0),
                           bundle)
         elapsed = time.monotonic() - started
         done.set()
@@ -985,7 +990,7 @@ def test_endpoint_timeout_bounds_a_trickling_head():
     url = f"http://127.0.0.1:{listener.getsockname()[1]}"
     with listener:
         started = time.monotonic()
-        result = generate(_endpoint_config(base_url=url, timeout_ms=1000, max_retries=0),
+        result = _generate_one(_endpoint_config(base_url=url, timeout_ms=1000, max_retries=0),
                           bundle)
         elapsed = time.monotonic() - started
         done.set()
@@ -1226,7 +1231,7 @@ def test_https_round_trip_with_a_trusted_ca(tmp_path, monkeypatch):
     bundle = build_prompt(generate_suite("boolean_logic", 1, seed=4)[0], "freeform")
     with stub_server(tls=context, content="over tls") as (state, url):
         check_health(_endpoint_config(base_url=url))  # no raise
-        result = generate(_endpoint_config(base_url=url, max_retries=0), bundle)
+        result = _generate_one(_endpoint_config(base_url=url, max_retries=0), bundle)
         landed = _collect(_endpoint_config(base_url=url, max_in_flight=2, max_retries=0),
                           [bundle] * 4)
     assert url.startswith("https://")

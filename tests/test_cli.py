@@ -79,6 +79,13 @@ def test_run_score_report_pipeline(tmp_path, capsys):
     assert "# Constraint-tax report" in report_path.read_text()
 
 
+def test_run_command_names_the_records_file(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_run_config_doc(("prompt_json",))))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out == f"[INFO] run complete: {tmp_path / 'run' / 'records.jsonl'}\n"
+
+
 def test_score_accepts_multiple_record_files(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(_run_config_doc(("prompt_json",))))

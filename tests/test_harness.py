@@ -43,7 +43,7 @@ from ctax.modes import (DELAYED_MODE, DELAYED_VARIANTS, MODE_NAMES, NO_CONSTRAIN
                         Constraint, build_delayed_stage2, build_prompt, scoring_constraint,
                         transported_constraint)
 from ctax.records import (_TEMPLATE, MASKED_FIELDS, RunRecord, adopt_record, canonical_diff,
-                          canonical_record_lines, new_record, read_records, write_records)
+                          canonical_record_lines, read_records, write_records)
 from ctax.report import render_report
 from ctax.checkers import CALENDAR_FAILURE_CLASSES, GENERATION_FAILED
 from ctax.taskgen import CALENDAR_SEMANTIC_FIELDS, FAMILIES, generate_suite
@@ -584,7 +584,7 @@ def test_every_record_branch_fills_one_dict_in_line_order():
     made = _record_of_each_branch()
     for branch, record in made.items():
         assert list(vars(record)) == list(_TEMPLATE), branch
-        assert record == new_record(dict(vars(record))), branch
+        assert record == RunRecord(**vars(record)), branch
     assert made["scored"].answer_correct and not made["scored"].violations
     assert made["scored, with violations"].violations[0]["keyword"] == "type"
     assert made["generation failed"].error_class == GENERATION_FAILED
@@ -1556,6 +1556,24 @@ def test_score_to_files_and_formats(tmp_path):
     cal_lines = paths["calendar"].read_text().splitlines()
     assert cal_lines[0].startswith("backend,model,mode,n,correct,wrong_duration")
     assert len(cal_lines) == 3  # header + two object modes
+
+
+def test_a_score_write_that_fails_leaves_the_old_csv_whole(tmp_path):
+    result = score(_golden_records(tmp_path), bootstrap=BootstrapConfig(resamples=50, seed=0))
+    paths = score_to_files(result, tmp_path / "scores")
+    before = paths["comparisons"].read_bytes()
+    rows = list(result.comparisons)
+    assert len(rows) > 50
+    rows[50] = replace(rows[50], tax_norm=None)  # the 51st row cannot be formatted
+    with pytest.raises(TypeError):
+        score_to_files(replace(result, comparisons=rows), tmp_path / "scores")
+    assert paths["comparisons"].read_bytes() == before
+    assert not list((tmp_path / "scores").glob("*.partial"))
+
+
+def test_run_prints_nothing(tmp_path, capsys):
+    run(_config(("prompt_json", "delayed_constraint")), tmp_path / "out")
+    assert capsys.readouterr().out == ""
 
 
 def test_outputs_byte_identical_across_reruns(tmp_path):

