@@ -500,6 +500,12 @@ class _Target:
     carries. Proxy variables are not read."""
 
     def __init__(self, config: BackendConfig):
+        # written into every request head as given, where a line break would start
+        # a header line; refused before any lookup, by a message without the key
+        token = os.environ.get(TOKEN_ENV_VAR)
+        if token and ("\r" in token or "\n" in token or max(token) > "\xff"):
+            raise ConfigError(f"{TOKEN_ENV_VAR} must hold no line break and only latin-1 "
+                              "characters")
         self.base_url = config.base_url.rstrip("/")
         url = urlsplit(self.base_url)
         self.timeout = config.timeout_ms / 1000.0
@@ -522,7 +528,7 @@ class _Target:
             host += b":%d" % url.port
         self.headers = (b"Host: " + host + b"\r\nAccept-Encoding: identity\r\n"
                         b"Content-Type: application/json\r\nConnection: close\r\n")
-        if token := os.environ.get(TOKEN_ENV_VAR):
+        if token:
             self.headers += f"Authorization: Bearer {token}\r\n".encode("latin-1")
         self.tls = None
         self.wants: dict[type, int] = {}  # the events a TLS call that cannot go on waits for
@@ -757,13 +763,13 @@ def check_health(config: BackendConfig) -> None:
                           f"{target.base_url}/v1/models")
 
 
-def _endpoint_result(config: BackendConfig,
-                     replies: Sequence[_Reply]) -> GenerationResult | None:
-    """The call's result after its attempts so far, or None when another
-    attempt is due. Transport errors (timeouts and over-long bodies
-    included), 5xx, 408, 429 and malformed payloads are retried up to
-    max_retries times; any other 4xx fails at once. A call out of attempts
-    is a failed result naming its last error."""
+def generate(config: BackendConfig, replies: Sequence[_Reply]) -> GenerationResult | None:
+    """An endpoint call's result after its attempts so far, one reply each,
+    or None when another attempt is due; generate_all calls it once per
+    attempt. Transport errors (timeouts and over-long bodies included), 5xx,
+    408, 429 and malformed payloads are retried up to max_retries times; any
+    other 4xx fails at once. A call out of attempts is a failed result
+    naming its last error."""
     reply, attempts = replies[-1], config.max_retries + 1
     if reply.error is not None:
         error = f"transport error: {reply.error}"
@@ -800,29 +806,6 @@ def _endpoint_result(config: BackendConfig,
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def generate(config: BackendConfig, bundle: PromptBundle,
-             renderers: dict[int, _Renderer] | None = None,
-             replies: Sequence[_Reply] = ()) -> GenerationResult | None:
-    """One step of generate_all's work on the bundle. Scripted kinds render
-    it through its instance's renderer, drawn once per renderers dict (which
-    keys it by id(instance) and lives as long as the generate_all call),
-    under the corruptor's fault profile; the oracle takes no profile. The
-    endpoint kind takes the replies of the call's attempts so far and
-    returns their result, or None when another attempt is due."""
-    if config.kind == "endpoint":
-        return _endpoint_result(config, replies)
-    started_at = timestamp()
-    instance = bundle.instance
-    # by identity: TaskInstance's hash is Python code. The renderer holds the
-    # instance, so its id is not reused while the dict lives.
-    if (render := renderers.get(id(instance))) is None:
-        render = renderers[id(instance)] = _draw_fault(
-            instance, config.fault if config.kind == "corruptor" else None)
-    # scripted latency is pinned to zero so scripted runs stay byte-deterministic
-    return GenerationResult(raw_text=render(bundle.mode, bundle.stage), latency_ms=0.0,
-                            started_at=started_at)
-
-
 # Scripted kinds generate this many bundles, then land them as one batch.
 # Alternating generation and scoring bundle by bundle made the 9000-record
 # corruptor run about 7% slower than runs of 64 or more (each stage's code
@@ -845,7 +828,9 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
     drawn from the iterable only as work is handed out, or, on an endpoint,
     up to max_in_flight ahead of it. Scripted kinds generate inline, in runs
     of up to _INLINE_RUN bundles, and land each run as one batch, in the
-    order its bundles were drawn.
+    order its bundles were drawn. Each bundle renders through its
+    instance's renderer, drawn once per instance per call under the
+    corruptor's fault profile (the oracle takes none).
 
     The endpoint kind runs one selector loop on the calling thread, with at
     most max_in_flight exchanges open, each request on its own connection.
@@ -861,10 +846,10 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
     closes their sockets, then lands their results as one batch, so the
     slots are busy again while the caller scores; the loop waits again only
     once on_result has returned. Each attempt's reply goes to
-    generate(config, bundle, replies=...), which says whether another
-    attempt is due. generate_all is the only way to run an endpoint call,
-    even for one bundle. An error raised by on_result or by a request body
-    leaves this call with every socket closed.
+    generate(config, replies), which says whether another attempt is due.
+    generate_all is the only way to run an endpoint call, even for one
+    bundle. An error raised by on_result or by a request body leaves this
+    call with every socket closed.
     """
     source, follow_ups = iter(bundles), deque()
 
@@ -872,8 +857,21 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
         return follow_ups.popleft() if follow_ups else next(source, None)
 
     if config.kind != "endpoint":
-        renderers: dict[int, _Renderer] = {}  # one draw per instance, for this call
-        while batch := [(bundle, generate(config, bundle, renderers))
+        fault = config.fault if config.kind == "corruptor" else None
+        # one draw per instance, for this call, keyed by identity (TaskInstance's
+        # hash is Python code); each renderer holds its instance, so no id is reused
+        renderers: dict[int, _Renderer] = {}
+
+        def render(bundle: PromptBundle) -> GenerationResult:
+            started_at = timestamp()
+            instance = bundle.instance
+            if (draw := renderers.get(id(instance))) is None:
+                draw = renderers[id(instance)] = _draw_fault(instance, fault)
+            # scripted latency is pinned to zero so scripted runs stay byte-deterministic
+            return GenerationResult(raw_text=draw(bundle.mode, bundle.stage), latency_ms=0.0,
+                                    started_at=started_at)
+
+        while batch := [(bundle, render(bundle))
                         for bundle in islice(iter(next_bundle, None), _INLINE_RUN)]:
             follow_ups.extend(on_result(batch))
         return
@@ -933,7 +931,7 @@ def generate_all(config: BackendConfig, bundles: Iterable[PromptBundle],
                     bundle, request, replies = call = calls.pop(exchange)
                     ended.append(exchange)
                     replies.append(exchange.reply)
-                    if (result := generate(config, bundle, replies=replies)) is None:
+                    if (result := generate(config, replies)) is None:
                         retries.append(call)
                     else:
                         landed.append((bundle, result))

@@ -62,8 +62,9 @@ from .modes import (
     scoring_constraint,
     transported_constraint,
 )
-from .records import (_TEMPLATE, VERDICT_FIELDS, RunRecord, adopt_record, append_record,
-                      drop_torn_tail, open_jsonl, read_records, replace_file, timestamp)
+from .records import (_TEMPLATE, FIELD_TYPES, VERDICTS, RunRecord, adopt_record, append_record,
+                      drop_torn_tail, field_fault, open_jsonl, read_records, replace_file,
+                      timestamp)
 from .taskgen import (CALENDAR_SEMANTIC_FIELDS, FAMILIES, TaskInstance, generate_suite,
                       write_suite)
 from .validation import (LENIENT_EXTRACTION, PARSE_NO_JSON, STRICT_EXTRACTION, canonical_digest,
@@ -541,35 +542,21 @@ class ScoreResult:
     warnings: tuple[str, ...] = ()  # what score found questionable, in the order found
 
 
-# Fields score reads, with the types a record may hold in each and their
-# description. A record holding another type in one, or a float that is not
-# finite, is refused rather than scored.
-_NONE = type(None)
-_SCORED_FIELDS = (
-    *VERDICT_FIELDS,
-    ("backend_label", (str,), "a string"),
-    ("model_id", (str,), "a string"),
-    ("family", (str,), "a string"),
-    ("mode", (str,), "a string"),
-    ("instance_id", (str,), "a string"),
-    ("extraction_rule", (str,), "a string"),
-    ("config_digest", (str, _NONE), "a string or null"),
-    ("latency_annotation", (str, _NONE), "a string or null"),
-    ("calendar_failure_class", (str, _NONE), "a string or null"),
-    ("latency_ms", (int, float), "a finite number"),
-    ("completion_tokens", (int, _NONE), "an integer or null"),
-    ("structural_overhead", (int, float, _NONE), "a finite number or null"),
-)
-_TYPES = {name: frozenset(types) for name, types, _ in _SCORED_FIELDS}
+# Fields score reads. A record holding in one of them a type its FIELD_TYPES
+# entry does not allow, or a float that is not finite, is refused rather than
+# scored.
+_SCORED_FIELDS = (*VERDICTS, "backend_label", "model_id", "family", "mode", "instance_id",
+                  "extraction_rule", "config_digest", "latency_annotation",
+                  "calendar_failure_class", "latency_ms", "completion_tokens",
+                  "structural_overhead")
+_TYPES = {name: frozenset(FIELD_TYPES[name][0]) for name in _SCORED_FIELDS}
 _CALENDAR_FAMILY = "tool_call_argument"
 
 
 def _record_fault(record: RunRecord) -> str | None:
     """What in a record score cannot read, or None."""
-    for name, types, kind in _SCORED_FIELDS:
-        value = getattr(record, name)
-        if type(value) not in types or (type(value) is float and not math.isfinite(value)):
-            return f"{name} must be {kind}, got {value!r}"
+    if (fault := field_fault(record, _SCORED_FIELDS)) is not None:
+        return fault
     if record.family == "all":
         return "family must not be 'all', the task of the cross-family rows"
     if record.calendar_failure_class not in (None, *CALENDAR_FAILURE_CLASSES):
@@ -701,9 +688,9 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
     the baseline mode gets aggregates only; mixed config digests, and a cell
     that mixes extraction rules, get a warning (the records may not be
     comparable). The warnings are returned, in ScoreResult.warnings, not
-    printed. A record holding a value of the wrong type in a field score
-    reads (_SCORED_FIELDS), or a float that is not finite, is a ConfigError
-    naming the record."""
+    printed. A record holding a value in a field score reads (_SCORED_FIELDS)
+    of a type its RunRecord annotation does not allow, or a float that is
+    not finite, is a ConfigError naming the record."""
     if not isinstance(records, abc.Sequence):  # read again for a duplicated instance
         records = list(records)
     by_key: dict[tuple[str, str, str, str], list[RunRecord]] = {}

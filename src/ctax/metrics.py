@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .checkers import GENERATION_FAILED
 from .errors import ConfigError, PairingError
-from .records import verdict_fault
+from .records import field_fault
 
 DEFAULT_EPSILON = 1e-6
 DEFAULT_BASELINE_MODE = "prompt_json"
@@ -138,7 +138,7 @@ class Tally(NamedTuple):
         verdict that is neither a bool nor None is a TypeError naming it."""
         traces = [t for r in scored if (t := r.trace_correct) is not None]
         if not _BOOL.issuperset(map(type, traces)):
-            raise TypeError(next(filter(None, map(verdict_fault, scored))))
+            raise TypeError(next(filter(None, map(field_fault, scored))))
         return cls(traces,
                    [r.latency_ms for r in scored],
                    [t for r in scored if (t := r.completion_tokens) is not None],
@@ -191,7 +191,7 @@ class Cell:
         a records line read."""
         scored = [r for r in records if r.error_class != GENERATION_FAILED]
         if not _BOOL.issuperset(map(type, chain.from_iterable(map(_VERDICTS, scored)))):
-            raise TypeError(next(filter(None, map(verdict_fault, scored))))
+            raise TypeError(next(filter(None, map(field_fault, scored))))
         flags = [_FLAG_NEST[r.answer_correct][r.exec_correct][r.schema_valid] for r in scored]
         failed = (() if len(scored) == len(records) else
                   tuple([r.instance_id for r in records if r.error_class == GENERATION_FAILED]))

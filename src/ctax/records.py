@@ -18,6 +18,7 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import json
+import math
 import os
 import time
 from dataclasses import MISSING, dataclass, fields
@@ -85,14 +86,22 @@ _TEMPLATE = {f.name: None if f.default is MISSING else f.default
              for f in sorted(fields(RunRecord), key=lambda f: f.name)}
 _REQUIRED = frozenset(f.name for f in fields(RunRecord) if f.default is MISSING)
 
-# The verdicts, with the types a record may hold in each and their
-# description: read by its truth value, a verdict of "no" would score as true.
-VERDICT_FIELDS = (
-    ("schema_valid", (bool,), "true or false"),
-    ("answer_correct", (bool,), "true or false"),
-    ("exec_correct", (bool,), "true or false"),
-    ("trace_correct", (bool, type(None)), "true, false or null"),
-)
+# Each form of annotation RunRecord uses -> the types a record may hold in a
+# field of that form, and the words a refusal uses for them. A float field
+# also takes an int, and its value must be finite.
+_FORMS = {
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "bool": ((bool,), "true or false"),
+    "bool | None": ((bool, type(None)), "true, false or null"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a finite number"),
+    "float | None": ((int, float, type(None)), "a finite number or null"),
+}
+# field -> (types, description), for every field but the two _list_field reads
+FIELD_TYPES = {f.name: _FORMS[f.type] for f in fields(RunRecord) if f.type in _FORMS}
+# Read by its truth value, a verdict of "no" would score as true.
+VERDICTS = ("schema_valid", "answer_correct", "exec_correct", "trace_correct")
 
 
 _EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
@@ -147,12 +156,12 @@ def record_from_dict(doc: dict[str, Any]) -> RunRecord:
     if len(doc) != len(_TEMPLATE) and not doc.keys() >= _REQUIRED:
         missing = _REQUIRED - doc.keys()
         raise TypeError(f"missing field(s): {', '.join(sorted(missing))}")
-    # VERDICT_FIELDS, checked inline: a call per record read would show on
-    # score_report.
+    # VERDICTS against FIELD_TYPES, checked inline: a call per record read
+    # would show on score_report.
     if (type(state["schema_valid"]) is not bool or type(state["answer_correct"]) is not bool
             or type(state["exec_correct"]) is not bool
             or (state["trace_correct"] is not None and type(state["trace_correct"]) is not bool)):
-        raise TypeError(verdict_fault(record))
+        raise TypeError(field_fault(record))
     # Absent, each holds the template's (); a string here would read as its characters.
     if state["violations"].__class__ is not tuple:
         state["violations"] = _list_field(state, "violations", dict, "objects")
@@ -172,12 +181,14 @@ def _list_field(state: dict[str, Any], name: str, item: type, items: str) -> tup
     return tuple(value)
 
 
-def verdict_fault(record: Any) -> str | None:
-    """What is wrong with the record's first verdict of a type its
-    VERDICT_FIELDS entry does not allow, or None."""
-    for name, types, kind in VERDICT_FIELDS:
+def field_fault(record: Any, names: Iterable[str] = VERDICTS) -> str | None:
+    """What is wrong with the first of the named fields that holds a type
+    its FIELD_TYPES entry does not allow, or a float that is not finite; or
+    None."""
+    for name in names:
         value = getattr(record, name)
-        if type(value) not in types:
+        types, kind = FIELD_TYPES[name]
+        if type(value) not in types or (type(value) is float and not math.isfinite(value)):
             return f"{name} must be {kind}, got {value!r}"
     return None
 

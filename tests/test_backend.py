@@ -491,6 +491,32 @@ def test_endpoint_bearer_token_from_env(monkeypatch):
     assert "Authorization" not in headers2
 
 
+@pytest.mark.parametrize("key", ["abc\nX-Injected: 1", "abc\r\nX-Injected: 1", "k\u20acy"],
+                         ids=["newline", "crlf", "not-latin-1"])
+def test_an_api_key_that_cannot_go_into_a_request_head_is_refused(tmp_path, monkeypatch,
+                                                                  capsys, key):
+    """Written as given, a line break in the key would start a header line
+    of its own in every request, and a character latin-1 lacks could not be
+    written at all: the run is refused before any request, by an error that
+    leaves the key out."""
+    from ctax.cli import main
+
+    monkeypatch.setenv(TOKEN_ENV_VAR, key)
+    with stub_server(content="ok") as (state, url):
+        doc = {"run_id": "key", "suite": {"families": ["boolean_logic"], "count": 2, "seed": 3},
+               "modes": ["freeform"],
+               "backends": [{"kind": "endpoint", "label": "ep", "model_id": "m",
+                             "base_url": url}]}
+        config_path, out = tmp_path / "config.json", tmp_path / "out"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"[ERROR] {TOKEN_ENV_VAR} must hold no line break")
+    assert "X-Injected" not in err and "\u20ac" not in err
+    assert not out.exists() and state.connections == 0
+
+
 def test_endpoint_retries_then_succeeds():
     inst = generate_suite("boolean_logic", 1, seed=4)[0]
     bundle = build_prompt(inst, "freeform")

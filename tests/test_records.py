@@ -188,6 +188,19 @@ def test_a_null_list_field_reads_as_empty(tmp_path):
     assert record.violations == () and record.calendar_wrong_fields == ()
 
 
+def test_every_scalar_field_and_every_checked_name_has_its_types():
+    """FIELD_TYPES reads each field's types off its RunRecord annotation, so
+    a field annotated in a form it does not know has no entry: the field is
+    named here, not skipped by every type check."""
+    from ctax import harness
+
+    scalars = [f.name for f in dataclasses.fields(RunRecord)
+               if f.name not in ("violations", "calendar_wrong_fields")]
+    assert [name for name in scalars if name not in records.FIELD_TYPES] == []
+    checked = (*records.VERDICTS, *harness._SCORED_FIELDS)
+    assert [name for name in checked if name not in records.FIELD_TYPES] == []
+
+
 def test_a_null_trace_verdict_and_bool_verdicts_are_read():
     doc = {**REQUIRED, "schema_valid": True, "answer_correct": False, "exec_correct": True,
            "trace_correct": None}
