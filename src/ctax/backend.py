@@ -38,6 +38,7 @@ from .modes import (
 from .records import timestamp
 from .rng import SplitMix64, derive_seed
 from .taskgen import (
+    CALENDAR_FAMILY,
     CALENDAR_SEMANTIC_FIELDS,
     NAMES,
     TOPICS,
@@ -168,7 +169,7 @@ def _render_completion(instance: TaskInstance, mode: str, stage: str,
     answer, trace = truth.final_answer, truth.trace
 
     def object_payload() -> Any:
-        return truth.exec_target if instance.family == "tool_call_argument" else {"answer": answer}
+        return truth.exec_target if instance.family == CALENDAR_FAMILY else {"answer": answer}
 
     if mode == "delayed_constraint" and stage == "stage2":
         return canonical_serialize(object_payload())
@@ -225,8 +226,8 @@ def _tampered_truth(instance: TaskInstance, rng: SplitMix64,
     contradicts itself at the last line."""
     gt = instance.ground_truth
     family = instance.family
-    if family == "tool_call_argument":
-        target_field = targets[rng.randrange(len(targets))]
+    if family == CALENDAR_FAMILY:
+        target_field = rng.choice(targets)
         exec_target = {k: (dict(v) if isinstance(v, dict) else v)
                        for k, v in (gt.exec_target or {}).items()}
         args = exec_target["arguments"]
@@ -234,10 +235,10 @@ def _tampered_truth(instance: TaskInstance, rng: SplitMix64,
             args["duration_minutes"] = _WRONG_DURATION
         elif target_field == "attendee":
             pool = [normalize_answer(n) for n in NAMES if normalize_answer(n) != args["attendee"]]
-            args["attendee"] = pool[rng.randrange(len(pool))]
+            args["attendee"] = rng.choice(pool)
         elif target_field == "topic":
             pool = [t for t in TOPICS if t != args["topic"]]
-            args["topic"] = pool[rng.randrange(len(pool))]
+            args["topic"] = rng.choice(pool)
         elif target_field == "date":
             day = dt.date.fromisoformat(args["date"]) + dt.timedelta(days=1)
             args["date"] = day.isoformat()
@@ -260,7 +261,7 @@ def _tampered_truth(instance: TaskInstance, rng: SplitMix64,
     elif family == "object_tracking":
         participants = [normalize_answer(instance.slots[k]) for k in ("p1", "p2", "p3")]
         pool = [p for p in participants if p != gt.final_answer]
-        answer = pool[rng.randrange(len(pool))]
+        answer = rng.choice(pool)
     else:
         raise ConfigError(f"unknown task family: {family!r}")
     return GroundTruth(answer, tuple(

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple
 
 from .modes import FREEFORM_MODES, OBJECT_MODES, REGEX_MODE
-from .taskgen import CALENDAR_SEMANTIC_FIELDS, TOOL_NAME, TaskInstance
+from .taskgen import CALENDAR_FAMILY, CALENDAR_SEMANTIC_FIELDS, TOOL_NAME, TaskInstance
 from .validation import (
     ParseOutcome,
     canonical_serialize,
@@ -139,7 +139,7 @@ def _channel(instance: TaskInstance, mode: str, parse: ParseOutcome, raw_text: s
     error is the error class of a broken mode contract, None when the
     contract is met.
     """
-    calendar = instance.family == "tool_call_argument"
+    calendar = instance.family == CALENDAR_FAMILY
     if mode in FREEFORM_MODES:
         answer = extract_final_answer(raw_text)
         tool = None
@@ -237,7 +237,7 @@ def score_completion(instance: TaskInstance, mode: str, parse: ParseOutcome,
     failure_class: str | None = None
     wrong_fields: tuple[str, ...] = ()
     payload = answer
-    if family == "tool_call_argument":
+    if family == CALENDAR_FAMILY:
         # freeform and regex channels only yield a tool object when valid,
         # so exec_correct implies schema_valid in every mode
         verdict = (classify_calendar_failure(tool, expected_calendar_arguments(instance))

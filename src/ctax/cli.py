@@ -198,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="diagnose one output text")
     p_val.add_argument("--mode", required=True, choices=MODE_NAMES)
     p_val.add_argument("--family", required=True, choices=FAMILIES)
-    p_val.add_argument("--text", help="output text inline")
-    p_val.add_argument("--file", help="read output text from this file")
+    given = p_val.add_mutually_exclusive_group()  # neither: standard input
+    given.add_argument("--text", help="output text inline")
+    given.add_argument("--file", help="read output text from this file")
     p_val.add_argument("--strict-extraction", action="store_true",
                        help="whole-text JSON parse only, no substring rescue")
     p_val.set_defaults(func=_cmd_validate)

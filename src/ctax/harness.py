@@ -65,8 +65,8 @@ from .modes import (
 from .records import (_TEMPLATE, FIELD_TYPES, VERDICTS, RunRecord, adopt_record, append_record,
                       drop_torn_tail, field_fault, open_jsonl, read_records, replace_file,
                       timestamp)
-from .taskgen import (CALENDAR_SEMANTIC_FIELDS, FAMILIES, TaskInstance, generate_suite,
-                      write_suite)
+from .taskgen import (CALENDAR_FAMILY, CALENDAR_SEMANTIC_FIELDS, FAMILIES, TaskInstance,
+                      generate_suite, write_suite)
 from .validation import (LENIENT_EXTRACTION, PARSE_NO_JSON, STRICT_EXTRACTION, canonical_digest,
                          canonical_serialize, extract_json)
 
@@ -326,7 +326,8 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
     final line left unterminated by a killed write is cut and its record
     made again, and a delayed stage 1 on disk whose model-variant stage 2 is
     missing gets its stage 2. A resume must run the config the directory
-    was started with; it may only add modes.
+    was started with; it may only add modes. Without a manifest, every
+    record on disk must carry this config's digest.
     """
     out = Path(out_dir)
     records_path = out / "records.jsonl"
@@ -351,6 +352,14 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
         refusal = _refusal(stored)  # appending after it would leave a file score refuses
         if refusal is not None:
             raise refusal
+        if not (out / "manifest.json").exists():  # nothing says what config made them
+            strays = {r.config_digest for r in stored} - {digest}
+            if strays:
+                raise ConfigError(
+                    f"cannot resume: {out / 'manifest.json'} is missing and {records_path} "
+                    f"holds records of config digest {', '.join(sorted(map(str, strays)))}, "
+                    f"not this config's {digest}; resume with the original config or use a "
+                    "fresh output directory")
         done = {record.key(): record for record in stored}
     out.mkdir(parents=True, exist_ok=True)
     write_suite((i for suite in suites.values() for i in suite), out / "tasks.jsonl")
@@ -494,6 +503,9 @@ def derive_delayed(source_records: Sequence[RunRecord],
         instance = instances_by_id.get(source.instance_id)
         if instance is None:
             raise ConfigError(f"no task instance for record {source.instance_id!r}")
+        if source.family != instance.family:
+            raise ConfigError(f"record {'/'.join(source.key())}: family {source.family!r}, "
+                              f"but its task is of family {instance.family!r}")
         if config is None:
             ctx = _RecordContext(source.backend_label, source.model_id,
                                  source.run_id or "derived", source.config_digest,
@@ -550,7 +562,6 @@ _SCORED_FIELDS = (*VERDICTS, "backend_label", "model_id", "family", "mode", "ins
                   "calendar_failure_class", "latency_ms", "completion_tokens",
                   "structural_overhead")
 _TYPES = {name: frozenset(FIELD_TYPES[name][0]) for name in _SCORED_FIELDS}
-_CALENDAR_FAMILY = "tool_call_argument"
 
 
 def _record_fault(record: RunRecord) -> str | None:
@@ -618,7 +629,7 @@ def _family_cell(key: tuple[str, str, str, str], records: list[RunRecord],
         rules = {r.extraction_rule for r in records}
         cell_digests = {r.config_digest for r in records}
         calendar = (_calendar_row(backend_label, model_id, mode, records)
-                    if family == _CALENDAR_FAMILY else None)
+                    if family == CALENDAR_FAMILY else None)
     except TypeError:  # a list where a string goes, which no set can hold
         refusal = _refusal(records)
         if refusal is None:
@@ -768,12 +779,13 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
 # CSV output
 # ---------------------------------------------------------------------------
 
-def _pts(rate: Fraction | float | None, fmt: str = ".1f") -> str:
-    return "" if rate is None else format(pts(rate), fmt)
+# The CSVs' and the report's number formatters; missing is an absent value's text.
+def _pts(rate: Fraction | float | None, fmt: str = ".1f", missing: str = "") -> str:
+    return missing if rate is None else format(pts(rate), fmt)
 
 
-def _fmt_opt(value: float | None, fmt: str = ".1f") -> str:
-    return "" if value is None else format(value, fmt)
+def _fmt_opt(value: float | None, fmt: str = ".1f", missing: str = "") -> str:
+    return missing if value is None else format(value, fmt)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from .errors import ConfigError
-from .taskgen import FAMILIES, TOOL_NAME, TRACE_OPS, TaskInstance
+from .taskgen import CALENDAR_FAMILY, FAMILIES, TOOL_NAME, TRACE_OPS, TaskInstance
 from .validation import (
     PARSE_OK,
     PARSE_REGEX_MISMATCH,
@@ -91,7 +91,7 @@ def answer_regex(family: str) -> str:
         return r"^[a-z]+$"
     if family == "boolean_logic":
         return r"^(true|false)$"
-    if family == "tool_call_argument":
+    if family == CALENDAR_FAMILY:
         return r'^\{"arguments":\{.+\},"tool":"create_calendar_event"\}$'
     raise ConfigError(f"unknown task family: {family!r}")
 
@@ -130,7 +130,7 @@ def answer_schema(family: str) -> dict:
     """Minimal schema capturing the family's final answer: a bare
     {"answer": string} wrapper, except the tool-call family where the
     answer IS the calendar object."""
-    if family == "tool_call_argument":
+    if family == CALENDAR_FAMILY:
         return calendar_schema()
     return {
         "type": "object",
@@ -278,7 +278,7 @@ _STAGE2_INSTRUCTION = ("A draft solution follows between the markers.\n---\n{sta
 
 def _instruction_block(descriptor: ModeDescriptor, family: str, stage: str) -> tuple[str, str]:
     """(prefix, suffix) wrapped around the untouched problem text."""
-    if (family == "tool_call_argument" and stage == "single"
+    if (family == CALENDAR_FAMILY and stage == "single"
             and descriptor.schema in (answer_schema, rationale_answer_schema)):
         suffix = _CALENDAR_FOOTER
         if descriptor.schema is rationale_answer_schema:
@@ -300,14 +300,17 @@ def build_prompt(instance: TaskInstance, mode: str) -> PromptBundle:
     """
     stage = "stage1" if mode == DELAYED_MODE else "single"
     prefix, suffix = _instruction_block(get_mode(mode), instance.family, stage)
+    return _bundle(instance, mode, stage, prefix, suffix)
+
+
+def _bundle(instance: TaskInstance, mode: str, stage: str, prefix: str,
+            suffix: str) -> PromptBundle:
+    """The prompt of (instance, mode, stage): prefix, problem text and suffix
+    joined by blank lines (an empty block left out), carrying the
+    constraint transported for that stage."""
     parts = [p for p in (prefix, instance.problem_text, suffix) if p]
-    return PromptBundle(
-        instance=instance,
-        mode=mode,
-        stage=stage,
-        user_text="\n\n".join(parts),
-        constraint=transported_constraint(mode, instance.family, stage),
-    )
+    return PromptBundle(instance, mode, stage, "\n\n".join(parts),
+                        transported_constraint(mode, instance.family, stage))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +340,7 @@ def _extract_stage1_value(stage1_text: str, family: str) -> Any | None:
     parsed = extract_json(stage1_text)
     if parsed.ok and isinstance(parsed.value, dict):
         return parsed.value
-    if family == "tool_call_argument":
+    if family == CALENDAR_FAMILY:
         return None  # the calendar object cannot be rebuilt from a bare line
     answer = extract_final_answer(stage1_text)
     if answer is None:
@@ -360,24 +363,17 @@ def build_delayed_stage2(stage1_text: str, instance: TaskInstance,
     if variant not in DELAYED_VARIANTS:
         raise ConfigError(f"unknown delayed variant: {variant!r}")
     family = instance.family
-    target = transported_constraint(DELAYED_MODE, family, "stage2")
     if variant == "model":
-        prefix = _CALENDAR_HEADER if family == "tool_call_argument" else ""
-        instruction = _STAGE2_INSTRUCTION.format(stage1=stage1_text)
-        parts = [p for p in (prefix, instance.problem_text, instruction) if p]
-        bundle = PromptBundle(
-            instance=instance,
-            mode=DELAYED_MODE,
-            stage="stage2",
-            user_text="\n\n".join(parts),
-            constraint=target,
-        )
-        return PackagingOutcome(stage2_bundle=bundle)
+        prefix = _CALENDAR_HEADER if family == CALENDAR_FAMILY else ""
+        return PackagingOutcome(stage2_bundle=_bundle(
+            instance, DELAYED_MODE, "stage2", prefix,
+            _STAGE2_INSTRUCTION.format(stage1=stage1_text)))
 
+    target = transported_constraint(DELAYED_MODE, family, "stage2")
     value = _extract_stage1_value(stage1_text, family)
     if value is None:
         return PackagingOutcome(failed=True)
-    if family != "tool_call_argument" and "answer" in value:
+    if family != CALENDAR_FAMILY and "answer" in value:
         value = {"answer": str(value["answer"])}
     if validate_schema(value, target.schema):
         return PackagingOutcome(failed=True)

@@ -242,31 +242,25 @@ def write_jsonl(path: str | Path, docs: Iterable[dict[str, Any]]) -> None:
     replace_file(path, map(_json_line, docs))
 
 
-# Built once, like _LINE_ENCODER: json.loads reaches this scanner through
-# three Python calls and two whitespace matches, and a stripped line has no
-# whitespace for them to skip. scan(text, 0) -> (value, end) or StopIteration.
-_SCAN_ONCE = json.JSONDecoder().scan_once
-
-
 def _refuse_constant(name: str) -> float:
     raise ValueError(f"{name} is not a number a record may hold")
 
 
-# Reads records lines: json's reader with NaN, Infinity and -Infinity refused.
-# The hook runs only where a line holds one, so a well-formed line costs the same.
+# Reads records and tasks lines: json's reader with NaN, Infinity and
+# -Infinity refused. The hook runs only where a line holds one, so a
+# well-formed line costs the same. Built once, like _LINE_ENCODER: iter_jsonl
+# calls its scanner directly, since json.loads reaches it through three
+# Python calls and two whitespace matches, and a stripped line has no
+# whitespace for them to skip.
 _RECORD_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
-def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any],
-               decoder: json.JSONDecoder | None = None) -> Iterator[Any]:
-    """build(object) for each non-blank line, in file order; a line that is
-    not a UTF-8 JSON object (as decoder reads it, json's default reader
-    when None), or that build refuses, raises ConfigError naming the file
-    and line."""
-    if decoder is None:
-        scan, decode = _SCAN_ONCE, json.loads
-    else:
-        scan, decode = decoder.scan_once, decoder.decode
+def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any]) -> Iterator[Any]:
+    """build(object) for each non-blank line, in file order. A line that is
+    not one UTF-8 JSON object, that holds NaN, Infinity or -Infinity, or
+    that build refuses (a ValueError, KeyError, TypeError or AttributeError),
+    raises ConfigError naming the file and line."""
+    scan, decode = _RECORD_DECODER.scan_once, _RECORD_DECODER.decode
     with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -327,7 +321,7 @@ def append_record(fh, record: RunRecord) -> None:
 
 
 def iter_records(path: str | Path) -> Iterator[RunRecord]:
-    return iter_jsonl(path, "record", record_from_dict, _RECORD_DECODER)
+    return iter_jsonl(path, "record", record_from_dict)
 
 
 def read_records(path: str | Path) -> list[RunRecord]:

@@ -6,26 +6,14 @@ environment probes, so identical inputs give byte-identical output.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .checkers import CALENDAR_FAILURE_CLASSES
-from .harness import CalendarRow, ScoreResult
-from .metrics import (BOOTSTRAP_VERSION, DEFAULT_BASELINE_MODE, ModeAggregate,
-                      PairedComparison, pts)
+from .harness import CalendarRow, ScoreResult, _fmt_opt, _pts
+from .metrics import BOOTSTRAP_VERSION, DEFAULT_BASELINE_MODE, ModeAggregate, PairedComparison
 from .taskgen import CALENDAR_SEMANTIC_FIELDS
 
-
-def _pct(rate: Fraction | None) -> str:
-    return "—" if rate is None else f"{pts(rate):.1f}"
-
-
-def _signed(rate: Fraction | float) -> str:
-    return f"{pts(rate):+.1f}"
-
-
-def _opt(value: float | None, fmt: str) -> str:
-    return "—" if value is None else format(value, fmt)
+_MISSING = "—"  # a value that is absent, such as the trace accuracy of a mode without one
 
 
 def _latency(agg: ModeAggregate) -> str:
@@ -54,9 +42,11 @@ def dashboard_table(aggregates: Sequence[ModeAggregate]) -> str:
         ["backend", "model", "task", "mode", "n", "validity %", "answer %", "exec %",
          "wrong-valid %", "trace %", "latency", "tokens", "overhead"], "llll" + "r" * 9,
         ([agg.backend_label, agg.model_id, agg.task, agg.mode, agg.n,
-          _pct(agg.schema_validity), _pct(agg.answer_accuracy), _pct(agg.exec_accuracy),
-          _pct(agg.wrong_valid_rate), _pct(agg.trace_accuracy), _latency(agg),
-          _opt(agg.mean_completion_tokens, ".1f"), _opt(agg.mean_structural_overhead, ".3f")]
+          *(_pts(rate, missing=_MISSING) for rate in (
+              agg.schema_validity, agg.answer_accuracy, agg.exec_accuracy,
+              agg.wrong_valid_rate, agg.trace_accuracy)), _latency(agg),
+          _fmt_opt(agg.mean_completion_tokens, ".1f", _MISSING),
+          _fmt_opt(agg.mean_structural_overhead, ".3f", _MISSING)]
          for agg in aggregates))
 
 
@@ -67,9 +57,10 @@ def tax_table(comparisons: Sequence[PairedComparison]) -> str:
          "signed Δ", "tax", f"Δ {levels} CI", "validity Δ", "wrong-valid Δ", "reading"],
         "lllllrrrrlrrl",
         ([cmp.backend_label, cmp.model_id, cmp.task, cmp.acc_metric, cmp.mode,
-          _pct(cmp.acc_baseline), _pct(cmp.acc_constrained), _signed(cmp.signed_delta),
-          _pct(cmp.tax), f"[{_signed(cmp.acc_ci.low)}, {_signed(cmp.acc_ci.high)}]",
-          _signed(cmp.validity_delta), _signed(cmp.wrong_valid_delta), _reading(cmp)]
+          _pts(cmp.acc_baseline, missing=_MISSING), _pts(cmp.acc_constrained, missing=_MISSING),
+          _pts(cmp.signed_delta, "+.1f"), _pts(cmp.tax, missing=_MISSING),
+          f"[{_pts(cmp.acc_ci.low, '+.1f')}, {_pts(cmp.acc_ci.high, '+.1f')}]",
+          _pts(cmp.validity_delta, "+.1f"), _pts(cmp.wrong_valid_delta, "+.1f"), _reading(cmp)]
          for cmp in comparisons))
 
 

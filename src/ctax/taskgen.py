@@ -20,12 +20,15 @@ from .records import iter_jsonl, write_jsonl
 from .rng import SplitMix64, derive_seed
 from .validation import canonical_serialize, normalize_answer
 
+# The family whose answer is a calendar tool call, scored field by field.
+CALENDAR_FAMILY = "tool_call_argument"
+
 FAMILIES = (
     "arithmetic_two_step",
     "symbolic_string",
     "object_tracking",
     "boolean_logic",
-    "tool_call_argument",
+    CALENDAR_FAMILY,
 )
 
 TRACE_OPS: dict[str, tuple[str, ...]] = {
@@ -33,7 +36,7 @@ TRACE_OPS: dict[str, tuple[str, ...]] = {
     "symbolic_string": ("last_letter", "concatenate"),
     "object_tracking": ("initial_state", "swap", "holder_of_key"),
     "boolean_logic": ("not", "and", "or"),
-    "tool_call_argument": ("select_tool", "resolve_date", "resolve_time", "build_arguments"),
+    CALENDAR_FAMILY: ("select_tool", "resolve_date", "resolve_time", "build_arguments"),
 }
 
 TOOL_NAME = "create_calendar_event"
@@ -141,18 +144,17 @@ def _gen_slots(family: str, rng: SplitMix64) -> dict[str, Any]:
         return {"p1": p1, "p2": p2, "p3": p3, "i2": i2, "i3": i3}
     if family == "boolean_logic":
         return {"a": rng.random() < 0.5, "b": rng.random() < 0.5}
-    if family == "tool_call_argument":
-        today = dt.date(2025, 1, 1) + dt.timedelta(days=rng.randrange(364))
-        minutes = rng.choice(range(8 * 60, 18 * 60 + 1, 15))
-        return {
-            "today": today.isoformat(),
-            "duration_minutes": rng.choice(DURATIONS),
-            "attendee": rng.choice(NAMES),
-            "date_phrase": rng.choice(RELATIVE_DATE_PHRASES),
-            "start_time": f"{minutes // 60:02d}:{minutes % 60:02d}",
-            "topic": rng.choice(TOPICS),
-        }
-    raise ConfigError(f"unknown task family: {family!r}")
+    # CALENDAR_FAMILY, the one left: generate_suite refuses any other
+    today = dt.date(2025, 1, 1) + dt.timedelta(days=rng.randrange(364))
+    minutes = rng.choice(range(8 * 60, 18 * 60 + 1, 15))
+    return {
+        "today": today.isoformat(),
+        "duration_minutes": rng.choice(DURATIONS),
+        "attendee": rng.choice(NAMES),
+        "date_phrase": rng.choice(RELATIVE_DATE_PHRASES),
+        "start_time": f"{minutes // 60:02d}:{minutes % 60:02d}",
+        "topic": rng.choice(TOPICS),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +184,15 @@ def _problem_text(family: str, slots: dict[str, Any]) -> str:
         return (
             f"A is {a}. B is {b}. C = A AND NOT B. D = C OR B. What is D?"
         )
-    if family == "tool_call_argument":
-        return (
-            f"Assume today is {slots['today']}. "
-            f"User request: Schedule a {slots['duration_minutes']} minute meeting "
-            f"with {slots['attendee']} {slots['date_phrase']} at {slots['start_time']} "
-            f"about {slots['topic']}. "
-            f"Available tools: {TOOL_SIGNATURE}. "
-            f"Return the selected tool and arguments. Do not access a real calendar."
-        )
-    raise ConfigError(f"unknown task family: {family!r}")
+    # CALENDAR_FAMILY, the one left: generate_suite refuses any other
+    return (
+        f"Assume today is {slots['today']}. "
+        f"User request: Schedule a {slots['duration_minutes']} minute meeting "
+        f"with {slots['attendee']} {slots['date_phrase']} at {slots['start_time']} "
+        f"about {slots['topic']}. "
+        f"Available tools: {TOOL_SIGNATURE}. "
+        f"Return the selected tool and arguments. Do not access a real calendar."
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,7 @@ def solve(family: str, slots: dict[str, Any]) -> GroundTruth:
         )
         return GroundTruth(final_answer=s(d), trace=trace)
 
-    if family == "tool_call_argument":
+    if family == CALENDAR_FAMILY:
         today = dt.date.fromisoformat(slots["today"])
         resolved = resolve_relative_date(today, slots["date_phrase"])
         attendee = normalize_answer(slots["attendee"])
@@ -329,17 +330,37 @@ def instance_to_dict(instance: TaskInstance) -> dict[str, Any]:
     }
 
 
+def _string(value: Any, name: str) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def instance_from_dict(doc: dict[str, Any]) -> TaskInstance:
+    """A task instance from its tasks line. A line is outside input, and the
+    checkers compare strings, so a missing key is a KeyError, and a family
+    outside FAMILIES (ValueError), an id, problem_text, answer, or trace
+    step op or output that is not a string, or an exec_target that is
+    neither an object nor null (TypeError) is refused. An edited ground
+    truth of the right types is taken as it stands."""
     gt = doc["ground_truth"]
     trace = tuple(
-        TraceStep(s["op"], tuple(s["inputs"]), s["output"]) for s in gt["trace"]
+        TraceStep(_string(s["op"], "trace op"), tuple(s["inputs"]),
+                  _string(s["output"], "trace output"))
+        for s in gt["trace"]
     )
+    family = doc["family"]
+    if family not in FAMILIES:
+        raise ValueError(f"unknown task family: {family!r}")
+    exec_target = gt.get("exec_target")
+    if exec_target is not None and type(exec_target) is not dict:
+        raise TypeError(f"exec_target must be an object or null, got {exec_target!r}")
     return TaskInstance(
-        id=doc["id"],
-        family=doc["family"],
-        problem_text=doc["problem_text"],
+        id=_string(doc["id"], "id"),
+        family=family,
+        problem_text=_string(doc["problem_text"], "problem_text"),
         slots=doc["slots"],
-        ground_truth=GroundTruth(gt["answer"], trace, gt.get("exec_target")),
+        ground_truth=GroundTruth(_string(gt["answer"], "answer"), trace, exec_target),
     )
 
 

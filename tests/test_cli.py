@@ -170,6 +170,16 @@ def test_validate_from_file_and_strict(tmp_path, capsys):
                  "--strict-extraction"]) == 1
 
 
+def test_validate_refuses_both_text_and_file(tmp_path, capsys):
+    path = tmp_path / "out.txt"
+    path.write_text('{"answer": "true"}')
+    with pytest.raises(SystemExit) as exited:
+        main(["validate", "--mode", "answer_only_schema", "--family", "boolean_logic",
+              "--text", "no json here", "--file", str(path)])
+    assert exited.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_score_on_torn_records_file_exits_2(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(_run_config_doc()))
@@ -427,6 +437,43 @@ def test_a_line_nested_too_deeply_exits_2(tmp_path, capsys, entry):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, error", [
+    ('"family": "boolean_logic"', '"family": "bogus"', "unknown task family: 'bogus'"),
+    ('"answer": "true"', '"answer": true', "answer must be a string, got True"),
+], ids=["unknown-family", "bool-answer"])
+def test_derive_delayed_with_a_wrong_typed_tasks_line_exits_2(tmp_path, capsys, old, new,
+                                                              error):
+    records = _scored_run(tmp_path)
+    tasks = records.parent / "tasks.jsonl"
+    text = tasks.read_text(encoding="utf-8")
+    assert old in text
+    tasks.write_text(text.replace(old, new), encoding="utf-8")
+    line = next(n for n, doc in enumerate(text.splitlines(), 1) if old in doc)
+    capsys.readouterr()
+    assert main(["derive-delayed", "--records", str(records), "--tasks", str(tasks),
+                 "--source-mode", "prompt_json",
+                 "--out", str(tmp_path / "derived.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"{tasks}:{line}: malformed task line" in err and error in err, err
+    assert not (tmp_path / "derived.jsonl").exists()
+
+
+def test_derive_delayed_refuses_a_record_of_another_family_than_its_task(tmp_path, capsys):
+    records = _scored_run(tmp_path)
+    lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+    doc = json.loads(lines[0])
+    lines[0] = json.dumps({**doc, "family": "arithmetic_two_step"}) + "\n"
+    records.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "derived.jsonl"
+    assert main(["derive-delayed", "--records", str(records), "--source-mode", "prompt_json",
+                 "--tasks", str(records.parent / "tasks.jsonl"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"[ERROR] record oracle/oracle-v1/prompt_json/single/{doc['instance_id']}: "
+            "family 'arithmetic_two_step', but its task is of family 'boolean_logic'") in err, err
+    assert not out.exists()
+
+
 def test_derive_delayed_with_undecodable_tasks_exits_2(tmp_path, capsys):
     records = _scored_run(tmp_path)
     tasks = tmp_path / "tasks.jsonl"
@@ -463,6 +510,27 @@ def test_resume_with_changed_config_exits_2(tmp_path, capsys):
                  "--resume"]) == 2
     assert "config digest" in capsys.readouterr().err
     assert (records.read_bytes(), manifest.read_bytes()) == before
+
+
+def test_resume_without_a_manifest_takes_only_the_config_its_records_carry(tmp_path, capsys):
+    records = _scored_run(tmp_path)
+    manifest = records.parent / "manifest.json"
+    manifest.unlink()
+    before = records.read_bytes()
+    changed = _run_config_doc()
+    changed["suite"]["count"] = 5
+    config_path = tmp_path / "changed.json"
+    config_path.write_text(json.dumps(changed))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--out", str(records.parent),
+                 "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json is missing" in err and "config digest" in err, err
+    assert records.read_bytes() == before and not manifest.exists()
+    # the config the records carry still resumes, and finds nothing to add
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--out", str(records.parent),
+                 "--resume"]) == 0
+    assert records.read_bytes() == before and manifest.exists()
 
 
 def test_resume_refuses_a_number_read_as_infinite(tmp_path, capsys):
@@ -536,10 +604,11 @@ def test_cli_import_leaves_the_thread_pool_and_logging_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_commands_run_with_numpy_unimportable(tmp_path):
-    """run, score, report and derive-delayed need nothing beyond the standard
-    library: in a process where importing numpy fails, each exits 0 and
-    writes what the same command writes in-process."""
+def test_commands_run_with_numpy_unimportable(tmp_path, capsys):
+    """gen, run, score, report, derive-delayed and validate need nothing
+    beyond the standard library: in a process where importing numpy fails,
+    each exits 0 and writes (validate: prints) what the same command writes
+    in-process."""
     doc = {**_run_config_doc(("prompt_json", "freeform", "answer_only_schema")),
            "suite": {"families": ["boolean_logic", "tool_call_argument"], "count": 12,
                      "seed": 3},
@@ -550,11 +619,13 @@ def test_commands_run_with_numpy_unimportable(tmp_path):
     blocked = ("import sys; sys.modules['numpy'] = None; from ctax.cli import main; "
                "sys.exit(main(sys.argv[1:]))")
     env = {**os.environ, "PYTHONPATH": str(Path(ctax.__file__).resolve().parents[1])}
-    outputs = {}
+    outputs, printed = {}, {}
     for where in ("blocked", "in-process"):
         out = tmp_path / where
         run_dir = out / "run"
         commands = [
+            ["gen", "--family", "tool_call_argument", "--count", "3", "--seed", "5",
+             "--out", str(out / "gen.jsonl")],
             ["run", "--config", str(config_path), "--out", str(run_dir)],
             ["score", "--records", str(run_dir / "records.jsonl"), "--out", str(out / "scores"),
              "--level", "0.9"],
@@ -563,18 +634,27 @@ def test_commands_run_with_numpy_unimportable(tmp_path):
             ["derive-delayed", "--records", str(run_dir / "records.jsonl"),
              "--tasks", str(run_dir / "tasks.jsonl"), "--source-mode", "prompt_json",
              "--out", str(out / "derived.jsonl")],
+            ["validate", "--mode", "answer_only_schema", "--family", "tool_call_argument",
+             "--text", '{"tool": "create_calendar_event", "arguments": {}}'],
         ]
         for command in commands:
+            wanted = 1 if command[0] == "validate" else 0  # the arguments miss their fields
             if where == "blocked":
                 proc = subprocess.run([sys.executable, "-c", blocked, *command],
                                       capture_output=True, text=True, env=env, timeout=120)
-                assert proc.returncode == 0, (command[0], proc.stderr)
+                assert proc.returncode == wanted, (command[0], proc.stderr)
+                stdout = proc.stdout
             else:
-                assert main(command) == 0, command[0]
+                capsys.readouterr()
+                assert main(command) == wanted, command[0]
+                stdout = capsys.readouterr().out
+        printed[where] = stdout  # validate's, the last command
         outputs[where] = {path.relative_to(out).as_posix(): path.read_bytes()
-                          for path in [run_dir / "tasks.jsonl", out / "report.md",
-                                       *sorted((out / "scores").iterdir())]}
-    assert len(outputs["blocked"]) == 5 and outputs["blocked"] == outputs["in-process"]
+                          for path in [out / "gen.jsonl", run_dir / "tasks.jsonl",
+                                       out / "report.md", *sorted((out / "scores").iterdir())]}
+    assert len(outputs["blocked"]) == 6 and outputs["blocked"] == outputs["in-process"]
+    assert "violation at /arguments" in printed["blocked"]
+    assert printed["blocked"] == printed["in-process"]
     for records in ("run/records.jsonl", "derived.jsonl"):  # equal but for wall-clock fields
         assert read_records(tmp_path / "blocked" / records)
         assert canonical_diff(tmp_path / "blocked" / records,

@@ -331,6 +331,42 @@ def test_an_instance_edited_under_its_id_hashes_the_same_and_differs(tmp_path):
     assert read_suite(path) == read_suite(path)
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: doc.update(family="bogus"), "ValueError: unknown task family: 'bogus'"),
+    (lambda doc: doc.update(id=7), "TypeError: id must be a string, got 7"),
+    (lambda doc: doc.update(problem_text=None), "TypeError: problem_text must be a string"),
+    (lambda doc: doc["ground_truth"].update(answer=18),
+     "TypeError: answer must be a string, got 18"),
+    (lambda doc: doc["ground_truth"]["trace"][0].update(op=1), "TypeError: trace op must be"),
+    (lambda doc: doc["ground_truth"]["trace"][-1].update(output=18),
+     "TypeError: trace output must be a string, got 18"),
+    (lambda doc: doc["ground_truth"].update(exec_target=["tool"]),
+     "TypeError: exec_target must be an object or null, got ['tool']"),
+], ids=["unknown-family", "number-id", "null-problem", "number-answer", "number-op",
+        "number-output", "list-exec-target"])
+def test_a_tasks_line_of_the_wrong_type_is_refused_naming_its_line(tmp_path, edit, error):
+    """A tasks line is outside input: read as it stands, a number answer
+    would fail every completion's string comparison, and an unknown family
+    would file records under it."""
+    path = tmp_path / "tasks.jsonl"
+    write_suite(generate_suite("arithmetic_two_step", 2, seed=5), path)
+    docs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    edit(docs[1])
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    with pytest.raises(ConfigError) as raised:
+        read_suite(path)
+    assert str(raised.value).startswith(f"{path}:2: malformed task line ({error}")
+
+
+def test_a_tasks_line_holding_nan_is_refused(tmp_path):
+    path = tmp_path / "tasks.jsonl"
+    write_suite(generate_suite("boolean_logic", 1, seed=5), path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"slots": {', '"slots": {"x": NaN, '), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r":1: malformed task line \(ValueError: NaN is not"):
+        read_suite(path)
+
+
 def test_suite_file_round_trip(tmp_path):
     suite = []
     for family in FAMILIES:
