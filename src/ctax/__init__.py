@@ -15,7 +15,6 @@ from .backend import (
     FaultProfile,
     GenerationResult,
     SamplingConfig,
-    corrupt_generate,
 )
 from .checkers import ERROR_CLASSES, CheckResult, calendar_exec_ok, score_completion
 from .errors import ConfigError, PairingError
@@ -62,7 +61,6 @@ from .validation import (
 __all__ = [
     "__version__",
     "BackendConfig", "FaultProfile", "GenerationResult", "SamplingConfig",
-    "corrupt_generate",
     "ERROR_CLASSES", "CheckResult", "calendar_exec_ok", "score_completion",
     "ConfigError", "PairingError",
     "RunConfig", "ScoreResult", "SuiteConfig", "config_from_dict",

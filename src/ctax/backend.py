@@ -286,11 +286,6 @@ def _draw_fault(instance: TaskInstance, fault: FaultProfile | None) -> _Renderer
     return partial(oracle_generate, instance)
 
 
-def corrupt_generate(instance: TaskInstance, mode: str, fault: FaultProfile,
-                     stage: str = "single") -> str:
-    return _draw_fault(instance, fault)(mode, stage)
-
-
 # ---------------------------------------------------------------------------
 # Endpoint client
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from .backend import (
     check_health,
     generate_all,
 )
-from .checkers import CALENDAR_FAILURE_CLASSES, GENERATION_FAILED, score_completion
+from .checkers import (CALENDAR_FAILURE_CLASSES, ERROR_CLASSES, GENERATION_FAILED,
+                       score_completion)
 from .errors import ConfigError, PairingError
 from .metrics import (
     ACC_METRICS,
@@ -558,10 +559,11 @@ class ScoreResult:
 # entry does not allow, or a float that is not finite, is refused rather than
 # scored.
 _SCORED_FIELDS = (*VERDICTS, "backend_label", "model_id", "family", "mode", "instance_id",
-                  "extraction_rule", "config_digest", "latency_annotation",
+                  "error_class", "extraction_rule", "config_digest", "latency_annotation",
                   "calendar_failure_class", "latency_ms", "completion_tokens",
                   "structural_overhead")
 _TYPES = {name: frozenset(FIELD_TYPES[name][0]) for name in _SCORED_FIELDS}
+_ERROR_CLASSES = frozenset([*ERROR_CLASSES, GENERATION_FAILED])
 
 
 def _record_fault(record: RunRecord) -> str | None:
@@ -570,6 +572,9 @@ def _record_fault(record: RunRecord) -> str | None:
         return fault
     if record.family == "all":
         return "family must not be 'all', the task of the cross-family rows"
+    if record.error_class not in _ERROR_CLASSES:
+        return (f"error_class must be one of {', '.join(ERROR_CLASSES)} or {GENERATION_FAILED}, "
+                f"got {record.error_class!r}")
     if record.calendar_failure_class not in (None, *CALENDAR_FAILURE_CLASSES):
         return (f"calendar_failure_class must be one of {', '.join(CALENDAR_FAILURE_CLASSES)} "
                 f"or null, got {record.calendar_failure_class!r}")
@@ -627,6 +632,7 @@ def _family_cell(key: tuple[str, str, str, str], records: list[RunRecord],
         cell = Cell.build(backend_label, model_id, mode, family, records)
         tally = cell.tally
         rules = {r.extraction_rule for r in records}
+        error_classes = {r.error_class for r in records}
         cell_digests = {r.config_digest for r in records}
         calendar = (_calendar_row(backend_label, model_id, mode, records)
                     if family == CALENDAR_FAMILY else None)
@@ -642,6 +648,7 @@ def _family_cell(key: tuple[str, str, str, str], records: list[RunRecord],
                 ("config_digest", cell_digests), ("latency_annotation", tally.notes),
                 ("latency_ms", tally.latencies), ("completion_tokens", tally.tokens),
                 ("structural_overhead", tally.overheads)))
+            and _ERROR_CLASSES.issuperset(error_classes)
             and (calendar is None
                  or calendar.n == sum(count for _, count in calendar.class_counts))):
         raise _refusal(records, f"{'/'.join(key)} holds a value score cannot read")

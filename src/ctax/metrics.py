@@ -1,13 +1,13 @@
 """Aggregation, constraint-tax formulas, and paired bootstrap comparisons.
 
 Rates are kept as exact rational counts (fractions.Fraction) and only
-rounded at display time, to 0.1 percentage point. Uncertainty comes from
-the percentile bootstrap with infinitely many resamples, computed exactly
-from the counts of a paired comparison's deltas in {-1, 0, +1}, or a single
-rate's 0/1 indicators (BOOTSTRAP_VERSION; no CSV carries a single-rate CI).
-A cell's instance -> flag code map (Cell.codes) is built once and serves
-every comparison it takes part in; a mode pair's answer and exec
-comparisons share one validity and one wrong-valid CI.
+rounded at display time, to 0.1 percentage point. A comparison works from
+counts: each flag column's (k-, k0, k+) is read off the pairs' joint codes,
+and its exact percentile-bootstrap CI (BOOTSTRAP_VERSION) computed from them,
+as is a single rate's from its count of 1s (no CSV carries it). A cell's
+instance -> flag code map (Cell.codes) is built once and serves every
+comparison it takes part in; a mode pair's answer and exec comparisons
+share one validity and one wrong-valid CI.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, repeat
 from math import fsum, inf
-from operator import attrgetter, gt, lshift, lt, mul, or_, truediv
+from operator import attrgetter, lshift, mul, or_, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .checkers import GENERATION_FAILED
@@ -332,20 +332,12 @@ def _exact_ci(k_down: int, k_zero: int, k_up: int, level: float) -> BootstrapCI:
 
 def bootstrap_rate_ci(indicators: Sequence[int], cfg: BootstrapConfig,
                       *labels: object) -> BootstrapCI:
-    """Exact percentile CI for a single success rate: the mean of 0/1
-    indicators. Trailing labels are ignored; they once seeded a sampler."""
+    """Exact percentile CI for a single success rate, the CI of (0, n - k, k)
+    for k 1s among n 0/1 indicators. Trailing labels are ignored."""
     if not len(indicators):
         raise ValueError("cannot bootstrap an empty indicator set")
-    return _paired_delta_ci([0] * len(indicators), indicators, cfg)
-
-
-def _paired_delta_ci(baseline: Sequence[int], constrained: Sequence[int],
-                     cfg: BootstrapConfig, counts: Sequence[int] | None = None) -> BootstrapCI:
-    """Exact percentile CI for mean(constrained) - mean(baseline) over paired
-    0/1 columns, pair i counted counts[i] times (once by default)."""
-    counts = [1] * len(baseline) if counts is None else counts
-    up, down = (sum(map(mul, map(order, constrained, baseline), counts)) for order in (gt, lt))
-    return _exact_ci(int(down), int(sum(counts) - up - down), int(up), cfg.level)
+    k = sum(map(bool, indicators))
+    return _exact_ci(0, len(indicators) - k, k, cfg.level)
 
 
 @dataclass(frozen=True)
@@ -359,8 +351,9 @@ class PairedComparison:
     n: int
     acc_baseline: Fraction
     acc_constrained: Fraction
-    signed_delta: Fraction  # constrained - baseline, unclipped
-    tax: Fraction
+    # k+ (k-) of the n pairs hold a flag in the constrained arm (the baseline) only
+    signed_delta: Fraction  # Δ = constrained - baseline = (k+ - k-)/n, a gain when positive
+    tax: Fraction  # max(-Δ, 0), the accuracy lost to the constraint
     tax_norm: float  # against DEFAULT_EPSILON
     validity_delta: Fraction
     wrong_valid_delta: Fraction
@@ -395,6 +388,16 @@ def _pair(baseline: Cell, constrained: Cell) -> Counter:
     return Counter(map(or_, map(lshift, map(base_code.__getitem__, ids), repeat(4)), flags))
 
 
+def _counts(joint: Counter, column: str) -> tuple[tuple[int, int, int], int]:
+    """((k-, k0, k+), k_b) of one flag column over the pairs joint counts: k-
+    pairs hold the flag in the baseline only, k+ in the constrained arm only,
+    k0 in both or neither, and k_b in the baseline."""
+    arms, j = Counter(), FLAG_COLUMNS.index(column)
+    for code, count in joint.items():
+        arms[code >> 4 + j & 1, code >> j & 1] += count
+    return (arms[1, 0], arms[0, 0] + arms[1, 1], arms[0, 1]), arms[1, 0] + arms[1, 1]
+
+
 def paired_comparison(baseline: Iterable | Cell, constrained: Iterable | Cell,
                       acc_metric: str = "answer",
                       cfg: BootstrapConfig | None = None) -> PairedComparison:
@@ -405,22 +408,19 @@ def paired_comparison(baseline: Iterable | Cell, constrained: Iterable | Cell,
     the missing ids, as are a duplicated instance and no pair left). The
     pairs are the instances scored in both arms; one that is only
     generation_failed in either arm is dropped from both, and n counts the
-    pairs. Computes exact point deltas and attaches percentile-bootstrap CIs
-    for the accuracy, validity, and wrong-valid deltas. The task label comes
-    from every baseline record.
+    pairs. Every number comes from counts: each delta and its exact CI from
+    its column's (k-, k0, k+), and the accuracies from the baseline's count
+    besides. The task label comes from every baseline record.
     """
     if acc_metric not in ACC_METRICS:
         raise ValueError(f"unknown accuracy metric: {acc_metric!r}")
-    cfg = cfg or BootstrapConfig()
+    level = (cfg or BootstrapConfig()).level
     base_cell, cons_cell = _cell(baseline), _cell(constrained)
     joint = _pair(base_cell, cons_cell)
-    counts, n = list(joint.values()), joint.total()
-    base, cons = ([[c >> shift + j & 1 for c in joint] for j in range(4)] for shift in (4, 0))
-    acc, valid, wrong_valid = map(FLAG_COLUMNS.index, (acc_metric, "validity", "wrong_valid"))
-    base_counts, cons_counts = ([sum(map(mul, col, counts)) for col in arm] for arm in (base, cons))
-    acc_b, acc_c = Fraction(base_counts[acc], n), Fraction(cons_counts[acc], n)
-
-    tax = constraint_tax(acc_b, acc_c)
+    n = joint.total()
+    (acc, acc_base), (valid, _), (wrong_valid, _) = (
+        _counts(joint, column) for column in (acc_metric, "validity", "wrong_valid"))
+    acc_b, acc_c = Fraction(acc_base, n), Fraction(acc_base + acc[2] - acc[0], n)
     return PairedComparison(
         backend_label=base_cell.backend_label,
         model_id=base_cell.model_id,
@@ -431,14 +431,14 @@ def paired_comparison(baseline: Iterable | Cell, constrained: Iterable | Cell,
         n=n,
         acc_baseline=acc_b,
         acc_constrained=acc_c,
-        signed_delta=acc_c - acc_b,
-        tax=tax,
+        signed_delta=Fraction(acc[2] - acc[0], n),
+        tax=constraint_tax(acc_b, acc_c),
         tax_norm=normalized_tax(float(acc_b), float(acc_c)),
-        validity_delta=Fraction(cons_counts[valid] - base_counts[valid], n),
-        wrong_valid_delta=Fraction(cons_counts[wrong_valid] - base_counts[wrong_valid], n),
-        acc_ci=_paired_delta_ci(base[acc], cons[acc], cfg, counts),
-        validity_ci=_paired_delta_ci(base[valid], cons[valid], cfg, counts),
-        wrong_valid_ci=_paired_delta_ci(base[wrong_valid], cons[wrong_valid], cfg, counts),
+        validity_delta=Fraction(valid[2] - valid[0], n),
+        wrong_valid_delta=Fraction(wrong_valid[2] - wrong_valid[0], n),
+        acc_ci=_exact_ci(*acc, level),
+        validity_ci=_exact_ci(*valid, level),
+        wrong_valid_ci=_exact_ci(*wrong_valid, level),
     )
 
 

@@ -22,11 +22,9 @@ def _latency(agg: ModeAggregate) -> str:
 
 
 def _reading(cmp: PairedComparison) -> str:
-    if cmp.signed_delta < 0:
-        return "accuracy gain under constraint"
-    if cmp.tax == 0:
-        return "no measured tax"
-    return "accuracy lost to the constraint"
+    if cmp.tax:
+        return "accuracy lost to the constraint"
+    return "accuracy gain under constraint" if cmp.signed_delta else "no measured tax"
 
 
 def _table(header: Sequence[str], align: str, rows: Iterable[Sequence[object]]) -> str:
@@ -86,7 +84,7 @@ def render_report(result: ScoreResult, baseline_mode: str = DEFAULT_BASELINE_MOD
         "Semantic accuracy, format validity, and their paired deltas across "
         "output-format modes. Percentages are points in [0, 100]; the tax is "
         "the paired accuracy drop of a constrained mode against the "
-        f"`{baseline_mode}` baseline, clipped at zero (a negative signed delta "
+        f"`{baseline_mode}` baseline, clipped at zero (a positive signed delta "
         "is a gain, reported as such).",
         "",
         "## Mode dashboard",

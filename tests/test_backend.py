@@ -26,7 +26,6 @@ from ctax.backend import (
     SamplingConfig,
     build_request_body,
     check_health,
-    corrupt_generate,
     effective_max_tokens,
     generate_all,
     oracle_generate,
@@ -37,6 +36,7 @@ from ctax.checkers import score_completion
 from ctax.taskgen import (CALENDAR_SEMANTIC_FIELDS, FAMILIES, generate_suite, read_suite,
                           write_suite)
 from ctax.validation import canonical_serialize, extract_json
+from verdict_cases import corrupt_generate
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,35 @@ def test_derive_delayed_refuses_a_source_score_would_refuse(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["score", "resume", "derive-delayed"])
+@pytest.mark.parametrize("value", ["null", '["x"]', '"Generation_Failed"'])
+def test_an_error_class_outside_the_taxonomy_exits_2_naming_its_record(tmp_path, capsys,
+                                                                     command, value):
+    """Score reads error_class to tell a failed generation from a scored
+    record, so a value outside ERROR_CLASSES and generation_failed is
+    refused, not scored as a valid answer."""
+    records = _scored_run(tmp_path)
+    lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines) if '"mode": "prompt_json"' in line)
+    doc = json.loads(lines[lineno])
+    lines[lineno] = json.dumps({**doc, "error_class": "\x00"}).replace('"\\u0000"', value) + "\n"
+    records.write_text("".join(lines), encoding="utf-8")
+    before = records.read_bytes()
+    out = tmp_path / "out"
+    argv = {"score": ["score", "--records", str(records), "--out", str(out)],
+            "resume": ["run", "--config", str(tmp_path / "config.json"),
+                       "--out", str(records.parent), "--resume"],
+            "derive-delayed": ["derive-delayed", "--records", str(records),
+                               "--source-mode", "prompt_json", "--tasks",
+                               str(records.parent / "tasks.jsonl"), "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"[ERROR] record oracle/oracle-v1/prompt_json/single/{doc['instance_id']}: " \
+           "error_class must be " in err and "Traceback" not in err, err
+    assert records.read_bytes() == before and not out.exists()
+
+
 def test_validate_command_exit_codes(capsys):
     ok = main(["validate", "--mode", "answer_only_schema",
                "--family", "boolean_logic", "--text", '{"answer": "true"}'])

@@ -1175,12 +1175,14 @@ def test_score_leaves_out_a_family_cell_with_no_scored_record(tmp_path):
 # one pass over the records; a change to them is a change to reported numbers.
 # The aggregates, comparisons and report hashes were made again when the
 # delayed cell began to take its verdict from stage 2 only: the instance
-# whose stage 2 is dropped now leaves the corruptor's delayed cells.
+# whose stage 2 is dropped now leaves the corruptor's delayed cells. The
+# report hash (here and below) was made again when the report's intro came
+# to say that a positive signed delta is a gain.
 _GOLDEN_SCORE_SHA256 = {
     "aggregates": "2f8055f7961c4697114537be67c55f3ddae2eb42e7fa865024ce4bc530044d16",
     "comparisons": "ea3d902242acd208938d35364756844447a8e010de74ef6e3fe37caef02b112b",
     "calendar": "335eeab81387a46cc8cf2bbbe41018fc1437a5adfac4511549da624264c8d01c",
-    "report": "71fad1055a093bfd205f3d1f54662209f0f8301d0e27cb52d8241431117b272d",
+    "report": "a4f4bf552924a654d24c78aaddb846935ee4746ac57d5a3ce75bbf72ab691de3",
 }
 
 
@@ -1248,7 +1250,7 @@ _GOLDEN_FAILED_SCORE_SHA256 = {
     "aggregates": "be52f2aa7f25de2c1238c19e03ab6c61e6913e5d33122947e1ed548649e455ab",
     "comparisons": "e512bbc9e465c96afd4a23c40a72c3ed746a25bf2bb246f2256c62c9cf668e0a",
     "calendar": "e867404f60c2772d98dd6184a7b0b81ec24524460b2cac790b4de201f5be3f2c",
-    "report": "edb67d73f869166e12106edf606f8ca12563d352cadbfa24ddd1891c39d204b1",
+    "report": "197cb9176316b8243d5a914db9f21dec1d1ab4e9b9eb69a823b37eca2d86f74c",
 }
 
 
@@ -1296,7 +1298,7 @@ def test_score_lets_errors_outside_pairing_surface(tmp_path, monkeypatch):
     def broken_ci(*args, **kwargs):
         raise ValueError("bootstrap defect")
 
-    monkeypatch.setattr(metrics, "_paired_delta_ci", broken_ci)
+    monkeypatch.setattr(metrics, "_exact_ci", broken_ci)
     with pytest.raises(ValueError, match="bootstrap defect"):
         score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
 
@@ -1438,8 +1440,8 @@ def test_score_counts_match_a_record_walk():
             for mode in modes:
                 v = data.draw(verdicts)
                 failed = v.pop("failed")
-                records.append(_row("b", mode, i, family,
-                                    error_class="generation_failed" if failed else "x", **v))
+                records.append(_row("b", mode, i, family, **v, error_class=(
+                    "generation_failed" if failed else "correct_valid")))
         records = data.draw(st.permutations(records))
         with contextlib.redirect_stdout(io.StringIO()):
             result = score(records, bootstrap=BootstrapConfig(resamples=20, seed=0))
@@ -1480,7 +1482,8 @@ def test_score_matches_the_reference_walk_in_any_record_order():
     fields = st.fixed_dictionaries({
         "schema_valid": st.booleans(), "answer_correct": st.booleans(),
         "exec_correct": st.booleans(), "trace_correct": st.sampled_from([None, True, False]),
-        "error_class": st.sampled_from(["x", "x", "x", "generation_failed"]),
+        "error_class": st.sampled_from(["correct_valid", "wrong_answer_valid_schema",
+                                        "invalid_json", "generation_failed"]),
         "latency_ms": st.sampled_from([0.0, 1.5, 12.25, 300.0]),
         "completion_tokens": st.sampled_from([None, 7, 40]),
         "structural_overhead": st.sampled_from([None, 0.0, 0.125, 0.5]),
@@ -1513,7 +1516,7 @@ def test_score_matches_the_reference_walk_in_any_record_order():
                                                    stage="stage1", packaged_text="{}"))
                         else:  # model variant: a provenance stage 1, and maybe its stage 2
                             records.append(replace(_row(backend, mode, i, family, **kw),
-                                                   stage="stage1", error_class="x"))
+                                                   stage="stage1", error_class="correct_valid"))
                             if data.draw(st.integers(0, 5)):
                                 records.append(replace(_row(backend, mode, i, family, **kw),
                                                        stage="stage2"))
@@ -1617,6 +1620,39 @@ def test_render_report_contents(tmp_path):
     assert not re.search(r"\d{4}-\d{2}-\d{2}T\d{2}", report)
     again = render_report(result, "prompt_json")
     assert report == again
+
+
+def test_report_reads_a_tax_as_lost_and_a_gain_as_gained(tmp_path):
+    """An oracle run with 3 of arithmetic's answer_only_schema records made
+    wrong-valid (a tax) and 2 of boolean logic's prompt_json records made
+    wrong (a gain under the constraint); symbolic strings stay untouched."""
+    config = _config(("prompt_json", "answer_only_schema"), count=10,
+                     families=("arithmetic_two_step", "boolean_logic", "symbolic_string"))
+    edits = {("arithmetic_two_step", "answer_only_schema"): 3, ("boolean_logic", "prompt_json"): 2}
+    records = []
+    for record in load_records(run(config, tmp_path / "out")):
+        key = (record.family, record.mode)
+        if edits.get(key):
+            edits[key] -= 1
+            record = replace(record, answer_correct=False, exec_correct=False,
+                             error_class="wrong_answer_valid_schema")
+        records.append(record)
+    report = render_report(score(records), "prompt_json")
+    rows = [cells for line in report.splitlines()
+            if len(cells := [c.strip() for c in line.split("|")[1:-1]]) == 13
+            and cells[4] == "answer_only_schema"]
+    readings = {(cells[2], cells[3]): (cells[7], cells[8], cells[12]) for cells in rows}
+    assert readings == {
+        **{("arithmetic_two_step", metric): ("-30.0", "30.0", "accuracy lost to the constraint")
+           for metric in ("answer", "exec")},
+        **{("boolean_logic", metric): ("+20.0", "0.0", "accuracy gain under constraint")
+           for metric in ("answer", "exec")},
+        **{("symbolic_string", metric): ("+0.0", "0.0", "no measured tax")
+           for metric in ("answer", "exec")},
+        **{("all", metric): ("-3.3", "3.3", "accuracy lost to the constraint")
+           for metric in ("answer", "exec")},
+    }
+    assert "(a positive signed delta is a gain, reported as such)" in report
 
 
 def test_report_without_comparisons(tmp_path):

@@ -20,7 +20,6 @@ from ctax.metrics import (
     ACC_METRICS,
     BootstrapConfig,
     _exact_ci,
-    _paired_delta_ci,
     aggregate,
     bootstrap_rate_ci,
     constraint_tax,
@@ -421,7 +420,10 @@ def test_bootstrap_config_rejects_bad_settings(setting):
 ])
 def test_paired_delta_ci_matches_index_resampling(n, k_up, k_down, level):
     baseline, constrained = reference_bootstrap.arms(n, k_up, k_down)
-    ci = _paired_delta_ci(baseline, constrained, BootstrapConfig(level=level))
+    arms = ([Stub(f"t-{i:05d}", mode=mode, answer_correct=bool(flag))
+             for i, flag in enumerate(column)]
+            for mode, column in (("prompt_json", baseline), ("answer_only_schema", constrained)))
+    ci = paired_comparison(*arms, "answer", BootstrapConfig(level=level)).acc_ci
     low, high = reference_bootstrap.paired_delta_ci(baseline, constrained, 20000, level,
                                                     seed=n + k_up + k_down)
     assert abs(pts(ci.low) - pts(low)) <= 1.0, (ci.low, low)
@@ -448,7 +450,7 @@ def test_exact_ci_equals_enumerated_quantiles():
                     low, high = reference_bootstrap.exact_delta_ci(
                         k_down, n - k_down - k_up, k_up, level)
                     cfg = BootstrapConfig(level=level)
-                    ci = _paired_delta_ci(baseline, constrained, cfg)
+                    ci = _exact_ci(k_down, n - k_down - k_up, k_up, level)
                     assert (ci.low, ci.high) == (float(low), float(high)), \
                         (n, k_down, k_up, level)
                     if k_down == 0:  # a single rate: the same law with no -1s
@@ -539,9 +541,9 @@ def test_exact_ci_brackets_the_point_on_the_lattice():
     @given(counts())
     def check(case):
         n, k_down, k_up = case
-        arms = reference_bootstrap.arms(n, k_up, k_down)
-        wide = _paired_delta_ci(*arms, BootstrapConfig(level=0.95))
-        narrow = _paired_delta_ci(*arms, BootstrapConfig(level=0.9))
+        counts = k_down, n - k_down - k_up, k_up
+        wide = _exact_ci(*counts, 0.95)
+        narrow = _exact_ci(*counts, 0.9)
         assert wide.low <= (k_up - k_down) / n <= wide.high
         for bound in (wide.low, wide.high, narrow.low, narrow.high):
             assert -1.0 <= bound <= 1.0
@@ -552,12 +554,10 @@ def test_exact_ci_brackets_the_point_on_the_lattice():
 
 
 def test_paired_delta_ci_memory_does_not_scale_with_resamples_times_n():
-    n = 100_000
-    baseline, constrained = reference_bootstrap.arms(n, 30_000, 20_000)
     cfg = BootstrapConfig(resamples=2000, seed=0)
     tracemalloc.start()
     try:
-        ci = _paired_delta_ci(baseline, constrained, cfg)
+        ci = _exact_ci.__wrapped__(20_000, 50_000, 30_000, cfg.level)  # unmemoised
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

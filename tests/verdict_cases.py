@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
-from ctax.backend import FaultProfile, corrupt_generate, oracle_generate
+from ctax.backend import FaultProfile, _draw_fault, oracle_generate
 from ctax.checkers import score_completion
 from ctax.modes import MODE_NAMES, parse_for_mode
 from ctax.taskgen import CALENDAR_SEMANTIC_FIELDS, FAMILIES, TOOL_NAME, TaskInstance, generate_suite
@@ -36,6 +36,12 @@ COLUMNS = ("family", "mode", "variant", "packaging_failed", "text_sha",
 
 _INVALID = FaultProfile(p_invalid_json=1.0, seed=3)
 _WRONG = FaultProfile(p_wrong_field=1.0, wrong_field_targets=CALENDAR_SEMANTIC_FIELDS, seed=3)
+
+
+def corrupt_generate(instance: TaskInstance, mode: str, fault: FaultProfile,
+                     stage: str = "single") -> str:
+    """The corruptor's completion of (instance, mode, stage) under fault."""
+    return _draw_fault(instance, fault)(mode, stage)
 
 
 def _scored_stage(mode: str) -> str:
