@@ -61,7 +61,6 @@ from .modes import (
     get_mode,
     parse_for_mode,
     scoring_constraint,
-    transported_constraint,
 )
 from .records import (_TEMPLATE, FIELD_TYPES, VERDICTS, RunRecord, adopt_record, append_record,
                       drop_torn_tail, field_fault, open_jsonl, read_records, replace_file,
@@ -234,7 +233,6 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
     payload against the characters the model actually generated.
     """
     family = instance.family
-    contract = scoring_constraint(mode, family)
     state = _TEMPLATE.copy()  # every field at its default, in line order; set in place
     state["instance_id"] = instance.id
     state["model_id"] = ctx.model_id
@@ -242,10 +240,7 @@ def _record(ctx: _RecordContext, instance: TaskInstance, mode: str, stage: str,
     state["family"] = family
     state["mode"] = mode
     state["stage"] = stage
-    state["constraint_kind"] = contract.kind
-    state["constraint_digest"] = contract.digest()
-    state["constraint_enforced"] = (
-        transported_constraint(mode, family, stage).kind != CONSTRAINT_NONE)
+    state["constraint_digest"] = scoring_constraint(mode, family).digest()
     state["extraction_rule"] = STRICT_EXTRACTION if ctx.strict_extraction else LENIENT_EXTRACTION
     state["run_id"] = ctx.run_id
     state["config_digest"] = ctx.config_digest
@@ -561,9 +556,10 @@ class ScoreResult:
 _SCORED_FIELDS = (*VERDICTS, "backend_label", "model_id", "family", "mode", "instance_id",
                   "error_class", "extraction_rule", "config_digest", "latency_annotation",
                   "calendar_failure_class", "latency_ms", "completion_tokens",
-                  "structural_overhead")
+                  "structural_overhead", "stage", "packaged_text", "packaging_failed")
 _TYPES = {name: frozenset(FIELD_TYPES[name][0]) for name in _SCORED_FIELDS}
 _ERROR_CLASSES = frozenset([*ERROR_CLASSES, GENERATION_FAILED])
+_STAGES = ("single", "stage1", "stage2")  # a tuple: `in` compares a list stage, never hashes it
 
 
 def _record_fault(record: RunRecord) -> str | None:
@@ -572,6 +568,8 @@ def _record_fault(record: RunRecord) -> str | None:
         return fault
     if record.family == "all":
         return "family must not be 'all', the task of the cross-family rows"
+    if record.stage not in _STAGES:
+        return f"stage must be one of {', '.join(_STAGES)}, got {record.stage!r}"
     if record.error_class not in _ERROR_CLASSES:
         return (f"error_class must be one of {', '.join(ERROR_CLASSES)} or {GENERATION_FAILED}, "
                 f"got {record.error_class!r}")
@@ -598,12 +596,27 @@ def _provenance_row(r: RunRecord) -> bool:
             and r.packaged_text is None and not r.packaging_failed)
 
 
+def _without_provenance(records: list[RunRecord]) -> list[RunRecord]:
+    """A delayed cell's records less its provenance rows. Each row left out,
+    and each row whose stage, packaged_text or packaging_failed (what tells
+    a provenance row) is not as its field allows, is checked as a kept row
+    is: a refused value is a ConfigError naming the record. A kept row pays
+    only those three tests; _family_cell checks the rest of it."""
+    kept = []
+    for r in records:
+        if (r.stage in _STAGES and type(r.packaged_text) in _TYPES["packaged_text"]
+                and type(r.packaging_failed) is bool and not _provenance_row(r)):
+            kept.append(r)
+        elif (refusal := _refusal([r])) is not None:
+            raise refusal
+    return kept
+
+
 class _Scored(NamedTuple):
-    """A cell, the records it was built from, and what score reports of them
-    besides the cell's aggregate and comparisons."""
+    """A cell and what score reports of its records besides the cell's
+    aggregate and comparisons."""
 
     cell: Cell
-    records: list[RunRecord]
     rules: set  # their extraction rules
     calendar: CalendarRow | None  # the calendar family's failure counts, else None
 
@@ -653,7 +666,7 @@ def _family_cell(key: tuple[str, str, str, str], records: list[RunRecord],
                  or calendar.n == sum(count for _, count in calendar.class_counts))):
         raise _refusal(records, f"{'/'.join(key)} holds a value score cannot read")
     digests |= cell_digests
-    return _Scored(cell, records, rules, calendar)
+    return _Scored(cell, rules, calendar)
 
 
 def _rollup(entries: list[_Scored], records: Sequence[RunRecord]) -> _Scored:
@@ -666,8 +679,7 @@ def _rollup(entries: list[_Scored], records: Sequence[RunRecord]) -> _Scored:
         labels = (cell.backend_label, cell.model_id, cell.mode)
         cell = Cell.of([r for r in records if (r.backend_label, r.model_id, r.mode) == labels
                         and not _provenance_row(r)])
-    return _Scored(cell, list(chain.from_iterable(entry.records for entry in entries)),
-                   set().union(*(entry.rules for entry in entries)), None)
+    return _Scored(cell, set().union(*(entry.rules for entry in entries)), None)
 
 
 def _aggregate(entry: _Scored, task: str, where: str) -> ModeAggregate:
@@ -680,7 +692,7 @@ def _aggregate(entry: _Scored, task: str, where: str) -> ModeAggregate:
     if agg is None or not all(map(math.isfinite, (
             agg.mean_latency_ms, agg.mean_completion_tokens or 0.0,
             agg.mean_structural_overhead or 0.0))):
-        raise _refusal(entry.records, f"{where}: a mean is not a finite number")
+        raise _refusal(entry.cell.scored, f"{where}: a mean is not a finite number")
     return agg
 
 
@@ -694,8 +706,9 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
     once from its records. A mode whose records span several families also
     gets an "all" cell, joined from its family cells' columns. A scored
     delayed stage 1 that was not packaged locally is a model-variant
-    provenance row and is left out: the delayed cell takes its verdict from
-    stage 2 only, so an instance whose stage 2 is missing leaves the cell.
+    provenance row and is left out, once checked as a kept record is: the
+    delayed cell takes its verdict from stage 2 only, so an instance whose
+    stage 2 is missing leaves the cell.
     One walk over the cells in output order then emits the aggregates, the
     calendar rows and the comparisons; a cell's instance -> flag code map
     (Cell.codes) is built at its first pairing and serves the rest. Every
@@ -729,7 +742,7 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
     for key, cell_records in by_key.items():
         backend_label, model_id, family, mode = key
         if mode == DELAYED_MODE:
-            cell_records = [r for r in cell_records if not _provenance_row(r)]
+            cell_records = _without_provenance(cell_records)
             if not cell_records:
                 continue
         entry = _family_cell(key, cell_records, digests)

@@ -6,11 +6,15 @@ checker, plus enough provenance (constraint digest, extraction rule,
 config digest) to audit any number in a report. Records store nothing that
 can be derived: the run's manifest.json holds each constraint document
 keyed by its digest, and a prompt is rebuilt from tasks.jsonl and the
-manifest's template_version. A line leaves out each optional field that
-holds its default (_ALWAYS_WRITTEN names the keys every line carries), and
-the reader fills it back in. Canonical record lines mask wall-clock fields
-(latency, timestamps, packaging time) so two runs of the same config can be
-diffed for semantic identity.
+manifest's template_version. A record's constraint kind is
+modes.scoring_constraint(mode, family).kind, and its constraint was
+enforced when modes.transported_constraint(mode, family, stage).kind is not
+"none"; a line that still carries either key reads as before, the key
+dropped. A line leaves out each optional field that holds its default
+(_ALWAYS_WRITTEN names the keys every line carries), and the reader fills
+it back in. Canonical record lines mask wall-clock fields (latency,
+timestamps, packaging time) so two runs of the same config can be diffed
+for semantic identity.
 """
 
 from __future__ import annotations
@@ -40,9 +44,7 @@ class RunRecord:
     family: str
     mode: str
     stage: str  # single | stage1 | stage2
-    constraint_kind: str
     constraint_digest: str | None
-    constraint_enforced: bool
     raw_text: str
     parse_status: str
     violations: tuple[dict, ...] = ()

@@ -174,6 +174,44 @@ def test_an_error_class_outside_the_taxonomy_exits_2_naming_its_record(tmp_path,
     assert records.read_bytes() == before and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["score", "report", "resume"])
+@pytest.mark.parametrize("field, value, fault", [
+    ("error_class", "Generation_Failed", "error_class must be "),
+    ("packaging_failed", "no", "packaging_failed must be true or false, got 'no'"),
+    ("packaged_text", 5, "packaged_text must be a string or null, got 5"),
+    ("stage", "stage3", "stage must be one of single, stage1, stage2, got 'stage3'"),
+])
+def test_a_provenance_row_field_score_cannot_read_exits_2_naming_its_record(
+        tmp_path, capsys, command, field, value, fault):
+    """Score tells a model-variant provenance row (a delayed stage 1, left
+    out of the delayed cell) by stage, error_class, packaged_text and
+    packaging_failed, so a value of another type or outside its set is
+    refused, not read as a row to drop or to keep."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        **_run_config_doc(("prompt_json", "delayed_constraint")), "delayed_variant": "model",
+        "suite": {"families": ["arithmetic_two_step"], "count": 4, "seed": 3}}))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    records = tmp_path / "run" / "records.jsonl"
+    lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines) if '"stage": "stage1"' in line)
+    doc = {**json.loads(lines[lineno]), field: value}
+    lines[lineno] = json.dumps(doc) + "\n"
+    records.write_text("".join(lines), encoding="utf-8")
+    before = records.read_bytes()
+    out = tmp_path / "out"
+    argv = {"score": ["score", "--records", str(records), "--out", str(out)],
+            "report": ["report", "--records", str(records), "--out", str(out)],
+            "resume": ["run", "--config", str(config_path), "--out", str(records.parent),
+                       "--resume"]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert (f"[ERROR] record oracle/oracle-v1/delayed_constraint/{doc['stage']}/"
+            f"{doc['instance_id']}: {fault}") in err and "Traceback" not in err, err
+    assert records.read_bytes() == before and not out.exists()
+
+
 def test_validate_command_exit_codes(capsys):
     ok = main(["validate", "--mode", "answer_only_schema",
                "--family", "boolean_logic", "--text", '{"answer": "true"}'])

@@ -92,14 +92,20 @@ def test_run_writes_expected_files_and_counts(tmp_path):
     assert manifest["package_version"] and manifest["template_version"]
 
 
+def _enforced(record: RunRecord) -> bool:
+    """Whether a record's constraint was sent to its backend: derived from
+    (mode, family, stage), not stored."""
+    return transported_constraint(record.mode, record.family, record.stage).kind != "none"
+
+
 def test_run_records_carry_scoring_fields(tmp_path):
     config = _config(("answer_only_schema",), families=("boolean_logic",))
     records = load_records(run(config, tmp_path / "out"))
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     rec = records[0]
-    assert rec.constraint_kind == "schema"
+    assert manifest["constraints"][rec.constraint_digest]["kind"] == "schema"
     assert manifest["constraints"][rec.constraint_digest]["schema"] is not None
-    assert rec.constraint_enforced
+    assert _enforced(rec)
     assert rec.extraction_rule == "lenient/v3"
     assert rec.error_class == "correct_valid"
     assert rec.run_id == "t-run" and rec.config_digest == config.digest()
@@ -109,8 +115,28 @@ def test_run_records_carry_scoring_fields(tmp_path):
 def test_prompt_json_records_are_scored_but_not_enforced(tmp_path):
     config = _config(("prompt_json",), families=("boolean_logic",))
     records = load_records(run(config, tmp_path / "out"))
-    assert all(r.constraint_kind == "schema" for r in records)
-    assert all(not r.constraint_enforced for r in records)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert all(manifest["constraints"][r.constraint_digest]["kind"] == "schema" for r in records)
+    assert not any(map(_enforced, records))
+
+
+def test_a_record_names_its_constraint_by_digest_and_its_kind_and_enforcement_derive(tmp_path):
+    enforced_modes = {"final_only_regex", "answer_only_schema", "rationale_answer_schema",
+                      "typed_trace_schema"}
+    config = _config(MODE_NAMES, families=FAMILIES, count=2, delayed_variant="model")
+    path = run(config, tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    records = load_records(path)
+    assert len(records) == 9 * 5 * 2 + 5 * 2  # and a stage 2 per delayed instance
+    for line in path.read_text(encoding="utf-8").splitlines():
+        assert '"constraint_kind"' not in line and '"constraint_enforced"' not in line
+    for r in records:
+        kind = scoring_constraint(r.mode, r.family).kind
+        assert (r.constraint_digest is None) == (kind == "none"), r.key()
+        if kind != "none":
+            assert manifest["constraints"][r.constraint_digest]["kind"] == kind, r.key()
+        assert _enforced(r) == (r.mode in enforced_modes or r.stage == "stage2"), r.key()
+    assert {r.stage for r in records if r.mode == DELAYED_MODE} == {"stage1", "stage2"}
 
 
 def test_run_refuses_dirty_output_without_resume(tmp_path):
@@ -452,10 +478,12 @@ def test_a_scripted_run_killed_between_batches_resumes_to_the_same_records(tmp_p
 
 # sha256 of each scripted run's records.jsonl bytes with the wall-clock
 # fields set to null. Two runs of one commit cannot show a format drift;
-# these pins can.
+# these pins can. Re-pinned when lines stopped carrying constraint_kind and
+# constraint_enforced: the earlier lines, those two keys taken out, give
+# these same bytes.
 _GOLDEN_RECORD_SHA256 = {
-    "deterministic": "460aff1506d6510ae46035047bc98ccab90e77e6dc1d53b2b72e829969e9a08f",
-    "model": "709ed18bd0710837b7ca7512bf581a1201588fe2f7dc6be6723c43eab5b96bc8",
+    "deterministic": "b5b61ae06b73132c237f9fb827336d0ba4b78e09dcad7d434077702b081bedfc",
+    "model": "dda64846d19a8fb536aee2b56812ecba9e01fc197104f0d72f888136b8d3c59d",
 }
 _MASK_RE = re.compile(rb'"(%s)": (?:null|"[^"]*"|[-+.0-9eE]+)'
                       % b"|".join(name.encode() for name in MASKED_FIELDS))
@@ -702,8 +730,9 @@ def test_delayed_deterministic_record_contract(tmp_path):
         assert rec.packaging_ms is not None and rec.packaging_ms >= 0.0
         assert rec.latency_annotation == "+ pkg."
         assert rec.error_class == "correct_valid"
-        assert rec.constraint_kind == "schema"  # scored against the target schema
-        assert not rec.constraint_enforced      # but generation ran free
+        # scored against the target schema, but generation ran free
+        assert scoring_constraint(rec.mode, rec.family).kind == "schema"
+        assert not _enforced(rec)
 
 
 def test_delayed_model_variant_two_stage_records(tmp_path):
@@ -714,7 +743,7 @@ def test_delayed_model_variant_two_stage_records(tmp_path):
     stage2 = [r for r in records if r.stage == "stage2"]
     assert len(stage1) == 3 and len(stage2) == 3
     for rec in stage2:
-        assert rec.constraint_enforced  # stage 2 carries the transported schema
+        assert _enforced(rec)  # stage 2 carries the transported schema
         assert rec.error_class == "correct_valid"
     # scoring keeps only the stage-2 rows for the delayed cell
     result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
@@ -770,8 +799,7 @@ def test_derive_delayed_matches_in_run_packaging(tmp_path):
         # same packaging + verdicts as the natively-run delayed mode
         assert d.packaged_text == twin.packaged_text
         for field in ("schema_valid", "answer_correct", "exec_correct",
-                      "error_class", "parse_status", "constraint_enforced",
-                      "constraint_digest"):
+                      "error_class", "parse_status", "stage", "constraint_digest"):
             assert getattr(d, field) == getattr(twin, field), field
 
 
@@ -1325,9 +1353,8 @@ def _row(backend, mode, i, family="arithmetic_two_step", **kw):
                   extraction_rule="lenient/v2", config_digest="d1")
     fields.update(kw)
     return RunRecord(instance_id=f"{family}-{i:05d}", model_id="m", backend_label=backend,
-                     family=family, mode=mode, stage="single", constraint_kind="none",
-                     constraint_digest=None, constraint_enforced=False, raw_text="",
-                     parse_status="ok", **fields)
+                     family=family, mode=mode, stage="single", constraint_digest=None,
+                     raw_text="", parse_status="ok", **fields)
 
 
 def test_score_warning_lines(tmp_path, capsys):
@@ -1365,6 +1392,16 @@ def test_score_warning_lines(tmp_path, capsys):
         "[WARN] baseline mode 'prompt_json' absent for nobase/m/arithmetic_two_step; "
         "comparisons skipped",
     ]
+
+
+def test_a_mean_that_is_not_finite_names_the_scored_record_behind_it():
+    # the failed record's latency is never read, so it is not the one named
+    records = [_row("b", "freeform", 0, error_class="generation_failed", latency_ms="fast"),
+               _row("b", "freeform", 1, latency_ms=float("inf"))]
+    with pytest.raises(ConfigError, match=re.escape(
+            "record b/m/freeform/single/arithmetic_two_step-00001: "
+            "latency_ms must be a finite number, got inf")):
+        score(records)
 
 
 def _recount(records, baseline="prompt_json"):

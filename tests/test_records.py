@@ -8,6 +8,7 @@ import json
 import json.scanner
 import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -26,9 +27,7 @@ REQUIRED = {
     "family": "arithmetic_two_step",
     "mode": "prompt_json",
     "stage": "single",
-    "constraint_kind": "none",
     "constraint_digest": None,
-    "constraint_enforced": False,
     "raw_text": '{"answer": "4"}',
     "parse_status": "ok",
 }
@@ -201,6 +200,15 @@ def test_every_scalar_field_and_every_checked_name_has_its_types():
     assert [name for name in checked if name not in records.FIELD_TYPES] == []
 
 
+def test_readme_lists_the_required_fields_as_records_defines_them():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lists = re.findall(r"the (?:9 required fields|nine fields without a default)\s+\(([^)]*)\)",
+                       readme)
+    assert len(lists) == 2
+    for text in lists:
+        assert re.findall(r"`(\w+)`", text) == sorted(records._REQUIRED)
+
+
 def test_a_null_trace_verdict_and_bool_verdicts_are_read():
     doc = {**REQUIRED, "schema_valid": True, "answer_correct": False, "exec_correct": True,
            "trace_correct": None}
@@ -210,7 +218,8 @@ def test_a_null_trace_verdict_and_bool_verdicts_are_read():
 
 def test_unknown_keys_are_dropped():
     record = _records(1)[0]
-    doc = {**record.to_dict(), "prompt": "retired field", "constraint_schema": {}}
+    doc = {**record.to_dict(), "prompt": "retired field", "constraint_schema": {},
+           "constraint_kind": "schema", "constraint_enforced": True}
     assert record_from_dict(doc) == record
     assert not hasattr(record_from_dict(doc), "prompt")
 
@@ -292,9 +301,8 @@ def test_records_round_trip_through_the_jsonl_file(tmp_path):
     records = st.builds(
         RunRecord,
         instance_id=text, model_id=text, backend_label=text, family=text, mode=text,
-        stage=st.sampled_from(["single", "stage1", "stage2"]), constraint_kind=text,
-        constraint_digest=optional_text, constraint_enforced=st.booleans(), raw_text=text,
-        parse_status=text,
+        stage=st.sampled_from(["single", "stage1", "stage2"]), constraint_digest=optional_text,
+        raw_text=text, parse_status=text,
         violations=st.lists(st.dictionaries(text, text | st.integers(), max_size=2),
                             max_size=2).map(tuple),
         schema_valid=st.booleans(), answer_correct=st.booleans(), exec_correct=st.booleans(),
