@@ -146,9 +146,13 @@ def test_derive_delayed_refuses_a_source_score_would_refuse(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["score", "resume", "derive-delayed"])
-@pytest.mark.parametrize("value", ["null", '["x"]', '"Generation_Failed"'])
+@pytest.mark.parametrize("value, fault", [
+    ("null", "must be a string, got None"), ('["x"]', "must be a string, got ['x']"),
+    ('"Generation_Failed"', f"must be one of {', '.join(ctax.ERROR_CLASSES)} or "
+                            "generation_failed, got 'Generation_Failed'"),
+], ids=["null", '["x"]', '"Generation_Failed"'])
 def test_an_error_class_outside_the_taxonomy_exits_2_naming_its_record(tmp_path, capsys,
-                                                                     command, value):
+                                                                     command, value, fault):
     """Score reads error_class to tell a failed generation from a scored
     record, so a value outside ERROR_CLASSES and generation_failed is
     refused, not scored as a valid answer."""
@@ -168,9 +172,9 @@ def test_an_error_class_outside_the_taxonomy_exits_2_naming_its_record(tmp_path,
                                str(records.parent / "tasks.jsonl"), "--out", str(out)]}[command]
     capsys.readouterr()
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert f"[ERROR] record oracle/oracle-v1/prompt_json/single/{doc['instance_id']}: " \
-           "error_class must be " in err and "Traceback" not in err, err
+    assert capsys.readouterr().err == (
+        f"[ERROR] record oracle/oracle-v1/prompt_json/single/{doc['instance_id']}: "
+        f"error_class {fault}\n")
     assert records.read_bytes() == before and not out.exists()
 
 
@@ -209,6 +213,9 @@ def test_a_provenance_row_field_score_cannot_read_exits_2_naming_its_record(
     err = capsys.readouterr().err
     assert (f"[ERROR] record oracle/oracle-v1/delayed_constraint/{doc['stage']}/"
             f"{doc['instance_id']}: {fault}") in err and "Traceback" not in err, err
+    if field != "error_class":  # that one's whole refusal is pinned above
+        assert err == (f"[ERROR] record oracle/oracle-v1/delayed_constraint/{doc['stage']}/"
+                       f"{doc['instance_id']}: {fault}\n")
     assert records.read_bytes() == before and not out.exists()
 
 

@@ -53,8 +53,8 @@ def test_a_line_without_a_required_field_names_its_file_and_line(tmp_path, capsy
         read_records(path)
     capsys.readouterr()
     assert main(["score", "--records", str(path), "--out", str(tmp_path / "scores")]) == 2
-    err = capsys.readouterr().err
-    assert "records.jsonl:2" in err and "instance_id" in err
+    assert capsys.readouterr().err == (f"[ERROR] {path}:2: malformed record line "
+                                       "(TypeError: missing field(s): instance_id)\n")
 
 
 @pytest.mark.parametrize("name, value", [
@@ -72,8 +72,9 @@ def test_a_verdict_that_is_not_a_bool_names_its_file_and_line(tmp_path, capsys, 
         read_records(path)
     capsys.readouterr()
     assert main(["score", "--records", str(path), "--out", str(tmp_path / "scores")]) == 2
-    err = capsys.readouterr().err
-    assert "records.jsonl:2" in err and name in err
+    kind = "true, false or null" if name == "trace_correct" else "true or false"
+    assert capsys.readouterr().err == (f"[ERROR] {path}:2: malformed record line "
+                                       f"(TypeError: {name} must be {kind}, got {value!r})\n")
 
 
 # (verdict, a value that is not a bool) for score's in-memory records
@@ -111,37 +112,54 @@ def _scoreable():
     return out
 
 
-# (field, its value as JSON text, what names the fault: the line, or the record)
+# (field, its value as JSON text, the whole refusal after "[ERROR] "): {line}
+# stands for the line's "path:lineno: malformed record line", {record} for
+# the record's backend/model/mode/stage/instance
 _HOSTILE = [
-    ("structural_overhead", "NaN", "line"),
-    ("latency_ms", "Infinity", "line"),
-    ("structural_overhead", "-Infinity", "line"),
-    ("calendar_wrong_fields", '"attendee"', "line"),
-    ("calendar_wrong_fields", "[1]", "line"),
-    ("violations", '"type"', "line"),
-    ("latency_ms", '"fast"', "record"),
-    ("latency_ms", "true", "record"),
-    ("latency_ms", "null", "record"),
-    ("latency_ms", "1e999", "record"),
-    ("completion_tokens", '"20"', "record"),
-    ("structural_overhead", "false", "record"),
-    ("mode", '["x"]', "record"),
-    ("mode", "5", "record"),
-    ("backend_label", "null", "record"),
-    ("family", '"all"', "record"),
-    ("instance_id", "7", "record"),
-    ("extraction_rule", '["lenient/v3"]', "record"),
-    ("config_digest", '{"d": 1}', "record"),
-    ("latency_annotation", '["+ pkg."]', "record"),
-    ("calendar_failure_class", '"late"', "record"),
+    ("structural_overhead", "NaN",
+     "{line} (ValueError: NaN is not a number a record may hold)"),
+    ("latency_ms", "Infinity", "{line} (ValueError: Infinity is not a number a record may hold)"),
+    ("structural_overhead", "-Infinity",
+     "{line} (ValueError: -Infinity is not a number a record may hold)"),
+    ("calendar_wrong_fields", '"attendee"',
+     "{line} (TypeError: calendar_wrong_fields must be a list of strings or null, "
+     "got 'attendee')"),
+    ("calendar_wrong_fields", "[1]",
+     "{line} (TypeError: calendar_wrong_fields must be a list of strings or null, got [1])"),
+    ("violations", '"type"',
+     "{line} (TypeError: violations must be a list of objects or null, got 'type')"),
+    ("latency_ms", '"fast"', "record {record}: latency_ms must be a finite number, got 'fast'"),
+    ("latency_ms", "true", "record {record}: latency_ms must be a finite number, got True"),
+    ("latency_ms", "null", "record {record}: latency_ms must be a finite number, got None"),
+    ("latency_ms", "1e999", "record {record}: latency_ms must be a finite number, got inf"),
+    ("completion_tokens", '"20"',
+     "record {record}: completion_tokens must be an integer or null, got '20'"),
+    ("structural_overhead", "false",
+     "record {record}: structural_overhead must be a finite number or null, got False"),
+    ("mode", '["x"]', "record {record}: mode must be a string, got ['x']"),
+    ("mode", "5", "record {record}: mode must be a string, got 5"),
+    ("backend_label", "null", "record {record}: backend_label must be a string, got None"),
+    ("backend_label", '["x"]', "record {record}: backend_label must be a string, got ['x']"),
+    ("family", '"all"',
+     "record {record}: family must not be 'all', the task of the cross-family rows"),
+    ("instance_id", "7", "record {record}: instance_id must be a string, got 7"),
+    ("extraction_rule", '["lenient/v3"]',
+     "record {record}: extraction_rule must be a string, got ['lenient/v3']"),
+    ("config_digest", '{"d": 1}',
+     "record {record}: config_digest must be a string or null, got {{'d': 1}}"),
+    ("latency_annotation", '["+ pkg."]',
+     "record {record}: latency_annotation must be a string or null, got ['+ pkg.']"),
+    ("calendar_failure_class", '"late"',
+     "record {record}: calendar_failure_class must be one of correct, wrong_duration, "
+     "wrong_topic, wrong_date, wrong_time, wrong_attendee, multi_field or null, got 'late'"),
 ]
 
 
 @pytest.mark.parametrize("command", ["score", "report"])
-@pytest.mark.parametrize("name, value, named", _HOSTILE,
+@pytest.mark.parametrize("name, value, refusal", _HOSTILE,
                          ids=[f"{name}={value}" for name, value, _ in _HOSTILE])
 def test_a_hostile_records_line_exits_2_naming_its_line_or_record(tmp_path, capsys, command,
-                                                                    name, value, named):
+                                                                    name, value, refusal):
     path = tmp_path / "records.jsonl"
     records = _scoreable()
     write_records(path, records)
@@ -153,14 +171,11 @@ def test_a_hostile_records_line_exits_2_naming_its_line_or_record(tmp_path, caps
     path.write_text("".join(lines), encoding="utf-8")
     capsys.readouterr()
     assert main([command, "--records", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("[ERROR] ") and (name in err or value in err), err  # NaN: the value
-    if named == "line":
-        assert f"records.jsonl:{lineno}: malformed record line" in err, err
-    else:
-        record = records[lineno - 1]
-        assert f"/{record.stage}/" in err and record.instance_id in err or name == "instance_id"
-        assert "record " in err and "Traceback" not in err, err
+    read = {**vars(records[lineno - 1]), name: json.loads(value)}
+    record = "/".join(map(str, (read["backend_label"], read["model_id"], read["mode"],
+                                read["stage"], read["instance_id"])))
+    assert capsys.readouterr().err == "[ERROR] " + refusal.format(
+        line=f"{path}:{lineno}: malformed record line", record=record) + "\n"
     assert not (tmp_path / "out").exists()
 
 
