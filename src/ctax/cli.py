@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import ConfigError, PairingError
 from .harness import (
     DELAYED_SOURCE_MODES,
+    Cells,
     SuiteConfig,
     config_from_dict,
     derive_delayed,
@@ -53,14 +54,12 @@ def _write(what: str, path: str, writer):
 
 
 def _scored(args: argparse.Namespace):
-    records = []
+    bootstrap = BootstrapConfig(level=args.level)  # refused before any file is read
+    cells = Cells()  # each file read once, each line folded into its cell and let go
     for path in args.records:
-        loaded = _read("records", path, load_records)
-        if not loaded:
+        if not _read("records", path, cells.read):
             raise ConfigError(f"no records in {path}")
-        records.extend(loaded)
-    result = score(records, bootstrap=BootstrapConfig(level=args.level),
-                   baseline_mode=args.baseline)
+    result = score(cells, bootstrap=bootstrap, baseline_mode=args.baseline)
     for warning in result.warnings:
         print(f"[WARN] {warning}")
     return result

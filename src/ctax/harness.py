@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace, UnionType
-from typing import (Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union, get_args,
+from typing import (Any, Callable, Iterable, Iterator, Mapping, Sequence, Union, get_args,
                     get_origin, get_type_hints)
 
 from . import __version__
@@ -63,8 +63,8 @@ from .modes import (
     scoring_constraint,
 )
 from .records import (_TEMPLATE, FIELD_TYPES, VERDICTS, RunRecord, adopt_record, append_record,
-                      drop_torn_tail, field_fault, open_jsonl, read_records, replace_file,
-                      timestamp)
+                      check_line, drop_torn_tail, field_fault, iter_jsonl, open_jsonl,
+                      read_records, replace_file, timestamp)
 from .taskgen import (CALENDAR_FAMILY, CALENDAR_SEMANTIC_FIELDS, FAMILIES, TaskInstance,
                       generate_suite, write_suite)
 from .validation import (LENIENT_EXTRACTION, PARSE_NO_JSON, STRICT_EXTRACTION, canonical_digest,
@@ -345,7 +345,8 @@ def run(config: RunConfig, out_dir: str | Path, resume: bool = False) -> Path:
     if resume and records_path.exists():
         drop_torn_tail(records_path)
         stored = read_records(records_path)
-        refusal = _refusal(stored)  # appending after it would leave a file score refuses
+        # appending after it would leave a file score refuses
+        refusal = _refusal(map(vars, stored))
         if refusal is not None:
             raise refusal
         if not (out / "manifest.json").exists():  # nothing says what config made them
@@ -486,7 +487,8 @@ def derive_delayed(source_records: Sequence[RunRecord],
     extraction strictness: they are parsed again under the current rule and
     stamped with it, so a lenient/v2 source gives lenient/v3 records.
     """
-    refusal = _refusal(source_records)  # a value score refuses would reach the derived line
+    # a value score refuses would reach the derived line
+    refusal = _refusal(map(vars, source_records))
     if refusal is not None:
         raise refusal
     digest = config.digest() if config is not None else None
@@ -562,149 +564,201 @@ _ERROR_CLASSES = frozenset([*ERROR_CLASSES, GENERATION_FAILED])
 _STAGES = ("single", "stage1", "stage2")  # a tuple: `in` compares a list stage, never hashes it
 
 
-def _record_fault(record: RunRecord) -> str | None:
-    """What in a record score cannot read, or None."""
-    if (fault := field_fault(record, _SCORED_FIELDS)) is not None:
+def _record_fault(doc: Mapping[str, Any]) -> str | None:
+    """What score cannot read in a record's fields (vars) or a line's
+    object, or None."""
+    if (fault := field_fault(doc, _SCORED_FIELDS)) is not None:
         return fault
-    if record.family == "all":
+    get = doc.get
+    if doc["family"] == "all":
         return "family must not be 'all', the task of the cross-family rows"
-    if record.stage not in _STAGES:
-        return f"stage must be one of {', '.join(_STAGES)}, got {record.stage!r}"
-    if record.error_class not in _ERROR_CLASSES:
+    if doc["stage"] not in _STAGES:
+        return f"stage must be one of {', '.join(_STAGES)}, got {doc['stage']!r}"
+    if (error_class := get("error_class", _TEMPLATE["error_class"])) not in _ERROR_CLASSES:
         return (f"error_class must be one of {', '.join(ERROR_CLASSES)} or {GENERATION_FAILED}, "
-                f"got {record.error_class!r}")
-    if record.calendar_failure_class not in (None, *CALENDAR_FAILURE_CLASSES):
+                f"got {error_class!r}")
+    if (klass := get("calendar_failure_class")) not in (None, *CALENDAR_FAILURE_CLASSES):
         return (f"calendar_failure_class must be one of {', '.join(CALENDAR_FAILURE_CLASSES)} "
-                f"or null, got {record.calendar_failure_class!r}")
+                f"or null, got {klass!r}")
     return None
 
 
-def _refusal(records: Iterable[RunRecord], otherwise: str | None = None) -> ConfigError | None:
-    """The error naming the first record score cannot read; when none is
-    found, the error saying otherwise, or None without it."""
-    for record in records:
-        fault = _record_fault(record)
+def _named(doc: Mapping[str, Any]) -> str:
+    """A record as a refusal names it: backend/model/mode/stage/instance."""
+    return "/".join(map(str, (doc["backend_label"], doc["model_id"], doc["mode"], doc["stage"],
+                              doc["instance_id"])))
+
+
+def _refusal(docs: Iterable[Mapping[str, Any]],
+             otherwise: str | None = None) -> ConfigError | None:
+    """The error naming the first record score cannot read, of records'
+    fields (vars) or lines' objects; when none is found, the error saying
+    otherwise, or None without it."""
+    for doc in docs:
+        fault = _record_fault(doc)
         if fault is not None:
-            return ConfigError(f"record {'/'.join(map(str, record.key()))}: {fault}")
+            return ConfigError(f"record {_named(doc)}: {fault}")
     return None if otherwise is None else ConfigError(otherwise)
 
 
-def _provenance_row(r: RunRecord) -> bool:
+def _provenance_row(doc: Mapping[str, Any]) -> bool:
     """A scored delayed stage 1 that was not packaged locally: a model-variant
     provenance row, scored as freeform, which the delayed cell leaves out."""
-    return (r.mode == DELAYED_MODE and r.stage == "stage1" and r.error_class != GENERATION_FAILED
-            and r.packaged_text is None and not r.packaging_failed)
+    get = doc.get
+    return (doc["mode"] == DELAYED_MODE and doc["stage"] == "stage1"
+            and get("error_class") != GENERATION_FAILED and get("packaged_text") is None
+            and not get("packaging_failed"))
 
 
-def _without_provenance(records: list[RunRecord]) -> list[RunRecord]:
-    """A delayed cell's records less its provenance rows. Each row left out,
-    and each row whose stage, packaged_text or packaging_failed (what tells
-    a provenance row) is not as its field allows, is checked as a kept row
-    is: a refused value is a ConfigError naming the record. A kept row pays
-    only those three tests; _family_cell checks the rest of it."""
-    kept = []
-    for r in records:
-        if (r.stage in _STAGES and type(r.packaged_text) in _TYPES["packaged_text"]
-                and type(r.packaging_failed) is bool and not _provenance_row(r)):
-            kept.append(r)
-        elif (refusal := _refusal([r])) is not None:
-            raise refusal
-    return kept
+class Cells:
+    """Records folded, one at a time, into the columns of their (backend,
+    model, family, mode) cells (metrics.Cell): what score reads of them, with
+    no record built or kept. A record is checked as a records line is
+    (records.check_line) as it is folded. What else score cannot read of it
+    shows in its cell's columns when score reads them, and score then names
+    the record by reading that cell's records again from their sources: the
+    files read, or the records given to Cells.of.
+
+    A delayed-mode record whose stage, packaged_text or packaging_failed
+    (what tells a provenance row) is off its type, or a provenance row
+    holding a value score cannot read, marks its cell as unreadable; a
+    provenance row is left out of the columns."""
+
+    def __init__(self):
+        self.cells: dict[tuple, Cell] = {}
+        self.unreadable: set[tuple] = set()  # cells with a value no column can hold
+        self.unhashable: Mapping | None = None  # the first record no cell key can hold
+        self._sources: list[Callable[[], Iterable[Mapping[str, Any]]]] = []
+
+    @classmethod
+    def of(cls, records: Iterable[RunRecord]) -> Cells:
+        """records folded in order, each as its fields (vars). A record that
+        no records line could hold is a ConfigError naming it."""
+        records = list(records)  # read again to name a record
+        cells = cls()
+        cells._sources.append(lambda: map(vars, records))
+        for record in records:
+            doc = vars(record)
+            try:
+                cells.add(doc)
+            except TypeError as exc:
+                raise ConfigError(f"record {_named(doc)}: {exc}") from None
+        return cells
+
+    def read(self, path: str | Path) -> list:
+        """Fold in each line of a records file; one None per record read."""
+        self._sources.append(lambda: iter_jsonl(path, "record", dict))
+        return read_records(path, self.add)
+
+    def add(self, doc: Mapping[str, Any]) -> None:
+        check_line(doc)
+        try:
+            key = _key(doc)
+            cell = self.cells.get(key)
+        except TypeError:  # a list where a label goes
+            if self.unhashable is None:
+                self.unhashable = doc
+            return
+        if cell is None:
+            cell = self.cells[key] = Cell(key[0], key[1], key[3], key[2], classes=(
+                Counter() if key[2] == CALENDAR_FAMILY else None))
+        if key[3] == DELAYED_MODE:
+            get = doc.get
+            if not (doc["stage"] in _STAGES
+                    and type(get("packaged_text")) in _TYPES["packaged_text"]
+                    and type(get("packaging_failed", False)) is bool):
+                self.unreadable.add(key)
+                return
+            if _provenance_row(doc):
+                if _record_fault(doc) is not None:
+                    self.unreadable.add(key)
+                return
+        try:
+            cell.add(doc)
+        except TypeError:
+            self.unreadable.add(key)
+
+    def reread(self) -> Iterator[Mapping[str, Any]]:
+        """Every record folded in, read again from its source, in order: a
+        line's object, or a record's fields."""
+        return chain.from_iterable(source() for source in self._sources)
 
 
-class _Scored(NamedTuple):
-    """A cell and what score reports of its records besides the cell's
-    aggregate and comparisons."""
-
-    cell: Cell
-    rules: set  # their extraction rules
-    calendar: CalendarRow | None  # the calendar family's failure counts, else None
+def _key(doc: Mapping[str, Any]) -> tuple:
+    return (doc["backend_label"], doc["model_id"], doc["family"], doc["mode"])
 
 
-def _calendar_row(backend_label: str, model_id: str, mode: str,
-                  records: list[RunRecord]) -> CalendarRow | None:
-    classified = [r for r in records if r.calendar_failure_class is not None]
-    if not classified:
+def _kept_in(cell: Cell, doc: Mapping[str, Any]) -> bool:
+    """Whether a record read again is one the cell holds: of its labels and
+    family (any family for "all"), and no provenance row."""
+    return ((doc["backend_label"], doc["model_id"], doc["mode"])
+            == (cell.backend_label, cell.model_id, cell.mode)
+            and cell.task in ("all", doc["family"]) and not _provenance_row(doc))
+
+
+def _readable(cell: Cell) -> bool:
+    """Whether each of a family cell's columns holds only the types its
+    field allows; one pass per column."""
+    return (all(_TYPES[name].issuperset(map(type, column)) for name, column in (
+                ("instance_id", chain(cell.ids, cell.failed)), ("extraction_rule", cell.rules),
+                ("config_digest", cell.digests), ("latency_annotation", cell.notes),
+                ("latency_ms", cell.latencies), ("completion_tokens", cell.tokens),
+                ("structural_overhead", cell.overheads)))
+            and _ERROR_CLASSES.issuperset(cell.error_classes)
+            and (cell.classes is None or cell.classes.keys() <= _CALENDAR_CLASSES))
+
+
+_CALENDAR_CLASSES = frozenset(CALENDAR_FAILURE_CLASSES)
+
+
+def _calendar_row(cell: Cell) -> CalendarRow | None:
+    if not cell.classes:
         return None
-    classes = Counter([r.calendar_failure_class for r in classified])
-    wrong = Counter([name for r in classified for name in set(r.calendar_wrong_fields)])
-    return CalendarRow(backend_label, model_id, mode, len(classified),
-                       tuple((name, classes[name]) for name in CALENDAR_FAILURE_CLASSES),
-                       tuple((name, wrong[name]) for name in CALENDAR_SEMANTIC_FIELDS))
+    return CalendarRow(cell.backend_label, cell.model_id, cell.mode, cell.classes.total(),
+                       tuple((name, cell.classes[name]) for name in CALENDAR_FAILURE_CLASSES),
+                       tuple((name, cell.wrong[name]) for name in CALENDAR_SEMANTIC_FIELDS))
 
 
-def _family_cell(key: tuple[str, str, str, str], records: list[RunRecord],
-                 digests: set) -> _Scored:
-    """The cell of one (backend, model, family, mode), its config digests
-    added to digests. A record holding a value score cannot read is a
-    ConfigError naming it."""
-    backend_label, model_id, family, mode = key
-    if not all(type(label) is str for label in key) or family == "all":
-        raise _refusal(records[:1], f"{key!r} is not a cell")  # each record shares the key
-    try:
-        cell = Cell.build(backend_label, model_id, mode, family, records)
-        tally = cell.tally
-        rules = {r.extraction_rule for r in records}
-        error_classes = {r.error_class for r in records}
-        cell_digests = {r.config_digest for r in records}
-        calendar = (_calendar_row(backend_label, model_id, mode, records)
-                    if family == CALENDAR_FAMILY else None)
-    except TypeError:  # a list where a string goes, which no set can hold
-        refusal = _refusal(records)
-        if refusal is None:
-            raise
-        raise refusal from None
-    # one pass per column, over the types it holds; an unknown calendar class
-    # leaves the row's class counts short of its n
-    if not (all(_TYPES[name].issuperset(map(type, column)) for name, column in (
-                ("instance_id", chain(cell.ids, cell.failed)), ("extraction_rule", rules),
-                ("config_digest", cell_digests), ("latency_annotation", tally.notes),
-                ("latency_ms", tally.latencies), ("completion_tokens", tally.tokens),
-                ("structural_overhead", tally.overheads)))
-            and _ERROR_CLASSES.issuperset(error_classes)
-            and (calendar is None
-                 or calendar.n == sum(count for _, count in calendar.class_counts))):
-        raise _refusal(records, f"{'/'.join(key)} holds a value score cannot read")
-    digests |= cell_digests
-    return _Scored(cell, rules, calendar)
-
-
-def _rollup(entries: list[_Scored], records: Sequence[RunRecord]) -> _Scored:
+def _rollup(cells: Cells, parts: list[Cell]) -> Cell:
     """The "all" cell of one mode from its family cells: their columns joined,
     so no record is read again. Its ids then run family by family; where one
-    repeats, the cell is built again from records in their order, so a
+    repeats, the cell is folded again from the records in their order, so a
     pairing names the first duplicate as the records list it."""
-    cell = Cell.join([entry.cell for entry in entries])
+    cell = Cell.join(parts)
     if len(cell.codes) < len(cell.ids):
-        labels = (cell.backend_label, cell.model_id, cell.mode)
-        cell = Cell.of([r for r in records if (r.backend_label, r.model_id, r.mode) == labels
-                        and not _provenance_row(r)])
-    return _Scored(cell, set().union(*(entry.rules for entry in entries)), None)
+        cell = Cell(cell.backend_label, cell.model_id, cell.mode, "all")
+        for doc in cells.reread():
+            if _kept_in(cell, doc):
+                cell.add(doc)
+    return cell
 
 
-def _aggregate(entry: _Scored, task: str, where: str) -> ModeAggregate:
+def _aggregate(cells: Cells, cell: Cell, task: str, where: str) -> ModeAggregate:
     """aggregate(cell, task), with a mean that is not a finite number (one
-    value past the largest float, or a sum that overflows) refused."""
+    value past the largest float, or a sum that overflows) refused, naming
+    the first scored record that holds a value score cannot read."""
     try:
-        agg = aggregate(entry.cell, task=task)
+        agg = aggregate(cell, task=task)
     except (ValueError, OverflowError):  # fsum of both infinities, or past the largest float
         agg = None
     if agg is None or not all(map(math.isfinite, (
             agg.mean_latency_ms, agg.mean_completion_tokens or 0.0,
             agg.mean_structural_overhead or 0.0))):
-        raise _refusal(entry.cell.scored, f"{where}: a mean is not a finite number")
+        raise _refusal((doc for doc in cells.reread()
+                        if _kept_in(cell, doc) and doc.get("error_class") != GENERATION_FAILED),
+                       f"{where}: a mean is not a finite number")
     return agg
 
 
-def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None,
+def score(records: Iterable[RunRecord] | Cells, bootstrap: BootstrapConfig | None = None,
           baseline_mode: str = DEFAULT_BASELINE_MODE) -> ScoreResult:
     """Aggregate records and compute paired comparisons against the
     baseline mode.
 
-    One pass groups the records, in file order, into (backend, model,
-    family, mode) cells, and each family cell's columns (Cell) are built
-    once from its records. A mode whose records span several families also
-    gets an "all" cell, joined from its family cells' columns. A scored
+    The records come folded into their (backend, model, family, mode)
+    cells' columns (Cells: read from files, or Cells.of the records given),
+    each record once, in order. A mode whose records span several families
+    also gets an "all" cell, joined from its family cells' columns. A scored
     delayed stage 1 that was not packaged locally is a model-variant
     provenance row and is left out, once checked as a kept record is: the
     delayed cell takes its verdict from stage 2 only, so an instance whose
@@ -721,38 +775,32 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
     comparable). The warnings are returned, in ScoreResult.warnings, not
     printed. A record holding a value in a field score reads (_SCORED_FIELDS)
     of a type its RunRecord annotation does not allow, or a float that is
-    not finite, is a ConfigError naming the record."""
-    if not isinstance(records, abc.Sequence):  # read again for a duplicated instance
-        records = list(records)
-    by_key: dict[tuple[str, str, str, str], list[RunRecord]] = {}
-    for r in records:
-        key = (r.backend_label, r.model_id, r.family, r.mode)
-        try:
-            cell_records = by_key.get(key)
-        except TypeError:  # a list where a label goes
-            raise _refusal([r], f"record {r.key()!r} cannot be scored") from None
-        if cell_records is None:
-            by_key[key] = [r]
-        else:
-            cell_records.append(r)
-
+    not finite, is a ConfigError naming the record, and so are no records
+    to score (none, or only provenance rows)."""
+    cells = records if isinstance(records, Cells) else Cells.of(records)
+    if cells.unhashable is not None:
+        raise _refusal([cells.unhashable], f"record {_named(cells.unhashable)} cannot be scored")
     digests: set = set()
-    groups: dict[tuple[str, str], dict[str, dict[str, _Scored]]] = {}
-    by_mode: dict[tuple[str, str], dict[str, list[_Scored]]] = {}
-    for key, cell_records in by_key.items():
+    groups: dict[tuple[str, str], dict[str, dict[str, Cell]]] = {}
+    by_mode: dict[tuple[str, str], dict[str, list[Cell]]] = {}
+    for key, cell in cells.cells.items():
         backend_label, model_id, family, mode = key
-        if mode == DELAYED_MODE:
-            cell_records = _without_provenance(cell_records)
-            if not cell_records:
-                continue
-        entry = _family_cell(key, cell_records, digests)
-        groups.setdefault((backend_label, model_id), {}).setdefault(family, {})[mode] = entry
-        by_mode.setdefault((backend_label, model_id), {}).setdefault(mode, []).append(entry)
-    if not groups:
-        raise ValueError("no records to score")
+        if (key in cells.unreadable or not all(type(label) is str for label in key)
+                or family == "all" or not _readable(cell)):
+            raise _refusal((doc for doc in cells.reread() if _key(doc) == key),
+                           f"{'/'.join(map(str, key))} holds a value score cannot read")
+        if not cell.ids and not cell.failed:  # provenance rows only
+            continue
+        digests |= cell.digests
+        groups.setdefault((backend_label, model_id), {}).setdefault(family, {})[mode] = cell
+        by_mode.setdefault((backend_label, model_id), {}).setdefault(mode, []).append(cell)
+    if not groups:  # none given, or only provenance rows
+        raise ConfigError("no records to score" + (
+            "; each is a model-variant delayed stage 1, which scores through its stage 2"
+            if cells.cells else ""))
     for group, modes in by_mode.items():  # a mode of one family would repeat its row
-        groups[group]["all"] = {mode: _rollup(entries, records)
-                                for mode, entries in modes.items() if len(entries) > 1}
+        groups[group]["all"] = {mode: _rollup(cells, parts)
+                                for mode, parts in modes.items() if len(parts) > 1}
 
     warnings = []
     digests -= {None, ""}
@@ -768,17 +816,17 @@ def score(records: Sequence[RunRecord], bootstrap: BootstrapConfig | None = None
             where = f"{backend_label}/{model_id}/{task}"
             kept: dict[str, Cell] = {}
             for mode in sorted(tasks[task], key=lambda m: mode_rank.get(m, 99)):
-                entry = tasks[task][mode]
-                if not entry.cell.ids:
+                cell = tasks[task][mode]
+                if not cell.ids:
                     warnings.append(f"{where}/{mode} has no scored records; row omitted")
                     continue
-                if len(entry.rules) > 1:
+                if len(cell.rules) > 1:
                     warnings.append(f"{where}/{mode} mixes extraction rules "
-                                    f"{', '.join(sorted(entry.rules))}")
-                kept[mode] = entry.cell
-                aggregates.append(_aggregate(entry, task, f"{where}/{mode}"))
-                if entry.calendar is not None:
-                    calendar.append(entry.calendar)
+                                    f"{', '.join(sorted(cell.rules))}")
+                kept[mode] = cell
+                aggregates.append(_aggregate(cells, cell, task, f"{where}/{mode}"))
+                if (row := _calendar_row(cell)) is not None:
+                    calendar.append(row)
             if kept and baseline_mode not in kept:
                 warnings.append(f"baseline mode {baseline_mode!r} absent for {where}; "
                                 "comparisons skipped")

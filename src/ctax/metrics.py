@@ -14,17 +14,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, compress, repeat
 from math import fsum, inf
-from operator import attrgetter, lshift, mul, or_, truediv
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter, lshift, mul, or_, truediv
+from typing import Iterable, Mapping, Sequence
 
 from .checkers import GENERATION_FAILED
 from .errors import ConfigError, PairingError
-from .records import field_fault
+from .records import _TEMPLATE, field_fault
 
 DEFAULT_EPSILON = 1e-6
 DEFAULT_BASELINE_MODE = "prompt_json"
@@ -116,105 +116,99 @@ FLAG_COLUMNS = ("answer", "exec", "validity", "wrong_valid")  # bit j of a Cell.
 _FLAG_NEST = {answer: {exec_ok: {valid: answer | exec_ok << 1 | valid << 2 | (valid > exec_ok) << 3
                                  for valid in (False, True)} for exec_ok in (False, True)}
               for answer in (False, True)}
-_LABELS = attrgetter("backend_label", "model_id", "mode")
-_VERDICTS = attrgetter("answer_correct", "exec_correct", "schema_valid")
-_BOOL = frozenset([bool])
-_FAMILY = attrgetter("family")
-
-
-class Tally(NamedTuple):
-    """What aggregate reads of a cell's scored records besides their flags,
-    one column per field, each in the order of Cell.scored."""
-
-    traces: list[bool]  # the trace verdicts, None left out
-    latencies: list[float]
-    tokens: list[int]  # the completion token counts, None left out
-    overheads: list[float]  # the structural overheads, None left out
-    notes: frozenset[str]  # the latency annotations, empty ones left out
-
-    @classmethod
-    def of(cls, scored: Sequence) -> Tally:
-        """The tally of a cell's scored records, one pass per column. A trace
-        verdict that is neither a bool nor None is a TypeError naming it."""
-        traces = [t for r in scored if (t := r.trace_correct) is not None]
-        if not _BOOL.issuperset(map(type, traces)):
-            raise TypeError(next(filter(None, map(field_fault, scored))))
-        return cls(traces,
-                   [r.latency_ms for r in scored],
-                   [t for r in scored if (t := r.completion_tokens) is not None],
-                   [o for r in scored if (o := r.structural_overhead) is not None],
-                   frozenset([n for r in scored if (n := r.latency_annotation)]))
-
-    @classmethod
-    def join(cls, tallies: Sequence[Tally]) -> Tally:
-        """The tally of the tallies' records together, each column end to end."""
-        *columns, notes = zip(*tallies)
-        return cls(*(list(chain.from_iterable(column)) for column in columns),
-                   frozenset().union(*notes))
 
 
 @dataclass(frozen=True, eq=False)  # eq=False: a cell is its records' columns, not a value
 class Cell:
-    """The records of one (backend, model, mode) cell as columns. ids, flags
-    and scored follow the scored records: in record order in a cell of
-    records, and part by part in a cell joined from others (Cell.join). A
-    flag code sets bit j when FLAG_COLUMNS[j] holds. A cell of no records
-    has no labels."""
+    """The records of one (backend, model, mode) cell as columns, grown a
+    record at a time by add, and complete before its first pairing (which
+    builds codes and keeps them). ids, flags and the scored columns follow
+    the scored records in the order added; a cell joined from others
+    (Cell.join) holds theirs end to end. A flag code sets bit j when
+    FLAG_COLUMNS[j] holds. A cell of no records has no labels."""
 
     backend_label: str | None
     model_id: str | None
     mode: str | None
     task: str  # the records' one family, or "all" when they span several
-    ids: tuple[str, ...]
-    failed: tuple[str, ...]  # the generation_failed records' instance ids
-    flags: tuple[int, ...]
-    scored: list  # the scored records
-    parts: tuple[Cell, ...] = ()  # the cells a joined cell joins
+    ids: list[str] = field(default_factory=list)  # the scored records' instance ids
+    failed: list[str] = field(default_factory=list)  # the generation_failed records' ids
+    flags: list[int] = field(default_factory=list)
+    traces: list[bool] = field(default_factory=list)  # the trace verdicts, None left out
+    latencies: list[float] = field(default_factory=list)
+    tokens: list[int] = field(default_factory=list)  # completion token counts, None left out
+    overheads: list[float] = field(default_factory=list)  # None left out
+    notes: set[str] = field(default_factory=set)  # latency annotations, empty ones left out
+    # of every record, failed ones too: what score reports besides the aggregate
+    rules: set[str] = field(default_factory=set)  # extraction rules
+    error_classes: set[str] = field(default_factory=set)
+    digests: set[str | None] = field(default_factory=set)  # config digests
+    classes: Counter | None = None  # calendar_failure_class counts, when given a Counter
+    wrong: Counter = field(default_factory=Counter)  # the classified records' wrong fields
 
     @classmethod
     def of(cls, records: Iterable) -> Cell:
-        """The cell of records that share (backend, model, mode)."""
-        records = list(records)
-        keys = set(map(_LABELS, records))
+        """The cell of records that share (backend, model, mode). A verdict
+        that is not a bool is a TypeError naming it, as on a records line
+        read."""
+        docs = [vars(r) for r in records]
+        keys = {(d["backend_label"], d["model_id"], d["mode"]) for d in docs}
         if len(keys) > 1:
             raise ValueError(f"records mix backend/model/mode cells: {sorted(keys)!r}")
-        families = set(map(_FAMILY, records))
-        return cls.build(*(keys.pop() if keys else (None, None, None)),
-                         task=families.pop() if len(families) == 1 else "all", records=records)
+        families = {d["family"] for d in docs}
+        cell = cls(*(keys.pop() if keys else (None, None, None)),
+                   task=families.pop() if len(families) == 1 else "all")
+        for doc in docs:
+            if (fault := field_fault(doc)) is not None:
+                raise TypeError(fault)
+            cell.add(doc)
+        return cell
 
-    @classmethod
-    def build(cls, backend_label: str | None, model_id: str | None, mode: str | None, task: str,
-              records: Sequence) -> Cell:
-        """The cell of records known to share (backend, model, mode), under the
-        labels given: Cell.of without the passes that find them. A scored
-        record's verdict that is not a bool is a TypeError naming it, as on
-        a records line read."""
-        scored = [r for r in records if r.error_class != GENERATION_FAILED]
-        if not _BOOL.issuperset(map(type, chain.from_iterable(map(_VERDICTS, scored)))):
-            raise TypeError(next(filter(None, map(field_fault, scored))))
-        flags = [_FLAG_NEST[r.answer_correct][r.exec_correct][r.schema_valid] for r in scored]
-        failed = (() if len(scored) == len(records) else
-                  tuple([r.instance_id for r in records if r.error_class == GENERATION_FAILED]))
-        return cls(backend_label, model_id, mode, task, tuple([r.instance_id for r in scored]),
-                   failed, tuple(flags), scored)
+    def add(self, doc: Mapping) -> None:
+        """Fold one record into the columns: a records line's object, or a
+        record's fields (vars), whose verdicts are bools. An absent field
+        holds RunRecord's default. A value no set or count can hold (a list
+        where a string goes) is a TypeError."""
+        try:
+            error_class, rule, answer, exec_ok, valid, trace, latency = _ALWAYS_READ(doc)
+        except KeyError:  # a line without a key every line ctax writes holds
+            return self.add({**_TEMPLATE, **doc})
+        get = doc.get
+        self.error_classes.add(error_class)
+        self.rules.add(rule)
+        self.digests.add(get("config_digest"))
+        if self.classes is not None and (klass := get("calendar_failure_class")) is not None:
+            self.classes[klass] += 1
+            if wrong := get("calendar_wrong_fields"):
+                for name in set(wrong):
+                    self.wrong[name] += 1
+        if error_class == GENERATION_FAILED:
+            self.failed.append(doc["instance_id"])
+            return
+        self.ids.append(doc["instance_id"])
+        self.flags.append(_FLAG_NEST[answer][exec_ok][valid])
+        if trace is not None:
+            self.traces.append(trace)
+        self.latencies.append(latency)
+        if (tokens := get("completion_tokens")) is not None:
+            self.tokens.append(tokens)
+        if (overhead := get("structural_overhead")) is not None:
+            self.overheads.append(overhead)
+        if note := get("latency_annotation"):
+            self.notes.add(note)
 
     @classmethod
     def join(cls, cells: Sequence[Cell]) -> Cell:
         """The cell of the given cells' records together, labelled as the first
         and with the task "all": each column is theirs end to end."""
         first = cells[0]
-        ids, failed, flags = (tuple(chain.from_iterable(getattr(cell, column) for cell in cells))
-                              for column in ("ids", "failed", "flags"))
-        return cls(first.backend_label, first.model_id, first.mode, "all", ids, failed, flags,
-                   list(chain.from_iterable(cell.scored for cell in cells)), tuple(cells))
-
-    @cached_property
-    def tally(self) -> Tally:
-        """Built at first use; a joined cell joins its parts' tallies, so its
-        records are not read again."""
-        if self.parts:
-            return Tally.join([part.tally for part in self.parts])
-        return Tally.of(self.scored)
+        joined = cls(first.backend_label, first.model_id, first.mode, "all")
+        for cell in cells:
+            for name in _COLUMNS:
+                getattr(joined, name).extend(getattr(cell, name))
+            for name in _SETS:
+                getattr(joined, name).update(getattr(cell, name))
+        return joined
 
     @cached_property
     def codes(self) -> dict[str, int]:
@@ -222,6 +216,14 @@ class Cell:
         first pairing and kept with it, so one baseline cell serves every
         constrained mode of its task."""
         return dict(zip(self.ids, self.flags))
+
+
+# What Cell.add reads of every record: keys each records line carries
+# (records._ALWAYS_WRITTEN), read by one C call.
+_ALWAYS_READ = itemgetter("error_class", "extraction_rule", "answer_correct", "exec_correct",
+                          "schema_valid", "trace_correct", "latency_ms")
+_COLUMNS = ("ids", "failed", "flags", "traces", "latencies", "tokens", "overheads")
+_SETS = ("notes", "rules", "error_classes", "digests")
 
 
 def _cell(records: Iterable | Cell) -> Cell:
@@ -241,7 +243,7 @@ def aggregate(records: Iterable | Cell, task: str | None = None) -> ModeAggregat
     codes = Counter(cell.flags)
     answer, exec_ok, valid, wrong_valid = (sum(codes[code] for code in codes if code >> j & 1)
                                            for j in range(len(FLAG_COLUMNS)))
-    n, tally = len(cell.ids), cell.tally
+    n = len(cell.ids)
     return ModeAggregate(
         backend_label=cell.backend_label,
         model_id=cell.model_id,
@@ -252,14 +254,14 @@ def aggregate(records: Iterable | Cell, task: str | None = None) -> ModeAggregat
         valid_count=valid,
         answer_count=answer,
         exec_count=exec_ok,
-        trace_n=len(tally.traces),
-        trace_count=sum(tally.traces),
+        trace_n=len(cell.traces),
+        trace_count=sum(cell.traces),
         wrong_valid_count=wrong_valid,
-        mean_latency_ms=fsum(tally.latencies) / n,
-        mean_completion_tokens=fsum(tally.tokens) / len(tally.tokens) if tally.tokens else None,
-        mean_structural_overhead=(fsum(tally.overheads) / len(tally.overheads)
-                                  if tally.overheads else None),
-        latency_note=" ".join(sorted(tally.notes)) if tally.notes else None,
+        mean_latency_ms=fsum(cell.latencies) / n,
+        mean_completion_tokens=fsum(cell.tokens) / len(cell.tokens) if cell.tokens else None,
+        mean_structural_overhead=(fsum(cell.overheads) / len(cell.overheads)
+                                  if cell.overheads else None),
+        latency_note=" ".join(sorted(cell.notes)) if cell.notes else None,
     )
 
 
@@ -362,6 +364,7 @@ class PairedComparison:
     wrong_valid_ci: BootstrapCI
 
 
+@lru_cache(maxsize=1)  # a mode pair's answer and exec comparisons ask for it in turn
 def _pair(baseline: Cell, constrained: Cell) -> Counter:
     """Counts of the joint flag codes (baseline's << 4 | constrained's) of the
     instances scored in both: each constrained code joined to its

@@ -26,8 +26,9 @@ import math
 import os
 import time
 from dataclasses import MISSING, dataclass, fields
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import ConfigError
 from .validation import one_shot_encoder
@@ -100,7 +101,7 @@ _FORMS = {
     "float": ((int, float), "a finite number"),
     "float | None": ((int, float, type(None)), "a finite number or null"),
 }
-# field -> (types, description), for every field but the two _list_field reads
+# field -> (types, description), for every field but the two list fields check_line reads
 FIELD_TYPES = {f.name: _FORMS[f.type] for f in fields(RunRecord) if f.type in _FORMS}
 # Read by its truth value, a verdict of "no" would score as true.
 VERDICTS = ("schema_valid", "answer_correct", "exec_correct", "trace_correct")
@@ -143,52 +144,68 @@ def adopt_record(state: dict[str, Any]) -> RunRecord:
     return record
 
 
+# Every line ctax writes holds the required fields and the verdicts, so one
+# C call each reads them; a line without one takes the slower path.
+_REQUIRED_OF = itemgetter(*sorted(_REQUIRED))
+_VERDICTS_OF = itemgetter(*VERDICTS)
+
+
+def check_line(doc: Mapping[str, Any]) -> None:
+    """The checks every records line passes, whoever reads it: a line's
+    object, or a record's fields (vars). A missing required field, a verdict
+    that is not a bool (trace_correct may be None), or a list field that is
+    not a list of its items or null, is a TypeError saying so; an absent
+    optional field holds its default, and a key that is not a field is left
+    for the reader to drop."""
+    try:
+        _REQUIRED_OF(doc)
+        valid, answer, exec_ok, trace = _VERDICTS_OF(doc)
+    except KeyError:
+        if not doc.keys() >= _REQUIRED:
+            raise TypeError(f"missing field(s): {', '.join(sorted(_REQUIRED - doc.keys()))}") \
+                from None
+        valid, answer, exec_ok, trace = (doc.get(name, _TEMPLATE[name]) for name in VERDICTS)
+    # VERDICTS against FIELD_TYPES, checked inline: a call per line read would
+    # show on score_report
+    if (type(valid) is not bool or type(answer) is not bool or type(exec_ok) is not bool
+            or (trace is not None and type(trace) is not bool)):
+        raise TypeError(field_fault(doc))
+    # a string here would read as its characters; a record holds a tuple
+    get = doc.get
+    if (violations := get("violations")) is not None and violations.__class__ is not tuple:
+        _check_list(violations, "violations", dict, "objects")
+    if (wrong := get("calendar_wrong_fields")) is not None and wrong.__class__ is not tuple:
+        _check_list(wrong, "calendar_wrong_fields", str, "strings")
+
+
+def _check_list(value: Any, name: str, item: type, items: str) -> None:
+    if type(value) is not list or any(type(v) is not item for v in value):
+        raise TypeError(f"{name} must be a list of {items} or null, got {value!r}")
+
+
 def record_from_dict(doc: dict[str, Any]) -> RunRecord:
-    """A record from its JSON object: unknown keys are dropped, absent
-    optional fields take their defaults, and a missing required field, or a
-    verdict that is not a bool (trace_correct may be None), is a
-    TypeError."""
+    """A record from its JSON object, checked as check_line checks it:
+    unknown keys are dropped, absent optional fields take their defaults,
+    and a list field is read as a tuple (null as empty)."""
+    check_line(doc)
     record = object.__new__(RunRecord)
     state = record.__dict__
     if not _fill(state, doc):
-        doc = {k: v for k, v in doc.items() if k in _TEMPLATE}
         state.clear()
-        _fill(state, doc)
-    # doc now holds no unknown key, so as many keys as the template are every field
-    if len(doc) != len(_TEMPLATE) and not doc.keys() >= _REQUIRED:
-        missing = _REQUIRED - doc.keys()
-        raise TypeError(f"missing field(s): {', '.join(sorted(missing))}")
-    # VERDICTS against FIELD_TYPES, checked inline: a call per record read
-    # would show on score_report.
-    if (type(state["schema_valid"]) is not bool or type(state["answer_correct"]) is not bool
-            or type(state["exec_correct"]) is not bool
-            or (state["trace_correct"] is not None and type(state["trace_correct"]) is not bool)):
-        raise TypeError(field_fault(record))
-    # Absent, each holds the template's (); a string here would read as its characters.
-    if state["violations"].__class__ is not tuple:
-        state["violations"] = _list_field(state, "violations", dict, "objects")
-    if state["calendar_wrong_fields"].__class__ is not tuple:
-        state["calendar_wrong_fields"] = _list_field(state, "calendar_wrong_fields", str, "strings")
+        _fill(state, {k: v for k, v in doc.items() if k in _TEMPLATE})
+    for name in ("violations", "calendar_wrong_fields"):
+        if state[name].__class__ is not tuple:
+            state[name] = tuple(state[name] or ())
     return record
 
 
-def _list_field(state: dict[str, Any], name: str, item: type, items: str) -> tuple:
-    """A list field read from a line, as a tuple: null reads as empty, and
-    anything but a list of items of the given type is a TypeError."""
-    value = state[name]
-    if value is None:
-        return ()
-    if type(value) is not list or any(type(v) is not item for v in value):
-        raise TypeError(f"{name} must be a list of {items} or null, got {value!r}")
-    return tuple(value)
-
-
-def field_fault(record: Any, names: Iterable[str] = VERDICTS) -> str | None:
+def field_fault(values: Mapping[str, Any], names: Iterable[str] = VERDICTS) -> str | None:
     """What is wrong with the first of the named fields that holds a type
     its FIELD_TYPES entry does not allow, or a float that is not finite; or
-    None."""
+    None. values are a record's fields (vars), or a line's object, where an
+    absent field holds its default."""
     for name in names:
-        value = getattr(record, name)
+        value = values.get(name, _TEMPLATE[name])
         types, kind = FIELD_TYPES[name]
         if type(value) not in types or (type(value) is float and not math.isfinite(value)):
             return f"{name} must be {kind}, got {value!r}"
@@ -326,8 +343,11 @@ def iter_records(path: str | Path) -> Iterator[RunRecord]:
     return iter_jsonl(path, "record", record_from_dict)
 
 
-def read_records(path: str | Path) -> list[RunRecord]:
-    return list(iter_records(path))
+def read_records(path: str | Path, build: Callable[[dict], Any] | None = None) -> list:
+    """build(object) for each records line, in file order: its record
+    (record_from_dict) unless another build is given, as when score folds
+    each line into its cell and keeps nothing of it."""
+    return list(iter_jsonl(path, "record", record_from_dict if build is None else build))
 
 
 _TAIL_BLOCK = 64 * 1024

@@ -32,7 +32,9 @@ def reference_score(records, bootstrap: BootstrapConfig | None = None,
         for task in (r.family, "all"):
             tasks.setdefault(task, {}).setdefault(r.mode, []).append(r)
     if not groups:
-        raise ValueError("no records to score")
+        raise ValueError("no records to score" + (
+            "; each is a model-variant delayed stage 1, which scores through its stage 2"
+            if records else ""))
     warnings = []
     digests -= {None, ""}
     if len(digests) > 1:

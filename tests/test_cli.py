@@ -18,7 +18,7 @@ from ctax.cli import build_parser, main
 from ctax.harness import SuiteConfig
 from ctax.metrics import DEFAULT_BASELINE_MODE, BootstrapConfig
 from ctax.records import canonical_diff, read_records, write_records
-from ctax.taskgen import read_suite
+from ctax.taskgen import CALENDAR_SEMANTIC_FIELDS, read_suite
 
 
 def _run_config_doc(out_modes=("prompt_json", "answer_only_schema")):
@@ -356,6 +356,12 @@ def test_bad_bootstrap_flags_exit_2(tmp_path, capsys, command, flags, named):
     capsys.readouterr()
     assert main([command, "--records", str(records), "--out", str(out), *flags]) == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+    # refused before any records file is read: a missing one is not what is named
+    missing = tmp_path / "missing.jsonl"
+    assert main([command, "--records", str(missing), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert named in err and str(missing) not in err, err
     assert not out.exists()
 
 
@@ -733,6 +739,69 @@ def test_commands_run_with_numpy_unimportable(tmp_path, capsys):
         assert read_records(tmp_path / "blocked" / records)
         assert canonical_diff(tmp_path / "blocked" / records,
                               tmp_path / "in-process" / records) == []
+
+
+@pytest.mark.parametrize("command", ["score", "report"])
+def test_a_file_of_only_provenance_rows_exits_2(tmp_path, capsys, command):
+    """A model-variant delayed stage 1 scores only through its stage 2, so a
+    file holding stage 1s whose stage 2 never landed has nothing to score:
+    a configuration error, not a traceback."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        **_run_config_doc(("prompt_json", "delayed_constraint")), "delayed_variant": "model",
+        "suite": {"families": ["arithmetic_two_step"], "count": 3, "seed": 3}}))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    lines = (tmp_path / "run" / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    stage1 = [line + "\n" for line in lines if '"stage": "stage1"' in line]
+    assert len(stage1) == 3
+    records, out = tmp_path / "stage1.jsonl", tmp_path / "out"
+    records.write_text("".join(stage1), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--records", str(records), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "[ERROR] no records to score; each is a model-variant delayed stage 1, which scores "
+        "through its stage 2\n")
+    assert not out.exists()
+
+
+def _corruptor_records(tmp_path):
+    """The records of the benchmark's corruptor config at seed 1: 5 families x
+    200 instances x 9 modes."""
+    config_path = tmp_path / "corruptor.json"
+    config_path.write_text(json.dumps({
+        "run_id": "perfbench-offline-1",
+        "suite": {"families": list(ctax.FAMILIES), "count": 200, "seed": 1},
+        "modes": list(ctax.MODE_NAMES),
+        "backends": [{"kind": "corruptor", "label": "corruptor", "model_id": "corruptor-v1",
+                      "fault": {"p_invalid_json": 0.1, "p_wrong_field": 0.2, "seed": 1,
+                                "wrong_field_targets": list(CALENDAR_SEMANTIC_FIELDS)}}],
+        "delayed_variant": "deterministic"}), encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    return tmp_path / "run" / "records.jsonl"
+
+
+def test_score_and_report_build_no_record(tmp_path, capsys, monkeypatch):
+    """score and report fold each line into its cell's columns: with no
+    record built, their files and printed lines are what they were."""
+    records = _corruptor_records(tmp_path)
+    outputs = {}
+    for where in ("records built", "no record built"):
+        if where == "no record built":
+            def refuse(*args):
+                raise AssertionError("a record was built")
+
+            monkeypatch.setattr(ctax.records, "record_from_dict", refuse)
+            monkeypatch.setattr(ctax.records, "adopt_record", refuse)
+        out = tmp_path / where
+        capsys.readouterr()
+        assert main(["score", "--records", str(records), "--out", str(out / "scores")]) == 0
+        assert main(["report", "--records", str(records), "--out", str(out / "report.md")]) == 0
+        printed = capsys.readouterr().out.replace(str(out), "<out>")
+        outputs[where] = printed, {path.name: path.read_bytes()
+                                   for path in [out / "report.md",
+                                                *sorted((out / "scores").iterdir())]}
+    assert len(outputs["no record built"][1]) == 4
+    assert outputs["no record built"] == outputs["records built"]
 
 
 def test_score_warns_when_a_cell_mixes_extraction_rules(tmp_path, capsys):

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -42,8 +43,9 @@ from ctax.metrics import BOOTSTRAP_VERSION, BootstrapConfig
 from ctax.modes import (DELAYED_MODE, DELAYED_VARIANTS, MODE_NAMES, NO_CONSTRAINT,
                         Constraint, build_delayed_stage2, build_prompt, scoring_constraint,
                         transported_constraint)
-from ctax.records import (_TEMPLATE, MASKED_FIELDS, RunRecord, adopt_record, canonical_diff,
-                          canonical_record_lines, read_records, write_records)
+from ctax.records import (_REQUIRED, _TEMPLATE, MASKED_FIELDS, RunRecord, _record_doc,
+                          adopt_record, canonical_diff, canonical_record_lines, read_records,
+                          write_records)
 from ctax.report import render_report
 from ctax.checkers import CALENDAR_FAILURE_CLASSES, GENERATION_FAILED
 from ctax.taskgen import CALENDAR_SEMANTIC_FIELDS, FAMILIES, generate_suite
@@ -1199,6 +1201,56 @@ def test_score_leaves_out_a_family_cell_with_no_scored_record(tmp_path):
         ("arithmetic_two_step", 3), ("arithmetic_two_step", 3), ("all", 3), ("all", 3)]
 
 
+# The forms a records file holds lines in: as ctax writes them; every field
+# written (lines made before absent keys meant defaults); with keys that are
+# no longer fields and blank lines between; and with every field at its
+# default left out, including those ctax always writes.
+_FORMS = ("compact", "every field", "retired keys and blank lines", "defaults left out")
+
+
+def _line(record, form):
+    if form == "every field":
+        return vars(record)
+    if form == "retired keys and blank lines":
+        return {**_record_doc(record), "constraint_kind": "schema", "constraint_enforced": False}
+    if form == "defaults left out":
+        return {name: value for name, value in vars(record).items() if name in _REQUIRED
+                or not (type(value) is type(_TEMPLATE[name]) and value == _TEMPLATE[name])}
+    return _record_doc(record)
+
+
+def _write_form(path, records, form):
+    text = "".join(json.dumps(_line(r, form), sort_keys=True, ensure_ascii=False) + "\n"
+                   + ("\n  \n" if form == "retired keys and blank lines" else "")
+                   for r in records)
+    path.write_text(text, encoding="utf-8")
+
+
+def _cli_scored(paths, out, level):
+    """What `ctax score` then `ctax report` give on the records files: their
+    exit codes, [WARN] lines, stderr, and the bytes of each file written."""
+    argv = [arg for path in paths for arg in ("--records", str(path))] + ["--level", str(level)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        codes = (main(["score", *argv, "--out", str(out / "scores")]),
+                 main(["report", *argv, "--out", str(out / "report.md")]))
+    warnings = [line for line in stdout.getvalue().splitlines() if line.startswith("[WARN]")]
+    files = {path.name: path.read_bytes()
+             for path in [*sorted((out / "scores").glob("*.csv")), out / "report.md"]
+             if path.exists()}
+    return codes, warnings, stderr.getvalue(), files
+
+
+def _memory_scored(result, out):
+    """_cli_scored's outputs for a ScoreResult scored in memory: written, printed
+    and rendered as the two commands do."""
+    warnings = [f"[WARN] {warning}" for warning in result.warnings]
+    paths = score_to_files(result, out)
+    files = {path.name: path.read_bytes() for path in sorted(paths.values())}
+    files["report.md"] = render_report(result, "prompt_json").encode("utf-8")
+    return (0, 0), warnings * 2, "", files
+
+
 # sha256 of the score outputs of _golden_records, made before scoring became
 # one pass over the records; a change to them is a change to reported numbers.
 # The aggregates, comparisons and report hashes were made again when the
@@ -1265,9 +1317,28 @@ def test_tasks_files_match_golden_hashes(tmp_path):
             for run in _GOLDEN_TASKS_SHA256} == _GOLDEN_TASKS_SHA256
 
 
+def _cli_digests(records, tmp_path, level, result):
+    """_score_digests of the records written to a file in each form and scored
+    through the CLI, each form's printed lines checked against result's."""
+    digests = []
+    for i, form in enumerate(_FORMS):
+        path = tmp_path / f"form-{i}.jsonl"
+        _write_form(path, records, form)
+        codes, warnings, err, files = _cli_scored([path], tmp_path / f"cli-{i}", level)
+        assert (codes, warnings, err) == ((0, 0), [f"[WARN] {w}" for w in result.warnings] * 2,
+                                          ""), form
+        names = {"aggregates": "aggregates.csv", "comparisons": "comparisons.csv",
+                 "calendar": "calendar_failures.csv", "report": "report.md"}
+        digests.append({key: hashlib.sha256(files[name]).hexdigest()
+                        for key, name in names.items()})
+    return digests
+
+
 def test_score_outputs_match_golden_hashes(tmp_path):
-    result = score(_golden_records(tmp_path), bootstrap=BootstrapConfig(resamples=200, seed=3))
+    records = _golden_records(tmp_path)
+    result = score(records, bootstrap=BootstrapConfig(resamples=200, seed=3))
     assert _score_digests(result, tmp_path / "scores") == _GOLDEN_SCORE_SHA256
+    assert _cli_digests(records, tmp_path, 0.95, result) == [_GOLDEN_SCORE_SHA256] * len(_FORMS)
 
 
 # sha256 of the score outputs of _golden_records with every fifth record a
@@ -1299,6 +1370,8 @@ def test_score_outputs_with_generation_failures_match_golden_hashes(tmp_path):
     report = render_report(result, "prompt_json")
     assert "90% CI" in report and "generation(s) failed" in report
     assert _score_digests(result, tmp_path / "scores") == _GOLDEN_FAILED_SCORE_SHA256
+    assert (_cli_digests(records, tmp_path, 0.9, result)
+            == [_GOLDEN_FAILED_SCORE_SHA256] * len(_FORMS))
 
 
 def test_answer_and_exec_rows_share_validity_and_wrong_valid_cis(tmp_path):
@@ -1508,7 +1581,7 @@ def test_an_all_cell_names_its_first_duplicate_in_record_order():
 
 
 @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
-def test_score_matches_the_reference_walk_in_any_record_order():
+def test_score_matches_the_reference_walk_in_any_record_order(tmp_path):
     families = ("arithmetic_two_step", "boolean_logic", "tool_call_argument")
     modes = ("prompt_json", "freeform", "answer_only_schema", "delayed_constraint")
     calendar = st.fixed_dictionaries({
@@ -1525,7 +1598,8 @@ def test_score_matches_the_reference_walk_in_any_record_order():
         "completion_tokens": st.sampled_from([None, 7, 40]),
         "structural_overhead": st.sampled_from([None, 0.0, 0.125, 0.5]),
         "latency_annotation": st.sampled_from([None, None, "+ pkg."]),
-        "extraction_rule": st.sampled_from(["lenient/v3", "lenient/v3", "lenient/v2"]),
+        "extraction_rule": st.sampled_from(["lenient/v3", "lenient/v3", "lenient/v2",
+                                            "lenient/v1"]),
         "config_digest": st.sampled_from(["d1", "d1", "d1", "d2", None]),
     })
 
@@ -1573,6 +1647,21 @@ def test_score_matches_the_reference_walk_in_any_record_order():
         again, again_rows = scored(score, shuffled)
         assert again == scored(reference_score, shuffled)[0]
         assert again_rows == rows
+
+        # the same records in files, one or two, in one of the forms lines come in
+        form = data.draw(st.sampled_from(_FORMS))
+        split = data.draw(st.integers(0, len(shuffled) - 1))
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"][:1 + bool(split)]
+        for path, part in zip(paths, (shuffled[:split], shuffled[split:]) if split
+                              else [shuffled]):
+            _write_form(path, part, form)
+        out = tmp_path / "cli"
+        shutil.rmtree(out, ignore_errors=True)  # the last example's outputs
+        outputs = _cli_scored(paths, out, 0.9)
+        if isinstance(again, str):  # refused: nothing written, the refusal printed
+            assert outputs == ((2, 2), [], f"[ERROR] {again}\n" * 2, {}), form
+        else:
+            assert outputs == _memory_scored(again, out / "memory"), form
 
     check()
 
