@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import time
-from collections import Counter, abc
+from collections import abc
 from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
@@ -651,6 +651,8 @@ class Cells:
         return read_records(path, self.add)
 
     def add(self, doc: Mapping[str, Any]) -> None:
+        """Fold in one record: a line's object, or a record's fields. What
+        check_line refuses is a TypeError."""
         check_line(doc)
         try:
             key = _key(doc)
@@ -660,8 +662,7 @@ class Cells:
                 self.unhashable = doc
             return
         if cell is None:
-            cell = self.cells[key] = Cell(key[0], key[1], key[3], key[2], classes=(
-                Counter() if key[2] == CALENDAR_FAMILY else None))
+            cell = self.cells[key] = Cell(key[0], key[1], key[3], key[2])
         if key[3] == DELAYED_MODE:
             get = doc.get
             if not (doc["stage"] in _STAGES
@@ -705,7 +706,7 @@ def _readable(cell: Cell) -> bool:
                 ("latency_ms", cell.latencies), ("completion_tokens", cell.tokens),
                 ("structural_overhead", cell.overheads)))
             and _ERROR_CLASSES.issuperset(cell.error_classes)
-            and (cell.classes is None or cell.classes.keys() <= _CALENDAR_CLASSES))
+            and cell.classes.keys() <= _CALENDAR_CLASSES)
 
 
 _CALENDAR_CLASSES = frozenset(CALENDAR_FAILURE_CLASSES)
@@ -825,7 +826,7 @@ def score(records: Iterable[RunRecord] | Cells, bootstrap: BootstrapConfig | Non
                                     f"{', '.join(sorted(cell.rules))}")
                 kept[mode] = cell
                 aggregates.append(_aggregate(cells, cell, task, f"{where}/{mode}"))
-                if (row := _calendar_row(cell)) is not None:
+                if task == CALENDAR_FAMILY and (row := _calendar_row(cell)) is not None:
                     calendar.append(row)
             if kept and baseline_mode not in kept:
                 warnings.append(f"baseline mode {baseline_mode!r} absent for {where}; "

@@ -143,7 +143,7 @@ class Cell:
     rules: set[str] = field(default_factory=set)  # extraction rules
     error_classes: set[str] = field(default_factory=set)
     digests: set[str | None] = field(default_factory=set)  # config digests
-    classes: Counter | None = None  # calendar_failure_class counts, when given a Counter
+    classes: Counter = field(default_factory=Counter)  # calendar_failure_class counts
     wrong: Counter = field(default_factory=Counter)  # the classified records' wrong fields
 
     @classmethod
@@ -177,7 +177,7 @@ class Cell:
         self.error_classes.add(error_class)
         self.rules.add(rule)
         self.digests.add(get("config_digest"))
-        if self.classes is not None and (klass := get("calendar_failure_class")) is not None:
+        if (klass := get("calendar_failure_class")) is not None:
             self.classes[klass] += 1
             if wrong := get("calendar_wrong_fields"):
                 for name in set(wrong):
