@@ -339,10 +339,6 @@ def append_record(fh, record: RunRecord) -> None:
     fh.write(_json_line(_record_doc(record)))
 
 
-def iter_records(path: str | Path) -> Iterator[RunRecord]:
-    return iter_jsonl(path, "record", record_from_dict)
-
-
 def read_records(path: str | Path, build: Callable[[dict], Any] | None = None) -> list:
     """build(object) for each records line, in file order: its record
     (record_from_dict) unless another build is given, as when score folds
@@ -380,7 +376,7 @@ def canonical_record_lines(path: str | Path) -> list[str]:
     """Records re-serialized for semantic comparison: wall-clock fields
     masked, rows sorted by key, keys sorted within each row."""
     lines = []
-    for record in sorted(iter_records(path), key=lambda r: r.key()):
+    for record in sorted(read_records(path), key=lambda r: r.key()):
         doc = record.to_dict()
         for name in MASKED_FIELDS:
             doc[name] = None
