@@ -646,8 +646,10 @@ class Cells:
         return cells
 
     def read(self, path: str | Path) -> list:
-        """Fold in each line of a records file; one None per record read."""
-        self._sources.append(lambda: iter_jsonl(path, "record", dict))
+        """Fold in each line of a records file; one None per record read. A
+        file that is not a regular one (a pipe) is not read again."""
+        if Path(path).is_file():
+            self._sources.append(lambda: iter_jsonl(path, "record", dict))
         return read_records(path, self.add)
 
     def add(self, doc: Mapping[str, Any]) -> None:
@@ -724,13 +726,16 @@ def _rollup(cells: Cells, parts: list[Cell]) -> Cell:
     """The "all" cell of one mode from its family cells: their columns joined,
     so no record is read again. Its ids then run family by family; where one
     repeats, the cell is folded again from the records in their order, so a
-    pairing names the first duplicate as the records list it."""
+    pairing names the first duplicate as the records list it, unless its
+    records cannot all be read again (a pipe)."""
     cell = Cell.join(parts)
     if len(cell.codes) < len(cell.ids):
-        cell = Cell(cell.backend_label, cell.model_id, cell.mode, "all")
+        ordered = Cell(cell.backend_label, cell.model_id, cell.mode, "all")
         for doc in cells.reread():
-            if _kept_in(cell, doc):
-                cell.add(doc)
+            if _kept_in(ordered, doc):
+                ordered.add(doc)
+        if (len(ordered.ids), len(ordered.failed)) == (len(cell.ids), len(cell.failed)):
+            cell = ordered
     return cell
 
 

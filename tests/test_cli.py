@@ -764,6 +764,40 @@ def test_a_file_of_only_provenance_rows_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_records_from_a_pipe_are_read_once(tmp_path, capsys):
+    """score reads a records file again only to name a refused record or
+    order an "all" cell's duplicate; a pipe cannot be read again, so those
+    keep what one read gives, never an emptied row or a hang."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        **_run_config_doc(("prompt_json", "freeform")),
+        "suite": {"families": ["boolean_logic", "arithmetic_two_step"], "count": 3,
+                  "seed": 3}}), encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    lines = (tmp_path / "run" / "records.jsonl").read_text(encoding="utf-8").splitlines(True)
+    doubled = "".join(lines + [next(line for line in lines if '"freeform"' in line)])
+    (tmp_path / "doubled.jsonl").write_text(doubled, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["score", "--records", str(tmp_path / "doubled.jsonl"),
+                 "--out", str(tmp_path / "file")]) == 0
+    from_file = capsys.readouterr().out.replace(str(tmp_path / "file"), "<out>")
+    assert "all/freeform: duplicate constrained record" in from_file
+    argv = [sys.executable, "-m", "ctax.cli", "score", "--records", "/dev/stdin"]
+    env = {**os.environ, "PYTHONPATH": str(Path(ctax.__file__).resolve().parents[1])}
+    piped = subprocess.run([*argv, "--out", str(tmp_path / "pipe")], input=doubled,
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert (piped.returncode, piped.stdout.replace(str(tmp_path / "pipe"), "<out>")) == \
+        (0, from_file)
+    assert _listing(tmp_path / "pipe") == _listing(tmp_path / "file")
+    hostile = doubled.replace('"latency_ms": 0.0', '"latency_ms": "fast"', 1)
+    refused = subprocess.run([*argv, "--out", str(tmp_path / "refused")], input=hostile,
+                             capture_output=True, text=True, env=env, timeout=60)
+    assert (refused.returncode, refused.stderr) == (
+        2, "[ERROR] oracle/oracle-v1/arithmetic_two_step/prompt_json holds a value score cannot "
+           "read\n")
+
+
 def _corruptor_records(tmp_path):
     """The records of the benchmark's corruptor config at seed 1: 5 families x
     200 instances x 9 modes."""
