@@ -626,7 +626,7 @@ class Cells:
 
     def __init__(self):
         self.cells: dict[tuple, Cell] = {}
-        self.unreadable: set[tuple] = set()  # cells with a value no column can hold
+        self.unreadable: set[tuple] = set()  # cells holding a record score cannot read
         self.unhashable: Mapping | None = None  # the first record no cell key can hold
         self._sources: list[Callable[[], Iterable[Mapping[str, Any]]]] = []
 
