@@ -179,6 +179,20 @@ def test_a_hostile_records_line_exits_2_naming_its_line_or_record(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+def test_a_calendar_class_outside_the_classes_is_refused_in_any_family(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    records = _scoreable()
+    records[1] = dataclasses.replace(records[1], calendar_failure_class="late")  # arithmetic
+    write_records(path, records)
+    capsys.readouterr()
+    assert main(["score", "--records", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"[ERROR] record b/m-v1/prompt_json/single/{records[1].instance_id}: "
+        "calendar_failure_class must be one of correct, wrong_duration, wrong_topic, "
+        "wrong_date, wrong_time, wrong_attendee, multi_field or null, got 'late'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_record_line_is_never_written_with_nan_or_infinity(tmp_path):
     path = tmp_path / "records.jsonl"
     for value in (float("nan"), float("inf"), -float("inf")):
