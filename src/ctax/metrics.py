@@ -106,8 +106,11 @@ class ModeAggregate:
 
 def pts(rate: Fraction | float) -> float:
     """Rate -> percentage points rounded to one decimal."""
-    if isinstance(rate, Fraction):
-        return float(round(rate * 1000)) / 10.0
+    if isinstance(rate, Fraction):  # round(rate * 1000) / 10, in integers
+        tenths, rest = divmod(rate.numerator * 1000, rate.denominator)
+        if 2 * rest > rate.denominator or (2 * rest == rate.denominator and tenths & 1):
+            tenths += 1  # half to even, as round() does
+        return tenths / 10.0
     return round(rate * 100.0, 1)
 
 
@@ -170,7 +173,7 @@ class Cell:
         holds RunRecord's default. A value no set or count can hold (a list
         where a string goes) is a TypeError."""
         try:
-            error_class, rule, answer, exec_ok, valid, trace, latency = _ALWAYS_READ(doc)
+            error_class, rule, answer, exec_ok, valid, trace = _ALWAYS_READ(doc)
         except KeyError:  # a line without a key every line ctax writes holds
             return self.add({**_TEMPLATE, **doc})
         get = doc.get
@@ -189,7 +192,7 @@ class Cell:
         self.flags.append(_FLAG_NEST[answer][exec_ok][valid])
         if trace is not None:
             self.traces.append(trace)
-        self.latencies.append(latency)
+        self.latencies.append(get("latency_ms", 0.0))
         if (tokens := get("completion_tokens")) is not None:
             self.tokens.append(tokens)
         if (overhead := get("structural_overhead")) is not None:
@@ -218,10 +221,11 @@ class Cell:
         return dict(zip(self.ids, self.flags))
 
 
-# What Cell.add reads of every record: keys each records line carries
-# (records._ALWAYS_WRITTEN), read by one C call.
+# What Cell.add reads of every record by one C call: keys each records line
+# carries (records._ALWAYS_WRITTEN). A line without one takes the slow path,
+# so a field a line may leave out (latency_ms) is read with its default.
 _ALWAYS_READ = itemgetter("error_class", "extraction_rule", "answer_correct", "exec_correct",
-                          "schema_valid", "trace_correct", "latency_ms")
+                          "schema_valid", "trace_correct")
 _COLUMNS = ("ids", "failed", "flags", "traces", "latencies", "tokens", "overheads")
 _SETS = ("notes", "rules", "error_classes", "digests")
 

@@ -10,11 +10,11 @@ manifest's template_version. A record's constraint kind is
 modes.scoring_constraint(mode, family).kind, and its constraint was
 enforced when modes.transported_constraint(mode, family, stage).kind is not
 "none"; a line that still carries either key reads as before, the key
-dropped. A line leaves out each optional field that holds its default
-(_ALWAYS_WRITTEN names the keys every line carries), and the reader fills
-it back in. Canonical record lines mask wall-clock fields (latency,
-timestamps, packaging time) so two runs of the same config can be diffed
-for semantic identity.
+dropped. A line leaves out each optional field that holds its default,
+the wall-clock fields too (_ALWAYS_WRITTEN names the keys every line
+carries), and the reader fills it back in. Canonical record lines mask
+the wall-clock fields (latency, timestamps, packaging time), present or
+not, so two runs of the same config can be diffed for semantic identity.
 """
 
 from __future__ import annotations
@@ -304,14 +304,14 @@ def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any]) -> Ite
 
 # Keys every records line carries: the required fields; the verdicts and
 # error class, which readers of the raw lines (perfbench/workloads.py)
-# index with no default; extraction_rule, whose default marks a line
-# written before the field existed; and the masked wall-clock fields, so
-# every raw line holds each key a canonical line masks.
+# index with no default, and which check_line and metrics.Cell.add read by
+# one C call; and extraction_rule, whose default marks a line written
+# before the field existed.
 _ALWAYS_WRITTEN = _REQUIRED | {
     "error_class", "schema_valid", "answer_correct", "exec_correct", "trace_correct",
-    "extraction_rule", *MASKED_FIELDS}
-# Every other field is left out of a line while it holds its default;
-# record_from_dict fills it back in.
+    "extraction_rule"}
+# Every other field, the masked wall-clock ones too, is left out of a line
+# while it holds its default; record_from_dict fills it back in.
 _OMITTABLE = tuple((name, default) for name, default in _TEMPLATE.items()
                    if name not in _ALWAYS_WRITTEN)
 

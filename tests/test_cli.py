@@ -776,7 +776,8 @@ def test_records_from_a_pipe_are_read_once(tmp_path, capsys):
                   "seed": 3}}), encoding="utf-8")
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
     lines = (tmp_path / "run" / "records.jsonl").read_text(encoding="utf-8").splitlines(True)
-    doubled = "".join(lines + [next(line for line in lines if '"freeform"' in line)])
+    repeat = next(line for line in lines if '"freeform"' in line)
+    doubled = "".join([*lines, repeat])
     (tmp_path / "doubled.jsonl").write_text(doubled, encoding="utf-8")
     capsys.readouterr()
     assert main(["score", "--records", str(tmp_path / "doubled.jsonl"),
@@ -790,7 +791,8 @@ def test_records_from_a_pipe_are_read_once(tmp_path, capsys):
     assert (piped.returncode, piped.stdout.replace(str(tmp_path / "pipe"), "<out>")) == \
         (0, from_file)
     assert _listing(tmp_path / "pipe") == _listing(tmp_path / "file")
-    hostile = doubled.replace('"latency_ms": 0.0', '"latency_ms": "fast"', 1)
+    hostile = "".join([json.dumps({**json.loads(lines[0]), "latency_ms": "fast"}) + "\n",
+                       *lines[1:], repeat])
     refused = subprocess.run([*argv, "--out", str(tmp_path / "refused")], input=hostile,
                              capture_output=True, text=True, env=env, timeout=60)
     assert (refused.returncode, refused.stderr) == (

@@ -43,9 +43,9 @@ from ctax.metrics import BOOTSTRAP_VERSION, BootstrapConfig
 from ctax.modes import (DELAYED_MODE, DELAYED_VARIANTS, MODE_NAMES, NO_CONSTRAINT,
                         Constraint, build_delayed_stage2, build_prompt, scoring_constraint,
                         transported_constraint)
-from ctax.records import (_REQUIRED, _TEMPLATE, MASKED_FIELDS, RunRecord, _record_doc,
-                          adopt_record, canonical_diff, canonical_record_lines, read_records,
-                          write_records)
+from ctax.records import (_ALWAYS_WRITTEN, _REQUIRED, _TEMPLATE, MASKED_FIELDS, RunRecord,
+                          _json_line, _record_doc, adopt_record, canonical_diff,
+                          canonical_record_lines, read_records, record_from_dict, write_records)
 from ctax.report import render_report
 from ctax.checkers import CALENDAR_FAILURE_CLASSES, GENERATION_FAILED
 from ctax.taskgen import CALENDAR_SEMANTIC_FIELDS, FAMILIES, generate_suite
@@ -481,11 +481,12 @@ def test_a_scripted_run_killed_between_batches_resumes_to_the_same_records(tmp_p
 # sha256 of each scripted run's records.jsonl bytes with the wall-clock
 # fields set to null. Two runs of one commit cannot show a format drift;
 # these pins can. Re-pinned when lines stopped carrying constraint_kind and
-# constraint_enforced: the earlier lines, those two keys taken out, give
-# these same bytes.
+# constraint_enforced, and again when they stopped carrying latency_ms and
+# packaging_ms at their defaults (0.0 and null): each time, the earlier
+# lines with those keys taken out give these same bytes.
 _GOLDEN_RECORD_SHA256 = {
-    "deterministic": "b5b61ae06b73132c237f9fb827336d0ba4b78e09dcad7d434077702b081bedfc",
-    "model": "dda64846d19a8fb536aee2b56812ecba9e01fc197104f0d72f888136b8d3c59d",
+    "deterministic": "6d9e15940dc059bd0dac66e60bc6479eb2c5ac9191ea222153a7947140e08a7b",
+    "model": "0d2d798b407ee11e9b7ab0e4828279c248dd01e02420902ff5bbe6ef137ddd8e",
 }
 _MASK_RE = re.compile(rb'"(%s)": (?:null|"[^"]*"|[-+.0-9eE]+)'
                       % b"|".join(name.encode() for name in MASKED_FIELDS))
@@ -522,9 +523,11 @@ def test_record_lines_match_golden_hashes(scripted_runs):
 
 
 def _masked_sha256(data: bytes) -> str:
-    """sha256 of records.jsonl bytes with every line's wall-clock fields null."""
+    """sha256 of records.jsonl bytes with each wall-clock field a line holds
+    null."""
     masked, hits = _MASK_RE.subn(rb'"\1": null', data)
-    assert hits == len(MASKED_FIELDS) * data.count(b"\n")
+    assert hits == sum(len(json.loads(line).keys() & set(MASKED_FIELDS))
+                       for line in data.splitlines())
     return hashlib.sha256(masked).hexdigest()
 
 
@@ -625,6 +628,23 @@ def test_every_record_branch_fills_one_dict_in_line_order():
     assert made["derived from a failed generation"].latency_annotation == "+ pkg."
 
 
+def test_a_line_holds_no_default_but_the_keys_every_line_carries():
+    made = _record_of_each_branch()
+    for branch, record in made.items():
+        doc = _record_doc(record)
+        at_default = {name for name, value in vars(record).items()
+                      if type(value) is type(_TEMPLATE[name]) and value == _TEMPLATE[name]}
+        assert doc.keys() == _TEMPLATE.keys() - (at_default - _ALWAYS_WRITTEN), branch
+        assert record_from_dict(json.loads(_json_line(doc))) == record, branch
+    # the wall-clock fields follow the rule too
+    assert made["generation failed"].latency_ms == 0.0
+    assert "latency_ms" not in _record_doc(made["generation failed"])
+    assert made["scored"].packaging_ms is None
+    assert "packaging_ms" not in _record_doc(made["scored"])
+    assert made["delayed stage 1, packaged"].packaging_ms is not None
+    assert "packaging_ms" in _record_doc(made["delayed stage 1, packaged"])
+
+
 def test_a_misspelled_record_field_is_refused_and_never_written(tmp_path, monkeypatch):
     state = dict(_TEMPLATE)
     state["packagng_ms"] = 1.0
@@ -668,20 +688,19 @@ def _assert_lines_carry(path: Path, keys) -> None:
         assert not set(keys) - json.loads(line).keys(), line
 
 
-def test_every_line_carries_the_bench_keys_and_the_masked_fields(scripted_runs, tmp_path):
-    keys = _BENCH_KEYS + MASKED_FIELDS
+def test_every_line_carries_the_bench_keys(scripted_runs, tmp_path):
     for _config, path in scripted_runs.values():
-        _assert_lines_carry(path, keys)
+        _assert_lines_carry(path, _BENCH_KEYS)
     with stub_server(fail_first=10**6, fail_status=400) as (_state, url):  # refuses every post
         failed = run(_endpoint_run_config(url, count=2), tmp_path / "failed")
     assert {r.error_class for r in read_records(failed)} == {"generation_failed"}
-    _assert_lines_carry(failed, keys)
+    _assert_lines_carry(failed, _BENCH_KEYS)
     source, derived = scripted_runs["deterministic"][1], tmp_path / "derived.jsonl"
     assert main(["derive-delayed", "--records", str(source),
                  "--tasks", str(source.parent / "tasks.jsonl"), "--source-mode", "freeform",
                  "--out", str(derived)]) == 0
     assert {r.derived_from for r in read_records(derived)} == {"freeform"}
-    _assert_lines_carry(derived, keys)
+    _assert_lines_carry(derived, _BENCH_KEYS)
 
 
 def test_shared_constraints_stay_unchanged(scripted_runs, tmp_path):

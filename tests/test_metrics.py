@@ -80,6 +80,19 @@ def test_pts_exact_fraction_rounding():
     assert pts(Fraction(0, 5)) == 0.0
 
 
+def test_pts_of_a_fraction_rounds_as_round_of_its_product():
+    """pts rounds in integers; round(rate * 1000) is the rule it keeps, halves
+    to even, on both sides of zero."""
+    grid = {Fraction(k, d) for d in (1, 2, 3, 7, 8, 16, 40, 200, 2000, 3000, 4000, 9999)
+            for k in range(-2 * d - 3, 2 * d + 4)}
+    grid |= {Fraction(2 * k + 1, 2000) for k in range(-50, 50)}  # every x.x5 point: a half
+    grid |= {Fraction(0), Fraction(-1, 10**9), Fraction(10**20 + 1, 10**20)}
+    for rate in grid:
+        assert pts(rate) == float(round(rate * 1000)) / 10.0, rate
+    assert pts(Fraction(1, 2000)) == 0.0 and pts(Fraction(3, 2000)) == 0.2
+    assert pts(Fraction(-1, 2000)) == 0.0 and pts(Fraction(-3, 2000)) == -0.2
+
+
 def test_pts_float_path():
     assert pts(0.1966) == 19.7
     assert pts(0.435) == 43.5

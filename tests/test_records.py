@@ -14,7 +14,7 @@ import pytest
 
 from ctax.cli import main
 from ctax.errors import ConfigError
-from ctax import records
+from ctax import metrics, records
 from ctax.harness import score
 from ctax.records import (RunRecord, drop_torn_tail, read_records,
                           record_from_dict, timestamp, write_records)
@@ -272,11 +272,21 @@ def test_absent_optional_fields_take_their_defaults():
 def test_a_line_leaves_out_a_default_only_when_type_and_value_match(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records(path, [RunRecord(**REQUIRED),
-                         RunRecord(**REQUIRED, packaging_failed=0, violations=[])])
+                         RunRecord(**REQUIRED, packaging_failed=0, violations=[], latency_ms=0)])
     default, typed = path.read_text(encoding="utf-8").splitlines()
     assert '"packaging_failed"' not in default and '"violations"' not in default
+    assert not {name for name in records.MASKED_FIELDS if f'"{name}"' in default}
     assert '"packaging_failed": 0,' in typed and '"violations": []' in typed
+    assert '"latency_ms": 0,' in typed
     assert read_records(path)[1].packaging_failed == 0
+
+
+def test_every_key_read_in_one_c_call_is_on_every_line():
+    """A key an itemgetter reads with no default must be on every line, or
+    each line that lacks it falls onto its reader's slow path."""
+    for getter in (records._REQUIRED_OF, records._VERDICTS_OF, metrics._ALWAYS_READ):
+        _, keys = getter.__reduce__()
+        assert set(keys) <= records._ALWAYS_WRITTEN, keys
 
 
 def test_a_record_read_from_its_fields_is_the_constructed_one():

@@ -1,24 +1,26 @@
 """Alternated benchmark pairs of two revisions.
 
     python3 tools/bench_pairs.py --base HEAD~1 --head HEAD \\
-        --workload offline_corruptor --seed 1 --seconds 10 --pairs 10
+        --workload offline_corruptor --seed 1 --seed 7919 --seconds 10 --pairs 10
 
 Exports each revision with `git archive` into its own temporary directory
 (under $TMPDIR), then runs `perfbench/run.py --workload W --seed S --seconds N`
-in each, --pairs times per side, alternating which side runs first. To
-measure uncommitted work, `git add` it and pass `--head "$(git stash create)"`.
+in each, --pairs times per side, alternating which side runs first. --seed
+may be given more than once (default 1): each seed gets its own pairs, run
+one seed after the other. To measure uncommitted work, `git add` it and pass
+`--head "$(git stash create)"`.
 
-For every end-to-end metric of the base's BENCHMARK.json it prints each
-pair's values, the pairs the head won (ties count for neither side), both
-medians with their quartiles, and two verdicts: whether the head's gain
-meets the acceptance rule (it wins at least nine tenths of the pairs, and
-the medians differ by more than the base's interquartile spread), and
-whether the head's median is worse than the base's by more than the
-metric's bound. The figures run.py prints by name beside them
+For every seed, and every end-to-end metric of the base's BENCHMARK.json, it
+prints each pair's values, the pairs the head won (ties count for neither
+side), both medians with their quartiles, and two verdicts: whether the
+head's gain meets the acceptance rule (it wins at least nine tenths of the
+pairs, and the medians differ by more than the base's interquartile
+spread), and whether the head's median is worse than the base's by more
+than the metric's bound. The figures run.py prints by name beside them
 (gap_to_ideal on the endpoint, wall_records_per_s, failed_share) get each
-pair's values and both medians with their quartiles, with no verdict. The
-last line is one JSON object holding every value. Uses the standard library
-only.
+pair's values and both medians with their quartiles, with no verdict. Then
+one verdict line per seed and metric, and last one JSON object holding
+every value, by seed. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -96,39 +98,26 @@ def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="alternated perfbench pairs of two revisions")
-    parser.add_argument("--base", required=True, help="the parent revision")
-    parser.add_argument("--head", required=True, help="the revision measured against it")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
-    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    try:
-        trees = {"base": work / "base", "head": work / "head"}
-        commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
-        metrics = json.loads((trees["base"] / "BENCHMARK.json").read_text())["end_to_end"]
-        runs: dict[str, list[dict]] = {"base": [], "head": []}
-        for pair in range(args.pairs):
-            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-            for side in order:
-                runs[side].append(bench(trees[side], args.workload, args.seed, args.seconds))
-            base, head = runs["base"][-1], runs["head"][-1]
-            print(f"pair {pair + 1}/{args.pairs} ({order[0]} first): " + "; ".join(
-                [f"{m['name']} {base['metrics'][m['name']]['value']:.4g} -> "
-                 f"{head['metrics'][m['name']]['value']:.4g}" for m in metrics]
-                + [f"{name} {value:.4g} -> {head['named'][name]:.4g}"
-                   for name, value in base["named"].items() if name in head["named"]]),
-                flush=True)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+def run_pairs(trees: dict[str, Path], workload: str, seed: int, seconds: float,
+              pairs: int, metrics: list[dict]) -> dict[str, list[dict]]:
+    """The pairs of one seed: each side's runs, alternating which goes first."""
+    runs: dict[str, list[dict]] = {"base": [], "head": []}
+    for pair in range(pairs):
+        order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+        for side in order:
+            runs[side].append(bench(trees[side], workload, seed, seconds))
+        base, head = runs["base"][-1], runs["head"][-1]
+        print(f"seed {seed} pair {pair + 1}/{pairs} ({order[0]} first): " + "; ".join(
+            [f"{m['name']} {base['metrics'][m['name']]['value']:.4g} -> "
+             f"{head['metrics'][m['name']]['value']:.4g}" for m in metrics]
+            + [f"{name} {value:.4g} -> {head['named'][name]:.4g}"
+               for name, value in base["named"].items() if name in head["named"]]),
+            flush=True)
+    return runs
 
-    print(f"\n{args.workload} seed={args.seed} seconds={args.seconds} pairs={args.pairs}")
-    print(f"base {commits['base'][:12]}  head {commits['head'][:12]}")
+
+def report(runs: dict[str, list[dict]], metrics: list[dict], pairs: int) -> dict:
+    """Print one seed's figures and verdicts; returns them."""
     summary = {}
     for metric in metrics:
         name = metric["name"]
@@ -139,16 +128,14 @@ def main(argv: list[str] | None = None) -> int:
               f"bound {metric['bound']:.0%})")
         print("  base: " + ", ".join(f"{v:.4g}" for v in figures["base"]))
         print("  head: " + ", ".join(f"{v:.4g}" for v in figures["head"]))
-        print(f"  head better in {figures['wins']} of {args.pairs} pairs, "
+        print(f"  head better in {figures['wins']} of {pairs} pairs, "
               f"worse in {figures['losses']}")
         print(f"  median {figures['base_median']:.4g} "
               f"[{figures['base_quartiles'][0]:.4g}, {figures['base_quartiles'][1]:.4g}] -> "
               f"{figures['head_median']:.4g} "
               f"[{figures['head_quartiles'][0]:.4g}, {figures['head_quartiles'][1]:.4g}]"
               + (f", ratio {figures['ratio']:.3f}" if figures["ratio"] is not None else ""))
-        print(f"  base interquartile spread {figures['base_iqr']:.4g}; "
-              f"gain {'MET' if figures['gain_met'] else 'not met'}; "
-              f"{'within' if figures['within_bound'] else 'BEYOND'} the bound")
+        print(f"  base interquartile spread {figures['base_iqr']:.4g}; {verdicts(figures)}")
     named = {}
     for name in runs["base"][0]["named"]:
         values = {side: [run["named"].get(name) for run in runs[side]] for side in runs}
@@ -166,12 +153,49 @@ def main(argv: list[str] | None = None) -> int:
     attempted = {side: [run["attempted"] for run in runs[side]] for side in runs}
     print(f"\nfailed/attempted: base {sum(failed['base'])}/{sum(attempted['base'])}, "
           f"head {sum(failed['head'])}/{sum(attempted['head'])}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                      "commits": commits, "metrics": summary, "named": named,
-                      "failed": failed,
-                      "attempted": attempted}))
-    return 0
+    return {"metrics": summary, "named": named, "failed": failed, "attempted": attempted}
 
+
+def verdicts(figures: dict) -> str:
+    return (f"gain {'MET' if figures['gain_met'] else 'not met'}; "
+            f"{'within' if figures['within_bound'] else 'BEYOND'} the bound")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="alternated perfbench pairs of two revisions")
+    parser.add_argument("--base", required=True, help="the parent revision")
+    parser.add_argument("--head", required=True, help="the revision measured against it")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="a workload seed; repeat for several (default 1)")
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for quartiles")
+    seeds = list(dict.fromkeys(args.seed or [1]))
+    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        trees = {"base": work / "base", "head": work / "head"}
+        commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
+        metrics = json.loads((trees["base"] / "BENCHMARK.json").read_text())["end_to_end"]
+        runs = {seed: run_pairs(trees, args.workload, seed, args.seconds, args.pairs, metrics)
+                for seed in seeds}
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+    by_seed = {}
+    for seed in seeds:
+        print(f"\n{args.workload} seed={seed} seconds={args.seconds} pairs={args.pairs}")
+        print(f"base {commits['base'][:12]}  head {commits['head'][:12]}")
+        by_seed[seed] = report(runs[seed], metrics, args.pairs)
+    print()
+    for seed in seeds:
+        for name, figures in by_seed[seed]["metrics"].items():
+            print(f"seed {seed} {name}: {verdicts(figures)}")
+    print(json.dumps({"workload": args.workload, "seeds": seeds, "seconds": args.seconds,
+                      "commits": commits, "by_seed": by_seed}))
+    return 0
 
 if __name__ == "__main__":
     raise SystemExit(main())
