@@ -3,12 +3,23 @@
 Subcommands mirror the library surface: gen (task suites), run (execute a
 config), derive-delayed (re-package unconstrained records), score (CSV
 metrics), report (Markdown), validate (one-off output diagnosis).
+
+score also keeps the report and warnings of what it scored as a cache entry,
+${XDG_CACHE_HOME:-~/.cache}/ctax/scores/<key>.json, keyed by the sha256 of
+the ctax source, the level, the baseline and each records file's bytes as
+folded. report serves only an entry whose key matches exactly and scores
+the records itself on any miss (a pipe among them, an entry absent or torn,
+a directory not the user's). score always rewrites its entry; the newest 16
+are kept, and deleting the directory is always safe.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -19,14 +30,13 @@ from .harness import (
     SuiteConfig,
     config_from_dict,
     derive_delayed,
-    load_records,
     run,
     score,
     score_to_files,
 )
 from .metrics import DEFAULT_BASELINE_MODE, BootstrapConfig
 from .modes import MODE_NAMES, parse_for_mode
-from .records import replace_file, write_records
+from .records import read_records, replace_file, write_records
 from .report import render_report
 from .taskgen import FAMILIES, generate_suite, read_suite, write_suite
 from .validation import unique_keys
@@ -53,16 +63,105 @@ def _write(what: str, path: str, writer):
         raise ConfigError(f"cannot write {what} {path}: {exc}") from None
 
 
-def _scored(args: argparse.Namespace):
+def _scored(args: argparse.Namespace, digests: list | None = None):
+    """The records scored, their warnings printed. With a digests list,
+    each file's sha256 over the bytes folded is appended to it, or None for
+    a file that is not a regular one."""
     bootstrap = BootstrapConfig(level=args.level)  # refused before any file is read
     cells = Cells()  # each file read once, each line folded into its cell and let go
     for path in args.records:
-        if not _read("records", path, cells.read):
+        digest = None if digests is None else hashlib.sha256()
+        if not _read("records", path, lambda p: cells.read(p, digest)):
             raise ConfigError(f"no records in {path}")
+        if digests is not None:
+            digests.append(digest.hexdigest() if Path(path).is_file() else None)
     result = score(cells, bootstrap=bootstrap, baseline_mode=args.baseline)
     for warning in result.warnings:
         print(f"[WARN] {warning}")
     return result
+
+
+_CACHE_FORMAT = "ctax-score-cache/1"
+_CACHE_KEEP = 16  # entries kept, the newest
+
+
+def _cache_path(args: argparse.Namespace, digests: list[str | None]) -> Path | None:
+    """The entry of these records files (their sha256s, in argument order),
+    level, baseline and ctax source; None with no cache directory or a
+    file that is not a regular one."""
+    home = os.environ.get("HOME")
+    base = os.environ.get("XDG_CACHE_HOME") or (home and Path(home) / ".cache")
+    if not base or None in digests:
+        return None
+    doc = [_CACHE_FORMAT, _code_digest(), repr(args.level), args.baseline, digests]
+    key = hashlib.sha256(json.dumps(doc).encode("utf-8")).hexdigest()
+    return Path(base) / "ctax" / "scores" / f"{key}.json"
+
+
+def _code_digest() -> list[str]:
+    """Each ctax source file's name and sha256: an edited scorer is a miss."""
+    return [f"{path.name}:{hashlib.sha256(path.read_bytes()).hexdigest()}"
+            for path in sorted(Path(__file__).parent.glob("*.py"))]
+
+
+def _file_digest(path: str) -> str | None:
+    """The sha256 of a regular file, read in chunks (3.10 has no
+    hashlib.file_digest); None for a pipe, which a read would drain."""
+    if not Path(path).is_file():
+        return None
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _usable(directory: Path) -> bool:
+    """A directory of this user's, writable: another user's could plant an entry."""
+    st = os.lstat(directory)
+    return (stat.S_ISDIR(st.st_mode) and os.access(directory, os.W_OK)
+            and (not hasattr(os, "getuid") or st.st_uid == os.getuid()))
+
+
+def _store_report(args: argparse.Namespace, digests: list[str | None], result) -> None:
+    """Keep the report of result, and its warnings, as the entry report
+    serves: written whole to a sibling of its own, then renamed over the
+    entry. A failure leaves no entry or the old one, never an error."""
+    path = _cache_path(args, digests)
+    if path is None:
+        return
+    try:
+        path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if not _usable(path.parent):
+            return
+        partial = path.with_name(f".{path.stem}.{os.getpid()}.partial")
+        try:
+            with open(partial, "x", encoding="utf-8") as fh:
+                json.dump({"key": path.stem, "warnings": list(result.warnings),
+                           "report": render_report(result, baseline_mode=args.baseline)}, fh)
+            os.replace(partial, path)
+        finally:
+            partial.unlink(missing_ok=True)
+        entries = sorted(path.parent.glob("*.json"), key=lambda p: p.stat().st_mtime_ns)
+        for old in entries[:-_CACHE_KEEP]:
+            old.unlink(missing_ok=True)
+    except OSError:
+        pass
+
+
+def _cached_report(args: argparse.Namespace) -> dict | None:
+    """The entry score kept for args; None on any miss."""
+    try:
+        path = _cache_path(args, [_file_digest(records) for records in args.records])
+        entry = json.loads(path.read_text(encoding="utf-8")) \
+            if path is not None and _usable(path.parent) else None
+    except (OSError, ValueError, RecursionError):  # absent, unreadable, torn, not JSON
+        return None
+    if (type(entry) is dict and entry.get("key") == path.stem
+            and type(entry.get("report")) is str and type(entry.get("warnings")) is list
+            and all(type(warning) is str for warning in entry["warnings"])):
+        return entry
+    return None
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -90,7 +189,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive_delayed(args: argparse.Namespace) -> int:
-    records = _read("records", args.records, load_records)
+    records = _read("records", args.records, read_records)
     if args.source_mode:
         records = [r for r in records if r.mode == args.source_mode]
         if not records:
@@ -111,16 +210,24 @@ def _cmd_derive_delayed(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    result = _scored(args)
+    digests: list[str | None] = []
+    result = _scored(args, digests)
     paths = _write("scores directory", args.out, lambda out: score_to_files(result, out))
     for name, path in sorted(paths.items()):
         print(f"[INFO] wrote {name}: {path}")
+    _store_report(args, digests, result)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    result = _scored(args)
-    text = render_report(result, baseline_mode=args.baseline)
+    BootstrapConfig(level=args.level)  # a bad level is refused before any file is read
+    entry = _cached_report(args)
+    if entry is None:
+        text = render_report(_scored(args), baseline_mode=args.baseline)
+    else:
+        for warning in entry["warnings"]:
+            print(f"[WARN] {warning}")
+        text = entry["report"]
     _write("report", args.out, lambda out: replace_file(out, [text]))
     print(f"[INFO] wrote report: {args.out}")
     return 0

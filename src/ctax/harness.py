@@ -645,12 +645,13 @@ class Cells:
                 raise ConfigError(f"record {_named(doc)}: {exc}") from None
         return cells
 
-    def read(self, path: str | Path) -> list:
+    def read(self, path: str | Path, digest=None) -> list:
         """Fold in each line of a records file; one None per record read. A
-        file that is not a regular one (a pipe) is not read again."""
+        file that is not a regular one (a pipe) is not read again. A digest
+        given (a hashlib object) takes the bytes folded."""
         if Path(path).is_file():
             self._sources.append(lambda: iter_jsonl(path, "record", dict))
-        return read_records(path, self.add)
+        return read_records(path, self.add, digest)
 
     def add(self, doc: Mapping[str, Any]) -> None:
         """Fold in one record: a line's object, or a record's fields. What
@@ -909,7 +910,3 @@ def score_to_files(result: ScoreResult, out_dir: str | Path) -> dict[str, Path]:
          *(n for _, n in row.class_counts), *(n for _, n in row.field_counts)]
         for row in result.calendar))
     return paths
-
-
-def load_records(path: str | Path) -> list[RunRecord]:
-    return read_records(path)

@@ -274,14 +274,19 @@ def _refuse_constant(name: str) -> float:
 _RECORD_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
-def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any]) -> Iterator[Any]:
+def iter_jsonl(path: str | Path, what: str, build: Callable[[dict], Any],
+               digest=None) -> Iterator[Any]:
     """build(object) for each non-blank line, in file order. A line that is
     not one UTF-8 JSON object, that holds NaN, Infinity or -Infinity, or
     that build refuses (a ValueError, KeyError, TypeError or AttributeError),
-    raises ConfigError naming the file and line."""
+    raises ConfigError naming the file and line. A digest given (a hashlib
+    object) takes each line's bytes as read: the bytes built from, no more."""
     scan, decode = _RECORD_DECODER.scan_once, _RECORD_DECODER.decode
+    update = None if digest is None else digest.update
     with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, 1):
+            if update is not None:
+                update(line)
             line = line.strip()
             if not line:
                 continue
@@ -339,11 +344,13 @@ def append_record(fh, record: RunRecord) -> None:
     fh.write(_json_line(_record_doc(record)))
 
 
-def read_records(path: str | Path, build: Callable[[dict], Any] | None = None) -> list:
+def read_records(path: str | Path, build: Callable[[dict], Any] | None = None,
+                 digest=None) -> list:
     """build(object) for each records line, in file order: its record
     (record_from_dict) unless another build is given, as when score folds
-    each line into its cell and keeps nothing of it."""
-    return list(iter_jsonl(path, "record", record_from_dict if build is None else build))
+    each line into its cell and keeps nothing of it. A digest as iter_jsonl's."""
+    return list(iter_jsonl(path, "record", record_from_dict if build is None else build,
+                           digest))
 
 
 _TAIL_BLOCK = 64 * 1024

@@ -17,7 +17,6 @@ from ctax.harness import (
     RunConfig,
     SuiteConfig,
     derive_delayed,
-    load_records,
     run,
     score,
     score_to_files,
@@ -30,7 +29,7 @@ from ctax.metrics import (
     paired_comparison,
     pts,
 )
-from ctax.records import canonical_diff
+from ctax.records import canonical_diff, read_records
 from ctax.report import render_report
 from ctax.taskgen import FAMILIES, generate_suite
 from ctax.validation import validate_schema
@@ -177,7 +176,7 @@ def test_criterion_4_oracle_end_to_end(tmp_path):
         bootstrap=BootstrapConfig(resamples=500, seed=0),
     )
     try:
-        records = load_records(run(config, tmp_path / "oracle"))
+        records = read_records(run(config, tmp_path / "oracle"))
         assert len(records) == 5 * 9 * 50
         result = score(records, bootstrap=config.bootstrap)
         assert len(result.aggregates) == 9 * 6  # modes x (families + rollup)
@@ -217,7 +216,7 @@ def test_criterion_5_corruptor_calibration(tmp_path):
                                     model_id="corruptor-v1",
                                     fault=FaultProfile(p_invalid_json=0.4, seed=0)),),
         )
-        records = load_records(run(invalid_cfg, tmp_path / "invalid"))
+        records = read_records(run(invalid_cfg, tmp_path / "invalid"))
         validity = pts(aggregate(records).schema_validity)
         assert 57.0 <= validity <= 63.0, f"validity {validity}"
 
@@ -229,7 +228,7 @@ def test_criterion_5_corruptor_calibration(tmp_path):
                                     model_id="corruptor-v1",
                                     fault=FaultProfile(p_wrong_field=0.5, seed=0)),),
         )
-        wrong_records = load_records(run(wrong_cfg, tmp_path / "wrong"))
+        wrong_records = read_records(run(wrong_cfg, tmp_path / "wrong"))
         agg = aggregate(wrong_records)
         hard_validity = pts(agg.schema_validity)
         wrong_valid = pts(agg.wrong_valid_rate)
@@ -284,7 +283,7 @@ def test_criterion_7_delayed_packaging_invariant(tmp_path):
             modes=(mode,),
             backends=(backend,),
         )
-        records = load_records(run(config, tmp_path / tag))
+        records = read_records(run(config, tmp_path / tag))
         instances = {}
         for family in families:
             for inst in generate_suite(family, 100, 3):
@@ -365,7 +364,7 @@ def test_criterion_9_scripted_determinism(tmp_path):
             bootstrap=BootstrapConfig(resamples=200, seed=0),
         )
         records_path = run(config, tmp_path / tag)
-        result = score(load_records(records_path), bootstrap=config.bootstrap)
+        result = score(read_records(records_path), bootstrap=config.bootstrap)
         paths = score_to_files(result, tmp_path / f"{tag}-scores")
         blobs = {name: p.read_bytes() for name, p in paths.items()}
         blobs["report.md"] = render_report(result, "prompt_json").encode()

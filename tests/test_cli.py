@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -14,11 +15,14 @@ from pathlib import Path
 import pytest
 
 import ctax
+import ctax.cli
 from ctax.cli import build_parser, main
 from ctax.harness import SuiteConfig
 from ctax.metrics import DEFAULT_BASELINE_MODE, BootstrapConfig
 from ctax.records import canonical_diff, read_records, write_records
 from ctax.taskgen import CALENDAR_SEMANTIC_FIELDS, read_suite
+from test_harness import (_GOLDEN_FAILED_SCORE_SHA256, _GOLDEN_SCORE_SHA256, _generation_failed,
+                          _golden_records)
 
 
 def _run_config_doc(out_modes=("prompt_json", "answer_only_schema")):
@@ -853,3 +857,180 @@ def test_score_warns_when_a_cell_mixes_extraction_rules(tmp_path, capsys):
     for mode in ("prompt_json", "answer_only_schema"):
         assert (f"[WARN] oracle/oracle-v1/boolean_logic/{mode} mixes extraction rules "
                 "lenient/v1, lenient/v3") in out
+
+
+def _records_args(records) -> list[str]:
+    return [arg for path in records for arg in ("--records", str(path))]
+
+
+def _reported(capsys, records, out, *flags):
+    """report's exit code, stdout, and the bytes it wrote to out."""
+    capsys.readouterr()
+    code = main(["report", *_records_args(records), "--out", str(out), *flags])
+    return code, capsys.readouterr().out, out.read_bytes() if out.exists() else None
+
+
+def _cold_reported(monkeypatch, capsys, records, out, *flags):
+    """_reported with an empty cache: the records scored by report itself."""
+    with monkeypatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(out.parent / "cold-cache"))
+        return _reported(capsys, records, out, *flags)
+
+
+def _scored_and_cached(records, out, *flags) -> None:
+    assert main(["score", *_records_args(records), "--out", str(out), *flags]) == 0
+
+
+def _cache_entries() -> list[Path]:
+    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "ctax" / "scores").glob("*.json"))
+
+
+def _poison(entry: Path, **fields) -> None:
+    """Rewrite a cache entry so that serving it shows: its report text is
+    one no scoring gives, and fields replace its other values."""
+    doc = json.loads(entry.read_text(encoding="utf-8"))
+    entry.write_text(json.dumps({**doc, "report": "poisoned\n", **fields}), encoding="utf-8")
+
+
+@pytest.mark.parametrize("failed", [False, True], ids=["golden", "with generation failures"])
+def test_a_cached_report_matches_the_golden_hash(tmp_path, capsys, monkeypatch, failed):
+    """report served from score's entry and report scoring the records
+    itself write the golden report and print the same lines."""
+    records = _golden_records(tmp_path)
+    level, golden = "0.95", _GOLDEN_SCORE_SHA256["report"]
+    if failed:
+        records = [_generation_failed(r) if r.stage == "single" and i % 5 == 2 else r
+                   for i, r in enumerate(records)]
+        level, golden = "0.9", _GOLDEN_FAILED_SCORE_SHA256["report"]
+    path = tmp_path / "golden.jsonl"
+    write_records(path, records)
+    _scored_and_cached([path], tmp_path / "scores", "--level", level)
+    assert len(_cache_entries()) == 1
+    out = tmp_path / "report.md"
+    with monkeypatch.context() as patch:
+        def refuse(*args, **kwargs):
+            raise AssertionError("report scored records it had an entry for")
+
+        patch.setattr(ctax.cli, "score", refuse)
+        served = _reported(capsys, [path], out, "--level", level)
+    cold = _cold_reported(monkeypatch, capsys, [path], out, "--level", level)
+    assert served == cold
+    assert served[1].startswith("[WARN] ")
+    assert hashlib.sha256(served[2]).hexdigest() == golden
+
+
+def test_report_misses_once_a_line_is_appended(tmp_path, capsys, monkeypatch):
+    records = _scored_run(tmp_path)
+    out = tmp_path / "report.md"
+    _scored_and_cached([records], tmp_path / "scores")
+    [entry] = _cache_entries()
+    _poison(entry)
+    assert _reported(capsys, [records], out)[2] == b"poisoned\n"  # served: a hit shows
+    first = records.read_text(encoding="utf-8").splitlines(True)[0]
+    with records.open("a", encoding="utf-8") as fh:
+        fh.write(first.replace('"prompt_json"', '"answer_only_schema"'))
+    appended = _reported(capsys, [records], out)
+    assert appended == _cold_reported(monkeypatch, capsys, [records], out)
+    assert appended[0] == 0 and appended[2] != b"poisoned\n"
+
+
+@pytest.mark.parametrize("fault", ["torn entry", "mistyped entry", "mismatched key",
+                                   "cache is a file", "no HOME", "another user's directory"])
+def test_a_broken_cache_is_a_miss(tmp_path, capsys, monkeypatch, fault):
+    """Whatever is wrong with the cache, report exits 0 with the bytes and
+    lines of a report that scored the records itself."""
+    records = _scored_run(tmp_path)
+    out = tmp_path / "report.md"
+    cold = _cold_reported(monkeypatch, capsys, [records], out)
+    if fault == "cache is a file":
+        (tmp_path / "cache-file").write_text("not a directory", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-file"))
+    elif fault == "no HOME":
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.delenv("HOME", raising=False)
+    _scored_and_cached([records], tmp_path / "scores")
+    if fault in ("torn entry", "mistyped entry", "mismatched key", "another user's directory"):
+        [entry] = _cache_entries()
+        if fault == "torn entry":
+            entry.write_bytes(entry.read_bytes()[:200])
+        elif fault == "mistyped entry":
+            _poison(entry, warnings="[WARN] poisoned")
+        elif fault == "mismatched key":
+            _poison(entry, key="0" * 64)
+        else:
+            if not hasattr(os, "getuid"):
+                pytest.skip("no user ids")
+            _poison(entry)
+            uid = os.getuid()
+            monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    assert _reported(capsys, [records], out) == cold
+    assert cold[0] == 0
+
+
+@pytest.mark.parametrize("flags", [["--level", "0.9"], ["--baseline", "answer_only_schema"],
+                                   "edited code"])
+def test_report_misses_on_another_level_baseline_or_code(tmp_path, capsys, monkeypatch, flags):
+    records = _scored_run(tmp_path)
+    out = tmp_path / "report.md"
+    _scored_and_cached([records], tmp_path / "scores")
+    [entry] = _cache_entries()
+    _poison(entry)
+    assert _reported(capsys, [records], out)[2] == b"poisoned\n"  # served: a hit shows
+    if flags == "edited code":
+        digest = ctax.cli._code_digest()
+        monkeypatch.setattr(ctax.cli, "_code_digest", lambda: [*digest[:-1], "edited.py:0"])
+        flags = []
+    missed = _reported(capsys, [records], out, *flags)
+    assert missed == _cold_reported(monkeypatch, capsys, [records], out, *flags)
+    assert missed[0] == 0 and missed[2] != b"poisoned\n"
+
+
+def test_a_bad_level_is_refused_before_the_cache_is_read(tmp_path, capsys, monkeypatch):
+    records = _scored_run(tmp_path)
+    _scored_and_cached([records], tmp_path / "scores")
+    assert len(_cache_entries()) == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(ctax.cli, "_file_digest", refuse)
+    monkeypatch.setattr(ctax.cli, "_cached_report", refuse)
+    monkeypatch.setattr(ctax.harness, "read_records", refuse)
+    out = tmp_path / "report.md"
+    capsys.readouterr()
+    assert main(["report", "--records", str(records), "--out", str(out), "--level", "1.5"]) == 2
+    assert "level" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_records_from_a_pipe_are_never_cached(tmp_path, capsys, monkeypatch):
+    """A pipe is hashed by no second read: score keeps no entry for it, and
+    report scores it itself."""
+    records = _scored_run(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(ctax.__file__).resolve().parents[1])}
+    for command, out in (("score", tmp_path / "scores"), ("report", tmp_path / "piped.md")):
+        piped = subprocess.run([sys.executable, "-m", "ctax.cli", command, "--records",
+                                "/dev/stdin", "--out", str(out)],
+                               input=records.read_text(encoding="utf-8"), capture_output=True,
+                               text=True, env=env, timeout=60)
+        assert (piped.returncode, piped.stderr) == (0, ""), command
+    assert _cache_entries() == []
+    cold = _cold_reported(monkeypatch, capsys, [records], tmp_path / "report.md")
+    assert (tmp_path / "piped.md").read_bytes() == cold[2]
+
+
+def test_the_cache_keeps_the_newest_16_entries(tmp_path, capsys, monkeypatch):
+    records = _scored_run(tmp_path)
+    digest = ctax.cli._code_digest()
+    for edit in range(18):
+        monkeypatch.setattr(ctax.cli, "_code_digest", lambda edit=edit: [*digest, f"edit-{edit}"])
+        _scored_and_cached([records], tmp_path / "scores")
+    entries = _cache_entries()
+    assert len(entries) == 16
+    for entry in entries:
+        _poison(entry)
+    out = tmp_path / "report.md"
+    for edit, kept in ((0, False), (1, False), (2, True), (17, True)):
+        monkeypatch.setattr(ctax.cli, "_code_digest", lambda edit=edit: [*digest, f"edit-{edit}"])
+        assert (_reported(capsys, [records], out)[2] == b"poisoned\n") == kept, edit

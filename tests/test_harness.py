@@ -32,7 +32,6 @@ from ctax.harness import (
     SuiteConfig,
     config_from_dict,
     derive_delayed,
-    load_records,
     run,
     _write_manifest,
     score,
@@ -82,7 +81,7 @@ def _instances(config):
 def test_run_writes_expected_files_and_counts(tmp_path):
     config = _config(("prompt_json", "freeform"))
     records_path = run(config, tmp_path / "out")
-    records = load_records(records_path)
+    records = read_records(records_path)
     assert len(records) == 2 * 3 * 2  # modes x count x families
     assert len({r.key() for r in records}) == len(records)
     tasks = (tmp_path / "out" / "tasks.jsonl").read_text().splitlines()
@@ -102,7 +101,7 @@ def _enforced(record: RunRecord) -> bool:
 
 def test_run_records_carry_scoring_fields(tmp_path):
     config = _config(("answer_only_schema",), families=("boolean_logic",))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     rec = records[0]
     assert manifest["constraints"][rec.constraint_digest]["kind"] == "schema"
@@ -116,7 +115,7 @@ def test_run_records_carry_scoring_fields(tmp_path):
 
 def test_prompt_json_records_are_scored_but_not_enforced(tmp_path):
     config = _config(("prompt_json",), families=("boolean_logic",))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert all(manifest["constraints"][r.constraint_digest]["kind"] == "schema" for r in records)
     assert not any(map(_enforced, records))
@@ -128,7 +127,7 @@ def test_a_record_names_its_constraint_by_digest_and_its_kind_and_enforcement_de
     config = _config(MODE_NAMES, families=FAMILIES, count=2, delayed_variant="model")
     path = run(config, tmp_path / "out")
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    records = load_records(path)
+    records = read_records(path)
     assert len(records) == 9 * 5 * 2 + 5 * 2  # and a stage 2 per delayed instance
     for line in path.read_text(encoding="utf-8").splitlines():
         assert '"constraint_kind"' not in line and '"constraint_enforced"' not in line
@@ -157,7 +156,7 @@ def test_resume_skips_done_work(tmp_path):
 
     wider = _config(("prompt_json", "final_only_regex"))
     run(wider, tmp_path / "out", resume=True)
-    records = load_records(path)
+    records = read_records(path)
     assert len(records) == 2 * 3 * 2
     assert len({r.key() for r in records}) == len(records)
     # the original rows were not rewritten
@@ -192,7 +191,7 @@ def test_resume_after_torn_final_line(tmp_path):
     full = canonical_record_lines(path)
     path.write_bytes(path.read_bytes()[:-40])
     run(config, tmp_path / "out", resume=True)
-    records = load_records(path)
+    records = read_records(path)
     assert len(records) == 2 * 3 * 2
     assert len({r.key() for r in records}) == len(records)
     assert canonical_record_lines(path) == full
@@ -216,22 +215,22 @@ def test_malformed_record_line_names_file_and_line(tmp_path):
     lines[2] = lines[2][:30] + "\n"
     path.write_text("".join(lines))
     with pytest.raises(ConfigError, match=r"records\.jsonl:3"):
-        load_records(path)
+        read_records(path)
 
 
 def test_old_format_records_load_and_score_the_same(tmp_path):
     # records once also stored the prompt and the constraint documents
     config = _config(("prompt_json", "final_only_regex"))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     old = tmp_path / "old.jsonl"
     old.write_text("".join(
         json.dumps({**r.to_dict(), "prompt": "Reply with only the final answer.",
                     "constraint_schema": {"type": "object"},
                     "constraint_pattern": "^(true|false)$"}) + "\n"
         for r in records))
-    assert load_records(old) == records
+    assert read_records(old) == records
     cfg = BootstrapConfig(resamples=50, seed=0)
-    assert score(load_records(old), bootstrap=cfg) == score(records, bootstrap=cfg)
+    assert score(read_records(old), bootstrap=cfg) == score(records, bootstrap=cfg)
 
 
 @pytest.mark.parametrize("change", ["suite seed", "strict extraction and a new mode",
@@ -266,7 +265,7 @@ def _endpoint_run_config(url, modes=("freeform",), count=5, **backend):
 def test_endpoint_records_start_at_their_own_request(tmp_path):
     with stub_server(delay=0.03, content="Final answer: true") as (_state, url):
         config = _endpoint_run_config(url, max_in_flight=1)
-        records = load_records(run(config, tmp_path / "out"))
+        records = read_records(run(config, tmp_path / "out"))
     starts = sorted(dt.datetime.fromisoformat(r.started_at) for r in records)
     assert len(starts) == 5
     # one request at a time, each at least 30 ms long
@@ -355,7 +354,7 @@ def test_killed_endpoint_run_keeps_landed_records_and_resumes(tmp_path):
 
         state.hang_after = None  # the server recovers; the same config resumes
         run(config, out, resume=True)
-    records = load_records(out / "records.jsonl")
+    records = read_records(out / "records.jsonl")
     assert len(records) == 2 * 20
     assert len({r.key() for r in records}) == len(records)
     assert not [r for r in records if r.error_class == "generation_failed"]
@@ -740,7 +739,7 @@ def test_shared_constraints_stay_unchanged(scripted_runs, tmp_path):
 
 def test_delayed_deterministic_record_contract(tmp_path):
     config = _config(("delayed_constraint",), families=("arithmetic_two_step",))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     assert len(records) == 3
     for rec in records:
         assert rec.stage == "stage1"  # single generated stage
@@ -759,7 +758,7 @@ def test_delayed_deterministic_record_contract(tmp_path):
 def test_delayed_model_variant_two_stage_records(tmp_path):
     config = _config(("delayed_constraint",), families=("boolean_logic",),
                      delayed_variant="model")
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     stage1 = [r for r in records if r.stage == "stage1"]
     stage2 = [r for r in records if r.stage == "stage2"]
     assert len(stage1) == 3 and len(stage2) == 3
@@ -775,7 +774,7 @@ def test_delayed_model_variant_two_stage_records(tmp_path):
 def test_delayed_cell_leaves_out_an_instance_whose_stage2_is_missing(tmp_path):
     config = _config(("prompt_json", "delayed_constraint"), families=("boolean_logic",),
                      delayed_variant="model")
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     dropped = next(r for r in records if r.stage == "stage2")
     records.remove(dropped)
     result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
@@ -791,7 +790,7 @@ def test_delayed_packaging_failure_is_scored_invalid(tmp_path):
     fault = FaultProfile(p_invalid_json=1.0)
     config = _config(("delayed_constraint",), families=("tool_call_argument",),
                      backend_kind="corruptor", fault=fault)
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     assert len(records) == 3
     for rec in records:
         assert rec.packaging_failed
@@ -807,7 +806,7 @@ def test_delayed_packaging_failure_is_scored_invalid(tmp_path):
 def test_derive_delayed_matches_in_run_packaging(tmp_path):
     config = _config(("prompt_json", "delayed_constraint"),
                      families=("arithmetic_two_step", "tool_call_argument"))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     sources = [r for r in records if r.mode == "prompt_json"]
     in_run = {r.instance_id: r for r in records if r.mode == "delayed_constraint"}
     derived = derive_delayed(sources, _instances(config), config)
@@ -826,21 +825,21 @@ def test_derive_delayed_matches_in_run_packaging(tmp_path):
 
 def test_derive_delayed_rejects_constrained_sources(tmp_path):
     config = _config(("answer_only_schema",), families=("boolean_logic",))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     with pytest.raises(ConfigError, match="supported sources"):
         derive_delayed(records, _instances(config))
 
 
 def test_derive_delayed_requires_instances(tmp_path):
     config = _config(("prompt_json",), families=("boolean_logic",))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     with pytest.raises(ConfigError, match="no task instance"):
         derive_delayed(records, {})
 
 
 def test_derive_delayed_preserves_generation_failures(tmp_path):
     config = _config(("freeform",), families=("boolean_logic",))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     failed = replace(records[0], error_class="generation_failed", raw_text="")
     (derived,) = derive_delayed([failed], _instances(config))
     assert derived.error_class == "generation_failed"
@@ -852,7 +851,7 @@ def test_derive_delayed_preserves_generation_failures(tmp_path):
 def test_derive_delayed_without_config_keeps_source_digest(tmp_path):
     config = _config(("freeform",),
                      families=("arithmetic_two_step", "tool_call_argument"))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     derived = derive_delayed(records, _instances(config))
     # no synthetic per-family digest fan-out: derived records stay in the
     # source run's digest group so joint scoring does not warn
@@ -864,7 +863,7 @@ def test_derive_delayed_never_invents_correctness(tmp_path):
     fault = FaultProfile(p_invalid_json=0.3, p_wrong_field=0.4, seed=5)
     config = _config(("freeform",), families=("arithmetic_two_step",), count=40,
                      backend_kind="corruptor", fault=fault)
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     derived = derive_delayed(records, _instances(config), config)
     by_id = {r.instance_id: r for r in records}
     assert sum(d.exec_correct for d in derived) <= sum(
@@ -1122,7 +1121,7 @@ def test_config_rejects_out_of_range_values(tmp_path, capsys, path, value, level
 
 def test_score_shape_and_zero_tax(tmp_path):
     config = _config(("prompt_json", "answer_only_schema", "freeform"))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     result = score(records, bootstrap=BootstrapConfig(resamples=60, seed=0))
     # 3 modes x (2 families + rollup)
     assert len(result.aggregates) == 9
@@ -1139,7 +1138,7 @@ def test_score_shape_and_zero_tax(tmp_path):
 
 def test_score_aggregates_are_deterministically_ordered(tmp_path):
     config = _config(("answer_only_schema", "freeform", "prompt_json"))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
     labels = [(a.task, a.mode) for a in result.aggregates]
     assert labels == [
@@ -1158,7 +1157,7 @@ def test_score_aggregates_are_deterministically_ordered(tmp_path):
 def test_score_includes_calendar_rows(tmp_path):
     config = _config(("prompt_json", "answer_only_schema", "freeform"),
                      families=("tool_call_argument",))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
     # freeform rows carry no calendar classification
     assert [row.mode for row in result.calendar] == ["prompt_json",
@@ -1171,15 +1170,15 @@ def test_score_includes_calendar_rows(tmp_path):
 
 def test_score_warns_on_missing_baseline(tmp_path):
     config = _config(("freeform",))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
     assert result.comparisons == []
     assert "baseline mode 'prompt_json' absent" in "\n".join(result.warnings)
 
 
 def test_score_warns_on_mixed_digests(tmp_path):
-    a = load_records(run(_config(("prompt_json",)), tmp_path / "a"))
-    b = load_records(run(_config(("prompt_json",), run_id="other"), tmp_path / "b"))
+    a = read_records(run(_config(("prompt_json",)), tmp_path / "a"))
+    b = read_records(run(_config(("prompt_json",), run_id="other"), tmp_path / "b"))
     b = [replace(r, backend_label="other-backend") for r in b]
     result = score(a + b, bootstrap=BootstrapConfig(resamples=50, seed=0))
     assert "config digests" in "\n".join(result.warnings)
@@ -1187,7 +1186,7 @@ def test_score_warns_on_mixed_digests(tmp_path):
 
 def test_score_skips_duplicated_cell_with_warning(tmp_path):
     config = _config(("prompt_json", "freeform", "answer_only_schema"))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     doubled = records + [r for r in records if r.mode == "freeform"]
     result = score(doubled, bootstrap=BootstrapConfig(resamples=50, seed=0))
     out = "\n".join(result.warnings)
@@ -1201,7 +1200,7 @@ def test_score_skips_duplicated_cell_with_warning(tmp_path):
 
 
 def test_score_leaves_out_a_family_cell_with_no_scored_record(tmp_path):
-    records = load_records(run(_config(("prompt_json", "freeform")), tmp_path / "out"))
+    records = read_records(run(_config(("prompt_json", "freeform")), tmp_path / "out"))
     records = [replace(r, error_class="generation_failed")
                if (r.family, r.mode) == ("boolean_logic", "freeform") else r
                for r in records]
@@ -1305,10 +1304,10 @@ def _golden_records(tmp_path):
         run_id="golden-b",
         suite=SuiteConfig(families=("symbolic_string", "object_tracking"), count=5, seed=23),
         modes=("prompt_json", "freeform", "answer_only_schema"), backends=backends)
-    records = load_records(run(first, tmp_path / "a"))
+    records = read_records(run(first, tmp_path / "a"))
     dropped = next(r for r in records if r.stage == "stage2")
     records.remove(dropped)
-    records += load_records(run(second, tmp_path / "b"))
+    records += read_records(run(second, tmp_path / "b"))
     return records + [r for r in records if (r.backend_label, r.mode, r.family) ==
                       ("oracle", "answer_only_schema", "arithmetic_two_step")]
 
@@ -1398,7 +1397,7 @@ def test_answer_and_exec_rows_share_validity_and_wrong_valid_cis(tmp_path):
                          wrong_field_targets=tuple(CALENDAR_SEMANTIC_FIELDS))
     config = _config(MODE_NAMES, families=FAMILIES, count=12,
                      backend_kind="corruptor", fault=fault)
-    result = score(load_records(run(config, tmp_path / "out")),
+    result = score(read_records(run(config, tmp_path / "out")),
                    bootstrap=BootstrapConfig(resamples=200, seed=0))
     by_pair: dict = {}
     for cmp in result.comparisons:
@@ -1413,7 +1412,7 @@ def test_answer_and_exec_rows_share_validity_and_wrong_valid_cis(tmp_path):
 
 
 def test_score_lets_errors_outside_pairing_surface(tmp_path, monkeypatch):
-    records = load_records(run(_config(("prompt_json", "freeform")), tmp_path / "out"))
+    records = read_records(run(_config(("prompt_json", "freeform")), tmp_path / "out"))
 
     def broken_ci(*args, **kwargs):
         raise ValueError("bootstrap defect")
@@ -1425,7 +1424,7 @@ def test_score_lets_errors_outside_pairing_surface(tmp_path, monkeypatch):
 
 def test_bootstrap_version_is_stamped(tmp_path):
     out = tmp_path / "out"
-    records = load_records(run(_config(("prompt_json", "freeform")), out))
+    records = read_records(run(_config(("prompt_json", "freeform")), out))
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["bootstrap_version"] == BOOTSTRAP_VERSION == "bootstrap/v3"
     paths = score_to_files(score(records, bootstrap=BootstrapConfig(resamples=50, seed=0)),
@@ -1692,7 +1691,7 @@ def test_score_matches_the_reference_walk_in_any_record_order(tmp_path):
 def test_score_to_files_and_formats(tmp_path):
     config = _config(("prompt_json", "answer_only_schema"),
                      families=("tool_call_argument",))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
     paths = score_to_files(result, tmp_path / "scores")
     agg_lines = paths["aggregates"].read_text().splitlines()
@@ -1729,7 +1728,7 @@ def test_outputs_byte_identical_across_reruns(tmp_path):
     for tag in ("first", "second"):
         config = _config(("prompt_json", "answer_only_schema", "delayed_constraint"))
         records_path = run(config, tmp_path / tag)
-        result = score(load_records(records_path),
+        result = score(read_records(records_path),
                        bootstrap=BootstrapConfig(resamples=100, seed=0))
         paths = score_to_files(result, tmp_path / f"{tag}-scores")
         outputs.append({k: p.read_bytes() for k, p in paths.items()})
@@ -1752,7 +1751,7 @@ def test_rerun_canonical_records_identical(tmp_path):
 def test_render_report_contents(tmp_path):
     config = _config(("prompt_json", "answer_only_schema", "delayed_constraint"),
                      families=("arithmetic_two_step", "tool_call_argument"))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
     report = render_report(result, "prompt_json")
     assert "## Mode dashboard" in report
@@ -1775,7 +1774,7 @@ def test_report_reads_a_tax_as_lost_and_a_gain_as_gained(tmp_path):
                      families=("arithmetic_two_step", "boolean_logic", "symbolic_string"))
     edits = {("arithmetic_two_step", "answer_only_schema"): 3, ("boolean_logic", "prompt_json"): 2}
     records = []
-    for record in load_records(run(config, tmp_path / "out")):
+    for record in read_records(run(config, tmp_path / "out")):
         key = (record.family, record.mode)
         if edits.get(key):
             edits[key] -= 1
@@ -1802,7 +1801,7 @@ def test_report_reads_a_tax_as_lost_and_a_gain_as_gained(tmp_path):
 
 def test_report_without_comparisons(tmp_path):
     config = _config(("freeform",), families=("boolean_logic",))
-    records = load_records(run(config, tmp_path / "out"))
+    records = read_records(run(config, tmp_path / "out"))
     result = score(records, bootstrap=BootstrapConfig(resamples=50, seed=0))
     report = render_report(result, "prompt_json")
     assert "_No comparisons" in report
